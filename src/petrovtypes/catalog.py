@@ -9,6 +9,7 @@ tangent frame, unit normal, shape matrix in the frame, and frame Gram.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ from .spaceform import (
     ambient_inner,
     inner_matrix,
     quadric_gradient,
-    regular_level_value,
     sphere_shape_operator,
 )
 
@@ -127,8 +127,13 @@ def _p_sphere_g() -> np.ndarray:
     )
 
 
+@functools.cache
 def quadric_of(example_id: str) -> QuadricFunction:
-    """The defining quadric for the level-set entries ("a"-"j")."""
+    """The defining quadric for the level-set entries ("a"-"j").
+
+    Each quadric is built and validated once, on first use, and the same
+    instance is returned afterwards; its P and p are read-only.
+    """
     e3 = _anti(3)
     i3 = np.eye(3)
     table = {
@@ -146,7 +151,11 @@ def quadric_of(example_id: str) -> QuadricFunction:
     if example_id not in table:
         raise DomainError(f"{example_id} has no defining quadric")
     variant, s, p_mat, c, p_vec = table[example_id]
-    return QuadricFunction(variant, s, p_mat, c, p_vec)
+    f = QuadricFunction(variant, s, p_mat, c, p_vec)
+    f.P.flags.writeable = False
+    if f.p is not None:
+        f.p.flags.writeable = False
+    return f
 
 
 # anchors and pivot coordinates (0-based) for the level-set charts
@@ -355,14 +364,6 @@ def _frame_i(x: np.ndarray, anchor_variant: bool) -> tuple[np.ndarray, np.ndarra
     return np.array(cols).T, _dsum(_j(-1.0, 2), _j(-1.0, 2))
 
 
-# normal sign per level-set entry so the frame shape matches -d(xi) in the
-# frame (fixed once against the finite-difference oracle)
-_XI_SIGN = {
-    "a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0,
-    "e": 1.0, "f": 1.0, "g": 1.0, "h": 1.0, "i": 1.0, "j": 1.0,
-}
-
-
 def _evaluate_level(example_id: str, q: np.ndarray, anchor_variant: bool) -> FrameData:
     f = quadric_of(example_id)
     x = _level_chart(example_id, np.asarray(q, dtype=float))
@@ -371,7 +372,7 @@ def _evaluate_level(example_id: str, q: np.ndarray, anchor_variant: bool) -> Fra
     phi = ambient_inner(grad, grad, f.s)
     if abs(phi) < 1e-12:
         raise DomainError("level value is not regular at this point")
-    xi = _XI_SIGN[example_id] * grad / np.sqrt(abs(phi))
+    xi = grad / np.sqrt(abs(phi))
     nu = 1 if ambient_inner(xi, xi, f.s) > 0 else -1
     if example_id == "a":
         frame = _coordinate_tangent_frame(f, x, _ANCHOR["a"][1])[:, :4]
@@ -391,7 +392,6 @@ def _evaluate_level(example_id: str, q: np.ndarray, anchor_variant: bool) -> Fra
     else:  # e, f, j: diagonalizable, no displayed frame
         frame = _coordinate_tangent_frame(f, x, _ANCHOR[example_id][1])
         shape, delta = sphere_shape_operator(f, x, frame)
-        shape = _XI_SIGN[example_id] * shape
     return FrameData(
         point=x,
         frame=frame,

@@ -28,7 +28,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
 )
-from .petrov import ConditioningError, classify_pair
+from .petrov import ConditioningError, ContractError, TaxonomyError, classify_pair
 from .spaceform import DomainError
 
 SCHEMA = "1"
@@ -73,8 +73,18 @@ def _cmd_classify(args) -> int:
         a = matrix_from_json(obj["a"])
         gram = matrix_from_json(obj["gram"])
     except KeyError as exc:
-        raise CliError(f'input needs "a" and "gram" matrices: missing {exc}') from exc
-    result = classify_pair(np.asarray(a, dtype=float), np.asarray(gram, dtype=float), tol)
+        raise CliError(
+            f'input needs "a" and "gram" matrices with "rows", "cols" and "data": '
+            f"missing {exc}"
+        ) from exc
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"malformed matrix in input: {exc}") from exc
+    a = np.asarray(a, dtype=float)
+    gram = np.asarray(gram, dtype=float)
+    for name, mat in (("a", a), ("gram", gram)):
+        if not np.isfinite(mat).all():
+            raise CliError(f'"{name}" has a non-finite entry (NaN or infinity)')
+    result = classify_pair(a, gram, tol)
     payload = _base_payload(tol) | result
     md = [
         f"tolerance: {tol}",
@@ -220,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=int, default=5)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--json", action="store_true", help="JSON output")
-    p_ver.add_argument("--markdown", action="store_true", help="markdown output")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_rep = sub.add_parser("report", help="regenerate a classification table")
@@ -247,7 +256,9 @@ def run(argv=None) -> int:
         ToleranceError,
         ClusterAmbiguityError,
         ConditioningError,
+        ContractError,
         DomainError,
+        TaxonomyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

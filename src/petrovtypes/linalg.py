@@ -108,7 +108,7 @@ def signature(gram: np.ndarray, tol: float | None = None) -> tuple[int, int, int
     if np.abs(g - g.T).max() > tol * scale:
         raise ShapeError("gram matrix is not symmetric within tolerance")
     ev = np.linalg.eigvalsh((g + g.T) / 2.0)
-    cut = max(tol, RANK_TOL * max(np.abs(ev).max(), 1.0) * 0.0 + tol * scale)
+    cut = max(tol, tol * scale)
     pos = int((ev > cut).sum())
     neg = int((ev < -cut).sum())
     return pos, neg, n - pos - neg

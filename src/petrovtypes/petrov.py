@@ -16,7 +16,6 @@ from .linalg import (
     BilinearSpace,
     ShapeError,
     ToleranceError,
-    _rank,
     default_tol,
     eigen_clusters,
     is_self_adjoint,

@@ -10,6 +10,13 @@ All derivatives are second-order central differences.  First derivatives of
 the charts are exact (catalog.chart_jacobian), so the finite differencing is
 only ever applied to smooth scalar- or matrix-valued functions of the chart
 coordinates.
+
+The curvature checks use nested central differences with the step h: the
+Christoffel symbols come from differences of the metric, and the curvature
+from differences of the Christoffel symbols.  The nested stencil reaches the
+points p + h*o for integer offset vectors o, many of them more than once (81
+reaches but 41 distinct offsets in four coordinates); each distinct offset is
+evaluated once per check.  The tensor contractions are einsum calls.
 """
 
 from __future__ import annotations
@@ -57,32 +64,62 @@ class CurvatureData:
     curvature: np.ndarray  # riem[i, j, k, l] = <R(d_i, d_j) d_k, d_l>
 
 
-def _metric_at(example_id: str, p: np.ndarray, a: float) -> np.ndarray:
-    jac = catalog.chart_jacobian(example_id, p, a=a)
-    amb = catalog.ambient_of(example_id)
-    g = inner_matrix(amb.embedding_dim, amb.embedding_index)
-    return jac.T @ g @ jac
+class _Stencil:
+    """Chart data at the points p + h*o around p, keyed by the integer offset
+    vector o.  Each distinct point is evaluated at most once, however many
+    nested differences reach it."""
 
+    def __init__(self, example_id: str, p: np.ndarray, a: float, h: float):
+        self.example_id = example_id
+        self.p = p
+        self.a = a
+        self.h = h
+        self.origin = (0,) * p.shape[0]
+        amb = catalog.ambient_of(example_id)
+        self._g = inner_matrix(amb.embedding_dim, amb.embedding_index)
+        self._jac: dict[tuple, np.ndarray] = {}
+        self._metric: dict[tuple, np.ndarray] = {}
 
-def _christoffel_at(example_id: str, p: np.ndarray, a: float, h: float) -> np.ndarray:
-    m = p.shape[0]
-    g0 = _metric_at(example_id, p, a)
-    dg = np.zeros((m, m, m))  # dg[l, i, j] = d_l g_ij
-    for l in range(m):
-        pp = p.copy()
-        pm = p.copy()
-        pp[l] += h
-        pm[l] -= h
-        dg[l] = (_metric_at(example_id, pp, a) - _metric_at(example_id, pm, a)) / (2 * h)
-    ginv = np.linalg.inv(g0)
-    gamma = np.zeros((m, m, m))
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                gamma[k, i, j] = 0.5 * np.sum(
-                    ginv[k] * (dg[i, j] + dg[j, i] - dg[:, i, j])
-                )
-    return gamma
+    def point(self, o: tuple) -> np.ndarray:
+        return self.p + self.h * np.array(o, dtype=float)
+
+    def jacobian(self, o: tuple) -> np.ndarray:
+        jac = self._jac.get(o)
+        if jac is None:
+            jac = self._jac[o] = catalog.chart_jacobian(self.example_id, self.point(o), a=self.a)
+        return jac
+
+    def metric(self, o: tuple) -> np.ndarray:
+        g = self._metric.get(o)
+        if g is None:
+            jac = self.jacobian(o)
+            g = self._metric[o] = jac.T @ self._g @ jac
+        return g
+
+    def shape(self, o: tuple) -> np.ndarray:
+        """Shape operator in the chart-coordinate frame at offset o."""
+        return _shape_in_coordinates(
+            self.example_id, self.point(o), self.a, self.jacobian(o)
+        )[0]
+
+    def derivative(self, fun, o: tuple) -> np.ndarray:
+        """Central differences of fun at offset o, stacked along a new first
+        axis: out[l] = d_l fun."""
+        steps = []
+        for l in range(len(o)):
+            up = list(o)
+            down = list(o)
+            up[l] += 1
+            down[l] -= 1
+            steps.append(fun(tuple(up)) - fun(tuple(down)))
+        return np.array(steps) / (2 * self.h)
+
+    def christoffel(self, o: tuple) -> np.ndarray:
+        """gamma[k, i, j] for nabla_i d_j = gamma^k_ij d_k at offset o."""
+        dg = self.derivative(self.metric, o)  # dg[l, i, j] = d_l g_ij
+        ginv = np.linalg.inv(self.metric(o))
+        lowered = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+        return 0.5 * np.einsum("kn,ijn->kij", ginv, lowered)
 
 
 def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -> CurvatureData:
@@ -90,39 +127,26 @@ def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -
     p = np.asarray(p, dtype=float)
     if h is None:
         h = CONFIG["curvature_h"]
-    m = p.shape[0]
-    g0 = _metric_at(example_id, p, a)
-    gamma = _christoffel_at(example_id, p, a, h)
-    dgamma = np.zeros((m, m, m, m))  # dgamma[l, k, i, j] = d_l gamma^k_ij
-    for l in range(m):
-        pp = p.copy()
-        pm = p.copy()
-        pp[l] += h
-        pm[l] -= h
-        dgamma[l] = (
-            _christoffel_at(example_id, pp, a, h) - _christoffel_at(example_id, pm, a, h)
-        ) / (2 * h)
-    # riem_up[m_, i, j, k]: R(d_i, d_j) d_k = riem_up[m_, i, j, k] d_m
-    riem_up = np.zeros((m, m, m, m))
-    for mm in range(m):
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    riem_up[mm, i, j, k] = (
-                        dgamma[i, mm, j, k]
-                        - dgamma[j, mm, i, k]
-                        + np.sum(gamma[mm, i] * gamma[:, j, k])
-                        - np.sum(gamma[mm, j] * gamma[:, i, k])
-                    )
+    st = _Stencil(example_id, p, a, h)
+    g0 = st.metric(st.origin)
+    gamma = st.christoffel(st.origin)
+    dgamma = st.derivative(st.christoffel, st.origin)  # dgamma[l, k, i, j] = d_l gamma^k_ij
+    # R(d_i, d_j) d_k = riem_up[m, i, j, k] d_m with
+    # riem_up[m, i, j, k] = half[m, i, j, k] - half[m, j, i, k] and
+    # half[m, i, j, k] = d_i gamma^m_jk + gamma^m_in gamma^n_jk
+    half = dgamma.transpose(1, 0, 2, 3) + np.einsum("min,njk->mijk", gamma, gamma)
+    riem_up = half - half.transpose(0, 2, 1, 3)
     riem = np.einsum("mijk,ml->ijkl", riem_up, g0)
     return CurvatureData(metric=g0, christoffel=gamma, curvature=riem)
 
 
-def _shape_in_coordinates(example_id: str, p: np.ndarray, a: float):
+def _shape_in_coordinates(example_id: str, p: np.ndarray, a: float, jac=None):
     """Shape operator as a matrix in the chart-coordinate frame, plus the
-    per-point data used to build it."""
+    per-point data used to build it.  jac, when given, is the chart Jacobian
+    at p."""
     fd = catalog.evaluate(example_id, p, a=a)
-    jac = catalog.chart_jacobian(example_id, p, a=a)
+    if jac is None:
+        jac = catalog.chart_jacobian(example_id, p, a=a)
     coef, *_ = np.linalg.lstsq(fd.frame, jac, rcond=None)
     a_coord = np.linalg.solve(coef, fd.shape @ coef)
     return a_coord, fd, jac
@@ -175,24 +199,18 @@ def gauss_residual(
     if threshold is None:
         threshold = CONFIG["curvature_threshold"]
     data = curvature_data(example_id, p, a=a, h=h)
-    a_coord, fd, _jac = _shape_in_coordinates(example_id, p, a)
+    a_coord, fd, jac = _shape_in_coordinates(example_id, p, a)
     if shape_override is not None:
-        coef = np.linalg.lstsq(fd.frame, catalog.chart_jacobian(example_id, p, a=a), rcond=None)[0]
+        coef = np.linalg.lstsq(fd.frame, jac, rcond=None)[0]
         a_coord = np.linalg.solve(coef, shape_override @ coef)
     g = data.metric
     ag = g @ a_coord  # ag[i, j] = <d_i, A d_j>, symmetric by self-adjointness
     kappa = catalog.ambient_of(example_id).curvature
-    nu = fd.nu
-    m = p.shape[0]
-    resid = 0.0
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    rhs = kappa * (g[j, k] * g[i, l] - g[i, k] * g[j, l]) + nu * (
-                        ag[j, k] * ag[i, l] - ag[i, k] * ag[j, l]
-                    )
-                    resid = max(resid, abs(data.curvature[i, j, k, l] - rhs))
+    # rhs[i, j, k, l] = kappa (g_jk g_il - g_ik g_jl) + nu (ag_jk ag_il - ag_ik ag_jl)
+    gg = np.einsum("jk,il->ijkl", g, g)
+    aa = np.einsum("jk,il->ijkl", ag, ag)
+    rhs = kappa * (gg - gg.swapaxes(0, 1)) + fd.nu * (aa - aa.swapaxes(0, 1))
+    resid = np.abs(data.curvature - rhs).max()
     return ResidualReport(
         example_id, "gauss", (tuple(p),), float(resid), h, threshold
     )
@@ -209,33 +227,18 @@ def codazzi_residual(
         h = CONFIG["curvature_h"]
     if threshold is None:
         threshold = CONFIG["curvature_threshold"]
-    m = p.shape[0]
-    g0 = _metric_at(example_id, p, a)
-    gamma = _christoffel_at(example_id, p, a, h)
-    a0, _fd, _jac = _shape_in_coordinates(example_id, p, a)
-    da = np.zeros((m, m, m))  # da[l] = d_l of the coordinate shape matrix
-    for l in range(m):
-        pp = p.copy()
-        pm = p.copy()
-        pp[l] += h
-        pm[l] -= h
-        da[l] = (
-            _shape_in_coordinates(example_id, pp, a)[0]
-            - _shape_in_coordinates(example_id, pm, a)[0]
-        ) / (2 * h)
-    ga = g0 @ a0
-    resid = 0.0
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                # <nabla_i (A d_j), d_k> - <nabla_i d_j, A d_k>
-                def term(i, j):
-                    t = np.sum(da[i][:, j] * g0[:, k])
-                    t += np.sum(a0[:, j] * (gamma[:, i, :].T @ g0[:, k]))
-                    t -= np.sum(gamma[:, i, j] * ga[:, k])
-                    return t
-
-                resid = max(resid, abs(term(i, j) - term(j, i)))
+    st = _Stencil(example_id, p, a, h)
+    g0 = st.metric(st.origin)
+    gamma = st.christoffel(st.origin)
+    a0 = st.shape(st.origin)
+    da = st.derivative(st.shape, st.origin)  # da[l] = d_l of the coordinate shape matrix
+    # term[i, j, k] = <nabla_i (A d_j), d_k> - <nabla_i d_j, A d_k>
+    term = (
+        np.einsum("inj,nk->ijk", da, g0)
+        + np.einsum("nj,qin,qk->ijk", a0, gamma, g0)
+        - np.einsum("nij,nk->ijk", gamma, g0 @ a0)
+    )
+    resid = np.abs(term - term.swapaxes(0, 1)).max()
     return ResidualReport(
         example_id, "codazzi", (tuple(p),), float(resid), h, threshold
     )

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, JSON schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import petrovtypes
 from petrovtypes.cli import run
 from petrovtypes.linalg import matrix_to_json
 from petrovtypes.petrov import JordanStructure, assemble_normal_pair
@@ -133,3 +138,64 @@ def test_json_output_deterministic(pair_file, capsys):
     run(["classify", "--input", pair_file, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _write_pair(tmp_path, a, gram):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(
+        {"a": matrix_to_json(np.asarray(a, dtype=float)),
+         "gram": matrix_to_json(np.asarray(gram, dtype=float))}
+    ))
+    return str(path)
+
+
+def test_classify_index_zero_pair_exit_one(tmp_path, capsys):
+    # a definite metric lies outside the index-1/index-2 taxonomy
+    path = _write_pair(tmp_path, np.diag([1.0, 2.0, 3.0]), np.eye(3))
+    assert run(["classify", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "negative index 0" in err
+
+
+def test_classify_not_self_adjoint_exit_one(tmp_path, capsys):
+    path = _write_pair(tmp_path, [[0.0, 1.0], [0.0, 0.0]], np.diag([-1.0, 1.0]))
+    assert run(["classify", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not self-adjoint" in err
+
+
+@pytest.mark.parametrize("bad", ["a", "gram"])
+def test_classify_non_finite_input_exit_one(tmp_path, capsys, bad):
+    a = np.diag([1.0, 2.0])
+    gram = np.diag([-1.0, 1.0])
+    (a if bad == "a" else gram)[1, 1] = np.nan
+    path = _write_pair(tmp_path, a, gram)
+    assert run(["classify", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f'"{bad}" has a non-finite entry' in err
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(petrovtypes.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "petrovtypes", "catalog", "list", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["examples"]) == 15
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ({"rows": 2, "cols": 2, "data": ["1", "0", "0", "nan"]}, "malformed matrix"),
+    ({"rows": 2, "cols": 2, "data": [1, 0, 0]}, "malformed matrix"),
+    ({"cols": 2, "data": [1, 0, 0, 1]}, "missing 'rows'"),
+])
+def test_classify_malformed_matrix_exit_one(tmp_path, capsys, matrix, message):
+    path = tmp_path / "pair.json"
+    gram = {"rows": 2, "cols": 2, "data": [-1, 0, 0, 1]}
+    path.write_text(json.dumps({"a": matrix, "gram": gram}))
+    assert run(["classify", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

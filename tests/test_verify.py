@@ -16,7 +16,7 @@ from petrovtypes.verify import (
     table_report,
 )
 from petrovtypes.catalog import chart, quadric_of, sample_domain
-from petrovtypes.spaceform import QuadricFunction
+from petrovtypes.spaceform import QuadricFunction, inner_matrix
 
 
 SPOT_IDS = ["0-1", "0-2", "b", "e", "g", "j", "k", "m"]
@@ -119,3 +119,144 @@ def test_residual_report_passed_property():
     rep = shape_fd_check("b", sample_domain("b", 1, seed=67)[0])
     assert rep.passed == (rep.residual <= rep.threshold)
     assert rep.check == "shape_fd"
+
+
+# ---------------------------------------------------------------------------
+# loop-based reference implementation of the nested central-difference scheme,
+# one chart evaluation per (possibly repeated) stencil point
+
+
+def _oracle_metric_at(example_id, p, a):
+    jac = catalog.chart_jacobian(example_id, p, a=a)
+    amb = catalog.ambient_of(example_id)
+    g = inner_matrix(amb.embedding_dim, amb.embedding_index)
+    return jac.T @ g @ jac
+
+
+def _oracle_christoffel_at(example_id, p, a, h):
+    m = p.shape[0]
+    g0 = _oracle_metric_at(example_id, p, a)
+    dg = np.zeros((m, m, m))
+    for l in range(m):
+        pp = p.copy()
+        pm = p.copy()
+        pp[l] += h
+        pm[l] -= h
+        dg[l] = (_oracle_metric_at(example_id, pp, a) - _oracle_metric_at(example_id, pm, a)) / (2 * h)
+    ginv = np.linalg.inv(g0)
+    gamma = np.zeros((m, m, m))
+    for k in range(m):
+        for i in range(m):
+            for j in range(m):
+                gamma[k, i, j] = 0.5 * np.sum(
+                    ginv[k] * (dg[i, j] + dg[j, i] - dg[:, i, j])
+                )
+    return gamma
+
+
+def _oracle_curvature_data(example_id, p, a, h):
+    m = p.shape[0]
+    g0 = _oracle_metric_at(example_id, p, a)
+    gamma = _oracle_christoffel_at(example_id, p, a, h)
+    dgamma = np.zeros((m, m, m, m))
+    for l in range(m):
+        pp = p.copy()
+        pm = p.copy()
+        pp[l] += h
+        pm[l] -= h
+        dgamma[l] = (
+            _oracle_christoffel_at(example_id, pp, a, h)
+            - _oracle_christoffel_at(example_id, pm, a, h)
+        ) / (2 * h)
+    riem_up = np.zeros((m, m, m, m))
+    for mm in range(m):
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    riem_up[mm, i, j, k] = (
+                        dgamma[i, mm, j, k]
+                        - dgamma[j, mm, i, k]
+                        + np.sum(gamma[mm, i] * gamma[:, j, k])
+                        - np.sum(gamma[mm, j] * gamma[:, i, k])
+                    )
+    riem = np.einsum("mijk,ml->ijkl", riem_up, g0)
+    return g0, gamma, riem
+
+
+def _oracle_shape_in_coordinates(example_id, p, a):
+    fd = catalog.evaluate(example_id, p, a=a)
+    jac = catalog.chart_jacobian(example_id, p, a=a)
+    coef, *_ = np.linalg.lstsq(fd.frame, jac, rcond=None)
+    return np.linalg.solve(coef, fd.shape @ coef), fd
+
+
+def _oracle_gauss(example_id, p, a, h):
+    g, _gamma, riem = _oracle_curvature_data(example_id, p, a, h)
+    a_coord, fd = _oracle_shape_in_coordinates(example_id, p, a)
+    ag = g @ a_coord
+    kappa = catalog.ambient_of(example_id).curvature
+    m = p.shape[0]
+    resid = 0.0
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                for l in range(m):
+                    rhs = kappa * (g[j, k] * g[i, l] - g[i, k] * g[j, l]) + fd.nu * (
+                        ag[j, k] * ag[i, l] - ag[i, k] * ag[j, l]
+                    )
+                    resid = max(resid, abs(riem[i, j, k, l] - rhs))
+    return resid
+
+
+def _oracle_codazzi(example_id, p, a, h):
+    m = p.shape[0]
+    g0 = _oracle_metric_at(example_id, p, a)
+    gamma = _oracle_christoffel_at(example_id, p, a, h)
+    a0, _fd = _oracle_shape_in_coordinates(example_id, p, a)
+    da = np.zeros((m, m, m))
+    for l in range(m):
+        pp = p.copy()
+        pm = p.copy()
+        pp[l] += h
+        pm[l] -= h
+        da[l] = (
+            _oracle_shape_in_coordinates(example_id, pp, a)[0]
+            - _oracle_shape_in_coordinates(example_id, pm, a)[0]
+        ) / (2 * h)
+    ga = g0 @ a0
+
+    def term(i, j, k):
+        t = np.sum(da[i][:, j] * g0[:, k])
+        t += np.sum(a0[:, j] * (gamma[:, i, :].T @ g0[:, k]))
+        t -= np.sum(gamma[:, i, j] * ga[:, k])
+        return t
+
+    resid = 0.0
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                resid = max(resid, abs(term(i, j, k) - term(j, i, k)))
+    return resid
+
+
+@pytest.mark.parametrize("h", [1e-3, 5e-4])
+@pytest.mark.parametrize("ex_id", catalog.EXAMPLE_IDS)
+def test_deduplicated_stencil_matches_loop_oracle(ex_id, h):
+    p = sample_domain(ex_id, 1, seed=71)[0]
+    g0, gamma, riem = _oracle_curvature_data(ex_id, p, 1.0, h)
+    data = curvature_data(ex_id, p, h=h)
+    assert np.abs(data.metric - g0).max() <= 1e-8
+    assert np.abs(data.christoffel - gamma).max() <= 1e-8
+    assert np.abs(data.curvature - riem).max() <= 1e-8
+    assert abs(gauss_residual(ex_id, p, h=h).residual - _oracle_gauss(ex_id, p, 1.0, h)) <= 1e-8
+    assert abs(codazzi_residual(ex_id, p, h=h).residual - _oracle_codazzi(ex_id, p, 1.0, h)) <= 1e-8
+
+
+def test_quadric_of_is_shared_and_read_only():
+    f = quadric_of("h")
+    assert quadric_of("h") is f
+    with pytest.raises(ValueError):
+        f.P[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        quadric_of("b").p[0] = 5.0
+    assert f.P[0, 0] == 0.0
