@@ -226,7 +226,10 @@ def _level_chart(example_id: str, q: np.ndarray) -> np.ndarray:
                 [2 * (g @ f.P @ x)[i1], 2 * (g @ f.P @ x)[i2]],
             ]
         )
-        step = np.linalg.solve(jac, r)
+        try:
+            step = np.linalg.solve(jac, r)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError("chart solver met a singular Jacobian at this point") from exc
         x[i1] -= step[0]
         x[i2] -= step[1]
     else:

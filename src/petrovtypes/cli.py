@@ -40,7 +40,11 @@ class CliError(Exception):
 
 def _emit(payload: dict, as_json: bool, markdown_lines=None) -> None:
     if as_json or markdown_lines is None:
-        print(json.dumps(payload, sort_keys=True))
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise CliError(f"result has a non-finite value, not valid JSON: {exc}") from exc
+        print(text)
     else:
         for line in markdown_lines:
             print(line)
@@ -57,6 +61,8 @@ def _parse_point(text: str, expected: int) -> np.ndarray:
         raise CliError(f"point must be comma-separated numbers: {exc}") from exc
     if len(vals) != expected:
         raise CliError(f"point needs {expected} coordinates, got {len(vals)}")
+    if not np.isfinite(vals).all():
+        raise CliError("point has a non-finite coordinate (NaN or infinity)")
     return np.array(vals)
 
 
@@ -109,6 +115,8 @@ def _cmd_catalog(args) -> int:
     if args.id is None or args.point is None:
         raise CliError("catalog eval needs an example id and --point")
     p = _parse_point(args.point, catalog.param_dim(args.id))
+    if not np.isfinite(args.a) or args.a == 0:
+        raise CliError(f"--a must be finite and nonzero, got {args.a}")
     fd = catalog.evaluate(args.id, p, a=args.a, anchor_variant=args.anchor_variant)
     payload = _base_payload(tol) | {
         "id": args.id,
@@ -132,6 +140,8 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_verify(args) -> int:
     tol = default_tol()
+    if args.h is not None and not (np.isfinite(args.h) and args.h > 0):
+        raise CliError(f"--h must be a positive finite step, got {args.h}")
     ids = [args.id] if args.id else list(catalog.EXAMPLE_IDS)
     reports = []
     for ex_id in ids:
@@ -145,7 +155,8 @@ def _cmd_verify(args) -> int:
         entry = summary.setdefault(
             key, {"max_residual": 0.0, "threshold": r.threshold, "h": r.h, "passed": True}
         )
-        entry["max_residual"] = max(entry["max_residual"], r.residual)
+        # np.maximum keeps a NaN residual, where the builtin max would drop it
+        entry["max_residual"] = float(np.maximum(entry["max_residual"], r.residual))
         entry["passed"] = entry["passed"] and r.passed
     rows = [
         {"id": ex_id, "check": check} | entry

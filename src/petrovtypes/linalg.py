@@ -44,11 +44,6 @@ def to_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def exact_matrix(rows) -> np.ndarray:
-    """Build an object array of Fractions from nested rationals."""
-    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
-
-
 def matrix_to_json(a: np.ndarray) -> dict:
     """{"rows":r,"cols":c,"data":[...]} row-major; Fractions as "p/q"."""
     r, c = a.shape
@@ -277,15 +272,6 @@ def _poly_eval_matrix(poly: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rank(a: np.ndarray, tol: float) -> int:
-    if a.size == 0:
-        return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int((sv > max(RANK_TOL, tol) * sv[0]).sum())
-
-
 def generalized_eigenspace(a: np.ndarray, lam, mult: int) -> np.ndarray:
     """Orthonormal columns spanning the mult-dimensional kernel of (a - lam I)^mult.
 
@@ -302,31 +288,38 @@ def generalized_eigenspace(a: np.ndarray, lam, mult: int) -> np.ndarray:
     return vh.conj().T[:, n - mult :]
 
 
-def jordan_rank_profile(a: np.ndarray, lam, mult: int, tol: float) -> list[int]:
+def jordan_rank_profile(
+    a: np.ndarray, lam, mult: int, tol: float, basis: np.ndarray | None = None
+) -> list[int]:
     """[rank(N^k) for k = 0..mult] where N restricts (a - lam I) to the
     generalized eigenspace of lam.
 
     Kernel dimensions are grown as a staircase, ker N^(k+1) = preimage of
     ker N^k, so every rank decision is one SVD of the unpowered N and never
-    suffers the decay of explicit matrix powers.
+    suffers the decay of explicit matrix powers.  ``basis`` is
+    ``generalized_eigenspace(a, lam, mult)`` when the caller already has it.
     """
     n = a.shape[0]
     if mult == n:
         nil = a - lam * np.eye(n, dtype=a.dtype)
     else:
-        q = generalized_eigenspace(a, lam, mult)
+        q = generalized_eigenspace(a, lam, mult) if basis is None else basis
         nil = q.conj().T @ (a - lam * np.eye(n, dtype=a.dtype)) @ q
-    norm = np.linalg.norm(nil, 2)
-    if norm <= max(tol, RANK_TOL):
+    cut = max(tol, RANK_TOL)
+    # the first staircase step is the SVD of N itself, which also gives |N|_2
+    _u, sv, vh = np.linalg.svd(nil)
+    norm = sv[0]
+    if norm <= cut:
         return [mult] + [0] * mult
     nil = nil / norm
-    cut = max(tol, RANK_TOL)
+    sv = sv / norm
     ranks = [mult]
     kernel = np.zeros((mult, 0), dtype=nil.dtype)
     increment = mult
-    for _ in range(mult):
-        proj = nil - kernel @ (kernel.conj().T @ nil)
-        _u, sv, vh = np.linalg.svd(proj)
+    for step in range(mult):
+        if step:
+            proj = nil - kernel @ (kernel.conj().T @ nil)
+            _u, sv, vh = np.linalg.svd(proj)
         null_dim = int((sv <= cut).sum()) + (mult - len(sv))
         # Weyr increments are nonincreasing and the total is capped by mult
         increment = min(increment, null_dim - kernel.shape[1])

@@ -3,7 +3,9 @@
 The normal form pairs a block operator (Jordan blocks for real eigenvalues,
 real 2x2-companion chains for conjugate pairs) with a Gram matrix made of
 signed anti-diagonal blocks.  The sign attached to each real block is part of
-the invariant data and drives the type labels.
+the invariant data and drives the type labels.  Each eigenvalue cluster's
+generalized eigenspace is computed once and shared by the rank staircase that
+sizes its blocks and the chain extraction that builds its basis.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from .linalg import (
     ToleranceError,
     default_tol,
     eigen_clusters,
+    generalized_eigenspace,
     is_self_adjoint,
     jordan_rank_profile,
-    signature,
     to_float,
 )
 
@@ -127,8 +129,12 @@ def companion_gram_block(m: int) -> np.ndarray:
     return np.kron(np.fliplr(np.eye(m)), e)
 
 
-def jordan_structure(a: np.ndarray, tol: float | None = None) -> JordanStructure:
-    """Recover block sizes per eigenvalue from rank sequences of (a - lam I)^k."""
+def jordan_structure(
+    a: np.ndarray, tol: float | None = None
+) -> tuple[JordanStructure, list[np.ndarray]]:
+    """Block sizes per eigenvalue from rank sequences of (a - lam I)^k, and
+    per cluster (real, then complex, in canonical order) an orthonormal basis
+    of its generalized eigenspace, computed once for both uses."""
     tol = default_tol() if tol is None else tol
     af = to_float(a)
     n = af.shape[0]
@@ -136,22 +142,25 @@ def jordan_structure(a: np.ndarray, tol: float | None = None) -> JordanStructure
         raise ContractError("jordan_structure supports dim <= 8")
     real: list[tuple[float, tuple[int, ...]]] = []
     cplx: list[tuple[float, float, tuple[int, ...]]] = []
+    bases: list[np.ndarray] = []
+    # eigen_clusters lists real clusters ascending, then complex by (alpha, beta)
     for val, mult in eigen_clusters(a, tol):
         if isinstance(val, tuple):
-            alpha, beta = val
-            sizes = _block_sizes(af.astype(complex), complex(alpha, beta), mult, tol)
-            cplx.append((alpha, beta, sizes))
+            mat, lam = af.astype(complex), complex(*val)
         else:
-            sizes = _block_sizes(af, float(val), mult, tol)
-            real.append((float(val), sizes))
-    real.sort(key=lambda t: t[0])
-    cplx.sort(key=lambda t: (t[0], t[1]))
-    return JordanStructure(tuple(real), tuple(cplx))
+            mat, lam = af, float(val)
+        bases.append(generalized_eigenspace(mat, lam, mult))
+        sizes = _block_sizes(mat, lam, mult, tol, bases[-1])
+        if isinstance(val, tuple):
+            cplx.append((*val, sizes))
+        else:
+            real.append((lam, sizes))
+    return JordanStructure(tuple(real), tuple(cplx)), bases
 
 
-def _block_sizes(a: np.ndarray, lam, mult: int, tol: float) -> tuple[int, ...]:
+def _block_sizes(a: np.ndarray, lam, mult: int, tol: float, basis) -> tuple[int, ...]:
     """Sizes (ascending) from rank differences on the generalized eigenspace."""
-    ranks = jordan_rank_profile(a, lam, mult, tol)
+    ranks = jordan_rank_profile(a, lam, mult, tol, basis)
     # blocks of size >= k: ranks[k-1] - ranks[k]
     counts = [ranks[k - 1] - ranks[k] for k in range(1, mult + 1)]
     sizes: list[int] = []
@@ -170,7 +179,15 @@ def _block_sizes(a: np.ndarray, lam, mult: int, tol: float) -> tuple[int, ...]:
 def assemble_normal_pair(
     structure: JordanStructure, signs: list[int]
 ) -> SelfAdjointPair:
-    """Emit (A_norm, G_norm) exactly in the canonical block layout.
+    """Emit (A_norm, G_norm) exactly in the canonical block layout."""
+    a, g = _normal_matrices(structure, signs)
+    return SelfAdjointPair(a, BilinearSpace.from_gram(g))
+
+
+def _normal_matrices(
+    structure: JordanStructure, signs: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A_norm and G_norm of ``assemble_normal_pair``, without the space.
 
     Signs are consumed one per real block in canonical order (eigenvalues
     ascending, sizes ascending); among equal sizes of one eigenvalue the signs
@@ -183,7 +200,6 @@ def assemble_normal_pair(
         )
     blocks_a: list[np.ndarray] = []
     blocks_g: list[np.ndarray] = []
-    norm_signs: list[int] = []
     i = 0
     for lam, sizes in structure.real_blocks:
         segment = list(zip(sizes, signs[i : i + len(sizes)]))
@@ -195,14 +211,11 @@ def assemble_normal_pair(
                 raise ContractError("signs must be +-1")
             blocks_a.append(jordan_block(lam, m))
             blocks_g.append(eps * anti_identity(m))
-            norm_signs.append(eps)
     for alpha, beta, sizes in structure.complex_blocks:
         for m in sizes:
             blocks_a.append(companion_chain_block(alpha, beta, m))
             blocks_g.append(companion_gram_block(m))
-    a = _direct_sum(blocks_a)
-    g = _direct_sum(blocks_g)
-    return SelfAdjointPair(a, BilinearSpace.from_gram(g))
+    return _direct_sum(blocks_a), _direct_sum(blocks_g)
 
 
 def _direct_sum(blocks: list[np.ndarray]) -> np.ndarray:
@@ -235,12 +248,10 @@ def petrov_normal_form(
         raise ContractError("petrov_normal_form supports dim <= 8")
     if not is_self_adjoint(pair.a, pair.space, max(tol, 1e-7)):
         raise ContractError("operator is not self-adjoint for the given gram")
-    structure = jordan_structure(a, tol)
+    structure, bases = jordan_structure(a, tol)
 
     real_chains: list[tuple[float, int, int, np.ndarray]] = []  # (lam, m, eps, cols)
-    for lam, sizes in structure.real_blocks:
-        mu = sum(sizes)
-        basis = _generalized_eigenspace(a, lam, mu, tol)
+    for (lam, sizes), basis in zip(structure.real_blocks, bases):
         chains = _extract_chains(a - lam * np.eye(n), g, basis, list(sizes), tol)
         for m, eps, cols in chains:
             real_chains.append((lam, m, int(np.sign(eps)), cols))
@@ -248,10 +259,10 @@ def petrov_normal_form(
     cplx_chains: list[tuple[float, float, int, np.ndarray]] = []
     ac = a.astype(complex)
     gc = g.astype(complex)
-    for alpha, beta, sizes in structure.complex_blocks:
+    for (alpha, beta, sizes), basis in zip(
+        structure.complex_blocks, bases[len(structure.real_blocks) :]
+    ):
         lam = complex(alpha, beta)
-        nu = sum(sizes)
-        basis = _generalized_eigenspace(ac, lam, nu, tol)
         chains = _extract_chains(
             ac - lam * np.eye(n, dtype=complex), gc, basis, list(sizes), tol,
             complex_mode=True,
@@ -271,27 +282,7 @@ def petrov_normal_form(
     if cond > 1.0 / max(tol, np.finfo(float).eps * 10):
         raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
     signs = tuple(eps for _lam, _m, eps, _c in real_chains)
-    normal = assemble_normal_pair(structure, list(signs))
-    return PetrovNormalForm(
-        structure=structure,
-        signs=signs,
-        transform=t_mat,
-        a_norm=normal.a,
-        g_norm=normal.space.gram,
-    )
-
-
-def _generalized_eigenspace(a: np.ndarray, lam, mu: int, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning ker (a - lam I)^mu, dimension mu."""
-    n = a.shape[0]
-    shifted = a - lam * np.eye(n, dtype=a.dtype)
-    norm = np.linalg.norm(shifted, 2)
-    if norm == 0:
-        return np.eye(n, dtype=a.dtype)[:, :mu]
-    power = np.linalg.matrix_power(shifted / norm, mu)
-    _u, _s, vh = np.linalg.svd(power)
-    basis = vh.conj().T[:, n - mu :]
-    return basis
+    return PetrovNormalForm(structure, signs, t_mat, *_normal_matrices(structure, list(signs)))
 
 
 def _extract_chains(
@@ -308,35 +299,36 @@ def _extract_chains(
     acts as an upper Jordan/companion block and the chain Gram is exactly the
     target anti-diagonal block.
     """
+    powers = [np.eye(nmat.shape[0], dtype=nmat.dtype), nmat]  # N^0 .. N^(m-1)
+    while len(powers) < max(sizes):
+        powers.append(powers[-1] @ nmat)
     active = basis
     out = []
-    remaining = sorted(sizes, reverse=True)
-    for m in remaining:
-        v, eps = _pick_chain_generator(nmat, g, active, m, tol, complex_mode)
-        v = _straighten(nmat, g, v, m, eps)
-        chain_cols = np.column_stack(
-            [np.linalg.matrix_power(nmat, m - j) @ v for j in range(1, m + 1)]
-        )
+    for m in sorted(sizes, reverse=True):
+        if out:  # B-orthocomplement of the previous chain
+            active = _deflate(g, active, out[-1][2], tol)
+        v, eps = _pick_chain_generator(powers, g, active, m, tol, complex_mode)
+        v = _straighten(powers, g, v, m, eps)
+        chain_cols = np.column_stack([powers[m - j] @ v for j in range(1, m + 1)])
         out.append((m, eps, chain_cols))
-        active = _deflate(g, active, chain_cols, tol)
     return out
 
 
-def _pick_chain_generator(nmat, g, active, m, tol, complex_mode):
+def _pick_chain_generator(powers, g, active, m, tol, complex_mode):
     """Vector v in the active span with B(v, N^(m-1) v) != 0, normalized to +-1.
 
     Float real mode picks the dominant eigenvector of the projected symmetric
     form; complex bilinear mode searches deterministic candidate combinations.
     """
     k = active.shape[1]
-    form = active.conj().T @ g @ np.linalg.matrix_power(nmat, m - 1) @ active
     if not complex_mode:
         # active has real span; form is symmetric up to roundoff
+        form = active.conj().T @ g @ powers[m - 1] @ active
         form_s = (form + form.T).real / 2.0
         w, vecs = np.linalg.eigh(form_s)
         idx = int(np.argmax(np.abs(w)))
         theta = w[idx]
-        scale = max(np.abs(form_s).max(), np.abs(nmat).max(), 1.0)
+        scale = max(np.abs(form_s).max(), np.abs(powers[1]).max(), 1.0)
         if abs(theta) <= tol * scale:
             raise ConditioningError(
                 f"degenerate chain pairing for block size {m}; "
@@ -346,7 +338,7 @@ def _pick_chain_generator(nmat, g, active, m, tol, complex_mode):
         v = v / np.sqrt(abs(theta))
         return v.real, (1 if theta > 0 else -1)
     # complex bilinear form x^T Q x (no conjugation): search candidates
-    q = active.T @ g @ np.linalg.matrix_power(nmat, m - 1) @ active
+    q = active.T @ g @ powers[m - 1] @ active
     cands = [np.eye(k, dtype=complex)[:, i] for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
@@ -367,15 +359,15 @@ def _pick_chain_generator(nmat, g, active, m, tol, complex_mode):
     return v * mu, 1
 
 
-def _straighten(nmat, g, v, m, eps):
+def _straighten(powers, g, v, m, eps):
     """Zero the lower Hankel moments B(v, N^k v), k < m-1, of the chain."""
     target = -1.0 if np.iscomplexobj(v) else float(eps)
     for k in range(m - 2, -1, -1):
-        h_k = v @ g @ np.linalg.matrix_power(nmat, k) @ v
+        h_k = v @ g @ powers[k] @ v
         if abs(h_k) == 0.0:
             continue
         a_coef = -h_k / (2.0 * target)
-        v = v + a_coef * (np.linalg.matrix_power(nmat, m - 1 - k) @ v)
+        v = v + a_coef * (powers[m - 1 - k] @ v)
     return v
 
 

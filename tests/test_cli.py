@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import petrovtypes
+from petrovtypes import verify
 from petrovtypes.cli import run
 from petrovtypes.linalg import matrix_to_json
 from petrovtypes.petrov import JordanStructure, assemble_normal_pair
@@ -199,3 +200,56 @@ def test_classify_malformed_matrix_exit_one(tmp_path, capsys, matrix, message):
     assert run(["classify", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_catalog_eval_singular_chart_jacobian_exit_one(capsys):
+    # the Newton Jacobian of the sphere chart of g is singular at the origin
+    assert run(["catalog", "eval", "g", "--point", "0,0,0,0", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "singular Jacobian" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["0-1", "--point", "nan,1"], "non-finite coordinate"),
+    (["0-1", "--point", "0.2,inf"], "non-finite coordinate"),
+    (["k", "--point", "0,0,0,0", "--a", "0"], "--a must be finite and nonzero"),
+    (["k", "--point", "0,0,0,0", "--a", "nan"], "--a must be finite and nonzero"),
+])
+def test_catalog_eval_non_finite_input_exit_one(capsys, args, message):
+    assert run(["catalog", "eval", *args, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("h", ["0", "-1e-3", "nan", "inf"])
+def test_verify_run_rejects_bad_step(capsys, h):
+    # "--h=" keeps argparse from reading "-1e-3" as an option
+    assert run(["verify", "run", "--id", "b", "--samples", "1", f"--h={h}", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--h must be a positive finite step" in captured.err
+    assert captured.out == ""
+
+
+def _nan_reports(example_id, samples, seed, h):
+    return [
+        verify.ResidualReport(example_id, "gauss", (), 1e-9, 1e-3, 1e-3),
+        verify.ResidualReport(example_id, "gauss", (), float("nan"), 1e-3, 1e-3),
+        verify.ResidualReport(example_id, "gauss", (), 2e-9, 1e-3, 1e-3),
+    ]
+
+
+def test_verify_summary_keeps_nan_residual(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "run_checks", _nan_reports)
+    assert run(["verify", "run", "--id", "b"]) == 1
+    row = next(line for line in capsys.readouterr().out.splitlines() if "| gauss |" in line)
+    assert "| nan |" in row and row.endswith("| NO |")
+
+
+def test_json_output_refuses_non_finite_values(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "run_checks", _nan_reports)
+    assert run(["verify", "run", "--id", "b", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "non-finite value" in captured.err
+    assert captured.out == ""

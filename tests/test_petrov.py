@@ -157,3 +157,95 @@ def test_signs_canonical_order_positive_first():
     pair = _pair([(2.0, (1, 1))], [-1, 1])
     nf = petrov_normal_form(pair)
     assert nf.signs == (1, -1)
+
+
+# Every (index, label, sign) case of the taxonomy, one case per recorded sign:
+# real blocks as (lambda, size, sign), complex blocks as (alpha, beta, size).
+# IX-ii records the sign of its canonical first block, the one at -1.0.
+# Some cases put two blocks on one eigenvalue, so that chain extraction has
+# to deflate the first chain before it picks the second.
+TAXONOMY_CASES = [
+    (1, "I", None, [(-1.0, 1, -1), (2.0, 1, 1), (2.0, 1, 1)], []),
+    (1, "II", 1, [(0.5, 2, 1), (2.0, 1, 1)], []),
+    (1, "II", -1, [(0.5, 2, -1), (2.0, 1, 1)], []),
+    (1, "III", None, [(0.5, 3, 1), (2.0, 1, 1)], []),
+    (1, "IV", None, [(2.0, 1, 1), (-1.0, 1, 1)], [(0.5, 1.25, 1)]),
+    (2, "I", None, [], [(0.5, 1.25, 2)]),
+    (2, "II", None, [], [(0.5, 1.25, 1), (-1.0, 0.75, 1)]),
+    (2, "III", None, [(-1.0, 1, -1), (2.0, 1, 1)], [(0.5, 1.25, 1)]),
+    (2, "IV", 1, [(-1.0, 2, 1)], [(0.5, 1.25, 1)]),
+    (2, "IV", -1, [(-1.0, 2, -1)], [(0.5, 1.25, 1)]),
+    (2, "V", None, [(-1.0, 3, 1)], [(0.5, 1.25, 1)]),
+    (2, "VI", 1, [(0.5, 4, 1)], []),
+    (2, "VI", -1, [(0.5, 4, -1), (2.0, 1, 1)], []),
+    (2, "VII-i", None, [(0.5, 3, -1), (2.0, 1, 1)], []),
+    (2, "VII-ii", None, [(0.5, 3, 1), (-1.0, 1, -1)], []),
+    (2, "VIII", 1, [(0.5, 3, 1), (-1.0, 2, 1)], []),
+    (2, "VIII", -1, [(0.5, 3, 1), (-1.0, 2, -1)], []),
+    (2, "IX-i", 1, [(0.5, 2, 1), (0.5, 2, 1)], []),
+    (2, "IX-i", -1, [(0.5, 2, -1), (-1.0, 2, -1), (2.0, 1, 1)], []),
+    (2, "IX-ii", -1, [(0.5, 2, 1), (-1.0, 2, -1)], []),
+    (2, "X", 1, [(0.5, 2, 1), (0.5, 1, -1)], []),
+    (2, "X", -1, [(0.5, 2, -1), (-1.0, 1, -1), (2.0, 1, 1)], []),
+    (2, "XI", None, [(0.5, 1, -1), (0.5, 1, -1), (2.0, 1, 1)], []),
+]
+TAXONOMY_IDS = [f"{i}-{label}-{sign}" for i, label, sign, _r, _c in TAXONOMY_CASES]
+
+
+def _taxonomy_pair(reals, cplx):
+    reals = sorted(reals)  # by eigenvalue, then size
+    lams = sorted({lam for lam, _m, _eps in reals})
+    st = JordanStructure(
+        tuple((lam, tuple(m for mu, m, _e in reals if mu == lam)) for lam in lams),
+        tuple((alpha, beta, (m,)) for alpha, beta, m in cplx),
+    )
+    return assemble_normal_pair(st, [eps for _lam, _m, eps in reals])
+
+
+def _congruences(pair, seed, count=5, max_cond=100.0):
+    """``count`` pairs T A T^-1, T^-T G T^-1 with cond(T) <= max_cond."""
+    rng = np.random.default_rng(seed)
+    n = pair.a.shape[0]
+    out = []
+    for _ in range(count):
+        q1, _r1 = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _r2 = np.linalg.qr(rng.standard_normal((n, n)))
+        t = q1 @ np.diag(np.sqrt(max_cond) ** rng.uniform(-1.0, 1.0, n)) @ q2
+        t_inv = np.linalg.inv(t)
+        g = t_inv.T @ pair.space.gram @ t_inv
+        out.append((t @ pair.a @ t_inv, 0.5 * (g + g.T)))
+    return out
+
+
+@pytest.mark.parametrize("case", TAXONOMY_CASES, ids=TAXONOMY_IDS)
+def test_normal_form_transform_reaches_normal_pair(case):
+    _index, _label, _sign, reals, cplx = case
+    base = _taxonomy_pair(reals, cplx)
+    for a, g in _congruences(base, seed=TAXONOMY_CASES.index(case)):
+        nf = petrov_normal_form(SelfAdjointPair(a, BilinearSpace.from_gram(g)))
+        t = nf.transform
+        assert np.abs(np.linalg.solve(t, a @ t) - nf.a_norm).max() <= 1e-6
+        assert np.abs(t.T @ g @ t - nf.g_norm).max() <= 1e-6
+
+
+@pytest.mark.parametrize("case", TAXONOMY_CASES, ids=TAXONOMY_IDS)
+def test_classify_pair_congruence_invariant(case):
+    index, label, sign, reals, cplx = case
+    base = _taxonomy_pair(reals, cplx)
+    want = classify_pair(base.a, base.space.gram)
+    assert (want["algebraic"]["index"], want["algebraic"]["label"]) == (index, label)
+    assert want["algebraic"]["epsilon"] == sign
+    assert want["geometric"] == {"index": index, "label": label}
+
+    def sizes(result):
+        st = result["structure"]
+        return [b["sizes"] for b in st["real"]], [b["sizes"] for b in st["complex"]]
+
+    for a, g in _congruences(base, seed=100 + TAXONOMY_CASES.index(case)):
+        got = classify_pair(a, g)
+        assert got["algebraic"]["label"] == label
+        assert got["algebraic"]["epsilon"] == want["algebraic"]["epsilon"]
+        assert got["geometric"] == want["geometric"]
+        assert got["signs"] == want["signs"]
+        assert got["negative_index"] == want["negative_index"]
+        assert sizes(got) == sizes(want)
