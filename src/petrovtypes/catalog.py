@@ -186,77 +186,106 @@ def _check_domain(example_id: str, x: np.ndarray, tol: float = 1e-9) -> None:
             raise DomainError(f"point violates the chart condition {name}")
 
 
-def _level_chart(example_id: str, q: np.ndarray) -> np.ndarray:
-    """Chart for the level-set entries: q fills the free coordinates, the
-    pivot coordinates are solved from the defining constraints."""
+@dataclass(frozen=True)
+class _LevelSet:
+    """Per-entry constants of a level-set chart, built once."""
+
+    f: QuadricFunction
+    anchor: np.ndarray
+    pivots: list[int]
+    free: list[int]
+    sign: np.ndarray  # diagonal of the ambient Gram G
+    gpt: np.ndarray  # (G P)^T, so that x @ gpt stacks G P x
+    gpv: np.ndarray | None  # G p (flat variant)
+    newton: np.ndarray  # [G | (G P)^T], so that x @ newton stacks G x and G P x
+
+
+@functools.cache
+def _level_set(example_id: str) -> _LevelSet:
     f = quadric_of(example_id)
     anchor, pivots = _ANCHOR[example_id]
     n = anchor.shape[0]
-    free = [i for i in range(n) if i not in pivots]
-    if q.shape != (len(free),):
-        raise ShapeError(f"chart for {example_id} takes {len(free)} coordinates")
-    x = anchor.copy()
-    x[free] = q
+    g = inner_matrix(n, f.s)
+    gpt = (g @ f.P).T.copy()
+    return _LevelSet(
+        f=f,
+        anchor=anchor,
+        pivots=list(pivots),
+        free=[i for i in range(n) if i not in pivots],
+        sign=np.diag(g).copy(),
+        gpt=gpt,
+        gpv=None if f.p is None else g @ f.p,
+        newton=np.hstack([g, gpt]),
+    )
+
+
+def _level_chart(example_id: str, q: np.ndarray) -> np.ndarray:
+    """Chart for the level-set entries at a stack of points, (k, m) -> (k, n):
+    q fills the free coordinates, the pivot coordinates are solved from the
+    defining constraints."""
+    ls = _level_set(example_id)
+    f = ls.f
+    k, n = q.shape[0], ls.anchor.shape[0]
+    x = np.tile(ls.anchor, (k, 1))
+    x[:, ls.free] = q
     if f.variant == "flat":
         if example_id == "a":
             # <x, x>_2 = 1 solved for the pivot (positive branch)
-            rest = ambient_inner(x, x, 2) - x[2] * x[2]
-            if 1.0 - rest <= 0:
+            rest = (ls.sign * x * x).sum(axis=1) - x[:, 2] * x[:, 2]
+            if not (1.0 - rest > 0).all():
                 raise DomainError("point leaves the chart of the unit sphere")
-            x[2] = np.sqrt(1.0 - rest)
+            x[:, 2] = np.sqrt(1.0 - rest)
         else:
             # the pivot coordinate enters only through the linear term
-            i = pivots[0]
-            x[i] = 0.0
-            x[i] = (f.c - f.value(x)) / 2.0
+            i = ls.pivots[0]
+            x[:, i] = 0.0
+            value = ((x @ ls.gpt) * x).sum(axis=1) + 2.0 * (x @ ls.gpv)
+            x[:, i] = (f.c - value) / 2.0
         return x
-    # sphere variant: Newton in the two pivot coordinates for
-    # <x, x> = 1 and <Px, x> = c
-    g = inner_matrix(n, f.s)
-    i1, i2 = pivots
+    # sphere variant: one Newton solve in the two pivot coordinates for
+    # <x, x> = 1 and <Px, x> = c over the whole stack; a row stops moving
+    # once its residual is below 1e-14
+    level = np.array([1.0, f.c])
+    pivots = ls.pivots
     for _ in range(60):
-        r = np.array(
-            [ambient_inner(x, x, f.s) - 1.0, f.value(x) - f.c]
-        )
-        if np.abs(r).max() < 1e-14:
+        d = (x @ ls.newton).reshape(k, 2, n)  # d[:, 0] = G x, d[:, 1] = G P x
+        r = np.einsum("kcn,kn->kc", d, x) - level
+        rows = np.flatnonzero(~(np.abs(r).max(axis=1) < 1e-14))
+        if rows.size == 0:
             break
-        jac = np.array(
-            [
-                [2 * (g @ x)[i1], 2 * (g @ x)[i2]],
-                [2 * (g @ f.P @ x)[i1], 2 * (g @ f.P @ x)[i2]],
-            ]
-        )
+        # the Jacobian of the constraints in the pivots is 2 d[:, :, pivots]
         try:
-            step = np.linalg.solve(jac, r)
+            step = np.linalg.solve(d[rows][:, :, pivots], r[rows, :, None] / 2.0)
         except np.linalg.LinAlgError as exc:
             raise DomainError("chart solver met a singular Jacobian at this point") from exc
-        x[i1] -= step[0]
-        x[i2] -= step[1]
+        x[rows[:, None], pivots] -= step[:, :, 0]
     else:
         raise DomainError("chart solver did not converge; point too far out")
     return x
 
 
-def _coordinate_tangent_frame(f: QuadricFunction, x: np.ndarray, pivots) -> np.ndarray:
-    """Smooth tangent frame: one column per free coordinate, corrected in the
-    pivot coordinates so both constraint differentials vanish."""
-    n = x.shape[0]
-    g = inner_matrix(n, f.s)
-    if f.variant == "flat":
-        rows = [g @ (f.P @ x + f.p)]
+def _coordinate_tangent_frame(example_id: str, x: np.ndarray) -> np.ndarray:
+    """Smooth tangent frames at a stack of level-set points, (k, n) ->
+    (k, n, m): one column per free coordinate, corrected in the pivot
+    coordinates so every constraint differential vanishes.  One solve with
+    m right-hand sides per point."""
+    ls = _level_set(example_id)
+    gpx = x @ ls.gpt
+    if ls.f.variant == "flat":
+        d = (gpx + ls.gpv)[:, None, :]  # G(Px + p)
     else:
-        rows = [g @ x, g @ f.P @ x - ambient_inner(f.P @ x, x, f.s) * (g @ x)]
-    d = np.vstack(rows)  # one differential per constraint
-    free = [i for i in range(n) if i not in pivots]
-    sub = d[:, list(pivots)]
-    cols = []
-    for i in free:
-        b = np.zeros(n)
-        b[i] = 1.0
-        corr = np.linalg.solve(sub, -d[:, i])
-        b[list(pivots)] = corr
-        cols.append(b)
-    return np.array(cols).T
+        gx = ls.sign * x
+        d = np.stack([gx, gpx - (gpx * x).sum(axis=1)[:, None] * gx], axis=1)
+    # one differential per constraint: d[k, c, :]
+    try:
+        corr = np.linalg.solve(d[:, :, ls.pivots], -d[:, :, ls.free])
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("constraint differentials are singular at this point") from exc
+    m = len(ls.free)
+    frame = np.zeros((x.shape[0], x.shape[1], m))
+    frame[:, ls.free, np.arange(m)] = 1.0
+    frame[:, ls.pivots, :] = corr
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +361,12 @@ def _tangent_quads_hi(x: np.ndarray, variant: str) -> list[np.ndarray]:
         s1, s2 = x[2] + x[3], x[0] + x[5]
     else:
         s1, s2 = x[0] + x[3], x[2] + x[5]
-    if variant == "h":
-        a1 = e(1) + (-x[0] / d - x[4] * s1 / d**2) * e(2) + (x[0] / d - x[1] * s1 / d**2) * e(5)
-        a2 = (-x[2] / d - x[4] * s2 / d**2) * e(2) + e(3) + (x[2] / d - x[1] * s2 / d**2) * e(5)
-        a3 = (x[3] / d - x[4] * s2 / d**2) * e(2) + e(4) + (-x[3] / d - x[1] * s2 / d**2) * e(5)
-        a4 = (x[5] / d - x[4] * s1 / d**2) * e(2) + (-x[5] / d - x[1] * s1 / d**2) * e(5) + e(6)
-    else:
-        a1 = e(1) + (-x[0] / d - x[4] * s1 / d**2) * e(2) + (x[0] / d - x[1] * s1 / d**2) * e(5)
-        a2 = (-x[2] / d - x[4] * s2 / d**2) * e(2) + e(3) + (x[2] / d - x[1] * s2 / d**2) * e(5)
-        a3 = (x[3] / d - x[4] * s1 / d**2) * e(2) + e(4) + (-x[3] / d - x[1] * s1 / d**2) * e(5)
-        a4 = (x[5] / d - x[4] * s2 / d**2) * e(2) + (-x[5] / d - x[1] * s2 / d**2) * e(5) + e(6)
+    # a3 and a4 take s1 and s2 in order for "i", swapped for "h"
+    s3, s4 = (s2, s1) if variant == "h" else (s1, s2)
+    a1 = e(1) + (-x[0] / d - x[4] * s1 / d**2) * e(2) + (x[0] / d - x[1] * s1 / d**2) * e(5)
+    a2 = (-x[2] / d - x[4] * s2 / d**2) * e(2) + e(3) + (x[2] / d - x[1] * s2 / d**2) * e(5)
+    a3 = (x[3] / d - x[4] * s3 / d**2) * e(2) + e(4) + (-x[3] / d - x[1] * s3 / d**2) * e(5)
+    a4 = (x[5] / d - x[4] * s4 / d**2) * e(2) + (-x[5] / d - x[1] * s4 / d**2) * e(5) + e(6)
     return [a1, a2, a3, a4]
 
 
@@ -369,7 +394,7 @@ def _frame_i(x: np.ndarray, anchor_variant: bool) -> tuple[np.ndarray, np.ndarra
 
 def _evaluate_level(example_id: str, q: np.ndarray, anchor_variant: bool) -> FrameData:
     f = quadric_of(example_id)
-    x = _level_chart(example_id, np.asarray(q, dtype=float))
+    x = _level_chart(example_id, q[None])[0]
     _check_domain(example_id, x)
     grad = quadric_gradient(f, x)
     phi = ambient_inner(grad, grad, f.s)
@@ -378,7 +403,7 @@ def _evaluate_level(example_id: str, q: np.ndarray, anchor_variant: bool) -> Fra
     xi = grad / np.sqrt(abs(phi))
     nu = 1 if ambient_inner(xi, xi, f.s) > 0 else -1
     if example_id == "a":
-        frame = _coordinate_tangent_frame(f, x, _ANCHOR["a"][1])[:, :4]
+        frame = _coordinate_tangent_frame(example_id, x[None])[0]
         shape = np.eye(4)
     elif example_id == "b":
         frame, shape = _frame_b(x)
@@ -393,7 +418,7 @@ def _evaluate_level(example_id: str, q: np.ndarray, anchor_variant: bool) -> Fra
     elif example_id == "i":
         frame, shape = _frame_i(x, anchor_variant)
     else:  # e, f, j: diagonalizable, no displayed frame
-        frame = _coordinate_tangent_frame(f, x, _ANCHOR[example_id][1])
+        frame = _coordinate_tangent_frame(example_id, x[None])[0]
         shape, delta = sphere_shape_operator(f, x, frame)
     return FrameData(
         point=x,
@@ -407,19 +432,56 @@ def _evaluate_level(example_id: str, q: np.ndarray, anchor_variant: bool) -> Fra
 
 # ---------------------------------------------------------------------------
 # parametrized entries
+#
+# The chart, Jacobian and frame formulas take a point of shape (m,) or a
+# stack of shape (k, m).  A chart coordinate is then a number, or a column
+# of shape (k, 1) that scales the (k, 5) stack of ambient vectors row by row.
+
+
+def _coords(p: np.ndarray) -> list:
+    """The chart coordinates of p: numbers for a point (m,), (k, 1) columns
+    for a (k, m) stack."""
+    if p.ndim == 1:
+        return list(p)
+    return [p[:, i : i + 1] for i in range(p.shape[1])]
+
+
+def _vec(s, *comps) -> np.ndarray:
+    """The ambient vector with the given components, each a number or an
+    array shaped like the coordinate s: shape (5,) for a number s, (k, 5)
+    for a (k, 1) column."""
+    if not isinstance(s, np.ndarray):
+        return np.array(comps)
+    out = np.empty((s.shape[0], len(comps)))
+    for i, c in enumerate(comps):
+        out[:, i : i + 1] = c
+    return out
+
+
+def _check_a(a: float) -> None:
+    if not (np.isfinite(a) and a != 0):
+        raise DomainError(f"a must be finite and nonzero, got {a}")
+
+
+_A01 = (np.array([1.0, 1.0, 0.0]) / SQ2, np.array([1.0, -1.0, 0.0]) / SQ2)
+
 
 def _chart_01(p: np.ndarray) -> np.ndarray:
     u, v = p
-    a1 = np.array([1.0, 1.0, 0.0]) / SQ2
-    a2 = np.array([1.0, -1.0, 0.0]) / SQ2
+    a1, a2 = _A01
     return u * a1 + v * a2 - np.sin(v) * np.array([0.0, 0.0, 1.0])
+
+
+def _jacobian_01(p: np.ndarray) -> np.ndarray:
+    jac = np.empty(p.shape[:-1] + (3, 2))
+    jac[..., 0], jac[..., 1] = _A01
+    jac[..., 2, 1] -= np.cos(p[..., 1])
+    return jac
 
 
 def _evaluate_01(p: np.ndarray) -> FrameData:
     u, v = p
-    a1 = np.array([1.0, 1.0, 0.0]) / SQ2
-    a2 = np.array([1.0, -1.0, 0.0]) / SQ2
-    frame = np.array([a1, a2 - np.cos(v) * np.array([0.0, 0.0, 1.0])]).T
+    frame = _jacobian_01(p)
     xi = np.array([np.cos(v) / SQ2, np.cos(v) / SQ2, -1.0])
     shape = np.array([[0.0, np.sin(v)], [0.0, 0.0]])
     return FrameData(
@@ -428,24 +490,28 @@ def _evaluate_01(p: np.ndarray) -> FrameData:
     )
 
 
+_A02 = np.array(
+    [(_e(1) + _e(3)) / SQ2, (_e(1) - _e(3)) / SQ2, (_e(2) + _e(4)) / SQ2, (_e(2) - _e(4)) / SQ2]
+).T
+
+
 def _chart_02(p: np.ndarray) -> np.ndarray:
     x, y, z, w = p
-    a1 = (_e(1) + _e(3)) / SQ2
-    a2 = (_e(1) - _e(3)) / SQ2
-    a3 = (_e(2) + _e(4)) / SQ2
-    a4 = (_e(2) - _e(4)) / SQ2
+    a1, a2, a3, a4 = _A02.T
     return x * a1 + y * a2 + z * a3 + w * a4 + (y * y / 2.0 - np.sin(w)) * _e(5)
+
+
+def _jacobian_02(p: np.ndarray) -> np.ndarray:
+    jac = np.empty(p.shape[:-1] + (5, 4))
+    jac[...] = _A02
+    jac[..., 4, 1] += p[..., 1]
+    jac[..., 4, 3] -= np.cos(p[..., 3])
+    return jac
 
 
 def _evaluate_02(p: np.ndarray) -> FrameData:
     x, y, z, w = p
-    a1 = (_e(1) + _e(3)) / SQ2
-    a2 = (_e(1) - _e(3)) / SQ2
-    a3 = (_e(2) + _e(4)) / SQ2
-    a4 = (_e(2) - _e(4)) / SQ2
-    frame = np.array(
-        [a1, a2 + y * _e(5), a3, a4 - np.cos(w) * _e(5)]
-    ).T
+    frame = _jacobian_02(p)
     xi = np.array(
         [-y / SQ2, np.cos(w) / SQ2, -y / SQ2, np.cos(w) / SQ2, -1.0]
     )
@@ -460,68 +526,63 @@ def _evaluate_02(p: np.ndarray) -> FrameData:
 
 def _data_k():
     def X(s):
-        return np.array([
-            SQ2 * (s * s + 6) / 8 + 0.5,
-            SQ2 / 2,
-            SQ2 * (s * s + 6) / 8 - SQ2 + 0.5,
-            -SQ2 / 2 * s,
-            1 + SQ2 / 2,
-        ])
+        q = SQ2 * (s * s + 6) / 8
+        return _vec(s, q + 0.5, SQ2 / 2, q - SQ2 + 0.5, -SQ2 / 2 * s, 1 + SQ2 / 2)
 
     def Y(s):
-        return np.array([
-            SQ2 * (s * s + 6) / 8 - 0.5,
-            SQ2 / 2,
-            SQ2 * (s * s + 6) / 8 - SQ2 - 0.5,
-            -SQ2 / 2 * s,
-            1 - SQ2 / 2,
-        ])
+        q = SQ2 * (s * s + 6) / 8
+        return _vec(s, q - 0.5, SQ2 / 2, q - SQ2 - 0.5, -SQ2 / 2 * s, 1 - SQ2 / 2)
 
     def Yp(s):
-        return np.array([SQ2 * s / 4, 0.0, SQ2 * s / 4, -SQ2 / 2, 0.0])
+        return _vec(s, SQ2 * s / 4, 0.0, SQ2 * s / 4, -SQ2 / 2, 0.0)
 
     def Z(s):
-        return np.array([s / 2, 0.0, s / 2, -1.0, 0.0])
+        return _vec(s, s / 2, 0.0, s / 2, -1.0, 0.0)
 
     Zp = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
     V = np.array([0.5, -1.0, 0.5, 0.0, 0.0])
 
     def C(s):
-        return np.array([s * s / 4 + 1, 1.0, s * s / 4 - 1, -s, SQ2])
+        return _vec(s, s * s / 4 + 1, 1.0, s * s / 4 - 1, -s, SQ2)
 
     def Cp(s):
-        return np.array([s / 2, 0.0, s / 2, -1.0, 0.0])
+        return _vec(s, s / 2, 0.0, s / 2, -1.0, 0.0)
 
     def xint(s):
         cubic = SQ2 * (s**3 / 3 + 6 * s) / 8
-        return np.array([
-            cubic + s / 2,
-            SQ2 / 2 * s,
-            cubic - SQ2 * s + s / 2,
-            -SQ2 / 4 * s * s,
+        return _vec(
+            s, cubic + s / 2, SQ2 / 2 * s, cubic - SQ2 * s + s / 2, -SQ2 / 4 * s * s,
             (1 + SQ2 / 2) * s,
-        ])
+        )
 
     return X, Y, Yp, Z, Zp, V, C, Cp, xint
 
 
 def _chart_k(p: np.ndarray, a: float) -> np.ndarray:
+    _check_a(a)
     s, u, z, v = p
     X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = _data_k()
     root = np.sqrt(1 + a * a * v * v)
     return xint(s) + u * Y(s) + z * Z(s) + v * V + (1 - root) / a * C(s)
 
 
+def _jacobian_k(p: np.ndarray, a: float) -> np.ndarray:
+    _check_a(a)
+    s, u, z, v = _coords(p)
+    X, Y, Yp, Z, Zp, V, C, Cp, _xint = _data_k()
+    root = np.sqrt(1 + a * a * v * v)
+    df_s = X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s)
+    df_v = V - (a * v / root) * C(s)
+    return np.stack([df_s, Y(s), Z(s), df_v], axis=-1)
+
+
 def _evaluate_k(p: np.ndarray, a: float) -> FrameData:
     s, u, z, v = p
     if abs(z + SQ2) <= 1e-9:
         raise DomainError("point violates the chart condition z + sqrt(2) != 0")
-    X, Y, Yp, Z, Zp, V, C, Cp, xint = _data_k()
+    df_s, df_u, df_z, df_v = _jacobian_k(p, a).T
+    _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = _data_k()
     root = np.sqrt(1 + a * a * v * v)
-    df_s = X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s)
-    df_u = Y(s)
-    df_z = Z(s)
-    df_v = V - (a * v / root) * C(s)
     b1 = df_u
     b2 = (z + SQ2) ** 2 / (2 * root) * df_z
     b3 = -((z + SQ2) ** 3) / (2 * SQ2 * root * root) * df_s
@@ -537,70 +598,66 @@ def _evaluate_k(p: np.ndarray, a: float) -> FrameData:
 
 def _data_l():
     def X(s):
-        return np.array([
-            SQ2 * (s * s + 2) / 8 - SQ2,
-            SQ2 / 2 * s,
-            SQ2 * (s * s + 2) / 8,
-            SQ2 / 2,
-            SQ2 / 2,
-        ])
+        q = SQ2 * (s * s + 2) / 8
+        return _vec(s, q - SQ2, SQ2 / 2 * s, q, SQ2 / 2, SQ2 / 2)
 
     def Y(s):
-        return np.array([
-            -SQ2 * (s * s + 2) / 8 + SQ2,
-            -SQ2 / 2 * s,
-            -SQ2 * (s * s + 2) / 8,
-            -SQ2 / 2,
-            SQ2 / 2,
-        ])
+        q = SQ2 * (s * s + 2) / 8
+        return _vec(s, -q + SQ2, -SQ2 / 2 * s, -q, -SQ2 / 2, SQ2 / 2)
 
     def Yp(s):
-        return np.array([-SQ2 * s / 4, -SQ2 / 2, -SQ2 * s / 4, 0.0, 0.0])
+        return _vec(s, -SQ2 * s / 4, -SQ2 / 2, -SQ2 * s / 4, 0.0, 0.0)
 
     def Z(s):
-        return np.array([s / 2, 1.0, s / 2, 0.0, 0.0])
+        return _vec(s, s / 2, 1.0, s / 2, 0.0, 0.0)
 
     Zp = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
     V = np.array([0.5, 0.0, 0.5, -1.0, 0.0])
 
     def C(s):
-        return np.array([s * s / 4 - 1, s, s * s / 4 + 1, 1.0, 0.0])
+        return _vec(s, s * s / 4 - 1, s, s * s / 4 + 1, 1.0, 0.0)
 
     def Cp(s):
-        return np.array([s / 2, 1.0, s / 2, 0.0, 0.0])
+        return _vec(s, s / 2, 1.0, s / 2, 0.0, 0.0)
 
     def xint(s):
         cubic = SQ2 * (s**3 / 3 + 2 * s) / 8
-        return np.array([
-            cubic - SQ2 * s,
-            SQ2 / 4 * s * s,
-            cubic,
-            SQ2 / 2 * s,
-            SQ2 / 2 * s,
-        ])
+        return _vec(s, cubic - SQ2 * s, SQ2 / 4 * s * s, cubic, SQ2 / 2 * s, SQ2 / 2 * s)
 
     return X, Y, Yp, Z, Zp, V, C, Cp, xint
+
+
+def _root_l(v: np.ndarray, a: float) -> np.ndarray:
+    """sqrt(1 - a^2 v^2), defined on the chart |a v| < 1 of entry l."""
+    _check_a(a)
+    if not (np.abs(a * v) < 1.0).all():
+        raise DomainError("point violates the chart condition |v| < 1/|a|")
+    return np.sqrt(1 - a * a * v * v)
 
 
 def _chart_l(p: np.ndarray, a: float) -> np.ndarray:
     s, u, z, v = p
     X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = _data_l()
-    root = np.sqrt(1 - a * a * v * v)
+    root = _root_l(v, a)
     return xint(s) + u * Y(s) + z * Z(s) + v * V + (1 - root) / a * C(s)
+
+
+def _jacobian_l(p: np.ndarray, a: float) -> np.ndarray:
+    s, u, z, v = _coords(p)
+    X, Y, Yp, Z, Zp, V, C, Cp, _xint = _data_l()
+    root = _root_l(v, a)
+    df_s = X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s)
+    df_v = V + (a * v / root) * C(s)
+    return np.stack([df_s, Y(s), Z(s), df_v], axis=-1)
 
 
 def _evaluate_l(p: np.ndarray, a: float) -> FrameData:
     s, u, z, v = p
     if abs(z - SQ2) <= 1e-9:
         raise DomainError("point violates the chart condition z - sqrt(2) != 0")
-    if not abs(v) < 1.0 / a:
-        raise DomainError("point violates the chart condition |v| < 1/a")
-    X, Y, Yp, Z, Zp, V, C, Cp, xint = _data_l()
-    root = np.sqrt(1 - a * a * v * v)
-    df_s = X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s)
-    df_u = Y(s)
-    df_z = Z(s)
-    df_v = V + (a * v / root) * C(s)
+    df_s, df_u, df_z, df_v = _jacobian_l(p, a).T
+    _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = _data_l()
+    root = _root_l(v, a)
     b1 = df_u
     b2 = (z - SQ2) ** 2 / (2 * root) * df_z
     b3 = (z - SQ2) ** 3 / (2 * SQ2 * root * root) * df_s
@@ -619,21 +676,21 @@ def _data_m():
     Z = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
 
     def Y(u):
-        return np.array([u, -1.0, u, 1.0, 0.0])
+        return _vec(u, u, -1.0, u, 1.0, 0.0)
 
     def W(u):
-        return 0.5 * np.array([u * u + 1, 0.0, u * u - 1, 2 * u, 0.0])
+        return 0.5 * _vec(u, u * u + 1, 0.0, u * u - 1, 2 * u, 0.0)
 
     def Wp(u):
-        return np.array([u, 0.0, u, 1.0, 0.0])
+        return _vec(u, u, 0.0, u, 1.0, 0.0)
 
     def C(u):
-        return np.array([-u, 1.0, -u, -1.0, -1.0])
+        return _vec(u, -u, 1.0, -u, -1.0, -1.0)
 
     Cp = np.array([-1.0, 0.0, -1.0, 0.0, 0.0])
 
     def yint(u):
-        return np.array([u * u / 2, -u, u * u / 2, u, 0.0])
+        return _vec(u, u * u / 2, -u, u * u / 2, u, 0.0)
 
     return X, Y, Z, W, Wp, C, Cp, yint
 
@@ -644,13 +701,19 @@ def _chart_m(p: np.ndarray) -> np.ndarray:
     return s * X + w * W(u) + z * Z - z * z / 2.0 * C(u) + yint(u)
 
 
-def _evaluate_m(p: np.ndarray) -> FrameData:
-    s, w, z, u = p
-    X, Y, Z, W, Wp, C, Cp, yint = _data_m()
-    df_s = X
+def _jacobian_m(p: np.ndarray) -> np.ndarray:
+    s, w, z, u = _coords(p)
+    X, Y, Z, W, Wp, C, Cp, _yint = _data_m()
     df_w = W(u)
     df_z = Z - z * C(u)
     df_u = w * Wp(u) - z * z / 2.0 * Cp + Y(u)
+    return np.stack([np.broadcast_to(X, df_w.shape), df_w, df_z, df_u], axis=-1)
+
+
+def _evaluate_m(p: np.ndarray) -> FrameData:
+    s, w, z, u = p
+    X, _Y, _Z, W, _Wp, C, _Cp, _yint = _data_m()
+    df_s, df_w, df_z, df_u = _jacobian_m(p).T
     b1 = df_s
     b2 = df_w
     b3 = 1.5 * z * z * df_w + df_z
@@ -713,13 +776,18 @@ def param_dim(example_id: str) -> int:
     return _PARAM_DIM[example_id]
 
 
+def _chart_point(example_id: str, p, stack: bool = False) -> np.ndarray:
+    """p as a float array of shape (m,), or (k, m) when stack is allowed."""
+    p = np.asarray(p, dtype=float)
+    m = param_dim(example_id)
+    if p.shape != (m,) and not (stack and p.ndim == 2 and p.shape[1] == m):
+        raise ShapeError(f"{example_id} takes {m} chart coordinates")
+    return p
+
+
 def chart(example_id: str, p, a: float = 1.0) -> np.ndarray:
     """Smooth map from chart coordinates to the ambient point."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (param_dim(example_id),):
-        raise ShapeError(
-            f"{example_id} takes {param_dim(example_id)} chart coordinates"
-        )
+    p = _chart_point(example_id, p)
     if example_id == "0-1":
         return _chart_01(p)
     if example_id == "0-2":
@@ -730,7 +798,7 @@ def chart(example_id: str, p, a: float = 1.0) -> np.ndarray:
         return _chart_l(p, a)
     if example_id == "m":
         return _chart_m(p)
-    return _level_chart(example_id, p)
+    return _level_chart(example_id, p[None])[0]
 
 
 def evaluate(
@@ -741,11 +809,7 @@ def evaluate(
     For entries "h" and "i", anchor_variant=True selects the special basis
     displayed at the anchor point, whose Gram is a signed anti-diagonal.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (param_dim(example_id),):
-        raise ShapeError(
-            f"{example_id} takes {param_dim(example_id)} chart coordinates"
-        )
+    p = _chart_point(example_id, p)
     if example_id == "0-1":
         return _evaluate_01(p)
     if example_id == "0-2":
@@ -756,58 +820,28 @@ def evaluate(
         return _evaluate_l(p, a)
     if example_id == "m":
         return _evaluate_m(p)
-    if example_id in _AMBIENT:
-        if anchor_variant and example_id not in ("h", "i"):
-            raise DomainError("anchor_variant exists only for entries h and i")
-        return _evaluate_level(example_id, p, anchor_variant)
-    raise DomainError(f"unknown example id {example_id!r}")
+    if anchor_variant and example_id not in ("h", "i"):
+        raise DomainError("anchor_variant exists only for entries h and i")
+    return _evaluate_level(example_id, p, anchor_variant)
 
 
 def chart_jacobian(example_id: str, p, a: float = 1.0) -> np.ndarray:
-    """Exact ambient partial derivatives of the chart, one column per
-    chart coordinate."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (param_dim(example_id),):
-        raise ShapeError(
-            f"{example_id} takes {param_dim(example_id)} chart coordinates"
-        )
-    if example_id in ("0-1", "0-2"):
-        return evaluate(example_id, p).frame
+    """Exact ambient partial derivatives of the chart, one column per chart
+    coordinate: shape (n, m) at a point p of shape (m,), and (k, n, m) at a
+    stack of k points of shape (k, m)."""
+    p = _chart_point(example_id, p, stack=True)
+    if example_id == "0-1":
+        return _jacobian_01(p)
+    if example_id == "0-2":
+        return _jacobian_02(p)
     if example_id == "k":
-        s, u, z, v = p
-        X, Y, Yp, Z, Zp, V, C, Cp, _xint = _data_k()
-        root = np.sqrt(1 + a * a * v * v)
-        return np.array(
-            [
-                X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s),
-                Y(s),
-                Z(s),
-                V - (a * v / root) * C(s),
-            ]
-        ).T
+        return _jacobian_k(p, a)
     if example_id == "l":
-        s, u, z, v = p
-        X, Y, Yp, Z, Zp, V, C, Cp, _xint = _data_l()
-        root = np.sqrt(1 - a * a * v * v)
-        return np.array(
-            [
-                X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s),
-                Y(s),
-                Z(s),
-                V + (a * v / root) * C(s),
-            ]
-        ).T
+        return _jacobian_l(p, a)
     if example_id == "m":
-        s, w, z, u = p
-        X, Y, Z, W, Wp, C, Cp, _yint = _data_m()
-        return np.array(
-            [X, W(u), Z - z * C(u), w * Wp(u) - z * z / 2.0 * Cp + Y(u)]
-        ).T
-    if example_id in _ANCHOR:
-        f = quadric_of(example_id)
-        x = _level_chart(example_id, p)
-        return _coordinate_tangent_frame(f, x, _ANCHOR[example_id][1])
-    raise DomainError(f"unknown example id {example_id!r}")
+        return _jacobian_m(p)
+    jac = _coordinate_tangent_frame(example_id, _level_chart(example_id, np.atleast_2d(p)))
+    return jac if p.ndim == 2 else jac[0]
 
 
 def expected_type(example_id: str, p=None) -> GeometricType:
@@ -878,8 +912,8 @@ def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0):
         if example_id in ("k", "l", "m"):
             p = rng.uniform(-0.8, 0.8, size=4)
             if example_id == "l":
-                p[3] = rng.uniform(-0.8, 0.8) / max(a, 1.0)
-                if not abs(p[3]) < 1.0 / a:
+                p[3] = rng.uniform(-0.8, 0.8) / max(abs(a), 1.0)
+                if not abs(a * p[3]) < 1.0:
                     continue
             out.append(p)
             continue
@@ -888,7 +922,7 @@ def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0):
             free = [i for i in range(anchor.shape[0]) if i not in pivots]
             q = anchor[free] + rng.uniform(-0.2, 0.2, size=len(free))
             try:
-                x = _level_chart(example_id, q)
+                x = _level_chart(example_id, q[None])[0]
                 _check_domain(example_id, x, tol=5e-2)
             except DomainError:
                 continue

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -253,8 +254,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a number or a comma list of numbers
+_NUMERIC_OPTIONS = ("--tol", "--point", "--a", "--h")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write "--h -1e-3" as "--h=-1e-3".  argparse takes a word that starts
+    with "-" for an option unless it is a plain negative number, so a value
+    in exponent or comma-list form would never reach the option."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _NUMERIC_OPTIONS and _NEGATIVE_VALUE.match(word):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

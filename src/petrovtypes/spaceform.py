@@ -9,6 +9,7 @@ operator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +112,7 @@ class QuadricFunction:
     def __post_init__(self):
         if self.variant not in ("flat", "sphere"):
             raise ShapeError("variant must be 'flat' or 'sphere'")
-        pmat = to_float(self.P)
+        pmat = np.array(self.P, dtype=float)  # a copy: later edits of the input do not reach it
         n = pmat.shape[0]
         if pmat.shape != (n, n):
             raise ShapeError("P must be square")
@@ -120,7 +121,7 @@ class QuadricFunction:
             raise ShapeError("P is not self-adjoint for the ambient form")
         object.__setattr__(self, "P", pmat)
         if self.variant == "flat":
-            pv = np.zeros(n) if self.p is None else np.asarray(self.p, dtype=float)
+            pv = np.zeros(n) if self.p is None else np.array(self.p, dtype=float)
             if pv.shape != (n,):
                 raise ShapeError("p must match the dimension of P")
             object.__setattr__(self, "p", pv)
@@ -212,9 +213,18 @@ def admissibility_check(
 
 
 def quadratic_minimal_data(f: QuadricFunction, tol: float | None = None):
-    """Coefficients (a, b) with P^2 = a*P + b*E, for sphere-variant quadrics."""
+    """Coefficients (a, b) with P^2 = a*P + b*E, for sphere-variant quadrics.
+
+    Computed once per distinct P and tolerance: the memo is keyed by the
+    bytes of P, so a changed P is never answered from an old entry.
+    """
     tol = default_tol() if tol is None else tol
-    mu = minimal_poly(f.P, tol)
+    return _quadratic_minimal_data(f.P.tobytes(), f.dim, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _quadratic_minimal_data(p_bytes: bytes, n: int, tol: float) -> tuple[float, float]:
+    mu = minimal_poly(np.frombuffer(p_bytes).reshape(n, n), tol)
     if len(mu) - 1 != 2:
         raise DomainError("minimal polynomial of P must have degree 2")
     # monic t^2 - a t - b stored ascending as [-b, -a, 1]

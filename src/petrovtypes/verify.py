@@ -15,12 +15,17 @@ The curvature checks use nested central differences with the step h: the
 Christoffel symbols come from differences of the metric, and the curvature
 from differences of the Christoffel symbols.  The nested stencil reaches the
 points p + h*o for integer offset vectors o, many of them more than once (81
-reaches but 41 distinct offsets in four coordinates); each distinct offset is
-evaluated once per check.  The tensor contractions are einsum calls.
+reaches but 41 distinct offsets in four coordinates, 13 in two).  Each check
+fetches the chart Jacobians at all of its distinct offsets in one
+catalog.chart_jacobian call on the (k, m) stack of points: the Gauss check
+the 41 (or 13) offsets of two nested differences, the Codazzi check the
+1 + 2m offsets of one.  The Gauss check reuses the Jacobian at p for its
+shape operator.  The tensor contractions are einsum calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,42 +69,49 @@ class CurvatureData:
     curvature: np.ndarray  # riem[i, j, k, l] = <R(d_i, d_j) d_k, d_l>
 
 
+@functools.cache
+def _offsets(m: int, reach: int) -> tuple[tuple, ...]:
+    """Integer offset vectors reached by `reach` nested central differences
+    in m coordinates: sums of `reach` steps, each 0 or +-e_l."""
+    origin = (0,) * m
+    steps = [origin] + [
+        tuple(sign * (i == l) for i in range(m)) for l in range(m) for sign in (1, -1)
+    ]
+    reached = {origin}
+    for _ in range(reach):
+        reached = {tuple(map(sum, zip(o, step))) for o in reached for step in steps}
+    return tuple(sorted(reached))
+
+
 class _Stencil:
     """Chart data at the points p + h*o around p, keyed by the integer offset
-    vector o.  Each distinct point is evaluated at most once, however many
-    nested differences reach it."""
+    vector o.  Every offset that `reach` nested differences need is fetched
+    up front, with one chart_jacobian call on the (k, m) stack of points."""
 
-    def __init__(self, example_id: str, p: np.ndarray, a: float, h: float):
+    def __init__(self, example_id: str, p: np.ndarray, a: float, h: float, reach: int):
         self.example_id = example_id
-        self.p = p
         self.a = a
         self.h = h
         self.origin = (0,) * p.shape[0]
+        offsets = _offsets(p.shape[0], reach)
+        points = p + h * np.array(offsets, dtype=float)
+        jacs = catalog.chart_jacobian(example_id, points, a=a)
         amb = catalog.ambient_of(example_id)
-        self._g = inner_matrix(amb.embedding_dim, amb.embedding_index)
-        self._jac: dict[tuple, np.ndarray] = {}
-        self._metric: dict[tuple, np.ndarray] = {}
-
-    def point(self, o: tuple) -> np.ndarray:
-        return self.p + self.h * np.array(o, dtype=float)
+        g = inner_matrix(amb.embedding_dim, amb.embedding_index)
+        self._point = dict(zip(offsets, points))
+        self._jac = dict(zip(offsets, jacs))
+        self._metric = dict(zip(offsets, jacs.transpose(0, 2, 1) @ g @ jacs))
 
     def jacobian(self, o: tuple) -> np.ndarray:
-        jac = self._jac.get(o)
-        if jac is None:
-            jac = self._jac[o] = catalog.chart_jacobian(self.example_id, self.point(o), a=self.a)
-        return jac
+        return self._jac[o]
 
     def metric(self, o: tuple) -> np.ndarray:
-        g = self._metric.get(o)
-        if g is None:
-            jac = self.jacobian(o)
-            g = self._metric[o] = jac.T @ self._g @ jac
-        return g
+        return self._metric[o]
 
     def shape(self, o: tuple) -> np.ndarray:
         """Shape operator in the chart-coordinate frame at offset o."""
         return _shape_in_coordinates(
-            self.example_id, self.point(o), self.a, self.jacobian(o)
+            self.example_id, self._point[o], self.a, self._jac[o]
         )[0]
 
     def derivative(self, fun, o: tuple) -> np.ndarray:
@@ -122,12 +134,9 @@ class _Stencil:
         return 0.5 * np.einsum("kn,ijn->kij", ginv, lowered)
 
 
-def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -> CurvatureData:
-    """Metric, Christoffel symbols, and curvature components at p."""
-    p = np.asarray(p, dtype=float)
-    if h is None:
-        h = CONFIG["curvature_h"]
-    st = _Stencil(example_id, p, a, h)
+def _curvature(st: _Stencil) -> CurvatureData:
+    """Metric, Christoffel symbols, and curvature components at the centre of
+    a reach-2 stencil."""
     g0 = st.metric(st.origin)
     gamma = st.christoffel(st.origin)
     dgamma = st.derivative(st.christoffel, st.origin)  # dgamma[l, k, i, j] = d_l gamma^k_ij
@@ -138,6 +147,14 @@ def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -
     riem_up = half - half.transpose(0, 2, 1, 3)
     riem = np.einsum("mijk,ml->ijkl", riem_up, g0)
     return CurvatureData(metric=g0, christoffel=gamma, curvature=riem)
+
+
+def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -> CurvatureData:
+    """Metric, Christoffel symbols, and curvature components at p."""
+    p = np.asarray(p, dtype=float)
+    if h is None:
+        h = CONFIG["curvature_h"]
+    return _curvature(_Stencil(example_id, p, a, h, reach=2))
 
 
 def _shape_in_coordinates(example_id: str, p: np.ndarray, a: float, jac=None):
@@ -198,8 +215,9 @@ def gauss_residual(
         h = CONFIG["curvature_h"]
     if threshold is None:
         threshold = CONFIG["curvature_threshold"]
-    data = curvature_data(example_id, p, a=a, h=h)
-    a_coord, fd, jac = _shape_in_coordinates(example_id, p, a)
+    st = _Stencil(example_id, p, a, h, reach=2)
+    data = _curvature(st)
+    a_coord, fd, jac = _shape_in_coordinates(example_id, p, a, st.jacobian(st.origin))
     if shape_override is not None:
         coef = np.linalg.lstsq(fd.frame, jac, rcond=None)[0]
         a_coord = np.linalg.solve(coef, shape_override @ coef)
@@ -227,7 +245,7 @@ def codazzi_residual(
         h = CONFIG["curvature_h"]
     if threshold is None:
         threshold = CONFIG["curvature_threshold"]
-    st = _Stencil(example_id, p, a, h)
+    st = _Stencil(example_id, p, a, h, reach=1)
     g0 = st.metric(st.origin)
     gamma = st.christoffel(st.origin)
     a0 = st.shape(st.origin)

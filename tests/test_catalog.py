@@ -16,9 +16,15 @@ from petrovtypes.catalog import (
     quadric_of,
     sample_domain,
 )
-from petrovtypes.linalg import BilinearSpace
+from petrovtypes.linalg import BilinearSpace, ShapeError
 from petrovtypes.petrov import SelfAdjointPair, classify_geometric
-from petrovtypes.spaceform import DomainError, admissibility_check, ambient_inner
+from petrovtypes.spaceform import (
+    DomainError,
+    QuadricFunction,
+    admissibility_check,
+    ambient_inner,
+    quadratic_minimal_data,
+)
 
 
 def _anti(n):
@@ -202,3 +208,62 @@ def test_sample_domain_deterministic():
     a = sample_domain("e", 5, seed=42)
     b = sample_domain("e", 5, seed=42)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+def test_stacked_chart_jacobian_matches_rows(ex_id):
+    rows = np.array(sample_domain(ex_id, 7, seed=13))
+    stacked = chart_jacobian(ex_id, rows)
+    assert stacked.shape == (7, ambient_of(ex_id).embedding_dim, param_dim(ex_id))
+    for p, jac in zip(rows, stacked):
+        assert np.abs(jac - chart_jacobian(ex_id, p)).max() <= 1e-12
+
+
+def test_stacked_chart_jacobian_rejects_a_bad_row():
+    rows = np.array(sample_domain("g", 3, seed=13) + [np.zeros(4)])
+    with pytest.raises(DomainError):
+        chart_jacobian("g", rows)
+
+
+@pytest.mark.parametrize("ex_id", ["0-1", "e", "k"])
+def test_stacked_chart_jacobian_rejects_wrong_width(ex_id):
+    with pytest.raises(ShapeError):
+        chart_jacobian(ex_id, np.zeros((3, param_dim(ex_id) + 1)))
+    with pytest.raises(ShapeError):
+        chart_jacobian(ex_id, np.zeros((2, 3, param_dim(ex_id))))
+
+
+@pytest.mark.parametrize("ex_id", ["k", "l"])
+@pytest.mark.parametrize("aval", [0.0, np.nan, np.inf])
+def test_parameter_a_must_be_finite_and_nonzero(ex_id, aval):
+    p = np.array([0.1, 0.2, 0.3, 0.1])
+    for fun in (chart, evaluate, chart_jacobian):
+        with pytest.raises(DomainError, match="a must be finite and nonzero"):
+            fun(ex_id, p, a=aval)
+
+
+def test_minimal_polynomial_memo_follows_tolerance(monkeypatch):
+    # eigenvalues 1 and 1.05 are one cluster at tol 0.1, two at the default
+    f = QuadricFunction("sphere", 2, np.diag([1.0, 1.05, -1.0, -1.0]), 0.0)
+    monkeypatch.delenv("PETROV_TOL", raising=False)
+    with pytest.raises(DomainError):
+        quadratic_minimal_data(f)
+    monkeypatch.setenv("PETROV_TOL", "0.1")
+    a, b = quadratic_minimal_data(f)
+    assert a == pytest.approx(0.025) and b == pytest.approx(1.025)
+    monkeypatch.delenv("PETROV_TOL")
+    with pytest.raises(DomainError):
+        quadratic_minimal_data(f)
+
+
+def test_minimal_polynomial_memo_never_stale():
+    source = np.kron(np.eye(3), _anti(2))
+    f = QuadricFunction("sphere", 2, source, 0.0)
+    assert quadratic_minimal_data(f) == pytest.approx((0.0, 1.0), abs=1e-10)
+    # the quadric keeps its own copy of the array it was built from
+    source *= 2.0
+    assert quadratic_minimal_data(f) == pytest.approx((0.0, 1.0), abs=1e-10)
+    # its own P, edited in place, is never answered from the old entry:
+    # (2P)^2 = 4E
+    f.P[...] *= 2.0
+    assert quadratic_minimal_data(f) == pytest.approx((0.0, 4.0), abs=1e-10)

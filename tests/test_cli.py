@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import petrovtypes
-from petrovtypes import verify
+from petrovtypes import catalog, verify
 from petrovtypes.cli import run
 from petrovtypes.linalg import matrix_to_json
 from petrovtypes.petrov import JordanStructure, assemble_normal_pair
@@ -225,11 +225,31 @@ def test_catalog_eval_non_finite_input_exit_one(capsys, args, message):
 
 @pytest.mark.parametrize("h", ["0", "-1e-3", "nan", "inf"])
 def test_verify_run_rejects_bad_step(capsys, h):
-    # "--h=" keeps argparse from reading "-1e-3" as an option
+    # the "--h=" form; the value as a separate word is tested below
     assert run(["verify", "run", "--id", "b", "--samples", "1", f"--h={h}", "--json"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "--h must be a positive finite step" in captured.err
     assert captured.out == ""
+
+
+def test_verify_run_negative_step_as_separate_word(capsys):
+    assert run(["verify", "run", "--id", "b", "--samples", "1", "--h", "-1e-3", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--h must be a positive finite step" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, a", [
+    (["m", "--point", "-0.1,0.2,0.3,0.1"], 1.0),
+    (["k", "--point", "0.1,0.2,0.3,0.1", "--a", "-1e-2"], -1e-2),
+])
+def test_catalog_eval_negative_values_as_separate_words(capsys, args, a):
+    assert run(["catalog", "eval", *args, "--json"]) == 0
+    payload = _json_out(capsys)
+    point = [float(x) for x in args[2].split(",")]
+    want = catalog.evaluate(args[0], point, a=a)
+    assert payload["id"] == args[0]
+    assert np.allclose(payload["point"], want.point, rtol=0, atol=1e-12)
 
 
 def _nan_reports(example_id, samples, seed, h):
