@@ -4,26 +4,33 @@ Fifteen entries behind one interface: two low-index surfaces whose type varies
 over the surface ("0-1", "0-2"), ten quadric level sets ("a"-"j"), and three
 explicitly parametrized index-2 hypersurfaces ("k", "l", "m").  Each entry
 exposes a smooth chart p -> ambient point and a frame evaluator returning the
-tangent frame, unit normal, shape matrix in the frame, and frame Gram.
+tangent frame, unit normal, shape matrix in the frame, frame Gram and exact
+chart Jacobian.
+
+evaluate and chart_jacobian take one chart point of shape (m,) or a stack of
+k points of shape (k, m).  A stack is solved once: one vectorized chart solve
+on the level sets (a Newton solve on the sphere entries), broadcast closed
+forms on the others, and the frames, normals and shapes of all k points from
+the same ambient points.  A single point goes through the same code with
+numbers in place of columns, so its results do not depend on being stacked.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError
+from .linalg import ShapeError, ToleranceError, default_tol
 from .petrov import GeometricType
 from .spaceform import (
     DomainError,
     QuadricFunction,
     SpaceForm,
-    ambient_inner,
     inner_matrix,
-    quadric_gradient,
-    sphere_shape_operator,
+    quadratic_minimal_data,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -35,14 +42,35 @@ EXAMPLE_IDS = (
 
 @dataclass(frozen=True)
 class FrameData:
-    """Everything measured at one point: frame columns are tangent vectors."""
+    """Everything measured at one point: frame columns are tangent vectors.
+
+    At a stack of k points every field has a leading axis of length k, and
+    nu is an integer array."""
 
     point: np.ndarray
     frame: np.ndarray
     normal: np.ndarray
     shape: np.ndarray
     gram: np.ndarray
-    nu: int
+    nu: int | np.ndarray
+    # the chart Jacobian, or a function that computes it: on the entries with
+    # an explicit frame it costs a solve that classification never needs
+    _jacobian: np.ndarray | Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def jacobian(self) -> np.ndarray:
+        """Exact partial derivatives of the chart at the point(s), one column
+        per chart coordinate, from the same chart solve as the frame."""
+        jac = self._jacobian
+        return jac() if callable(jac) else jac
+
+    def row(self, i: int) -> "FrameData":
+        """The data at point i of a stack."""
+        return FrameData(
+            point=self.point[i], frame=self.frame[i], normal=self.normal[i],
+            shape=self.shape[i], gram=self.gram[i], nu=int(self.nu[i]),
+            _jacobian=lambda: self.jacobian[i],
+        )
 
 
 def _e(i: int, n: int = 5) -> np.ndarray:
@@ -70,9 +98,63 @@ def _j(lam: float, m: int) -> np.ndarray:
     return lam * np.eye(m) + np.eye(m, k=1)
 
 
+def _coords(p: np.ndarray) -> list:
+    """The coordinates of p: numbers for a point (m,), (k, 1) columns for a
+    (k, m) stack.  A formula in them then gives an ambient vector (n,) at a
+    point, and a (k, n) stack, scaled row by row, at a stack of points."""
+    if p.ndim == 1:
+        return list(p)
+    return [p[:, i : i + 1] for i in range(p.shape[1])]
+
+
+def _vec(s, *comps) -> np.ndarray:
+    """The ambient vector with the given components, each a number or an
+    array shaped like the coordinate s: shape (5,) for a number s, (k, 5)
+    for a (k, 1) column."""
+    if not isinstance(s, np.ndarray):
+        return np.array(comps)
+    out = np.empty((s.shape[0], len(comps)))
+    for i, c in enumerate(comps):
+        out[:, i : i + 1] = c
+    return out
+
+
 def _frame_gram(frame: np.ndarray, s: int) -> np.ndarray:
-    g = inner_matrix(frame.shape[0], s)
-    return frame.T @ g @ frame
+    g = inner_matrix(frame.shape[-2], s)
+    return frame.swapaxes(-1, -2) @ g @ frame
+
+
+def _columns(*cols) -> np.ndarray:
+    """The frame with the given columns: (n, m) for vectors of shape (n,),
+    (k, n, m) when a column is a (k, n) stack."""
+    if all(col.ndim == 1 for col in cols):
+        return np.array(cols).T
+    out = np.empty(np.broadcast(*cols).shape + (len(cols),))
+    for i, col in enumerate(cols):
+        out[..., i] = col
+    return out
+
+
+def _batch(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A constant matrix, repeated along the stack axis of p if it has one."""
+    return mat if p.ndim == 1 else np.repeat(mat[None], p.shape[0], axis=0)
+
+
+def _nu_plus(p: np.ndarray):
+    """nu = +1 at a point, or at every row of a stack."""
+    return 1 if p.ndim == 1 else np.ones(p.shape[0], dtype=int)
+
+
+def _inner_rows(u: np.ndarray, v: np.ndarray, s: int):
+    """ambient_inner of two vectors (n,), or of the rows of two (k, n)
+    stacks.  The row dot products are (1, j) @ (j, 1) matmuls, which numpy
+    hands to the same BLAS dot as the vector products of ambient_inner, so
+    each row agrees with it bit for bit."""
+    if u.ndim == 1:
+        return -u[:s] @ v[:s] + u[s:] @ v[s:]
+    neg = u[:, None, :s] @ v[:, :s, None]
+    pos = u[:, None, s:] @ v[:, s:, None]
+    return (-neg + pos)[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +262,15 @@ _DOMAIN_CLAUSES = {
 }
 
 
-def _check_domain(example_id: str, x: np.ndarray, tol: float = 1e-9) -> None:
+def _check_domain(example_id: str, x: np.ndarray, tol: float = 1e-6) -> None:
+    """Every point of x, shape (n,) or (k, n), satisfies the chart conditions.
+
+    The clause of h and i vanishes where the chart's Newton Jacobian is
+    singular.  There the constraint residual is quadratic in x2 + x5, so a
+    solve that stops at residual 1e-14 leaves x2 + x5 near 1e-7: a clause
+    value below tol = 1e-6 cannot be told from 0."""
     for func, name in _DOMAIN_CLAUSES.get(example_id, ()):
-        if abs(func(x)) <= tol:
+        if (abs(func(_coords(x))) <= tol).any():
             raise DomainError(f"point violates the chart condition {name}")
 
 
@@ -290,19 +378,23 @@ def _coordinate_tangent_frame(example_id: str, x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # explicit moving frames for the quadric entries
+#
+# Each takes a level-set point (n,) or a stack (k, n) and returns the frame,
+# (n, 4) or (k, n, 4), with the constant shape matrix in that frame.
 
 def _frame_b(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cols = [
+    x = _coords(x)
+    frame = _columns(
         _e(1) + _e(5),
         _e(1) + (-x[0] + x[4]) * _e(3),
         _e(2),
         _e(4),
-    ]
-    shape = _dsum(_j(0.0, 2), np.zeros((2, 2)))
-    return np.array(cols).T, shape
+    )
+    return frame, _dsum(_j(0.0, 2), np.zeros((2, 2)))
 
 
 def _frame_c(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = _coords(x)
     th1 = -_e(1) - _e(3)
     th2 = _e(2) + (x[0] - x[2]) * _e(4)
     et1 = -_e(2) + _e(5)
@@ -319,10 +411,11 @@ def _frame_c(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b2 = th2pp / SQ2 - (s_val * s_val - 2.0) / (4.0 * SQ2) * th1p
     b3 = et1p / SQ2
     b4 = et2p / SQ2 + (t_val * t_val - 2.0) / (4.0 * SQ2) * et1p
-    return np.array([b1, b2, b3, b4]).T, _dsum(_j(0.0, 2), _j(0.0, 2))
+    return _columns(b1, b2, b3, b4), _dsum(_j(0.0, 2), _j(0.0, 2))
 
 
 def _frame_d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = _coords(x)
     th1 = -_e(1) + _e(5)
     th2 = _e(1) + (x[0] + x[4]) * _e(4)
     et1 = -_e(2) - _e(3)
@@ -332,10 +425,10 @@ def _frame_d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b2 = th2p - 0.5 * ((x[0] + x[4]) ** 2 - 1.0) * th1
     b3 = et1
     b4 = et2 - 0.5 * ((x[1] - x[2]) ** 2 - 1.0) * et1
-    return np.array([b1, b2, b3, b4]).T, _dsum(_j(0.0, 2), _j(0.0, 2))
+    return _columns(b1, b2, b3, b4), _dsum(_j(0.0, 2), _j(0.0, 2))
 
 
-def _tangent_quads_g(x: np.ndarray) -> list[np.ndarray]:
+def _tangent_quads_g(x: list) -> list[np.ndarray]:
     d1 = x[0] + x[3]
     d2 = -x[2] + x[5]
     e = lambda i: _e(i, 6)
@@ -347,14 +440,14 @@ def _tangent_quads_g(x: np.ndarray) -> list[np.ndarray]:
 
 
 def _frame_g(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = _coords(x)
     a1, a2, a3, a4 = _tangent_quads_g(x)
     d1 = x[0] + x[3]
     d2 = -x[2] + x[5]
-    cols = [a2 + a4, -(d2 / d1) * a2, a1, a3]
-    return np.array(cols).T, _dsum(_j(1.0, 2), np.eye(2))
+    return _columns(a2 + a4, -(d2 / d1) * a2, a1, a3), _dsum(_j(1.0, 2), np.eye(2))
 
 
-def _tangent_quads_hi(x: np.ndarray, variant: str) -> list[np.ndarray]:
+def _tangent_quads_hi(x: list, variant: str) -> list[np.ndarray]:
     d = x[1] + x[4]
     e = lambda i: _e(i, 6)
     if variant == "h":
@@ -371,91 +464,114 @@ def _tangent_quads_hi(x: np.ndarray, variant: str) -> list[np.ndarray]:
 
 
 def _frame_h(x: np.ndarray, anchor_variant: bool) -> tuple[np.ndarray, np.ndarray]:
-    a1, a2, a3, a4 = _tangent_quads_hi(x, "h")
+    a1, a2, a3, a4 = _tangent_quads_hi(_coords(x), "h")
     if anchor_variant:
         b1 = (-a1 - a2 + a3 + a4) / SQ2
         b2 = (a1 + a2 + a3 + a4) / (2.0 * SQ2)
         b3 = (-a1 + a2 - a3 + a4) / SQ2
         b4 = (-a1 + a2 + a3 - a4) / (2.0 * SQ2)
-        cols = [b1, b2, b3, b4]
+        frame = _columns(b1, b2, b3, b4)
     else:
-        cols = [-a1 + a4, a2, -a2 + a3, a1]
-    return np.array(cols).T, _dsum(_j(-1.0, 2), _j(-1.0, 2))
+        frame = _columns(-a1 + a4, a2, -a2 + a3, a1)
+    return frame, _dsum(_j(-1.0, 2), _j(-1.0, 2))
 
 
 def _frame_i(x: np.ndarray, anchor_variant: bool) -> tuple[np.ndarray, np.ndarray]:
-    a1, a2, a3, a4 = _tangent_quads_hi(x, "i")
+    a1, a2, a3, a4 = _tangent_quads_hi(_coords(x), "i")
     if anchor_variant:
-        cols = [-a1 + a3, (a1 + a3) / 2.0, -a2 + a4, (a2 + a4) / 2.0]
+        frame = _columns(-a1 + a3, (a1 + a3) / 2.0, -a2 + a4, (a2 + a4) / 2.0)
     else:
-        cols = [-a1 + a3, a1, -a2 + a4, a2]
-    return np.array(cols).T, _dsum(_j(-1.0, 2), _j(-1.0, 2))
+        frame = _columns(-a1 + a3, a1, -a2 + a4, a2)
+    return frame, _dsum(_j(-1.0, 2), _j(-1.0, 2))
 
 
-def _evaluate_level(example_id: str, q: np.ndarray, anchor_variant: bool) -> FrameData:
-    f = quadric_of(example_id)
-    x = _level_chart(example_id, q[None])[0]
+_EXPLICIT_FRAMES = {
+    "b": lambda x, anchor_variant: _frame_b(x),
+    "c": lambda x, anchor_variant: _frame_c(x),
+    "d": lambda x, anchor_variant: _frame_d(x),
+    "g": lambda x, anchor_variant: _frame_g(x),
+    "h": _frame_h,
+    "i": _frame_i,
+}
+
+
+def _sphere_shapes(
+    ls: _LevelSet, x: np.ndarray, jac: np.ndarray, pxx, phi, delta, tol: float,
+) -> np.ndarray:
+    """Shape matrices (cE - P)/sqrt(-delta*mu_P(c)) of a sphere-variant level
+    set in the coordinate frames jac, with the checks of
+    spaceform.sphere_shape_operator once per point; pxx holds <Px, x>, phi
+    <grad, grad> and delta its sign at each point.  The free rows of a
+    coordinate frame are the identity, so a tangent vector's coordinates in
+    it are its free rows."""
+    f = ls.f
+    if (np.abs(pxx - f.c) > max(tol, 1e-7) * max(1.0, abs(f.c))).any():
+        raise DomainError("point is not on the requested level set")
+    if (np.abs(phi) <= max(tol, 1e-9)).any():
+        raise DomainError("level value outside the regular range: <grad, grad> = 0")
+    a, b = quadratic_minimal_data(f, tol)
+    mu_c = f.c * f.c - a * f.c - b
+    if (-delta * mu_c <= 0).any():
+        raise DomainError("degenerate level: -delta * mu_P(c) must be positive")
+    op = (f.c * np.eye(f.dim) - f.P) / np.sqrt(-delta * mu_c)[..., None, None]
+    image = op @ jac
+    shape = image[..., ls.free, :]
+    misfit = np.abs(jac @ shape - image).max(axis=(-2, -1))
+    if (misfit > max(tol, 1e-7) * np.maximum(np.abs(image).max(axis=(-2, -1)), 1.0)).any():
+        raise ToleranceError("tangent basis is not invariant under the operator")
+    return shape
+
+
+def _evaluate_level(example_id: str, p: np.ndarray, anchor_variant: bool) -> FrameData:
+    """Frame data of a level-set entry at a chart point (m,) or a stack of
+    them (k, m): one chart solve, one gradient per point, each check once per
+    point.  The formulas take the ambient point (n,) or the stack (k, n)."""
+    ls = _level_set(example_id)
+    f = ls.f
+    stack = _level_chart(example_id, np.atleast_2d(p))
+    x = stack if p.ndim == 2 else stack[0]
     _check_domain(example_id, x)
-    grad = quadric_gradient(f, x)
-    phi = ambient_inner(grad, grad, f.s)
-    if abs(phi) < 1e-12:
+    px = (f.P @ x[..., None])[..., 0]
+    if f.variant == "flat":
+        grad = 2.0 * px + 2.0 * f.p
+    else:
+        # the gradient of spaceform.quadric_gradient, with its check
+        tol = default_tol()
+        radius = np.maximum(1.0, np.abs(x).max(axis=-1) ** 2)
+        if (np.abs(_inner_rows(x, x, f.s) - 1.0) > max(tol, 1e-7) * radius).any():
+            raise DomainError("sphere-variant gradient needs a point on the unit sphere")
+        pxx = _inner_rows(px, x, f.s)
+        grad = 2.0 * px - 2.0 * pxx[..., None] * x
+    phi = _inner_rows(grad, grad, f.s)
+    if (np.abs(phi) < 1e-12).any():
         raise DomainError("level value is not regular at this point")
-    xi = grad / np.sqrt(abs(phi))
-    nu = 1 if ambient_inner(xi, xi, f.s) > 0 else -1
-    if example_id == "a":
-        frame = _coordinate_tangent_frame(example_id, x[None])[0]
-        shape = np.eye(4)
-    elif example_id == "b":
-        frame, shape = _frame_b(x)
-    elif example_id == "c":
-        frame, shape = _frame_c(x)
-    elif example_id == "d":
-        frame, shape = _frame_d(x)
-    elif example_id == "g":
-        frame, shape = _frame_g(x)
-    elif example_id == "h":
-        frame, shape = _frame_h(x, anchor_variant)
-    elif example_id == "i":
-        frame, shape = _frame_i(x, anchor_variant)
-    else:  # e, f, j: diagonalizable, no displayed frame
-        frame = _coordinate_tangent_frame(example_id, x[None])[0]
-        shape, delta = sphere_shape_operator(f, x, frame)
+    xi = grad / np.sqrt(np.abs(phi))[..., None]
+    nu = (phi > 0) * 2 - 1  # the sign of <xi, xi> = phi / |phi|
+    if example_id in _EXPLICIT_FRAMES:
+        frame, shape = _EXPLICIT_FRAMES[example_id](x, anchor_variant)
+        shape = _batch(shape, x)
+
+        def jac():
+            return _coordinate_tangent_frame(example_id, stack).reshape(frame.shape)
+    else:
+        jac = frame = _coordinate_tangent_frame(example_id, stack).reshape(x.shape + (-1,))
+        if example_id == "a":
+            shape = _batch(np.eye(4), x)
+        else:  # e, f, j: diagonalizable, no displayed frame
+            shape = _sphere_shapes(ls, x, jac, pxx, phi, nu, tol)
     return FrameData(
         point=x,
         frame=frame,
         normal=xi,
         shape=shape,
         gram=_frame_gram(frame, f.s),
-        nu=nu,
+        nu=nu if x.ndim == 2 else int(nu),
+        _jacobian=jac,
     )
 
 
 # ---------------------------------------------------------------------------
 # parametrized entries
-#
-# The chart, Jacobian and frame formulas take a point of shape (m,) or a
-# stack of shape (k, m).  A chart coordinate is then a number, or a column
-# of shape (k, 1) that scales the (k, 5) stack of ambient vectors row by row.
-
-
-def _coords(p: np.ndarray) -> list:
-    """The chart coordinates of p: numbers for a point (m,), (k, 1) columns
-    for a (k, m) stack."""
-    if p.ndim == 1:
-        return list(p)
-    return [p[:, i : i + 1] for i in range(p.shape[1])]
-
-
-def _vec(s, *comps) -> np.ndarray:
-    """The ambient vector with the given components, each a number or an
-    array shaped like the coordinate s: shape (5,) for a number s, (k, 5)
-    for a (k, 1) column."""
-    if not isinstance(s, np.ndarray):
-        return np.array(comps)
-    out = np.empty((s.shape[0], len(comps)))
-    for i, c in enumerate(comps):
-        out[:, i : i + 1] = c
-    return out
 
 
 def _check_a(a: float) -> None:
@@ -467,7 +583,7 @@ _A01 = (np.array([1.0, 1.0, 0.0]) / SQ2, np.array([1.0, -1.0, 0.0]) / SQ2)
 
 
 def _chart_01(p: np.ndarray) -> np.ndarray:
-    u, v = p
+    u, v = _coords(p)
     a1, a2 = _A01
     return u * a1 + v * a2 - np.sin(v) * np.array([0.0, 0.0, 1.0])
 
@@ -480,13 +596,14 @@ def _jacobian_01(p: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_01(p: np.ndarray) -> FrameData:
-    u, v = p
+    u, v = _coords(p)
     frame = _jacobian_01(p)
-    xi = np.array([np.cos(v) / SQ2, np.cos(v) / SQ2, -1.0])
-    shape = np.array([[0.0, np.sin(v)], [0.0, 0.0]])
+    xi = _vec(v, np.cos(v) / SQ2, np.cos(v) / SQ2, -1.0)
+    shape = np.zeros(p.shape[:-1] + (2, 2))
+    shape[..., 0, 1] = np.sin(p[..., 1])
     return FrameData(
         point=_chart_01(p), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 1), nu=1,
+        gram=_frame_gram(frame, 1), nu=_nu_plus(p), _jacobian=frame,
     )
 
 
@@ -496,7 +613,7 @@ _A02 = np.array(
 
 
 def _chart_02(p: np.ndarray) -> np.ndarray:
-    x, y, z, w = p
+    x, y, z, w = _coords(p)
     a1, a2, a3, a4 = _A02.T
     return x * a1 + y * a2 + z * a3 + w * a4 + (y * y / 2.0 - np.sin(w)) * _e(5)
 
@@ -510,17 +627,15 @@ def _jacobian_02(p: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_02(p: np.ndarray) -> FrameData:
-    x, y, z, w = p
+    x, y, z, w = _coords(p)
     frame = _jacobian_02(p)
-    xi = np.array(
-        [-y / SQ2, np.cos(w) / SQ2, -y / SQ2, np.cos(w) / SQ2, -1.0]
-    )
-    shape = np.zeros((4, 4))
-    shape[0, 1] = 1.0
-    shape[2, 3] = np.sin(w)
+    xi = _vec(y, -y / SQ2, np.cos(w) / SQ2, -y / SQ2, np.cos(w) / SQ2, -1.0)
+    shape = np.zeros(p.shape[:-1] + (4, 4))
+    shape[..., 0, 1] = 1.0
+    shape[..., 2, 3] = np.sin(p[..., 3])
     return FrameData(
         point=_chart_02(p), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 2), nu=1,
+        gram=_frame_gram(frame, 2), nu=_nu_plus(p), _jacobian=frame,
     )
 
 
@@ -560,7 +675,7 @@ def _data_k():
 
 def _chart_k(p: np.ndarray, a: float) -> np.ndarray:
     _check_a(a)
-    s, u, z, v = p
+    s, u, z, v = _coords(p)
     X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = _data_k()
     root = np.sqrt(1 + a * a * v * v)
     return xint(s) + u * Y(s) + z * Z(s) + v * V + (1 - root) / a * C(s)
@@ -577,22 +692,23 @@ def _jacobian_k(p: np.ndarray, a: float) -> np.ndarray:
 
 
 def _evaluate_k(p: np.ndarray, a: float) -> FrameData:
-    s, u, z, v = p
-    if abs(z + SQ2) <= 1e-9:
+    s, u, z, v = _coords(p)
+    if (abs(z + SQ2) <= 1e-9).any():
         raise DomainError("point violates the chart condition z + sqrt(2) != 0")
-    df_s, df_u, df_z, df_v = _jacobian_k(p, a).T
+    jac = _jacobian_k(p, a)
+    df_s, df_u, df_z, df_v = jac.transpose(-1, *range(jac.ndim - 1))
     _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = _data_k()
     root = np.sqrt(1 + a * a * v * v)
     b1 = df_u
     b2 = (z + SQ2) ** 2 / (2 * root) * df_z
     b3 = -((z + SQ2) ** 3) / (2 * SQ2 * root * root) * df_s
     b4 = SQ2 * a * z * v / ((z + SQ2) * root) * df_u + df_v
-    frame = np.array([b1, b2, b3, b4]).T
+    frame = _columns(b1, b2, b3, b4)
     xi = -SQ2 * z / (z + SQ2) * root * Y(s) - a * v * V + root * C(s)
-    shape = _dsum(_j(0.0, 3), np.array([[a]]))
+    shape = _batch(_dsum(_j(0.0, 3), np.array([[a]])), p)
     return FrameData(
         point=_chart_k(p, a), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 2), nu=1,
+        gram=_frame_gram(frame, 2), nu=_nu_plus(p), _jacobian=jac,
     )
 
 
@@ -636,7 +752,7 @@ def _root_l(v: np.ndarray, a: float) -> np.ndarray:
 
 
 def _chart_l(p: np.ndarray, a: float) -> np.ndarray:
-    s, u, z, v = p
+    s, u, z, v = _coords(p)
     X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = _data_l()
     root = _root_l(v, a)
     return xint(s) + u * Y(s) + z * Z(s) + v * V + (1 - root) / a * C(s)
@@ -652,22 +768,23 @@ def _jacobian_l(p: np.ndarray, a: float) -> np.ndarray:
 
 
 def _evaluate_l(p: np.ndarray, a: float) -> FrameData:
-    s, u, z, v = p
-    if abs(z - SQ2) <= 1e-9:
+    s, u, z, v = _coords(p)
+    if (abs(z - SQ2) <= 1e-9).any():
         raise DomainError("point violates the chart condition z - sqrt(2) != 0")
-    df_s, df_u, df_z, df_v = _jacobian_l(p, a).T
+    jac = _jacobian_l(p, a)
+    df_s, df_u, df_z, df_v = jac.transpose(-1, *range(jac.ndim - 1))
     _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = _data_l()
     root = _root_l(v, a)
     b1 = df_u
     b2 = (z - SQ2) ** 2 / (2 * root) * df_z
     b3 = (z - SQ2) ** 3 / (2 * SQ2 * root * root) * df_s
     b4 = SQ2 * a * z * v / ((z - SQ2) * root) * df_u + df_v
-    frame = np.array([b1, b2, b3, b4]).T
+    frame = _columns(b1, b2, b3, b4)
     xi = SQ2 * z / (z - SQ2) * root * Y(s) - a * v * V + root * C(s)
-    shape = _dsum(_j(0.0, 3), np.array([[a]]))
+    shape = _batch(_dsum(_j(0.0, 3), np.array([[a]])), p)
     return FrameData(
         point=_chart_l(p, a), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 2), nu=1,
+        gram=_frame_gram(frame, 2), nu=_nu_plus(p), _jacobian=jac,
     )
 
 
@@ -696,7 +813,7 @@ def _data_m():
 
 
 def _chart_m(p: np.ndarray) -> np.ndarray:
-    s, w, z, u = p
+    s, w, z, u = _coords(p)
     X, Y, Z, W, _Wp, C, _Cp, yint = _data_m()
     return s * X + w * W(u) + z * Z - z * z / 2.0 * C(u) + yint(u)
 
@@ -711,19 +828,20 @@ def _jacobian_m(p: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_m(p: np.ndarray) -> FrameData:
-    s, w, z, u = p
+    s, w, z, u = _coords(p)
     X, _Y, _Z, W, _Wp, C, _Cp, _yint = _data_m()
-    df_s, df_w, df_z, df_u = _jacobian_m(p).T
+    jac = _jacobian_m(p)
+    df_s, df_w, df_z, df_u = jac.transpose(-1, *range(jac.ndim - 1))
     b1 = df_s
     b2 = df_w
     b3 = 1.5 * z * z * df_w + df_z
     b4 = (2.25 * z**4 + z) * df_w + 1.5 * z * z * df_z + df_u
-    frame = np.array([b1, b2, b3, b4]).T
+    frame = _columns(b1, b2, b3, b4)
     xi = (-w + z**3 / 2.0) * X - z * W(u) + C(u)
-    shape = _j(0.0, 4)
+    shape = _batch(_j(0.0, 4), p)
     return FrameData(
         point=_chart_m(p), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 2), nu=1,
+        gram=_frame_gram(frame, 2), nu=_nu_plus(p), _jacobian=jac,
     )
 
 
@@ -804,12 +922,18 @@ def chart(example_id: str, p, a: float = 1.0) -> np.ndarray:
 def evaluate(
     example_id: str, p, a: float = 1.0, anchor_variant: bool = False
 ) -> FrameData:
-    """Frame, normal, shape, and Gram at the chart point p.
+    """Frame, normal, shape, Gram and chart Jacobian at the chart point p of
+    shape (m,), or at each row of a stack of shape (k, m), where every field
+    gains a leading axis of length k.  A stack is solved in one pass: one
+    chart solve, and on entries e, f and j one shape computation.
 
     For entries "h" and "i", anchor_variant=True selects the special basis
-    displayed at the anchor point, whose Gram is a signed anti-diagonal.
+    displayed at the anchor point, whose Gram is a signed anti-diagonal; the
+    other entries have no such basis and raise DomainError.
     """
-    p = _chart_point(example_id, p)
+    p = _chart_point(example_id, p, stack=True)
+    if anchor_variant and example_id not in ("h", "i"):
+        raise DomainError("anchor_variant exists only for entries h and i")
     if example_id == "0-1":
         return _evaluate_01(p)
     if example_id == "0-2":
@@ -820,8 +944,6 @@ def evaluate(
         return _evaluate_l(p, a)
     if example_id == "m":
         return _evaluate_m(p)
-    if anchor_variant and example_id not in ("h", "i"):
-        raise DomainError("anchor_variant exists only for entries h and i")
     return _evaluate_level(example_id, p, anchor_variant)
 
 

@@ -159,6 +159,8 @@ def _cmd_verify(args) -> int:
         # np.maximum keeps a NaN residual, where the builtin max would drop it
         entry["max_residual"] = float(np.maximum(entry["max_residual"], r.residual))
         entry["passed"] = entry["passed"] and r.passed
+        if args.timings:
+            entry["time_ms"] = entry.get("time_ms", 0.0) + r.time_ms
     rows = [
         {"id": ex_id, "check": check} | entry
         for (ex_id, check), entry in sorted(summary.items())
@@ -169,11 +171,17 @@ def _cmd_verify(args) -> int:
         "checks": rows,
         "all_passed": all_pass,
     }
-    md = [f"tolerance: {tol}", "", "| id | check | max residual | threshold | pass |", "|---|---|---|---|---|"]
-    md += [
-        f"| {r['id']} | {r['check']} | {r['max_residual']:.3e} | {r['threshold']:.0e} | {'yes' if r['passed'] else 'NO'} |"
-        for r in rows
-    ]
+    header = "| id | check | max residual | threshold | pass |"
+    rule = "|---|---|---|---|---|"
+    if args.timings:
+        header += " time ms |"
+        rule += "---|"
+    md = [f"tolerance: {tol}", "", header, rule]
+    for r in rows:
+        line = f"| {r['id']} | {r['check']} | {r['max_residual']:.3e} | {r['threshold']:.0e} | {'yes' if r['passed'] else 'NO'} |"
+        if args.timings:
+            line += f" {r['time_ms']:.1f} |"
+        md.append(line)
     _emit(payload, args.json, md)
     return 0 if all_pass else 1
 
@@ -242,6 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=int, default=5)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--json", action="store_true", help="JSON output")
+    p_ver.add_argument(
+        "--timings", action="store_true",
+        help="add each check's wall time, summed over samples (time_ms)",
+    )
     p_ver.set_defaults(func=_cmd_verify)
 
     p_rep = sub.add_parser("report", help="regenerate a classification table")

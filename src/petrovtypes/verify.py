@@ -16,17 +16,21 @@ Christoffel symbols come from differences of the metric, and the curvature
 from differences of the Christoffel symbols.  The nested stencil reaches the
 points p + h*o for integer offset vectors o, many of them more than once (81
 reaches but 41 distinct offsets in four coordinates, 13 in two).  Each check
-fetches the chart Jacobians at all of its distinct offsets in one
-catalog.chart_jacobian call on the (k, m) stack of points: the Gauss check
-the 41 (or 13) offsets of two nested differences, the Codazzi check the
-1 + 2m offsets of one.  The Gauss check reuses the Jacobian at p for its
-shape operator.  The tensor contractions are einsum calls.
+makes one stacked catalog.evaluate call on all of its distinct points, which
+solves the chart once and returns the Jacobians, frames, normals and shapes
+together: the Gauss check on the 41 (or 13) offsets of two nested
+differences, taking its shape operator at p from the same call; the Codazzi
+check on the 1 + 2m offsets of one, turning all 1 + 2m shapes into chart
+coordinates at once; the shape check on p and its 2m neighbours p +- h e_i,
+of which it reads only the normals.  The tensor contractions are einsum
+calls.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +58,7 @@ class ResidualReport:
     residual: float
     h: float
     threshold: float
+    time_ms: float | None = field(default=None, compare=False)  # wall time, set by run_checks
 
     @property
     def passed(self) -> bool:
@@ -86,33 +91,36 @@ def _offsets(m: int, reach: int) -> tuple[tuple, ...]:
 class _Stencil:
     """Chart data at the points p + h*o around p, keyed by the integer offset
     vector o.  Every offset that `reach` nested differences need is fetched
-    up front, with one chart_jacobian call on the (k, m) stack of points."""
+    up front, with one catalog.evaluate call on the (k, m) stack of points:
+    one chart solve gives the Jacobians, and with them the metrics, and the
+    frame data at every offset."""
 
     def __init__(self, example_id: str, p: np.ndarray, a: float, h: float, reach: int):
-        self.example_id = example_id
-        self.a = a
         self.h = h
         self.origin = (0,) * p.shape[0]
         offsets = _offsets(p.shape[0], reach)
-        points = p + h * np.array(offsets, dtype=float)
-        jacs = catalog.chart_jacobian(example_id, points, a=a)
+        self.frames = catalog.evaluate(example_id, p + h * np.array(offsets, dtype=float), a=a)
+        self._row = {o: i for i, o in enumerate(offsets)}
         amb = catalog.ambient_of(example_id)
         g = inner_matrix(amb.embedding_dim, amb.embedding_index)
-        self._point = dict(zip(offsets, points))
-        self._jac = dict(zip(offsets, jacs))
-        self._metric = dict(zip(offsets, jacs.transpose(0, 2, 1) @ g @ jacs))
+        jacs = self.frames.jacobian
+        self._metric = jacs.transpose(0, 2, 1) @ g @ jacs
 
-    def jacobian(self, o: tuple) -> np.ndarray:
-        return self._jac[o]
+    def at(self, o: tuple) -> catalog.FrameData:
+        return self.frames.row(self._row[o])
 
     def metric(self, o: tuple) -> np.ndarray:
-        return self._metric[o]
+        return self._metric[self._row[o]]
+
+    @functools.cached_property
+    def _shapes(self) -> np.ndarray:
+        fd = self.frames
+        return _shape_in_coordinates(fd.frame, fd.shape, fd.jacobian)
 
     def shape(self, o: tuple) -> np.ndarray:
-        """Shape operator in the chart-coordinate frame at offset o."""
-        return _shape_in_coordinates(
-            self.example_id, self._point[o], self.a, self._jac[o]
-        )[0]
+        """Shape operator in the chart-coordinate frame at offset o; the first
+        call computes it at every offset of the stencil at once."""
+        return self._shapes[self._row[o]]
 
     def derivative(self, fun, o: tuple) -> np.ndarray:
         """Central differences of fun at offset o, stacked along a new first
@@ -157,16 +165,12 @@ def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -
     return _curvature(_Stencil(example_id, p, a, h, reach=2))
 
 
-def _shape_in_coordinates(example_id: str, p: np.ndarray, a: float, jac=None):
-    """Shape operator as a matrix in the chart-coordinate frame, plus the
-    per-point data used to build it.  jac, when given, is the chart Jacobian
-    at p."""
-    fd = catalog.evaluate(example_id, p, a=a)
-    if jac is None:
-        jac = catalog.chart_jacobian(example_id, p, a=a)
-    coef, *_ = np.linalg.lstsq(fd.frame, jac, rcond=None)
-    a_coord = np.linalg.solve(coef, fd.shape @ coef)
-    return a_coord, fd, jac
+def _shape_in_coordinates(frame: np.ndarray, shape: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """The shape matrix `shape`, given in the tangent frame `frame`, as a
+    matrix in the chart-coordinate frame whose columns are `jac`.  Each
+    argument may carry a leading stack axis."""
+    coef = np.linalg.pinv(frame) @ jac  # jac = frame @ coef
+    return np.linalg.solve(coef, shape @ coef)
 
 
 def shape_fd_check(
@@ -180,19 +184,13 @@ def shape_fd_check(
         h = CONFIG["shape_h"]
     if threshold is None:
         threshold = CONFIG["shape_threshold"]
-    a_coord, fd, jac = _shape_in_coordinates(example_id, p, a)
     m = p.shape[0]
-    dxi = np.zeros((fd.point.shape[0], m))
-    for i in range(m):
-        pp = p.copy()
-        pm = p.copy()
-        pp[i] += h
-        pm[i] -= h
-        dxi[:, i] = (
-            catalog.evaluate(example_id, pp, a=a).normal
-            - catalog.evaluate(example_id, pm, a=a).normal
-        ) / (2 * h)
-    predicted = -jac @ a_coord
+    steps = h * np.eye(m)
+    # p, then its neighbours p + h e_i, then p - h e_i, in one call
+    frames = catalog.evaluate(example_id, np.vstack([p, p + steps, p - steps]), a=a)
+    fd = frames.row(0)
+    dxi = (frames.normal[1 : m + 1] - frames.normal[m + 1 :]).T / (2 * h)
+    predicted = -fd.jacobian @ _shape_in_coordinates(fd.frame, fd.shape, fd.jacobian)
     resid = dxi - predicted
     if catalog.ambient_of(example_id).curvature != 0:
         # compare tangentially: the radial component of d(xi) is curvature of
@@ -217,10 +215,9 @@ def gauss_residual(
         threshold = CONFIG["curvature_threshold"]
     st = _Stencil(example_id, p, a, h, reach=2)
     data = _curvature(st)
-    a_coord, fd, jac = _shape_in_coordinates(example_id, p, a, st.jacobian(st.origin))
-    if shape_override is not None:
-        coef = np.linalg.lstsq(fd.frame, jac, rcond=None)[0]
-        a_coord = np.linalg.solve(coef, shape_override @ coef)
+    fd = st.at(st.origin)
+    shape = fd.shape if shape_override is None else shape_override
+    a_coord = _shape_in_coordinates(fd.frame, shape, fd.jacobian)
     g = data.metric
     ag = g @ a_coord  # ag[i, j] = <d_i, A d_j>, symmetric by self-adjointness
     kappa = catalog.ambient_of(example_id).curvature
@@ -355,13 +352,16 @@ def run_checks(
     example_id: str, samples: int = 20, seed: int = 0, a: float = 1.0,
     h: float | None = None,
 ) -> list[ResidualReport]:
-    """All finite-difference checks for one entry over seeded sample points."""
+    """All finite-difference checks for one entry over seeded sample points;
+    each report carries the wall time of its check."""
     reports = []
     pts = catalog.sample_domain(example_id, samples, seed=seed, a=a)
     for p in pts:
-        reports.append(shape_fd_check(example_id, p, a=a, h=h))
-        reports.append(gauss_residual(example_id, p, a=a, h=h))
-        reports.append(codazzi_residual(example_id, p, a=a, h=h))
+        for check in (shape_fd_check, gauss_residual, codazzi_residual):
+            start = time.perf_counter()
+            report = check(example_id, p, a=a, h=h)
+            elapsed_ms = (time.perf_counter() - start) * 1e3
+            reports.append(replace(report, time_ms=elapsed_ms))
     return reports
 
 

@@ -267,3 +267,51 @@ def test_minimal_polynomial_memo_never_stale():
     # (2P)^2 = 4E
     f.P[...] *= 2.0
     assert quadratic_minimal_data(f) == pytest.approx((0.0, 4.0), abs=1e-10)
+
+
+_STACK_CASES = [(ex_id, 1.0, False) for ex_id in EXAMPLE_IDS] + [
+    ("k", 1.3, False), ("l", 1.3, False), ("k", -0.7, False), ("l", -0.7, False),
+    ("h", 1.0, True), ("i", 1.0, True),
+]
+
+
+@pytest.mark.parametrize("ex_id, aval, anchor_variant", _STACK_CASES)
+def test_stacked_evaluate_matches_rows(ex_id, aval, anchor_variant):
+    rows = np.array(sample_domain(ex_id, 7, seed=19, a=aval))
+    stacked = evaluate(ex_id, rows, a=aval, anchor_variant=anchor_variant)
+    n, m = ambient_of(ex_id).embedding_dim, param_dim(ex_id)
+    assert stacked.frame.shape == stacked.jacobian.shape == (7, n, m)
+    assert stacked.shape.shape == stacked.gram.shape == (7, m, m)
+    assert stacked.point.shape == stacked.normal.shape == (7, n)
+    assert stacked.nu.shape == (7,)
+    for i, p in enumerate(rows):
+        fd = evaluate(ex_id, p, a=aval, anchor_variant=anchor_variant)
+        assert isinstance(fd.nu, int) and stacked.nu[i] == fd.nu
+        for name in ("point", "frame", "normal", "shape", "gram", "jacobian"):
+            assert np.abs(getattr(stacked, name)[i] - getattr(fd, name)).max() <= 1e-12, name
+        assert np.abs(fd.jacobian - chart_jacobian(ex_id, p, a=aval)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ex_id, bad", [
+    # the level set of g is 2 (x1 + x4)(x6 - x3) = 1, so its chart breaks down
+    # where x1 + x4 would have to vanish; at free coordinates 0 it has no point
+    ("g", np.zeros(4)),
+    # free coordinates of h whose level points all have x2 + x5 = 0
+    ("h", np.array([0.0, 0.0, 1 / np.sqrt(2), 1 / np.sqrt(2)])),
+    ("k", np.array([0.1, 0.2, -np.sqrt(2), 0.1])),
+])
+def test_stacked_evaluate_rejects_a_bad_row(ex_id, bad):
+    rows = np.array(sample_domain(ex_id, 3, seed=13) + [bad])
+    with pytest.raises(DomainError):
+        evaluate(ex_id, rows)
+    with pytest.raises(DomainError):
+        evaluate(ex_id, bad)
+
+
+@pytest.mark.parametrize("ex_id", [e for e in EXAMPLE_IDS if e not in ("h", "i")])
+def test_anchor_variant_raises_off_h_and_i(ex_id):
+    p = sample_domain(ex_id, 1, seed=0)[0]
+    with pytest.raises(DomainError, match="anchor_variant"):
+        evaluate(ex_id, p, anchor_variant=True)
+    with pytest.raises(DomainError, match="anchor_variant"):
+        evaluate(ex_id, np.array([p, p]), anchor_variant=True)

@@ -273,3 +273,37 @@ def test_json_output_refuses_non_finite_values(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "non-finite value" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("ex_id, point", [
+    ("k", "0.1,0.2,0.3,0.1"),
+    ("0-1", "0.2,1.0"),
+    ("a", "0.1,0.1,0.1,0.1"),
+])
+def test_catalog_eval_anchor_variant_only_on_h_and_i(capsys, ex_id, point):
+    assert run(["catalog", "eval", ex_id, "--point", point, "--anchor-variant", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "anchor_variant" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_run_without_timings_has_no_time(capsys):
+    assert run(["verify", "run", "--id", "b", "--samples", "1", "--json"]) == 0
+    assert all("time_ms" not in row for row in _json_out(capsys)["checks"])
+    assert run(["verify", "run", "--id", "b", "--samples", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "| id | check | max residual | threshold | pass |"
+    assert all(line.endswith("| yes |") for line in lines[4:])
+
+
+def test_verify_run_timings(capsys):
+    assert run(["verify", "run", "--id", "b", "--samples", "2", "--json", "--timings"]) == 0
+    rows = _json_out(capsys)["checks"]
+    assert {row["check"] for row in rows} == {"shape_fd", "gauss", "codazzi"}
+    assert all(isinstance(row["time_ms"], float) and row["time_ms"] > 0 for row in rows)
+    assert run(["verify", "run", "--id", "b", "--samples", "2", "--timings"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "| id | check | max residual | threshold | pass | time ms |"
+    for line in lines[4:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        assert cells[4] == "yes" and float(cells[5]) > 0

@@ -260,3 +260,32 @@ def test_quadric_of_is_shared_and_read_only():
     with pytest.raises(ValueError):
         quadric_of("b").p[0] = 5.0
     assert f.P[0, 0] == 0.0
+
+
+def _oracle_shape_fd(example_id, p, a, h):
+    """The shape check with one evaluate call per neighbour p +- h e_i."""
+    a_coord, fd = _oracle_shape_in_coordinates(example_id, p, a)
+    jac = catalog.chart_jacobian(example_id, p, a=a)
+    m = p.shape[0]
+    dxi = np.zeros((fd.point.shape[0], m))
+    for i in range(m):
+        pp = p.copy()
+        pm = p.copy()
+        pp[i] += h
+        pm[i] -= h
+        dxi[:, i] = (
+            catalog.evaluate(example_id, pp, a=a).normal
+            - catalog.evaluate(example_id, pm, a=a).normal
+        ) / (2 * h)
+    resid = dxi + jac @ a_coord
+    if catalog.ambient_of(example_id).curvature != 0:
+        q, _ = np.linalg.qr(fd.frame)
+        resid = q @ (q.T @ resid)
+    return float(np.abs(resid).max())
+
+
+@pytest.mark.parametrize("ex_id", catalog.EXAMPLE_IDS)
+def test_stacked_shape_fd_matches_loop_oracle(ex_id):
+    h = CONFIG["shape_h"]
+    for p in sample_domain(ex_id, 2, seed=73):
+        assert abs(shape_fd_check(ex_id, p).residual - _oracle_shape_fd(ex_id, p, 1.0, h)) <= 1e-10
