@@ -23,14 +23,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, ToleranceError, default_tol
+from .linalg import ShapeError, default_tol
 from .petrov import GeometricType
 from .spaceform import (
     DomainError,
     QuadricFunction,
     SpaceForm,
+    ambient_inner,
+    check_invariant,
     inner_matrix,
-    quadratic_minimal_data,
+    quadric_gradient,
+    sphere_level_operator,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -45,7 +48,8 @@ class FrameData:
     """Everything measured at one point: frame columns are tangent vectors.
 
     At a stack of k points every field has a leading axis of length k, and
-    nu is an integer array."""
+    nu is an integer array.  The chart Jacobian is optional: a FrameData
+    built without one raises ValueError when its jacobian is read."""
 
     point: np.ndarray
     frame: np.ndarray
@@ -53,24 +57,34 @@ class FrameData:
     shape: np.ndarray
     gram: np.ndarray
     nu: int | np.ndarray
-    # the chart Jacobian, or a function that computes it: on the entries with
-    # an explicit frame it costs a solve that classification never needs
-    _jacobian: np.ndarray | Callable[[], np.ndarray] = field(repr=False, compare=False)
+    # the chart Jacobian, or a function that computes it on first use: on the
+    # entries with an explicit frame it costs a solve that classification
+    # never needs
+    _jacobian: np.ndarray | Callable[[], np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @functools.cached_property
     def jacobian(self) -> np.ndarray:
         """Exact partial derivatives of the chart at the point(s), one column
         per chart coordinate, from the same chart solve as the frame."""
         jac = self._jacobian
+        if jac is None:
+            raise ValueError("this FrameData was built without a chart Jacobian")
         return jac() if callable(jac) else jac
 
     def row(self, i: int) -> "FrameData":
-        """The data at point i of a stack."""
+        """The data at point i of a stack.  Its jacobian is row i of the
+        stack's, which is computed once, on first use by either."""
         return FrameData(
             point=self.point[i], frame=self.frame[i], normal=self.normal[i],
             shape=self.shape[i], gram=self.gram[i], nu=int(self.nu[i]),
-            _jacobian=lambda: self.jacobian[i],
+            _jacobian=functools.partial(_jacobian_row, self, i),
         )
+
+
+def _jacobian_row(fd: FrameData, i: int) -> np.ndarray:
+    return fd.jacobian[i]
 
 
 def _e(i: int, n: int = 5) -> np.ndarray:
@@ -143,18 +157,6 @@ def _batch(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _nu_plus(p: np.ndarray):
     """nu = +1 at a point, or at every row of a stack."""
     return 1 if p.ndim == 1 else np.ones(p.shape[0], dtype=int)
-
-
-def _inner_rows(u: np.ndarray, v: np.ndarray, s: int):
-    """ambient_inner of two vectors (n,), or of the rows of two (k, n)
-    stacks.  The row dot products are (1, j) @ (j, 1) matmuls, which numpy
-    hands to the same BLAS dot as the vector products of ambient_inner, so
-    each row agrees with it bit for bit."""
-    if u.ndim == 1:
-        return -u[:s] @ v[:s] + u[s:] @ v[s:]
-    neg = u[:, None, :s] @ v[:, :s, None]
-    pos = u[:, None, s:] @ v[:, s:, None]
-    return (-neg + pos)[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +256,34 @@ _ANCHOR = {
     "j": (_e(4, 6), (2, 3)),
 }
 
+# a row of the sphere-variant chart solve stops once its residual is below this
+_NEWTON_STOP = 1e-14
+
+# The chart of h and i solves for x2 and x5, and its Newton Jacobian is
+# singular where x2 + x5 = 0.  Near there the constraint residual is
+# quadratic in x2 + x5, so a solve stopped at _NEWTON_STOP leaves x2 + x5 up
+# to about sqrt(_NEWTON_STOP) = 1e-7 from 0: within ten times that, the
+# clause cannot be told from 0.
+_SINGULAR_TOL = 10.0 * np.sqrt(_NEWTON_STOP)
+
+# the chart conditions (name, tolerance, coefficients of the linear clause),
+# which every chart solve checks: the explicit frames of g, h and i divide by
+# their clauses, and the level set of g, 2 (x1 + x4)(x6 - x3) = 1, has no
+# point where either fails
 _DOMAIN_CLAUSES = {
-    "g": ((lambda x: x[0] + x[3], "x1 + x4 != 0"),
-          (lambda x: -x[2] + x[5], "-x3 + x6 != 0")),
-    "h": ((lambda x: x[1] + x[4], "x2 + x5 != 0"),),
-    "i": ((lambda x: x[1] + x[4], "x2 + x5 != 0"),),
+    "g": (("x1 + x4 != 0", 1e-9, _e(1, 6) + _e(4, 6)),
+          ("-x3 + x6 != 0", 1e-9, -_e(3, 6) + _e(6, 6))),
+    "h": (("x2 + x5 != 0", _SINGULAR_TOL, _e(2, 6) + _e(5, 6)),),
+    "i": (("x2 + x5 != 0", _SINGULAR_TOL, _e(2, 6) + _e(5, 6)),),
 }
 
 
-def _check_domain(example_id: str, x: np.ndarray, tol: float = 1e-6) -> None:
-    """Every point of x, shape (n,) or (k, n), satisfies the chart conditions.
-
-    The clause of h and i vanishes where the chart's Newton Jacobian is
-    singular.  There the constraint residual is quadratic in x2 + x5, so a
-    solve that stops at residual 1e-14 leaves x2 + x5 near 1e-7: a clause
-    value below tol = 1e-6 cannot be told from 0."""
-    for func, name in _DOMAIN_CLAUSES.get(example_id, ()):
-        if (abs(func(_coords(x))) <= tol).any():
+def _check_domain(example_id: str, x: np.ndarray, margin: float = 0.0) -> None:
+    """Every point of x, shape (n,) or (k, n), satisfies the chart conditions,
+    each clause by more than its tolerance or the margin, whichever is
+    larger."""
+    for name, tol, coef in _DOMAIN_CLAUSES.get(example_id, ()):
+        if (np.abs(x @ coef) <= max(tol, margin)).any():
             raise DomainError(f"point violates the chart condition {name}")
 
 
@@ -332,13 +345,13 @@ def _level_chart(example_id: str, q: np.ndarray) -> np.ndarray:
         return x
     # sphere variant: one Newton solve in the two pivot coordinates for
     # <x, x> = 1 and <Px, x> = c over the whole stack; a row stops moving
-    # once its residual is below 1e-14
+    # once its residual is below _NEWTON_STOP
     level = np.array([1.0, f.c])
     pivots = ls.pivots
     for _ in range(60):
         d = (x @ ls.newton).reshape(k, 2, n)  # d[:, 0] = G x, d[:, 1] = G P x
         r = np.einsum("kcn,kn->kc", d, x) - level
-        rows = np.flatnonzero(~(np.abs(r).max(axis=1) < 1e-14))
+        rows = np.flatnonzero(~(np.abs(r).max(axis=1) < _NEWTON_STOP))
         if rows.size == 0:
             break
         # the Jacobian of the constraints in the pivots is 2 d[:, :, pivots]
@@ -349,6 +362,9 @@ def _level_chart(example_id: str, q: np.ndarray) -> np.ndarray:
         x[rows[:, None], pivots] -= step[:, :, 0]
     else:
         raise DomainError("chart solver did not converge; point too far out")
+    # on h and i the solve is singular where the chart condition fails, and
+    # a row there stops short of it with a finite but meaningless point
+    _check_domain(example_id, x)
     return x
 
 
@@ -495,31 +511,23 @@ _EXPLICIT_FRAMES = {
 }
 
 
-def _sphere_shapes(
-    ls: _LevelSet, x: np.ndarray, jac: np.ndarray, pxx, phi, delta, tol: float,
-) -> np.ndarray:
-    """Shape matrices (cE - P)/sqrt(-delta*mu_P(c)) of a sphere-variant level
-    set in the coordinate frames jac, with the checks of
-    spaceform.sphere_shape_operator once per point; pxx holds <Px, x>, phi
-    <grad, grad> and delta its sign at each point.  The free rows of a
-    coordinate frame are the identity, so a tangent vector's coordinates in
-    it are its free rows."""
-    f = ls.f
-    if (np.abs(pxx - f.c) > max(tol, 1e-7) * max(1.0, abs(f.c))).any():
-        raise DomainError("point is not on the requested level set")
-    if (np.abs(phi) <= max(tol, 1e-9)).any():
-        raise DomainError("level value outside the regular range: <grad, grad> = 0")
-    a, b = quadratic_minimal_data(f, tol)
-    mu_c = f.c * f.c - a * f.c - b
-    if (-delta * mu_c <= 0).any():
-        raise DomainError("degenerate level: -delta * mu_P(c) must be positive")
-    op = (f.c * np.eye(f.dim) - f.P) / np.sqrt(-delta * mu_c)[..., None, None]
+def _sphere_shapes(ls: _LevelSet, x: np.ndarray, phi, jac: np.ndarray) -> np.ndarray:
+    """Shape matrices of a sphere-variant level set in the coordinate frames
+    jac, at a point or a stack, with each check of
+    spaceform.sphere_shape_operator once per point; phi is <grad, grad>.  The
+    free rows of a coordinate frame are the identity, so a tangent vector's
+    coordinates in it are its free rows, where sphere_shape_operator takes
+    an lstsq."""
+    tol = default_tol()
+    op, _delta = sphere_level_operator(ls.f, x, phi, tol)
     image = op @ jac
     shape = image[..., ls.free, :]
-    misfit = np.abs(jac @ shape - image).max(axis=(-2, -1))
-    if (misfit > max(tol, 1e-7) * np.maximum(np.abs(image).max(axis=(-2, -1)), 1.0)).any():
-        raise ToleranceError("tangent basis is not invariant under the operator")
+    check_invariant(jac, shape, image, tol)
     return shape
+
+
+def _level_jacobian(example_id: str, stack: np.ndarray, shape: tuple) -> np.ndarray:
+    return _coordinate_tangent_frame(example_id, stack).reshape(shape)
 
 
 def _evaluate_level(example_id: str, p: np.ndarray, anchor_variant: bool) -> FrameData:
@@ -530,35 +538,23 @@ def _evaluate_level(example_id: str, p: np.ndarray, anchor_variant: bool) -> Fra
     f = ls.f
     stack = _level_chart(example_id, np.atleast_2d(p))
     x = stack if p.ndim == 2 else stack[0]
-    _check_domain(example_id, x)
-    px = (f.P @ x[..., None])[..., 0]
-    if f.variant == "flat":
-        grad = 2.0 * px + 2.0 * f.p
-    else:
-        # the gradient of spaceform.quadric_gradient, with its check
-        tol = default_tol()
-        radius = np.maximum(1.0, np.abs(x).max(axis=-1) ** 2)
-        if (np.abs(_inner_rows(x, x, f.s) - 1.0) > max(tol, 1e-7) * radius).any():
-            raise DomainError("sphere-variant gradient needs a point on the unit sphere")
-        pxx = _inner_rows(px, x, f.s)
-        grad = 2.0 * px - 2.0 * pxx[..., None] * x
-    phi = _inner_rows(grad, grad, f.s)
+    grad = quadric_gradient(f, x)
+    phi = ambient_inner(grad, grad, f.s)
     if (np.abs(phi) < 1e-12).any():
         raise DomainError("level value is not regular at this point")
-    xi = grad / np.sqrt(np.abs(phi))[..., None]
+    norm = np.sqrt(np.abs(phi))
+    xi = grad / (norm if x.ndim == 1 else norm[:, None])
     nu = (phi > 0) * 2 - 1  # the sign of <xi, xi> = phi / |phi|
+    jac = functools.partial(_level_jacobian, example_id, stack, x.shape + (-1,))
     if example_id in _EXPLICIT_FRAMES:
         frame, shape = _EXPLICIT_FRAMES[example_id](x, anchor_variant)
         shape = _batch(shape, x)
-
-        def jac():
-            return _coordinate_tangent_frame(example_id, stack).reshape(frame.shape)
     else:
-        jac = frame = _coordinate_tangent_frame(example_id, stack).reshape(x.shape + (-1,))
+        jac = frame = jac()
         if example_id == "a":
             shape = _batch(np.eye(4), x)
         else:  # e, f, j: diagonalizable, no displayed frame
-            shape = _sphere_shapes(ls, x, jac, pxx, phi, nu, tol)
+            shape = _sphere_shapes(ls, x, phi, frame)
     return FrameData(
         point=x,
         frame=frame,
@@ -1045,7 +1041,7 @@ def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0):
             q = anchor[free] + rng.uniform(-0.2, 0.2, size=len(free))
             try:
                 x = _level_chart(example_id, q[None])[0]
-                _check_domain(example_id, x, tol=5e-2)
+                _check_domain(example_id, x, margin=5e-2)
             except DomainError:
                 continue
             out.append(q)

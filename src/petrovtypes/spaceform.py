@@ -38,15 +38,29 @@ def inner_matrix(n: int, s: int) -> np.ndarray:
     return np.diag(d)
 
 
-def ambient_inner(u, v, s: int) -> float:
-    """Pseudo-inner product <u, v>_s: the first s coordinates count negative."""
+def ambient_inner(u, v, s: int):
+    """Pseudo-inner product <u, v>_s: the first s coordinates count negative.
+
+    Two vectors (n,) give a float.  Two stacks (k, n) give the k row products
+    as an array; each row product is a (1, n) @ (n, 1) matmul, which numpy
+    hands to the same BLAS dot as the vector product, so a row agrees with
+    the vector call bit for bit."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ShapeError("ambient_inner needs two vectors of equal length")
-    if not 0 <= s <= u.shape[0]:
-        raise ShapeError(f"index {s} out of range for dimension {u.shape[0]}")
-    return float(-u[:s] @ v[:s] + u[s:] @ v[s:])
+    if u.shape != v.shape or u.ndim not in (1, 2):
+        raise ShapeError("ambient_inner needs two vectors, or two stacks of vectors, of equal shape")
+    if not 0 <= s <= u.shape[-1]:
+        raise ShapeError(f"index {s} out of range for dimension {u.shape[-1]}")
+    if u.ndim == 1:
+        return float(-u[:s] @ v[:s] + u[s:] @ v[s:])
+    neg = u[:, None, :s] @ v[:, :s, None]
+    pos = u[:, None, s:] @ v[:, s:, None]
+    return (-neg + pos)[:, 0, 0]
+
+
+def _matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x for a vector x (n,), and for each row of a stack (k, n)."""
+    return mat @ x if x.ndim == 1 else (mat @ x[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -163,18 +177,21 @@ class QuadricFunction:
 
 
 def quadric_gradient(f: QuadricFunction, x, tol: float | None = None) -> np.ndarray:
-    """Ambient (flat) or tangential (sphere) gradient of the quadric."""
-    tol = default_tol() if tol is None else tol
+    """Ambient (flat) or tangential (sphere) gradient of the quadric at a
+    point x (n,), or at each row of a stack (k, n)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (f.dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != f.dim:
         raise ShapeError("point dimension mismatch")
+    px = _matvec(f.P, x)
     if f.variant == "flat":
-        return 2.0 * (f.P @ x) + 2.0 * f.p
+        return 2.0 * px + 2.0 * f.p
+    tol = default_tol() if tol is None else tol
     norm2 = ambient_inner(x, x, f.s)
-    if abs(norm2 - 1.0) > max(tol, 1e-7) * max(1.0, float(np.abs(x).max()) ** 2):
+    radius = np.maximum(1.0, np.abs(x).max(axis=-1) ** 2)
+    if (np.abs(norm2 - 1.0) > max(tol, 1e-7) * radius).any():
         raise DomainError("sphere-variant gradient needs a point on the unit sphere")
-    px = f.P @ x
-    return 2.0 * px - 2.0 * ambient_inner(px, x, f.s) * x
+    pxx = ambient_inner(px, x, f.s)
+    return 2.0 * px - 2.0 * (pxx if x.ndim == 1 else pxx[:, None]) * x
 
 
 def admissibility_check(
@@ -249,6 +266,41 @@ def regular_level_value(f: QuadricFunction, tol: float | None = None) -> float:
     return 4.0 * (a * c + b - c * c)
 
 
+def sphere_level_operator(f: QuadricFunction, x, phi, tol: float | None = None):
+    """The operator (cE - P)/sqrt(-delta*mu_P(c)) of a sphere-variant level
+    set and delta, the causal sign of the gradient, at a point x (n,) with
+    phi = <grad, grad>, or at a stack (k, n) with phi (k,), where the
+    operators are (k, n, n) and delta is an integer array.  Checks at every
+    point that it lies on the level set c and that phi and -delta*mu_P(c)
+    are nonzero."""
+    tol = default_tol() if tol is None else tol
+    if f.variant != "sphere":
+        raise DomainError("shape-operator formula applies to the sphere variant")
+    x = np.asarray(x, dtype=float)
+    level = ambient_inner(_matvec(f.P, x), x, f.s)  # f(x) = <Px, x>
+    if (np.abs(level - f.c) > max(tol, 1e-7) * max(1.0, abs(f.c))).any():
+        raise DomainError("point is not on the requested level set")
+    if (np.abs(phi) <= max(tol, 1e-9)).any():
+        raise DomainError("level value outside the regular range: <grad, grad> = 0")
+    delta = (np.asarray(phi) > 0) * 2 - 1
+    a, b = quadratic_minimal_data(f, tol)
+    mu_c = f.c * f.c - a * f.c - b
+    if (-delta * mu_c <= 0).any():
+        raise DomainError("degenerate level: -delta * mu_P(c) must be positive")
+    op = (f.c * np.eye(f.dim) - f.P) / np.sqrt(-delta * mu_c)[..., None, None]
+    return op, delta if delta.ndim else int(delta)
+
+
+def check_invariant(basis: np.ndarray, rep: np.ndarray, image: np.ndarray, tol: float) -> None:
+    """basis @ rep reproduces image, the operator applied to the basis: the
+    tangent basis is invariant under it.  Each argument may carry a leading
+    stack axis, and every matrix of the stack is checked."""
+    misfit = np.abs(basis @ rep - image).max(axis=(-2, -1))
+    scale = np.maximum(np.abs(image).max(axis=(-2, -1)), 1.0)
+    if (misfit > max(tol, 1e-7) * scale).any():
+        raise ToleranceError("tangent basis is not invariant under the operator")
+
+
 def sphere_shape_operator(
     f: QuadricFunction,
     x,
@@ -261,30 +313,15 @@ def sphere_shape_operator(
     tangent basis, together with delta, the causal sign of the gradient.
     """
     tol = default_tol() if tol is None else tol
-    if f.variant != "sphere":
-        raise DomainError("shape-operator formula applies to the sphere variant")
     x = np.asarray(x, dtype=float)
     basis = to_float(tangent_basis)
-    n = f.dim
-    if basis.shape[0] != n:
+    if basis.shape[0] != f.dim:
         raise ShapeError("tangent basis rows must match the ambient dimension")
-    if abs(f.value(x) - f.c) > max(tol, 1e-7) * max(1.0, abs(f.c)):
-        raise DomainError("point is not on the requested level set")
     grad = quadric_gradient(f, x, tol)
-    phi = ambient_inner(grad, grad, f.s)
-    if abs(phi) <= max(tol, 1e-9):
-        raise DomainError("level value outside the regular range: <grad, grad> = 0")
-    delta = 1 if phi > 0 else -1
-    a, b = quadratic_minimal_data(f, tol)
-    mu_c = f.c * f.c - a * f.c - b
-    if -delta * mu_c <= 0:
-        raise DomainError("degenerate level: -delta * mu_P(c) must be positive")
-    op = (f.c * np.eye(n) - f.P) / np.sqrt(-delta * mu_c)
+    op, delta = sphere_level_operator(f, x, ambient_inner(grad, grad, f.s), tol)
     image = op @ basis
     rep, residual, *_ = np.linalg.lstsq(basis, image, rcond=None)
-    back = basis @ rep
-    if np.abs(back - image).max() > max(tol, 1e-7) * max(np.abs(image).max(), 1.0):
-        raise ToleranceError("tangent basis is not invariant under the operator")
+    check_invariant(basis, rep, image, tol)
     return rep, delta
 
 

@@ -22,7 +22,10 @@ together: the Gauss check on the 41 (or 13) offsets of two nested
 differences, taking its shape operator at p from the same call; the Codazzi
 check on the 1 + 2m offsets of one, turning all 1 + 2m shapes into chart
 coordinates at once; the shape check on p and its 2m neighbours p +- h e_i,
-of which it reads only the normals.  The tensor contractions are einsum
+of which it reads only the normals.  Every point of a check therefore has to
+pass the domain and consistency checks of catalog.evaluate.  curvature_data
+reads no frame data and fetches its 41 (or 13) Jacobians with one
+catalog.chart_jacobian call instead.  The tensor contractions are einsum
 calls.
 """
 
@@ -91,19 +94,28 @@ def _offsets(m: int, reach: int) -> tuple[tuple, ...]:
 class _Stencil:
     """Chart data at the points p + h*o around p, keyed by the integer offset
     vector o.  Every offset that `reach` nested differences need is fetched
-    up front, with one catalog.evaluate call on the (k, m) stack of points:
-    one chart solve gives the Jacobians, and with them the metrics, and the
-    frame data at every offset."""
+    up front, in one call on the (k, m) stack of points that solves the chart
+    once.  With frames, that call is catalog.evaluate, which gives the
+    Jacobians, and with them the metrics, and the frame data at every offset,
+    so every point of the stencil must pass its checks.  Without, it is
+    catalog.chart_jacobian, and the stencil has metrics only."""
 
-    def __init__(self, example_id: str, p: np.ndarray, a: float, h: float, reach: int):
+    def __init__(
+        self, example_id: str, p: np.ndarray, a: float, h: float, reach: int,
+        frames: bool = True,
+    ):
         self.h = h
         self.origin = (0,) * p.shape[0]
         offsets = _offsets(p.shape[0], reach)
-        self.frames = catalog.evaluate(example_id, p + h * np.array(offsets, dtype=float), a=a)
+        points = p + h * np.array(offsets, dtype=float)
+        if frames:
+            self.frames = catalog.evaluate(example_id, points, a=a)
+            jacs = self.frames.jacobian
+        else:
+            jacs = catalog.chart_jacobian(example_id, points, a=a)
         self._row = {o: i for i, o in enumerate(offsets)}
         amb = catalog.ambient_of(example_id)
         g = inner_matrix(amb.embedding_dim, amb.embedding_index)
-        jacs = self.frames.jacobian
         self._metric = jacs.transpose(0, 2, 1) @ g @ jacs
 
     def at(self, o: tuple) -> catalog.FrameData:
@@ -158,11 +170,12 @@ def _curvature(st: _Stencil) -> CurvatureData:
 
 
 def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -> CurvatureData:
-    """Metric, Christoffel symbols, and curvature components at p."""
+    """Metric, Christoffel symbols, and curvature components at p, from the
+    chart Jacobians alone."""
     p = np.asarray(p, dtype=float)
     if h is None:
         h = CONFIG["curvature_h"]
-    return _curvature(_Stencil(example_id, p, a, h, reach=2))
+    return _curvature(_Stencil(example_id, p, a, h, reach=2, frames=False))
 
 
 def _shape_in_coordinates(frame: np.ndarray, shape: np.ndarray, jac: np.ndarray) -> np.ndarray:

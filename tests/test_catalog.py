@@ -1,10 +1,14 @@
 """Catalog of isoparametric hypersurface examples: frames, shapes, types."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from petrovtypes.catalog import (
     EXAMPLE_IDS,
+    FrameData,
     ambient_of,
     catalog_summary,
     chart,
@@ -315,3 +319,38 @@ def test_anchor_variant_raises_off_h_and_i(ex_id):
         evaluate(ex_id, p, anchor_variant=True)
     with pytest.raises(DomainError, match="anchor_variant"):
         evaluate(ex_id, np.array([p, p]), anchor_variant=True)
+
+
+_H_SINGULAR = np.array([0.0, 0.0, 1 / np.sqrt(2), 1 / np.sqrt(2)])
+
+
+@pytest.mark.parametrize("ex_id", ["h", "i"])
+def test_chart_rejects_the_singular_set_of_h_and_i(ex_id):
+    # the Newton solve of these charts is singular where x2 + x5 = 0 and
+    # stops near it with a finite point; every chart-level call refuses it
+    rows = np.array(sample_domain(ex_id, 3, seed=13) + [_H_SINGULAR])
+    for fun in (chart, chart_jacobian, evaluate):
+        with pytest.raises(DomainError, match="x2 \\+ x5"):
+            fun(ex_id, _H_SINGULAR)
+    for fun in (chart_jacobian, evaluate):
+        with pytest.raises(DomainError, match="x2 \\+ x5"):
+            fun(ex_id, rows)
+
+
+@pytest.mark.parametrize("ex_id", ["a", "e", "h", "k"])
+def test_frame_data_pickles_and_copies(ex_id):
+    rows = np.array(sample_domain(ex_id, 3, seed=5))
+    stacked = evaluate(ex_id, rows)
+    for fd in (evaluate(ex_id, rows[0]), stacked, stacked.row(1)):
+        for other in (pickle.loads(pickle.dumps(fd)), copy.deepcopy(fd)):
+            assert np.array_equal(other.frame, fd.frame)
+            assert np.array_equal(other.jacobian, fd.jacobian)
+    assert np.array_equal(stacked.row(2).jacobian, chart_jacobian(ex_id, rows[2]))
+
+
+def test_frame_data_without_jacobian():
+    fd = evaluate("e", sample_domain("e", 1)[0])
+    bare = FrameData(fd.point, fd.frame, fd.normal, fd.shape, fd.gram, fd.nu)
+    assert np.array_equal(bare.shape, fd.shape)
+    with pytest.raises(ValueError, match="without a chart Jacobian"):
+        bare.jacobian

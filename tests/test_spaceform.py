@@ -37,6 +37,17 @@ def test_ambient_inner_bilinear():
     assert ambient_inner(u, v, 1) == pytest.approx(1.0 + 0.0 + 6.0)
 
 
+def test_ambient_inner_on_stacks_matches_rows():
+    rng = np.random.default_rng(1)
+    u, v = rng.normal(size=(2, 7, 5))
+    rows = ambient_inner(u, v, 2)
+    assert rows.shape == (7,)
+    assert all(rows[i] == ambient_inner(u[i], v[i], 2) for i in range(7))
+    for bad in ((u, v[0]), (u[None], v[None])):
+        with pytest.raises(ShapeError):
+            ambient_inner(*bad, 2)
+
+
 def test_space_form_embedding_data():
     s = SpaceForm(5, 3, 1)
     assert s.embedding_dim == 6 and s.embedding_index == 3
@@ -80,6 +91,25 @@ def test_sphere_gradient_needs_unit_point():
     f = QuadricFunction("sphere", 2, p_mat, 0.0)
     with pytest.raises(DomainError):
         quadric_gradient(f, np.full(6, 2.0))
+
+
+def test_gradient_on_stacks_matches_rows():
+    sphere = QuadricFunction("sphere", 2, np.kron(np.eye(3), _anti(2)), 0.0)
+    flat = QuadricFunction("flat", 1, -np.eye(3), -1.0, np.array([0.5, 0.0, 1.0]))
+    rng = np.random.default_rng(2)
+    on_sphere = rng.normal(size=(6, 6))
+    on_sphere /= np.sqrt(np.abs(ambient_inner(on_sphere, on_sphere, 2)))[:, None]
+    on_sphere = on_sphere[ambient_inner(on_sphere, on_sphere, 2) > 0]
+    assert len(on_sphere) >= 2
+    for f, xs in ((sphere, on_sphere), (flat, rng.normal(size=(5, 3)))):
+        grads = quadric_gradient(f, xs)
+        assert grads.shape == xs.shape
+        for x, grad in zip(xs, grads):
+            assert np.abs(grad - quadric_gradient(f, x)).max() <= 1e-14
+    with pytest.raises(DomainError):
+        quadric_gradient(sphere, np.vstack([on_sphere, np.full(6, 2.0)]))
+    with pytest.raises(ShapeError):
+        quadric_gradient(flat, np.zeros((2, 2, 3)))
 
 
 def test_admissibility_scalar_matrix():

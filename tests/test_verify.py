@@ -289,3 +289,17 @@ def test_stacked_shape_fd_matches_loop_oracle(ex_id):
     h = CONFIG["shape_h"]
     for p in sample_domain(ex_id, 2, seed=73):
         assert abs(shape_fd_check(ex_id, p).residual - _oracle_shape_fd(ex_id, p, 1.0, h)) <= 1e-10
+
+
+@pytest.mark.parametrize("ex_id", catalog.EXAMPLE_IDS)
+def test_curvature_data_needs_only_the_chart_jacobian(ex_id, monkeypatch):
+    p = sample_domain(ex_id, 1, seed=29)[0]
+    expected = curvature_data(ex_id, p)
+
+    def no_frames(*args, **kwargs):
+        raise AssertionError("curvature_data evaluated frame data")
+
+    monkeypatch.setattr(catalog, "evaluate", no_frames)
+    data = curvature_data(ex_id, p)
+    for name in ("metric", "christoffel", "curvature"):
+        assert np.array_equal(getattr(data, name), getattr(expected, name))
