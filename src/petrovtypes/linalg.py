@@ -276,14 +276,17 @@ def generalized_eigenspace(a: np.ndarray, lam, mult: int) -> np.ndarray:
     """Orthonormal columns spanning the mult-dimensional kernel of (a - lam I)^mult.
 
     The dimension is taken from the eigenvalue cluster, so no rank threshold is
-    needed: the mult smallest right singular directions are returned.
+    needed: the mult smallest right singular directions of the power are
+    returned.  A cluster holding all n eigenvalues (a = lam I included) spans
+    the whole space and gets the identity; a simple cluster gets the last
+    right singular direction of (a - lam I) itself.
     """
     n = a.shape[0]
-    shifted = a - lam * np.eye(n, dtype=a.dtype)
-    norm = np.linalg.norm(shifted, 2)
-    if norm == 0:
-        return np.eye(n, dtype=a.dtype)[:, :mult]
-    power = np.linalg.matrix_power(shifted / norm, mult)
+    if mult == n:
+        return np.eye(n, dtype=a.dtype)
+    power = a - lam * np.eye(n, dtype=a.dtype)
+    if mult > 1:  # scaled to norm 1 so that the power cannot overflow
+        power = np.linalg.matrix_power(power / np.linalg.norm(power, 2), mult)
     _u, _s, vh = np.linalg.svd(power)
     return vh.conj().T[:, n - mult :]
 
@@ -296,8 +299,9 @@ def jordan_rank_profile(
 
     Kernel dimensions are grown as a staircase, ker N^(k+1) = preimage of
     ker N^k, so every rank decision is one SVD of the unpowered N and never
-    suffers the decay of explicit matrix powers.  ``basis`` is
-    ``generalized_eigenspace(a, lam, mult)`` when the caller already has it.
+    suffers the decay of explicit matrix powers; a simple cluster's 1x1 N
+    needs no SVD at all.  ``basis`` is ``generalized_eigenspace(a, lam,
+    mult)`` when the caller already has it.
     """
     n = a.shape[0]
     if mult == n:
@@ -306,8 +310,12 @@ def jordan_rank_profile(
         q = generalized_eigenspace(a, lam, mult) if basis is None else basis
         nil = q.conj().T @ (a - lam * np.eye(n, dtype=a.dtype)) @ q
     cut = max(tol, RANK_TOL)
-    # the first staircase step is the SVD of N itself, which also gives |N|_2
-    _u, sv, vh = np.linalg.svd(nil)
+    # the first staircase step is the SVD of N itself, which also gives |N|_2;
+    # a 1x1 N is its own singular value
+    if mult == 1:
+        sv, vh = np.abs(nil[0]), np.ones((1, 1))
+    else:
+        _u, sv, vh = np.linalg.svd(nil)
     norm = sv[0]
     if norm <= cut:
         return [mult] + [0] * mult

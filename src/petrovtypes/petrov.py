@@ -6,6 +6,11 @@ signed anti-diagonal blocks.  The sign attached to each real block is part of
 the invariant data and drives the type labels.  Each eigenvalue cluster's
 generalized eigenspace is computed once and shared by the rank staircase that
 sizes its blocks and the chain extraction that builds its basis.
+
+Simple clusters (one 1-block) and clusters spanning the whole space take fast
+paths with the same decisions: one SVD for the eigenvector v, no eigensolver,
+and the sign read from B(v, v), which is the whole sign characteristic of a
+simple real eigenvalue; the identity basis for the whole space.
 """
 
 from __future__ import annotations
@@ -108,27 +113,6 @@ class GeometricType:
         return {"index": self.index, "label": self.label}
 
 
-def anti_identity(n: int) -> np.ndarray:
-    return np.fliplr(np.eye(n))
-
-
-def jordan_block(lam: float, m: int) -> np.ndarray:
-    return lam * np.eye(m) + np.diag(np.ones(m - 1), 1)
-
-
-def companion_chain_block(alpha: float, beta: float, m: int) -> np.ndarray:
-    """2m x 2m block: companion 2x2 cells on the diagonal, identity cells above."""
-    c = np.array([[alpha, -beta], [beta, alpha]])
-    out = np.kron(np.eye(m), c) + np.kron(np.diag(np.ones(m - 1), 1), np.eye(2))
-    return out
-
-
-def companion_gram_block(m: int) -> np.ndarray:
-    """2m x 2m Gram: diag(-1, 1) cells along the block anti-diagonal."""
-    e = np.diag([-1.0, 1.0])
-    return np.kron(np.fliplr(np.eye(m)), e)
-
-
 def jordan_structure(
     a: np.ndarray, tol: float | None = None
 ) -> tuple[JordanStructure, list[np.ndarray]]:
@@ -198,8 +182,8 @@ def _normal_matrices(
         raise ContractError(
             f"need {n_real_blocks} signs for the real blocks, got {len(signs)}"
         )
-    blocks_a: list[np.ndarray] = []
-    blocks_g: list[np.ndarray] = []
+    a, g = np.zeros((2, structure.dim, structure.dim))
+    at = 0  # first row of the next block
     i = 0
     for lam, sizes in structure.real_blocks:
         segment = list(zip(sizes, signs[i : i + len(sizes)]))
@@ -209,24 +193,26 @@ def _normal_matrices(
         for m, eps in segment:
             if eps not in (-1, 1):
                 raise ContractError("signs must be +-1")
-            blocks_a.append(jordan_block(lam, m))
-            blocks_g.append(eps * anti_identity(m))
+            # Jordan block J_m(lam), Gram eps times the anti-identity
+            idx = np.arange(at, at + m)
+            a[idx, idx] = lam
+            a[idx[:-1], idx[1:]] = 1.0
+            g[idx, idx[::-1]] = eps
+            at += m
     for alpha, beta, sizes in structure.complex_blocks:
         for m in sizes:
-            blocks_a.append(companion_chain_block(alpha, beta, m))
-            blocks_g.append(companion_gram_block(m))
-    return _direct_sum(blocks_a), _direct_sum(blocks_g)
-
-
-def _direct_sum(blocks: list[np.ndarray]) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    i = 0
-    for b in blocks:
-        m = b.shape[0]
-        out[i : i + m, i : i + m] = b
-        i += m
-    return out
+            # companion cells [[alpha, -beta], [beta, alpha]], identity cells
+            # above them, Gram cells diag(-1, 1) on the block anti-diagonal
+            re = np.arange(at, at + 2 * m, 2)
+            im = re + 1
+            a[re, re] = a[im, im] = alpha
+            a[re, im] = -beta
+            a[im, re] = beta
+            a[re[:-1], re[1:]] = a[im[:-1], im[1:]] = 1.0
+            g[re, re[::-1]] = -1.0
+            g[im, im[::-1]] = 1.0
+            at += 2 * m
+    return a, g
 
 
 def petrov_normal_form(
@@ -325,7 +311,8 @@ def _pick_chain_generator(powers, g, active, m, tol, complex_mode):
         # active has real span; form is symmetric up to roundoff
         form = active.conj().T @ g @ powers[m - 1] @ active
         form_s = (form + form.T).real / 2.0
-        w, vecs = np.linalg.eigh(form_s)
+        # a 1x1 form is its own eigenvalue
+        w, vecs = (form_s[0], np.ones((1, 1))) if k == 1 else np.linalg.eigh(form_s)
         idx = int(np.argmax(np.abs(w)))
         theta = w[idx]
         scale = max(np.abs(form_s).max(), np.abs(powers[1]).max(), 1.0)

@@ -10,6 +10,7 @@ import numpy as np
 from petrovtypes.catalog import (
     EXAMPLE_IDS,
     evaluate,
+    expected_algebraic_epsilon,
     expected_type,
     sample_domain,
 )
@@ -19,6 +20,7 @@ from petrovtypes.petrov import (
     SelfAdjointPair,
     assemble_normal_pair,
     classify_geometric,
+    classify_pair,
     negative_index,
     petrov_normal_form,
 )
@@ -336,3 +338,40 @@ def test_criterion_9_negative_controls():
     ok = flips_1 and flips_4 and flips_7
     _report(9, "negative controls", ok)
     assert ok, (flips_1, flips_4, flips_7)
+
+
+def _labels(example_id, p):
+    fd = evaluate(example_id, p)
+    result = classify_pair(fd.shape, fd.gram)
+    return result["geometric"]["label"], expected_type(example_id, p).label
+
+
+def test_criterion_10_boundary_band_pinned():
+    # Near v = 0 (entry 0-1) and w = 0 (entry 0-2) the off-diagonal entry of
+    # one 2-block is sin(v) (sin(w)); the rank cut RANK_TOL = 1e-6 reads it as
+    # zero and splits the block into two 1-blocks.  Inside that band
+    # expected_type says II and IX-i (it switches at |sin| = 1e-12), so the
+    # pinned labels below are the known band, not the intended answer.
+    band = {k: ("I", "X") if k <= -6 else ("II", "IX-i") for k in range(-13, -3)}
+    got, stated = {}, {}
+    for k in band:
+        (l1, e1) = _labels("0-1", [0.3, 10.0**k])
+        (l2, e2) = _labels("0-2", [0.3, 0.2, 0.1, 10.0**k])
+        got[k], stated[k] = (l1, l2), (e1, e2)
+    ok = got == band
+    ok = ok and all(stated[k] == (("I", "X") if k == -13 else ("II", "IX-i")) for k in band)
+    _report(10, "0-1/0-2 boundary band", ok)
+    assert ok, (got, stated)
+
+
+def test_criterion_11_algebraic_epsilon_on_0_1():
+    points = sample_domain("0-1", 60, seed=3)
+    misses = []
+    for p in points:
+        fd = evaluate("0-1", p)
+        eps = classify_pair(fd.shape, fd.gram)["algebraic"]["epsilon"]
+        if eps != expected_algebraic_epsilon("0-1", p):
+            misses.append((tuple(p), eps))
+    ok = not misses
+    _report(11, "algebraic epsilon of entry 0-1", ok)
+    assert ok, misses

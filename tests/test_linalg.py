@@ -4,13 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_petrov import TAXONOMY_CASES, _congruences, _taxonomy_pair
 
+from petrovtypes.catalog import EXAMPLE_IDS, evaluate, sample_domain
 from petrovtypes.linalg import (
+    RANK_TOL,
     ClusterAmbiguityError,
     ShapeError,
+    ToleranceError,
     char_poly,
     default_tol,
     eigen_clusters,
+    generalized_eigenspace,
+    jordan_rank_profile,
     matrix_from_json,
     matrix_to_json,
     minimal_poly,
@@ -149,3 +155,79 @@ def test_eigen_clusters_ambiguous_gap_raises():
     a = np.diag([1.0, 1.0 + gap])
     with pytest.raises(ClusterAmbiguityError):
         eigen_clusters(a)
+
+
+def _oracle_generalized_eigenspace(a, lam, mult):
+    """generalized_eigenspace without its fast paths: the mult smallest right
+    singular directions of ((a - lam I) / |a - lam I|_2)^mult."""
+    n = a.shape[0]
+    shifted = a - lam * np.eye(n, dtype=a.dtype)
+    norm = np.linalg.norm(shifted, 2)
+    if norm == 0:
+        return np.eye(n, dtype=a.dtype)[:, :mult]
+    power = np.linalg.matrix_power(shifted / norm, mult)
+    _u, _s, vh = np.linalg.svd(power)
+    return vh.conj().T[:, n - mult :]
+
+
+def _oracle_simple_rank_profile(a, lam, tol):
+    """jordan_rank_profile(a, lam, 1, tol) by the SVD staircase on the oracle
+    basis: the SVD of the 1x1 restriction N gives |N|; a nonzero N is
+    normalized, and the staircase then finds no kernel unless 1 <= cut."""
+    q = _oracle_generalized_eigenspace(a, lam, 1)
+    nil = q.conj().T @ (a - lam * np.eye(a.shape[0], dtype=a.dtype)) @ q
+    cut = max(tol, RANK_TOL)
+    sv = np.linalg.svd(nil, compute_uv=False)
+    if sv[0] <= cut or (sv / sv[0])[0] <= cut:
+        return [1, 0]
+    raise ToleranceError("restriction is not numerically nilpotent")
+
+
+def _fast_path_inputs():
+    """Operators of the congruent taxonomy pairs and of 4 sample points of
+    every catalog entry."""
+    mats = []
+    for case in TAXONOMY_CASES:
+        base = _taxonomy_pair(case[3], case[4])
+        mats += [a for a, _g in _congruences(base, seed=TAXONOMY_CASES.index(case))]
+    for ex_id in EXAMPLE_IDS:
+        mats += [evaluate(ex_id, p).shape for p in sample_domain(ex_id, 4, seed=7)]
+    return mats
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ToleranceError:
+        return "ToleranceError"
+
+
+def test_generalized_eigenspace_fast_paths_match_oracle():
+    tol = default_tol()
+    seen = {"simple": 0, "whole": 0, "partial": 0}
+    for a in _fast_path_inputs():
+        n = a.shape[0]
+        for val, mult in eigen_clusters(a, tol):
+            if isinstance(val, tuple):
+                mat, lam = a.astype(complex), complex(*val)
+            else:
+                mat, lam = a, float(val)
+            got = generalized_eigenspace(mat, lam, mult)
+            if mult == n:
+                seen["whole"] += 1
+                assert np.array_equal(got, np.eye(n))
+            elif mult > 1:
+                seen["partial"] += 1
+                assert np.array_equal(got, _oracle_generalized_eigenspace(mat, lam, mult))
+            else:
+                seen["simple"] += 1
+                want = _oracle_generalized_eigenspace(mat, lam, 1)
+                assert got.shape == (n, 1)
+                assert abs(np.vdot(got[:, 0], want[:, 0])) >= 1.0 - 1e-10
+                # a shift just inside the rank cut keeps the 1-block, 1e-3 does not
+                for shift in (0.9 * RANK_TOL, -0.9 * RANK_TOL, 1e-3, -1e-3):
+                    mu = lam + shift
+                    fast = _outcome(lambda: jordan_rank_profile(mat, mu, 1, tol))
+                    assert fast == _outcome(lambda: _oracle_simple_rank_profile(mat, mu, tol))
+                    assert fast == ([1, 0] if abs(shift) < RANK_TOL else "ToleranceError")
+    assert min(seen.values()) > 0, seen
