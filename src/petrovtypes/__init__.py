@@ -4,8 +4,10 @@ examples in pseudo-Riemannian space forms."""
 
 from . import catalog, cli, linalg, petrov, spaceform, verify
 from .linalg import (
+    BadToleranceError,
     BilinearSpace,
     ClusterAmbiguityError,
+    DegenerateGramError,
     ShapeError,
     ToleranceError,
     char_poly,

@@ -22,9 +22,12 @@ import numpy as np
 
 from . import catalog, verify
 from .linalg import (
+    BadToleranceError,
     ClusterAmbiguityError,
+    DegenerateGramError,
     ShapeError,
     ToleranceError,
+    checked_tol,
     default_tol,
     matrix_from_json,
     matrix_to_json,
@@ -68,7 +71,7 @@ def _parse_point(text: str, expected: int) -> np.ndarray:
 
 
 def _cmd_classify(args) -> int:
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = checked_tol(args.tol, "--tol") if args.tol is not None else default_tol()
     try:
         with open(args.input) as fh:
             obj = json.load(fh)
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify an operator/Gram pair from JSON")
     p_cls.add_argument("--input", required=True, help='JSON file with "a" and "gram"')
-    p_cls.add_argument("--tol", type=float, default=None, help="tolerance override")
+    p_cls.add_argument("--tol", default=None, help="tolerance override, positive and finite")
     p_cls.add_argument("--json", action="store_true", help="JSON output")
     p_cls.set_defaults(func=_cmd_classify)
 
@@ -252,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--json", action="store_true", help="JSON output")
     p_ver.add_argument(
         "--timings", action="store_true",
-        help="add each check's wall time, summed over samples (time_ms)",
+        help="add each check's wall time, summed over samples (time_ms); "
+        "gauss and codazzi share one chart solve per sample, counted toward gauss",
     )
     p_ver.set_defaults(func=_cmd_verify)
 
@@ -268,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 # options whose value is a number or a comma list of numbers
 _NUMERIC_OPTIONS = ("--tol", "--point", "--a", "--h")
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Write "--h -1e-3" as "--h=-1e-3".  argparse takes a word that starts
     with "-" for an option unless it is a plain negative number, so a value
-    in exponent or comma-list form would never reach the option."""
+    in exponent or comma-list form, or -inf, would never reach the option."""
     out: list[str] = []
     for word in argv:
         if out and out[-1] in _NUMERIC_OPTIONS and _NEGATIVE_VALUE.match(word):
@@ -294,7 +298,9 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (
+        BadToleranceError,
         CliError,
+        DegenerateGramError,
         ShapeError,
         ToleranceError,
         ClusterAmbiguityError,

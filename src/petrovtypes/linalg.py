@@ -30,10 +30,30 @@ class ClusterAmbiguityError(ToleranceError):
     """Two eigenvalue clusters are too close to separate at the given tol."""
 
 
+class DegenerateGramError(ValueError):
+    """The Gram matrix has a null direction, so it is not an inner product."""
+
+
+class BadToleranceError(ValueError):
+    """A tolerance that is not a positive finite number."""
+
+
+def checked_tol(value, source: str) -> float:
+    """value as a float if it is a positive finite number; otherwise
+    BadToleranceError naming its source."""
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = np.nan
+    if np.isfinite(tol) and tol > 0:
+        return tol
+    raise BadToleranceError(f"{source} must be a positive finite number, got {value!r}")
+
+
 def default_tol() -> float:
     """Tolerance for algebraic predicates; PETROV_TOL overrides."""
     env = os.environ.get("PETROV_TOL")
-    return float(env) if env else DEFAULT_TOL
+    return checked_tol(env, "PETROV_TOL") if env else DEFAULT_TOL
 
 
 def is_exact(a: np.ndarray) -> bool:
@@ -83,7 +103,7 @@ class BilinearSpace:
         n = _require_square(gram, "gram")
         pos, neg, null = signature(gram, tol)
         if null:
-            raise ValueError("gram matrix is degenerate")
+            raise DegenerateGramError("gram matrix is degenerate")
         return cls(dim=n, gram=gram, signature=(pos, neg))
 
     def inner(self, u: np.ndarray, v: np.ndarray):
@@ -127,10 +147,8 @@ def _signature_exact(gram: np.ndarray) -> tuple[int, int, int]:
                 break
             i, j = pair
             # (e_i + e_j) has nonzero square; fold j into i
-            for k in range(n):
-                g[i, k] = g[i, k] + g[j, k]
-            for k in range(n):
-                g[k, i] = g[k, i] + g[k, j]
+            g[i, :] = g[i, :] + g[j, :]
+            g[:, i] = g[:, i] + g[:, j]
             piv = i
         d = g[piv, piv]
         if d > 0:
@@ -141,10 +159,8 @@ def _signature_exact(gram: np.ndarray) -> tuple[int, int, int]:
         for i in list(idx):
             if g[i, piv] != 0:
                 f = g[i, piv] / d
-                for k in range(n):
-                    g[i, k] = g[i, k] - f * g[piv, k]
-                for k in range(n):
-                    g[k, i] = g[k, i] - f * g[k, piv]
+                g[i, :] = g[i, :] - f * g[piv, :]
+                g[:, i] = g[:, i] - f * g[:, piv]
     return pos, neg, null
 
 
@@ -176,18 +192,12 @@ def char_poly(a: np.ndarray) -> np.ndarray:
         # Faddeev-LeVerrier: M_0 = I, c_n = 1; M_k = A M_{k-1} + c_{n-k+1} I
         coeffs = [Fraction(0)] * (n + 1)
         coeffs[n] = Fraction(1)
-        m = np.array(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
-            dtype=object,
-        )
+        m = _exact_identity(n)
         for k in range(1, n + 1):
             am = a @ m
             c = -sum(am[i, i] for i in range(n)) / k
             coeffs[n - k] = c
-            m = am + c * np.array(
-                [[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
-                dtype=object,
-            )
+            m = am + c * _exact_identity(n)
         return np.array(coeffs, dtype=object)
     clusters = eigen_clusters(a)
     roots: list[complex] = []
@@ -235,13 +245,7 @@ def minimal_poly(a: np.ndarray, tol: float | None = None) -> np.ndarray:
 def _minimal_poly_exact(a: np.ndarray) -> np.ndarray:
     """Least-degree monic annihilator via exact Krylov elimination."""
     n = a.shape[0]
-    powers = [
-        np.array(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
-            dtype=object,
-        )
-    ]
-    rows: list[list[Fraction]] = []
+    powers = [_exact_identity(n)]
     pivots: dict[int, list[Fraction]] = {}
     for deg in range(n + 1):
         vec = list(powers[-1].reshape(-1)) + [Fraction(0)] * (n + 1)
@@ -257,9 +261,12 @@ def _minimal_poly_exact(a: np.ndarray) -> np.ndarray:
             top = coeffs[deg]
             return np.array([c / top for c in coeffs], dtype=object)
         pivots[lead] = vec
-        rows.append(vec)
         powers.append(a @ powers[-1])
     raise RuntimeError("unreachable: Cayley-Hamilton bounds the degree")
+
+
+def _exact_identity(n: int) -> np.ndarray:
+    return np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)
 
 
 def _poly_eval_matrix(poly: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -13,20 +13,18 @@ coordinates.
 
 The curvature checks use nested central differences with the step h: the
 Christoffel symbols come from differences of the metric, and the curvature
-from differences of the Christoffel symbols.  The nested stencil reaches the
-points p + h*o for integer offset vectors o, many of them more than once (81
-reaches but 41 distinct offsets in four coordinates, 13 in two).  Each check
-makes one stacked catalog.evaluate call on all of its distinct points, which
-solves the chart once and returns the Jacobians, frames, normals and shapes
-together: the Gauss check on the 41 (or 13) offsets of two nested
-differences, taking its shape operator at p from the same call; the Codazzi
-check on the 1 + 2m offsets of one, turning all 1 + 2m shapes into chart
-coordinates at once; the shape check on p and its 2m neighbours p +- h e_i,
-of which it reads only the normals.  Every point of a check therefore has to
-pass the domain and consistency checks of catalog.evaluate.  curvature_data
-reads no frame data and fetches its 41 (or 13) Jacobians with one
-catalog.chart_jacobian call instead.  The tensor contractions are einsum
-calls.
+from differences of the Christoffel symbols.  A check runs on the stencil of
+points p + h*o, o an integer offset: the 41 (13 in two coordinates) of two
+nested differences for Gauss, the 1 + 2m of one for Codazzi and the shape
+check.  Each stencil is one stacked catalog.evaluate call, which solves the
+chart once and returns the Jacobians, frames, normals and shapes together,
+so every point of it has to pass the domain and consistency checks of
+catalog.evaluate; curvature_data reads no frame data and calls
+catalog.chart_jacobian instead.  The rest is one array program over the
+stack: one batched inverse gives the Christoffel symbols at every centre,
+every derivative is a difference of a whole stack over index arrays, and the
+contractions are einsum calls.  run_checks shares one stencil per point
+between the Gauss and Codazzi checks.
 """
 
 from __future__ import annotations
@@ -78,88 +76,73 @@ class CurvatureData:
 
 
 @functools.cache
-def _offsets(m: int, reach: int) -> tuple[tuple, ...]:
-    """Integer offset vectors reached by `reach` nested central differences
-    in m coordinates: sums of `reach` steps, each 0 or +-e_l."""
-    origin = (0,) * m
-    steps = [origin] + [
-        tuple(sign * (i == l) for i in range(m)) for l in range(m) for sign in (1, -1)
+def _stencil_layout(m: int, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets of `reach` nested central differences in m coordinates, with
+    their difference rows.  The offsets o of the points p + h*o, a (k, m)
+    array, are the sums of `reach` steps 0 or +-e_l in the order the steps
+    first reach them: the first C are the centres, which `reach` - 1 steps
+    reach, and the first 1 + 2m are 0, e_1..e_m, -e_1..-e_m at every reach.
+    up[c, l] and down[c, l], (C, m), are the rows of c + e_l and c - e_l."""
+    steps = [(0,) * m] + [
+        tuple(sign * (i == l) for i in range(m)) for sign in (1, -1) for l in range(m)
     ]
-    reached = {origin}
+    offsets = steps[:1]
     for _ in range(reach):
-        reached = {tuple(map(sum, zip(o, step))) for o in reached for step in steps}
-    return tuple(sorted(reached))
+        centres = len(offsets)
+        offsets = list(dict.fromkeys(
+            tuple(map(sum, zip(o, step))) for o in offsets for step in steps
+        ))
+    row = {o: i for i, o in enumerate(offsets)}
+    near = np.array(
+        [[row[tuple(map(sum, zip(c, step)))] for step in steps[1:]] for c in offsets[:centres]]
+    )
+    return np.array(offsets, dtype=float), near[:, :m], near[:, m:]
 
 
 class _Stencil:
-    """Chart data at the points p + h*o around p, keyed by the integer offset
-    vector o.  Every offset that `reach` nested differences need is fetched
-    up front, in one call on the (k, m) stack of points that solves the chart
-    once.  With frames, that call is catalog.evaluate, which gives the
-    Jacobians, and with them the metrics, and the frame data at every offset,
-    so every point of the stencil must pass its checks.  Without, it is
-    catalog.chart_jacobian, and the stencil has metrics only."""
+    """Chart data on the (k, m) stack of points of a `reach` stencil, from one
+    call that solves the chart once: catalog.evaluate with frames, so every
+    point must pass its checks, and catalog.chart_jacobian, for the metrics
+    alone, without.  Derivatives are differences of whole stacks over the
+    index arrays of _stencil_layout."""
 
     def __init__(
         self, example_id: str, p: np.ndarray, a: float, h: float, reach: int,
         frames: bool = True,
     ):
+        offsets, self.up, self.down = _stencil_layout(p.shape[0], reach)
+        points = p + h * offsets
         self.h = h
-        self.origin = (0,) * p.shape[0]
-        offsets = _offsets(p.shape[0], reach)
-        points = p + h * np.array(offsets, dtype=float)
+        amb = catalog.ambient_of(example_id)
+        self.kappa = amb.curvature
+        self.g = inner_matrix(amb.embedding_dim, amb.embedding_index)
         if frames:
             self.frames = catalog.evaluate(example_id, points, a=a)
             jacs = self.frames.jacobian
         else:
             jacs = catalog.chart_jacobian(example_id, points, a=a)
-        self._row = {o: i for i, o in enumerate(offsets)}
-        amb = catalog.ambient_of(example_id)
-        g = inner_matrix(amb.embedding_dim, amb.embedding_index)
-        self._metric = jacs.transpose(0, 2, 1) @ g @ jacs
+        self.metric = jacs.transpose(0, 2, 1) @ self.g @ jacs
 
-    def at(self, o: tuple) -> catalog.FrameData:
-        return self.frames.row(self._row[o])
-
-    def metric(self, o: tuple) -> np.ndarray:
-        return self._metric[self._row[o]]
+    def diff(self, values: np.ndarray, c=slice(None)) -> np.ndarray:
+        """Central differences of values stacked over the rows, at the centres
+        c: out[c, l] = d_l values at centre c, or out[l] at one centre c."""
+        return (values[self.up[c]] - values[self.down[c]]) / (2 * self.h)
 
     @functools.cached_property
-    def _shapes(self) -> np.ndarray:
-        fd = self.frames
-        return _shape_in_coordinates(fd.frame, fd.shape, fd.jacobian)
-
-    def shape(self, o: tuple) -> np.ndarray:
-        """Shape operator in the chart-coordinate frame at offset o; the first
-        call computes it at every offset of the stencil at once."""
-        return self._shapes[self._row[o]]
-
-    def derivative(self, fun, o: tuple) -> np.ndarray:
-        """Central differences of fun at offset o, stacked along a new first
-        axis: out[l] = d_l fun."""
-        steps = []
-        for l in range(len(o)):
-            up = list(o)
-            down = list(o)
-            up[l] += 1
-            down[l] -= 1
-            steps.append(fun(tuple(up)) - fun(tuple(down)))
-        return np.array(steps) / (2 * self.h)
-
-    def christoffel(self, o: tuple) -> np.ndarray:
-        """gamma[k, i, j] for nabla_i d_j = gamma^k_ij d_k at offset o."""
-        dg = self.derivative(self.metric, o)  # dg[l, i, j] = d_l g_ij
-        ginv = np.linalg.inv(self.metric(o))
-        lowered = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-        return 0.5 * np.einsum("kn,ijn->kij", ginv, lowered)
+    def christoffel(self) -> np.ndarray:
+        """gamma[c, k, i, j] for nabla_i d_j = gamma^k_ij d_k at every centre c."""
+        dg = self.diff(self.metric)  # dg[c, l, i, j] = d_l g_ij
+        ginv = np.linalg.inv(self.metric[: len(self.up)])
+        lowered = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+        return 0.5 * np.einsum("ckn,cijn->ckij", ginv, lowered)
 
 
 def _curvature(st: _Stencil) -> CurvatureData:
     """Metric, Christoffel symbols, and curvature components at the centre of
     a reach-2 stencil."""
-    g0 = st.metric(st.origin)
-    gamma = st.christoffel(st.origin)
-    dgamma = st.derivative(st.christoffel, st.origin)  # dgamma[l, k, i, j] = d_l gamma^k_ij
+    g0 = st.metric[0]
+    gamma = st.christoffel[0]
+    dgamma = st.diff(st.christoffel, 0)  # dgamma[l, k, i, j] = d_l gamma^k_ij
     # R(d_i, d_j) d_k = riem_up[m, i, j, k] d_m with
     # riem_up[m, i, j, k] = half[m, i, j, k] - half[m, j, i, k] and
     # half[m, i, j, k] = d_i gamma^m_jk + gamma^m_in gamma^n_jk
@@ -173,17 +156,18 @@ def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -
     """Metric, Christoffel symbols, and curvature components at p, from the
     chart Jacobians alone."""
     p = np.asarray(p, dtype=float)
-    if h is None:
-        h = CONFIG["curvature_h"]
+    h = CONFIG["curvature_h"] if h is None else h
     return _curvature(_Stencil(example_id, p, a, h, reach=2, frames=False))
 
 
-def _shape_in_coordinates(frame: np.ndarray, shape: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """The shape matrix `shape`, given in the tangent frame `frame`, as a
-    matrix in the chart-coordinate frame whose columns are `jac`.  Each
-    argument may carry a leading stack axis."""
-    coef = np.linalg.pinv(frame) @ jac  # jac = frame @ coef
-    return np.linalg.solve(coef, shape @ coef)
+def _shape_in_coordinates(fd: catalog.FrameData, g: np.ndarray, rows=slice(None), shape=None):
+    """Shape matrices of the stack fd at `rows`, or `shape` in their place, in
+    the chart-coordinate frame, the Jacobian columns.  These lie in the span
+    of the frame, so their coefficients in it solve the frame Gram system
+    with the ambient inner product g exactly."""
+    frame, jac = fd.frame[rows], fd.jacobian[rows]
+    coef = np.linalg.solve(fd.gram[rows], frame.swapaxes(-1, -2) @ g @ jac)  # jac = frame @ coef
+    return np.linalg.solve(coef, (fd.shape[rows] if shape is None else shape) @ coef)
 
 
 def shape_fd_check(
@@ -193,26 +177,33 @@ def shape_fd_check(
     """Compare the central difference of the unit normal along each chart
     direction against minus the shape operator applied to that direction."""
     p = np.asarray(p, dtype=float)
-    if h is None:
-        h = CONFIG["shape_h"]
-    if threshold is None:
-        threshold = CONFIG["shape_threshold"]
-    m = p.shape[0]
-    steps = h * np.eye(m)
-    # p, then its neighbours p + h e_i, then p - h e_i, in one call
-    frames = catalog.evaluate(example_id, np.vstack([p, p + steps, p - steps]), a=a)
-    fd = frames.row(0)
-    dxi = (frames.normal[1 : m + 1] - frames.normal[m + 1 :]).T / (2 * h)
-    predicted = -fd.jacobian @ _shape_in_coordinates(fd.frame, fd.shape, fd.jacobian)
-    resid = dxi - predicted
-    if catalog.ambient_of(example_id).curvature != 0:
+    h = CONFIG["shape_h"] if h is None else h
+    threshold = CONFIG["shape_threshold"] if threshold is None else threshold
+    st = _Stencil(example_id, p, a, h, reach=1)
+    fd = st.frames
+    dxi = st.diff(fd.normal, 0).T  # dxi[:, l] = d_l xi
+    resid = dxi + fd.jacobian[0] @ _shape_in_coordinates(fd, st.g, 0)
+    if st.kappa != 0:
         # compare tangentially: the radial component of d(xi) is curvature of
         # the ambient sphere, not shape information
-        q, _ = np.linalg.qr(fd.frame)
+        q, _ = np.linalg.qr(fd.frame[0])
         resid = q @ (q.T @ resid)
     return ResidualReport(
         example_id, "shape_fd", (tuple(p),), float(np.abs(resid).max()), h, threshold
     )
+
+
+def _gauss(st: _Stencil, shape_override: np.ndarray | None = None) -> float:
+    """Largest Gauss-equation residual at the centre of a reach-2 stencil."""
+    data = _curvature(st)
+    a_coord = _shape_in_coordinates(st.frames, st.g, 0, shape_override)
+    g = data.metric
+    ag = g @ a_coord  # ag[i, j] = <d_i, A d_j>, symmetric by self-adjointness
+    # rhs[i, j, k, l] = kappa (g_jk g_il - g_ik g_jl) + nu (ag_jk ag_il - ag_ik ag_jl)
+    gg = np.einsum("jk,il->ijkl", g, g)
+    aa = np.einsum("jk,il->ijkl", ag, ag)
+    rhs = st.kappa * (gg - gg.swapaxes(0, 1)) + st.frames.nu[0] * (aa - aa.swapaxes(0, 1))
+    return float(np.abs(data.curvature - rhs).max())
 
 
 def gauss_residual(
@@ -222,26 +213,28 @@ def gauss_residual(
     """Gauss equation in chart coordinates: curvature of the induced metric
     against the constant-curvature term plus the shape-operator term."""
     p = np.asarray(p, dtype=float)
-    if h is None:
-        h = CONFIG["curvature_h"]
-    if threshold is None:
-        threshold = CONFIG["curvature_threshold"]
-    st = _Stencil(example_id, p, a, h, reach=2)
-    data = _curvature(st)
-    fd = st.at(st.origin)
-    shape = fd.shape if shape_override is None else shape_override
-    a_coord = _shape_in_coordinates(fd.frame, shape, fd.jacobian)
-    g = data.metric
-    ag = g @ a_coord  # ag[i, j] = <d_i, A d_j>, symmetric by self-adjointness
-    kappa = catalog.ambient_of(example_id).curvature
-    # rhs[i, j, k, l] = kappa (g_jk g_il - g_ik g_jl) + nu (ag_jk ag_il - ag_ik ag_jl)
-    gg = np.einsum("jk,il->ijkl", g, g)
-    aa = np.einsum("jk,il->ijkl", ag, ag)
-    rhs = kappa * (gg - gg.swapaxes(0, 1)) + fd.nu * (aa - aa.swapaxes(0, 1))
-    resid = np.abs(data.curvature - rhs).max()
-    return ResidualReport(
-        example_id, "gauss", (tuple(p),), float(resid), h, threshold
+    h = CONFIG["curvature_h"] if h is None else h
+    threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
+    resid = _gauss(_Stencil(example_id, p, a, h, reach=2), shape_override)
+    return ResidualReport(example_id, "gauss", (tuple(p),), resid, h, threshold)
+
+
+def _codazzi(st: _Stencil) -> float:
+    """Largest Codazzi-equation residual at the centre of a stencil, from its
+    first 1 + 2m rows, the reach-1 stencil."""
+    m = st.up.shape[1]
+    g0 = st.metric[0]
+    gamma = st.christoffel[0]
+    shapes = _shape_in_coordinates(st.frames, st.g, slice(1 + 2 * m))
+    a0 = shapes[0]
+    da = st.diff(shapes, 0)  # da[l] = d_l of the coordinate shape matrix
+    # term[i, j, k] = <nabla_i (A d_j), d_k> - <nabla_i d_j, A d_k>
+    term = (
+        np.einsum("inj,nk->ijk", da, g0)
+        + np.einsum("nj,qin,qk->ijk", a0, gamma, g0)
+        - np.einsum("nij,nk->ijk", gamma, g0 @ a0)
     )
+    return float(np.abs(term - term.swapaxes(0, 1)).max())
 
 
 def codazzi_residual(
@@ -251,25 +244,10 @@ def codazzi_residual(
     """Codazzi equation in chart coordinates: the covariant derivative
     expression is symmetric in its first two slots."""
     p = np.asarray(p, dtype=float)
-    if h is None:
-        h = CONFIG["curvature_h"]
-    if threshold is None:
-        threshold = CONFIG["curvature_threshold"]
-    st = _Stencil(example_id, p, a, h, reach=1)
-    g0 = st.metric(st.origin)
-    gamma = st.christoffel(st.origin)
-    a0 = st.shape(st.origin)
-    da = st.derivative(st.shape, st.origin)  # da[l] = d_l of the coordinate shape matrix
-    # term[i, j, k] = <nabla_i (A d_j), d_k> - <nabla_i d_j, A d_k>
-    term = (
-        np.einsum("inj,nk->ijk", da, g0)
-        + np.einsum("nj,qin,qk->ijk", a0, gamma, g0)
-        - np.einsum("nij,nk->ijk", gamma, g0 @ a0)
-    )
-    resid = np.abs(term - term.swapaxes(0, 1)).max()
-    return ResidualReport(
-        example_id, "codazzi", (tuple(p),), float(resid), h, threshold
-    )
+    h = CONFIG["curvature_h"] if h is None else h
+    threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
+    resid = _codazzi(_Stencil(example_id, p, a, h, reach=1))
+    return ResidualReport(example_id, "codazzi", (tuple(p),), resid, h, threshold)
 
 
 def _pseudo_orthonormal_tangent(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -366,15 +344,25 @@ def run_checks(
     h: float | None = None,
 ) -> list[ResidualReport]:
     """All finite-difference checks for one entry over seeded sample points;
-    each report carries the wall time of its check."""
+    each report carries the wall time of its check.  The Gauss and Codazzi
+    checks share one reach-2 stencil per point, whose chart solve counts
+    toward the Gauss time."""
+    curvature_h = CONFIG["curvature_h"] if h is None else h
+    threshold = CONFIG["curvature_threshold"]
     reports = []
-    pts = catalog.sample_domain(example_id, samples, seed=seed, a=a)
-    for p in pts:
-        for check in (shape_fd_check, gauss_residual, codazzi_residual):
-            start = time.perf_counter()
-            report = check(example_id, p, a=a, h=h)
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            reports.append(replace(report, time_ms=elapsed_ms))
+    for p in catalog.sample_domain(example_id, samples, seed=seed, a=a):
+        start = time.perf_counter()
+        shape = shape_fd_check(example_id, p, a=a, h=h)
+        reports.append(replace(shape, time_ms=(time.perf_counter() - start) * 1e3))
+        start = time.perf_counter()
+        st = _Stencil(example_id, p, a, curvature_h, reach=2)
+        for check, core in (("gauss", _gauss), ("codazzi", _codazzi)):
+            resid = core(st)
+            now = time.perf_counter()
+            reports.append(ResidualReport(
+                example_id, check, (tuple(p),), resid, curvature_h, threshold, (now - start) * 1e3
+            ))
+            start = now
     return reports
 
 
@@ -422,10 +410,7 @@ def _region_table(example_id: str, samples: int, seed: int) -> dict:
     rows = []
     mismatches = []
     for region in range(3):
-        stated_label, stated_text = (
-            _REGION_ROWS[example_id][region][0],
-            _REGION_ROWS[example_id][region][1],
-        )
+        stated_label, stated_text = _REGION_ROWS[example_id][region]
         computed = set()
         for p in pts[region::3]:
             got = _classify_sample(example_id, p)

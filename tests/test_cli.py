@@ -176,6 +176,41 @@ def test_classify_non_finite_input_exit_one(tmp_path, capsys, bad):
     assert err.startswith("error:") and f'"{bad}" has a non-finite entry' in err
 
 
+def test_classify_degenerate_gram_exit_one(tmp_path, capsys):
+    path = _write_pair(tmp_path, np.diag([1.0, 2.0]), [[0.0, 0.0], [0.0, 1.0]])
+    assert run(["classify", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: gram matrix is degenerate")
+    assert captured.out == ""
+
+
+_BAD_TOLERANCES = ["nan", "inf", "-inf", "-1", "0", "abc"]
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+def test_classify_rejects_bad_tol_option(pair_file, capsys, tol):
+    # each value as a separate word, the negative ones included
+    assert run(["classify", "--input", pair_file, "--tol", tol, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tol must be a positive finite number")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLERANCES)
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", "{pair_file}", "--json"],
+    ["catalog", "list", "--json"],
+    ["verify", "run", "--id", "b", "--samples", "1", "--json"],
+    ["report", "--table", "3", "--samples", "1", "--json"],
+])
+def test_bad_env_tolerance_exit_one(pair_file, capsys, monkeypatch, tol, argv):
+    monkeypatch.setenv("PETROV_TOL", tol)
+    assert run([word.format(pair_file=pair_file) for word in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: PETROV_TOL must be a positive finite number")
+    assert captured.out == ""
+
+
 def test_python_dash_m_entry_point():
     src = str(Path(petrovtypes.__file__).resolve().parent.parent)
     env = dict(os.environ)

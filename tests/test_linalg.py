@@ -9,7 +9,10 @@ from test_petrov import TAXONOMY_CASES, _congruences, _taxonomy_pair
 from petrovtypes.catalog import EXAMPLE_IDS, evaluate, sample_domain
 from petrovtypes.linalg import (
     RANK_TOL,
+    BadToleranceError,
+    BilinearSpace,
     ClusterAmbiguityError,
+    DegenerateGramError,
     ShapeError,
     ToleranceError,
     char_poly,
@@ -142,6 +145,20 @@ def test_default_tol_env_override(monkeypatch):
     assert default_tol() == 1e-5
     monkeypatch.delenv("PETROV_TOL")
     assert default_tol() == 1e-9
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0"])
+def test_default_tol_rejects_bad_env(monkeypatch, value):
+    monkeypatch.setenv("PETROV_TOL", value)
+    with pytest.raises(BadToleranceError, match="PETROV_TOL must be a positive finite number"):
+        default_tol()
+
+
+def test_degenerate_gram_is_a_named_value_error():
+    with pytest.raises(DegenerateGramError, match="gram matrix is degenerate"):
+        BilinearSpace.from_gram(np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        BilinearSpace.from_gram(np.diag([0.0, 1.0]))
 
 
 def test_poly_to_string_readable():

@@ -6,6 +6,7 @@ import pytest
 from petrovtypes import catalog
 from petrovtypes.verify import (
     CONFIG,
+    _shape_in_coordinates,
     codazzi_residual,
     convergence_ratio,
     curvature_data,
@@ -183,8 +184,8 @@ def _oracle_curvature_data(example_id, p, a, h):
     return g0, gamma, riem
 
 
-def _oracle_shape_in_coordinates(example_id, p, a):
-    fd = catalog.evaluate(example_id, p, a=a)
+def _oracle_shape_in_coordinates(example_id, p, a, anchor_variant=False):
+    fd = catalog.evaluate(example_id, p, a=a, anchor_variant=anchor_variant)
     jac = catalog.chart_jacobian(example_id, p, a=a)
     coef, *_ = np.linalg.lstsq(fd.frame, jac, rcond=None)
     return np.linalg.solve(coef, fd.shape @ coef), fd
@@ -303,3 +304,35 @@ def test_curvature_data_needs_only_the_chart_jacobian(ex_id, monkeypatch):
     data = curvature_data(ex_id, p)
     for name in ("metric", "christoffel", "curvature"):
         assert np.array_equal(getattr(data, name), getattr(expected, name))
+
+
+_SHAPE_CASES = [(ex_id, 1.0, False) for ex_id in catalog.EXAMPLE_IDS] + [
+    ("h", 1.0, True), ("i", 1.0, True),
+    ("k", 1.3, False), ("k", -0.7, False), ("l", 1.3, False), ("l", -0.7, False),
+]
+
+
+@pytest.mark.parametrize("ex_id, a, anchor_variant", _SHAPE_CASES)
+def test_shape_in_coordinates_matches_lstsq_oracle(ex_id, a, anchor_variant):
+    # the Gram solve on a stack against a least-squares change of basis per point
+    pts = sample_domain(ex_id, 4, seed=79, a=a)
+    fd = catalog.evaluate(ex_id, pts, a=a, anchor_variant=anchor_variant)
+    amb = catalog.ambient_of(ex_id)
+    got = _shape_in_coordinates(fd, inner_matrix(amb.embedding_dim, amb.embedding_index))
+    for p, shape in zip(pts, got):
+        want, _fd = _oracle_shape_in_coordinates(ex_id, p, a, anchor_variant)
+        assert np.abs(shape - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("ex_id", catalog.EXAMPLE_IDS)
+def test_run_checks_matches_public_checks(ex_id):
+    # one shared reach-2 stencil per point gives the residuals of the
+    # separate public calls
+    reports = run_checks(ex_id, samples=2, seed=83)
+    for rep in reports:
+        p = np.array(rep.points[0])
+        public = {
+            "shape_fd": shape_fd_check, "gauss": gauss_residual, "codazzi": codazzi_residual,
+        }[rep.check](ex_id, p)
+        assert rep.h == public.h and rep.threshold == public.threshold
+        assert abs(rep.residual - public.residual) <= 1e-12
