@@ -8,6 +8,7 @@ predicates go through explicit tolerances, never raw equality.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,8 +45,8 @@ def checked_tol(value, source: str) -> float:
     try:
         tol = float(value)
     except ValueError:
-        tol = np.nan
-    if np.isfinite(tol) and tol > 0:
+        tol = math.nan
+    if math.isfinite(tol) and tol > 0:
         return tol
     raise BadToleranceError(f"{source} must be a positive finite number, got {value!r}")
 
@@ -54,6 +55,12 @@ def default_tol() -> float:
     """Tolerance for algebraic predicates; PETROV_TOL overrides."""
     env = os.environ.get("PETROV_TOL")
     return checked_tol(env, "PETROV_TOL") if env else DEFAULT_TOL
+
+
+def resolve_tol(tol) -> float:
+    """The tolerance argument of a library call: the default for None,
+    otherwise tol itself if it is a positive finite number."""
+    return default_tol() if tol is None else checked_tol(tol, "tol")
 
 
 def is_exact(a: np.ndarray) -> bool:
@@ -112,7 +119,7 @@ class BilinearSpace:
 
 def signature(gram: np.ndarray, tol: float | None = None) -> tuple[int, int, int]:
     """Sylvester signature (pos, neg, null) of a symmetric matrix."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     n = _require_square(gram, "gram")
     if is_exact(gram):
         if (gram != gram.T).any():
@@ -168,7 +175,7 @@ def is_self_adjoint(
     a: np.ndarray, space: BilinearSpace, tol: float | None = None
 ) -> bool:
     """True iff gram @ a == a.T @ gram (max-norm within tol in float mode)."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     n = _require_square(a)
     if n != space.dim:
         raise ShapeError(f"operator dim {n} != space dim {space.dim}")
@@ -213,7 +220,7 @@ def char_poly(a: np.ndarray) -> np.ndarray:
 
 def minimal_poly(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Monic polynomial of least degree annihilating a, ascending coefficients."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     n = _require_square(a)
     if is_exact(a):
         return _minimal_poly_exact(a)
@@ -352,6 +359,32 @@ def jordan_rank_profile(
     return ranks
 
 
+def simple_eigenvectors(a: np.ndarray, lams, tol: float) -> np.ndarray:
+    """Columns v_i spanning ker(a - lams[i] I) for real simple eigenvalues.
+
+    The batched ``generalized_eigenspace(a, lam, 1)`` and
+    ``jordan_rank_profile(a, lam, 1, tol)``: one SVD of the (k, n, n) stack of
+    shifts gives every eigenvector as the last right singular direction of its
+    shift, and the 1x1 restrictions v^T (a - lam I) v get the rank decision of
+    the profile in one comparison.  A restriction above max(tol, RANK_TOL)
+    raises ToleranceError, unless the cut is 1 or more: the profile normalizes
+    a nonzero 1x1 N to 1 before its staircase.
+    """
+    n = a.shape[0]
+    lams = np.asarray(lams, dtype=float)
+    shifted = a - lams[:, None, None] * np.eye(n)
+    _u, _s, vh = np.linalg.svd(shifted)
+    vecs = vh[:, n - 1, :]
+    restricted = (vecs[:, None, :] @ shifted @ vecs[:, :, None])[:, 0, 0]
+    cut = max(tol, RANK_TOL)
+    bad = np.flatnonzero(np.abs(restricted) > cut) if cut < 1.0 else []
+    if len(bad):
+        raise ToleranceError(
+            f"restriction to the eigenspace of {lams[bad[0]]} is not numerically nilpotent"
+        )
+    return vecs.T
+
+
 def _max_block_size(a: np.ndarray, lam, mult: int, tol: float) -> int:
     """Largest Jordan block size at lam: first k with rank(N^k) = 0."""
     profile = jordan_rank_profile(a, lam, mult, tol)
@@ -360,7 +393,7 @@ def _max_block_size(a: np.ndarray, lam, mult: int, tol: float) -> int:
 
 def rank_sequence(a: np.ndarray, lam, tol: float | None = None) -> list[int]:
     """[rank((a - lam I)^k) for k = 0..n]; complex lam works on the complexification."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     n = _require_square(a)
     base = to_float(a)
     if isinstance(lam, tuple):
@@ -386,12 +419,15 @@ def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object
     pairs as ((alpha, beta), pair_multiplicity) with beta > 0.  Multiplicities
     sum to dim counting each conjugate pair twice.
     """
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     n = _require_square(a)
     if n == 0:
         return []
     ev = np.linalg.eigvals(to_float(a))
-    scale = max(np.abs(ev).max(), 1.0)
+    # the linkage loops run on Python scalars, which are far cheaper to
+    # subtract and compare than numpy ones
+    values = [complex(x) for x in ev.tolist()]
+    scale = max(max(abs(x) for x in values), 1.0)
     # defective eigenvalues scatter like eps^(1/m); widen the linkage radius
     defect = 3.0 * (250.0 * np.finfo(float).eps) ** (1.0 / n)
     thresh = max(tol, defect) * scale
@@ -406,12 +442,17 @@ def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(ev[i] - ev[j]) <= thresh:
+            if abs(values[i] - values[j]) <= thresh:
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    centers = {r: complex(np.mean(ev[m])) for r, m in groups.items()}
+    # a group of one is its own centre; larger groups keep np.mean, whose
+    # pairwise summation a plain sum/len does not reproduce to the last bit
+    centers = {
+        r: values[m[0]] if len(m) == 1 else complex(np.mean(ev[m]))
+        for r, m in groups.items()
+    }
     # ambiguity guard: distinct clusters closer than 2*thresh
     roots = list(groups)
     for i, ri in enumerate(roots):

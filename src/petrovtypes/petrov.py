@@ -3,14 +3,26 @@
 The normal form pairs a block operator (Jordan blocks for real eigenvalues,
 real 2x2-companion chains for conjugate pairs) with a Gram matrix made of
 signed anti-diagonal blocks.  The sign attached to each real block is part of
-the invariant data and drives the type labels.  Each eigenvalue cluster's
-generalized eigenspace is computed once and shared by the rank staircase that
-sizes its blocks and the chain extraction that builds its basis.
+the invariant data and drives the type labels.
 
-Simple clusters (one 1-block) and clusters spanning the whole space take fast
-paths with the same decisions: one SVD for the eigenvector v, no eigensolver,
-and the sign read from B(v, v), which is the whole sign characteristic of a
-simple real eigenvalue; the identity basis for the whole space.
+A real eigenvalue cluster takes one of three paths, all with the decisions of
+the chain peel:
+
+- simple (one 1-block): the eigenvectors of all simple clusters come from
+  one SVD of the stack of shifts a - lam_i I, which also makes their 1x1 rank
+  decisions; each v is scaled to B(v, v) = +-1 and its sign, the whole sign
+  characteristic of a simple eigenvalue, is read off in one array expression;
+- semisimple (several 1-blocks): one symmetric eigensolve of the Gram
+  restricted to the eigenspace gives B-orthogonal eigenvectors, and its
+  inertia is the sign characteristic.  A restricted form with an eigenvalue
+  at most tol * max(|form|, |a - lam I|, 1), the scale of the peel's first
+  step, raises ConditioningError;
+- with a block of size 2 or more: the generalized eigenspace is computed
+  once and shared by the rank staircase that sizes the blocks and the chain
+  peel, which takes longest chains first.
+
+Complex clusters always take the peel.  A cluster spanning the whole space
+gets the identity basis.
 """
 
 from __future__ import annotations
@@ -23,11 +35,12 @@ from .linalg import (
     BilinearSpace,
     ShapeError,
     ToleranceError,
-    default_tol,
     eigen_clusters,
     generalized_eigenspace,
     is_self_adjoint,
     jordan_rank_profile,
+    resolve_tol,
+    simple_eigenvectors,
     to_float,
 )
 
@@ -119,7 +132,7 @@ def jordan_structure(
     """Block sizes per eigenvalue from rank sequences of (a - lam I)^k, and
     per cluster (real, then complex, in canonical order) an orthonormal basis
     of its generalized eigenspace, computed once for both uses."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     af = to_float(a)
     n = af.shape[0]
     if n > 8:
@@ -127,8 +140,16 @@ def jordan_structure(
     real: list[tuple[float, tuple[int, ...]]] = []
     cplx: list[tuple[float, float, tuple[int, ...]]] = []
     bases: list[np.ndarray] = []
+    clusters = eigen_clusters(a, tol)
+    # simple real clusters take their eigenvectors from one stacked SVD
+    simple = [val for val, mult in clusters if mult == 1 and not isinstance(val, tuple)]
+    vecs = iter(simple_eigenvectors(af, simple, tol).T if simple else ())
     # eigen_clusters lists real clusters ascending, then complex by (alpha, beta)
-    for val, mult in eigen_clusters(a, tol):
+    for val, mult in clusters:
+        if mult == 1 and not isinstance(val, tuple):
+            real.append((float(val), (1,)))
+            bases.append(next(vecs)[:, None])
+            continue
         if isinstance(val, tuple):
             mat, lam = af.astype(complex), complex(*val)
         else:
@@ -224,9 +245,11 @@ def petrov_normal_form(
     eigenspace: longest chains first, each chain generator straightened so the
     Gram of the chain is exactly a signed anti-diagonal, then the chain's
     orthocomplement is deflated.  Complex pairs run the same procedure over the
-    complexification and are realified into companion blocks.
+    complexification and are realified into companion blocks.  Real
+    eigenvalues whose blocks all have size 1 skip the peel: the simple ones
+    all at once, each semisimple one with one eigensolve (module docstring).
     """
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     a = to_float(pair.a)
     g = to_float(pair.space.gram)
     n = a.shape[0]
@@ -237,8 +260,21 @@ def petrov_normal_form(
     structure, bases = jordan_structure(a, tol)
 
     real_chains: list[tuple[float, int, int, np.ndarray]] = []  # (lam, m, eps, cols)
+    simple = [i for i, (_lam, sizes) in enumerate(structure.real_blocks) if sizes == (1,)]
+    if simple:
+        lams = [structure.real_blocks[i][0] for i in simple]
+        cols, signs = _simple_chains(a, g, lams, np.hstack([bases[i] for i in simple]), tol)
+        real_chains += [
+            (lam, 1, eps, cols[:, j : j + 1]) for j, (lam, eps) in enumerate(zip(lams, signs))
+        ]
     for (lam, sizes), basis in zip(structure.real_blocks, bases):
-        chains = _extract_chains(a - lam * np.eye(n), g, basis, list(sizes), tol)
+        if sizes == (1,):
+            continue
+        nmat = a - lam * np.eye(n)
+        if max(sizes) == 1:
+            chains = _semisimple_chains(nmat, g, basis, tol)
+        else:
+            chains = _extract_chains(nmat, g, basis, list(sizes), tol)
         for m, eps, cols in chains:
             real_chains.append((lam, m, int(np.sign(eps)), cols))
 
@@ -269,6 +305,51 @@ def petrov_normal_form(
         raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
     signs = tuple(eps for _lam, _m, eps, _c in real_chains)
     return PetrovNormalForm(structure, signs, t_mat, *_normal_matrices(structure, list(signs)))
+
+
+def _simple_chains(
+    a: np.ndarray, g: np.ndarray, lams: list[float], vecs: np.ndarray, tol: float
+) -> tuple[np.ndarray, list[int]]:
+    """Chains of the simple real eigenvalues lams, all at once.
+
+    vecs holds one eigenvector per eigenvalue; each is scaled to
+    B(v, v) = +-1, and that sign is the whole sign characteristic of a simple
+    eigenvalue.  The degeneracy check is the chain generator's, at its scale.
+    """
+    theta = np.einsum("ik,ij,jk->k", vecs, g, vecs)
+    shifts = a - np.asarray(lams)[:, None, None] * np.eye(a.shape[0])
+    scale = np.maximum(np.maximum(np.abs(theta), np.abs(shifts).max(axis=(1, 2))), 1.0)
+    if (np.abs(theta) <= tol * scale).any():
+        raise ConditioningError(
+            "degenerate chain pairing for block size 1; "
+            "input sits near a Jordan-structure boundary"
+        )
+    return vecs / np.sqrt(np.abs(theta)), np.where(theta > 0, 1, -1).tolist()
+
+
+def _semisimple_chains(
+    nmat: np.ndarray, g: np.ndarray, basis: np.ndarray, tol: float
+) -> list[tuple[int, int, np.ndarray]]:
+    """1-chains of a real eigenvalue whose blocks all have size 1.
+
+    Its eigenspace is the span of basis, so one symmetric eigensolve of the
+    restricted form basis^T G basis gives B-orthogonal eigenvectors, scaled to
+    B(v, v) = +-1, and their signs are the inertia of that form, which is the
+    sign characteristic of a semisimple eigenvalue.  A restricted form with an
+    eigenvalue at most tol * max(|form|, |N|, 1) raises ConditioningError: the
+    scale of the first chain generator pick in ``_extract_chains``.
+    """
+    form = basis.T @ g @ basis
+    form = (form + form.T) / 2.0
+    w, vecs = np.linalg.eigh(form)
+    scale = max(np.abs(form).max(), np.abs(nmat).max(), 1.0)
+    if np.abs(w).min() <= tol * scale:
+        raise ConditioningError(
+            f"degenerate form on a {len(w)}-dimensional eigenspace; "
+            "input sits near a Jordan-structure boundary"
+        )
+    cols = basis @ (vecs / np.sqrt(np.abs(w)))
+    return [(1, 1 if w[j] > 0 else -1, cols[:, j : j + 1]) for j in range(len(w))]
 
 
 def _extract_chains(
@@ -520,7 +601,7 @@ def classify_pair(
     a: np.ndarray, gram: np.ndarray, tol: float | None = None
 ) -> dict:
     """One-shot classification bundle used by the CLI."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     space = BilinearSpace.from_gram(gram, tol)
     pair = SelfAdjointPair(to_float(a), space)
     form = petrov_normal_form(pair, tol)

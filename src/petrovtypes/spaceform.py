@@ -17,10 +17,10 @@ import numpy as np
 from .linalg import (
     ShapeError,
     ToleranceError,
-    default_tol,
     matrix_from_json,
     matrix_to_json,
     minimal_poly,
+    resolve_tol,
     to_float,
 )
 
@@ -98,7 +98,7 @@ class SpaceForm:
         return ambient_inner(u, v, self.embedding_index)
 
     def contains(self, x, tol: float | None = None) -> bool:
-        tol = default_tol() if tol is None else tol
+        tol = resolve_tol(tol)
         x = np.asarray(x, dtype=float)
         if x.shape != (self.embedding_dim,):
             return False
@@ -185,7 +185,7 @@ def quadric_gradient(f: QuadricFunction, x, tol: float | None = None) -> np.ndar
     px = _matvec(f.P, x)
     if f.variant == "flat":
         return 2.0 * px + 2.0 * f.p
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     norm2 = ambient_inner(x, x, f.s)
     radius = np.maximum(1.0, np.abs(x).max(axis=-1) ** 2)
     if (np.abs(norm2 - 1.0) > max(tol, 1e-7) * radius).any():
@@ -202,7 +202,7 @@ def admissibility_check(
     flat:   P = rho*E with rho != 0, or P^2 = O, Pp = 0, <p,p> != 0.
     sphere: the minimal polynomial of P has degree 2.
     """
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     n = f.dim
     scale = max(np.abs(f.P).max(), 1.0)
     if f.variant == "sphere":
@@ -235,7 +235,7 @@ def quadratic_minimal_data(f: QuadricFunction, tol: float | None = None):
     Computed once per distinct P and tolerance: the memo is keyed by the
     bytes of P, so a changed P is never answered from an old entry.
     """
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     return _quadratic_minimal_data(f.P.tobytes(), f.dim, tol)
 
 
@@ -250,7 +250,7 @@ def _quadratic_minimal_data(p_bytes: bytes, n: int, tol: float) -> tuple[float, 
 
 def regular_level_value(f: QuadricFunction, tol: float | None = None) -> float:
     """Phi(c) = <grad f, grad f> as a function of the level value alone."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     c = f.c
     if f.variant == "flat":
         ok, diag = admissibility_check(f, tol)
@@ -273,7 +273,7 @@ def sphere_level_operator(f: QuadricFunction, x, phi, tol: float | None = None):
     operators are (k, n, n) and delta is an integer array.  Checks at every
     point that it lies on the level set c and that phi and -delta*mu_P(c)
     are nonzero."""
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     if f.variant != "sphere":
         raise DomainError("shape-operator formula applies to the sphere variant")
     x = np.asarray(x, dtype=float)
@@ -312,7 +312,7 @@ def sphere_shape_operator(
     Returns the matrix of (cE - P)/sqrt(-delta*mu_P(c)) in the supplied
     tangent basis, together with delta, the causal sign of the gradient.
     """
-    tol = default_tol() if tol is None else tol
+    tol = resolve_tol(tol)
     x = np.asarray(x, dtype=float)
     basis = to_float(tangent_basis)
     if basis.shape[0] != f.dim:

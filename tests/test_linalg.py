@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_petrov import TAXONOMY_CASES, _congruences, _taxonomy_pair
+from test_petrov import _sample_pairs
 
-from petrovtypes.catalog import EXAMPLE_IDS, evaluate, sample_domain
 from petrovtypes.linalg import (
     RANK_TOL,
     BadToleranceError,
@@ -25,8 +24,12 @@ from petrovtypes.linalg import (
     minimal_poly,
     poly_to_string,
     rank_sequence,
+    resolve_tol,
     signature,
+    simple_eigenvectors,
 )
+from petrovtypes.petrov import classify_pair
+from petrovtypes.spaceform import SpaceForm
 
 
 def test_signature_counts_positive_negative_null():
@@ -203,13 +206,7 @@ def _oracle_simple_rank_profile(a, lam, tol):
 def _fast_path_inputs():
     """Operators of the congruent taxonomy pairs and of 4 sample points of
     every catalog entry."""
-    mats = []
-    for case in TAXONOMY_CASES:
-        base = _taxonomy_pair(case[3], case[4])
-        mats += [a for a, _g in _congruences(base, seed=TAXONOMY_CASES.index(case))]
-    for ex_id in EXAMPLE_IDS:
-        mats += [evaluate(ex_id, p).shape for p in sample_domain(ex_id, 4, seed=7)]
-    return mats
+    return [a for a, _g in _sample_pairs()]
 
 
 def _outcome(call):
@@ -248,3 +245,63 @@ def test_generalized_eigenspace_fast_paths_match_oracle():
                     assert fast == _outcome(lambda: _oracle_simple_rank_profile(mat, mu, tol))
                     assert fast == ([1, 0] if abs(shift) < RANK_TOL else "ToleranceError")
     assert min(seen.values()) > 0, seen
+
+
+def _stacked_profile(a, lam, tol):
+    """The rank profile of a simple eigenvalue lam as simple_eigenvectors
+    decides it: [1, 0] unless it raises."""
+    simple_eigenvectors(a, [lam], tol)
+    return [1, 0]
+
+
+def test_simple_eigenvectors_match_rank_profile_oracle():
+    """The stacked eigenvectors of the simple real clusters span the simple
+    generalized eigenspaces, and the stacked 1x1 rank decision is the one of
+    jordan_rank_profile, at eigenvalues shifted just inside the rank cut and
+    well outside it."""
+    tol = default_tol()
+    seen = 0
+    for a in _fast_path_inputs():
+        clusters = eigen_clusters(a, tol)
+        lams = [val for val, mult in clusters if mult == 1 and not isinstance(val, tuple)]
+        if not lams:
+            continue
+        vecs = simple_eigenvectors(a, lams, tol)
+        assert vecs.shape == (a.shape[0], len(lams))
+        for lam, v in zip(lams, vecs.T):
+            seen += 1
+            want = generalized_eigenspace(a, lam, 1)[:, 0]
+            assert abs(v @ want) >= 1.0 - 1e-10
+            for shift in (0.9 * RANK_TOL, -0.9 * RANK_TOL, 1e-3, -1e-3):
+                mu = lam + shift
+                oracle = _outcome(lambda: jordan_rank_profile(a, mu, 1, tol))
+                stacked = _outcome(lambda: _stacked_profile(a, mu, tol))
+                assert stacked == oracle == ([1, 0] if abs(shift) < RANK_TOL else "ToleranceError")
+        # the whole stack at once: inside the cut passes, one outlier raises
+        for shift in (0.9 * RANK_TOL, -0.9 * RANK_TOL):
+            simple_eigenvectors(a, [lam + shift for lam in lams], tol)
+        with pytest.raises(ToleranceError, match="not numerically nilpotent"):
+            simple_eigenvectors(a, lams[:-1] + [lams[-1] + 1e-3], tol)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+def test_library_tolerance_is_checked(value):
+    """A tolerance argument that is not a positive finite number is refused
+    by name, in every layer, before it can decide anything."""
+    message = "tol must be a positive finite number"
+    with pytest.raises(BadToleranceError, match=message):
+        resolve_tol(value)
+    with pytest.raises(BadToleranceError, match=message):
+        classify_pair(np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), value)
+    with pytest.raises(BadToleranceError, match=message):
+        eigen_clusters(np.diag([1.0, 2.0]), value)
+    with pytest.raises(BadToleranceError, match=message):
+        SpaceForm(3, 1, 0).contains(np.zeros(3), value)
+
+
+def test_resolve_tol_default_and_passthrough(monkeypatch):
+    assert resolve_tol(None) == default_tol() == 1e-9
+    assert resolve_tol(1e-7) == 1e-7
+    monkeypatch.setenv("PETROV_TOL", "1e-5")
+    assert resolve_tol(None) == 1e-5

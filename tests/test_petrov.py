@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petrovtypes.linalg import BilinearSpace, signature
+from petrovtypes.catalog import EXAMPLE_IDS, evaluate, sample_domain
+from petrovtypes.linalg import BilinearSpace, default_tol, signature
 from petrovtypes.petrov import (
+    ConditioningError,
     JordanStructure,
     PetrovNormalForm,
     SelfAdjointPair,
     TaxonomyError,
+    _extract_chains,
     _normal_matrices,
+    _semisimple_chains,
     assemble_normal_pair,
     classify_algebraic,
     classify_geometric,
     classify_pair,
+    jordan_structure,
     negative_index,
     petrov_normal_form,
 )
@@ -222,6 +227,53 @@ def _congruences(pair, seed, count=5, max_cond=100.0):
     return out
 
 
+def _sample_pairs():
+    """(A, G) of the congruent taxonomy pairs and of 4 sample points of every
+    catalog entry."""
+    pairs = []
+    for case in TAXONOMY_CASES:
+        base = _taxonomy_pair(case[3], case[4])
+        pairs += _congruences(base, seed=TAXONOMY_CASES.index(case))
+    for ex_id in EXAMPLE_IDS:
+        for p in sample_domain(ex_id, 4, seed=7):
+            fd = evaluate(ex_id, p)
+            pairs.append((fd.shape, fd.gram))
+    return pairs
+
+
+def test_semisimple_path_matches_peel():
+    """On every semisimple real cluster of the sample pairs (more than one
+    block, all of size 1) the eigh path gives the signs of the chain peel,
+    and its columns have the Gram diag(signs)."""
+    tol = default_tol()
+    seen = 0
+    for a, g in _sample_pairs():
+        structure, bases = jordan_structure(a, tol)
+        for (lam, sizes), basis in zip(structure.real_blocks, bases):
+            if len(sizes) < 2 or max(sizes) > 1:
+                continue
+            seen += 1
+            nmat = a - lam * np.eye(a.shape[0])
+            chains = _semisimple_chains(nmat, g, basis, tol)
+            peel = _extract_chains(nmat, g, basis, list(sizes), tol)
+            signs = [eps for _m, eps, _c in chains]
+            assert sorted(signs) == sorted(int(np.sign(eps)) for _m, eps, _c in peel)
+            assert [m for m, _e, _c in chains] == list(sizes)
+            cols = np.hstack([c for _m, _e, c in chains])
+            assert np.abs(cols.T @ g @ cols - np.diag(signs)).max() <= 1e-10
+    assert seen > 0
+
+
+def test_semisimple_degenerate_form_raises():
+    """A Gram that is nondegenerate at tol 1e-12 but degenerate at the normal
+    form's tolerance on a semisimple eigenspace gets no chain basis."""
+    a = np.diag([1.0, 1.0, 2.0])
+    g = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-10, 0.0], [0.0, 0.0, 1.0]])
+    pair = SelfAdjointPair(a, BilinearSpace.from_gram(g, 1e-12))
+    with pytest.raises(ConditioningError, match="degenerate form on a 2-dimensional eigenspace"):
+        petrov_normal_form(pair)
+
+
 @pytest.mark.parametrize("case", TAXONOMY_CASES, ids=TAXONOMY_IDS)
 def test_normal_form_transform_reaches_normal_pair(case):
     _index, _label, _sign, reals, cplx = case
@@ -372,5 +424,37 @@ def _transform_contract_residuals(structure, signs, base, pair):
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(_congruent_pairs())
 def test_transform_contract_property(drawn):
+    res_a, res_g = _transform_contract_residuals(*drawn)
+    assert res_a <= CONTRACT_BOUND and res_g <= CONTRACT_BOUND
+
+
+@st.composite
+def _repeated_eigenvalue_pairs(draw):
+    """A structure of dimension 2..8 in which one eigenvalue carries 2..5
+    one-blocks with random signs, sometimes next to a 2-block of random sign;
+    further one-blocks sit on three other eigenvalues of a unit grid, so they
+    may repeat too.  Moved by a congruence with cond(T) <= 100."""
+    sign = st.sampled_from((-1, 1))
+    grid = draw(st.permutations([float(x) for x in range(-4, 5)]))
+    blocks = [(grid[0], 1, draw(sign)) for _ in range(draw(st.integers(2, 5)))]
+    if draw(st.booleans()):
+        blocks.append((grid[0], 2, draw(sign)))
+    for _ in range(draw(st.integers(0, 8 - sum(m for _l, m, _e in blocks)))):
+        blocks.append((draw(st.sampled_from(grid[1:4])), 1, draw(sign)))
+    # canonical block order: eigenvalues ascending, sizes ascending, +1 first
+    blocks.sort(key=lambda b: (b[0], b[1], -b[2]))
+    lams = sorted({lam for lam, _m, _eps in blocks})
+    structure = JordanStructure(
+        tuple((lam, tuple(m for mu, m, _e in blocks if mu == lam)) for lam in lams), ()
+    )
+    signs = tuple(eps for _lam, _m, eps in blocks)
+    base = assemble_normal_pair(structure, list(signs))
+    ((a, g),) = _congruences(base, seed=draw(st.integers(0, 2**32 - 1)), count=1)
+    return structure, signs, base, SelfAdjointPair(a, BilinearSpace.from_gram(g))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_repeated_eigenvalue_pairs())
+def test_transform_contract_repeated_eigenvalues(drawn):
     res_a, res_g = _transform_contract_residuals(*drawn)
     assert res_a <= CONTRACT_BOUND and res_g <= CONTRACT_BOUND
