@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from petrovtypes import catalog
+from petrovtypes import catalog, verify
 from petrovtypes.verify import (
     CONFIG,
+    _Stencil,
+    _codazzi,
     _shape_in_coordinates,
     codazzi_residual,
     convergence_ratio,
@@ -17,7 +19,7 @@ from petrovtypes.verify import (
     table_report,
 )
 from petrovtypes.catalog import chart, quadric_of, sample_domain
-from petrovtypes.spaceform import QuadricFunction, inner_matrix
+from petrovtypes.spaceform import DomainError, QuadricFunction, inner_matrix
 
 
 SPOT_IDS = ["0-1", "0-2", "b", "e", "g", "j", "k", "m"]
@@ -336,3 +338,78 @@ def test_run_checks_matches_public_checks(ex_id):
         }[rep.check](ex_id, p)
         assert rep.h == public.h and rep.threshold == public.threshold
         assert abs(rep.residual - public.residual) <= 1e-12
+
+
+@pytest.fixture
+def evaluate_rows(monkeypatch):
+    """The number of points of each catalog.evaluate call, in call order."""
+    rows = []
+    evaluate = catalog.evaluate
+
+    def counted(example_id, p, *args, **kwargs):
+        rows.append(len(np.atleast_2d(p)))
+        return evaluate(example_id, p, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "evaluate", counted)
+    return rows
+
+
+@pytest.mark.parametrize("ex_id", ["0-1", "b", "e", "h", "k"])
+def test_gauss_hands_its_stencil_to_codazzi(ex_id, evaluate_rows):
+    p = sample_domain(ex_id, 1, seed=89)[0]
+    gauss_residual(ex_id, p, h=5e-4)
+    codazzi_residual(ex_id, p, h=5e-4)
+    assert evaluate_rows == [41 if p.shape[0] == 4 else 13]
+
+
+_MISSES = {
+    "alone": lambda p: None,
+    "other p": lambda p: gauss_residual("k", p + 0.01),
+    "other a": lambda p: gauss_residual("k", p, a=1.3),
+    "other h": lambda p: gauss_residual("k", p, h=5e-4),
+    "other PETROV_TOL": lambda p: gauss_residual("k", p),
+}
+
+
+@pytest.mark.parametrize("miss", sorted(_MISSES))
+def test_codazzi_without_its_gauss_evaluates_reach_1(miss, evaluate_rows, monkeypatch):
+    monkeypatch.setattr(verify, "_handoff", (None, None))
+    monkeypatch.delenv("PETROV_TOL", raising=False)
+    p = sample_domain("k", 1, seed=97)[0]
+    _MISSES[miss](p)
+    if miss == "other PETROV_TOL":
+        monkeypatch.setenv("PETROV_TOL", "1e-8")
+    del evaluate_rows[:]
+    codazzi_residual("k", p)
+    assert evaluate_rows == [1 + 2 * 4]
+
+
+@pytest.mark.parametrize("h", [1e-3, 5e-4])
+@pytest.mark.parametrize("ex_id", catalog.EXAMPLE_IDS)
+def test_handed_off_codazzi_equals_reach_1(ex_id, h):
+    p = sample_domain(ex_id, 1, seed=101)[0]
+    want = _codazzi(_Stencil(ex_id, p, 1.0, h, reach=1))
+    gauss_residual(ex_id, p, h=h)
+    assert codazzi_residual(ex_id, p, h=h).residual == want
+
+
+def test_failed_gauss_leaves_no_stencil(evaluate_rows):
+    p = sample_domain("l", 1, seed=103)[0]
+    gauss_residual("l", p)
+    outside = p.copy()
+    outside[3] = 1.5  # |a v| < 1 fails at the centre
+    with pytest.raises(DomainError):
+        gauss_residual("l", outside)
+    assert verify._handoff == (None, None)
+    with pytest.raises(DomainError):
+        codazzi_residual("l", outside)
+    # near the chart edge only the reach-2 stencil leaves the domain, and a
+    # standalone Codazzi check evaluates its reach-1 points alone
+    h = CONFIG["curvature_h"]
+    edge = p.copy()
+    edge[3] = 1.0 - 1.5 * h
+    with pytest.raises(DomainError):
+        gauss_residual("l", edge)
+    del evaluate_rows[:]
+    assert np.isfinite(codazzi_residual("l", edge).residual)
+    assert evaluate_rows == [1 + 2 * 4]
