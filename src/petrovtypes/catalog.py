@@ -13,6 +13,14 @@ on the level sets (a Newton solve on the sphere entries), broadcast closed
 forms on the others, and the frames, normals and shapes of all k points from
 the same ambient points.  A single point goes through the same code with
 numbers in place of columns, so its results do not depend on being stacked.
+
+Everything known about an entry is one _Entry record in _REGISTRY, and the
+public functions only look the id up there and call the record.  To add an
+entry, add one record to _REGISTRY (its place there is its place in
+EXAMPLE_IDS), built by _level_entry for a quadric level set (the quadric, an
+anchor point, the pivot coordinates the chart solves for, and optionally a
+displayed moving frame) or by _closed_entry for closed formulas (chart,
+Jacobian, frame data and a sampler).
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +46,6 @@ from .spaceform import (
 )
 
 SQ2 = np.sqrt(2.0)
-
-EXAMPLE_IDS = (
-    "0-1", "0-2", "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m",
-)
 
 
 @dataclass(frozen=True)
@@ -150,13 +155,43 @@ def _columns(*cols) -> np.ndarray:
 
 
 def _batch(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """A constant matrix, repeated along the stack axis of p if it has one."""
-    return mat if p.ndim == 1 else np.repeat(mat[None], p.shape[0], axis=0)
+    """A copy of a constant matrix, repeated along the stack axis of p if it
+    has one."""
+    return mat.copy() if p.ndim == 1 else np.repeat(mat[None], p.shape[0], axis=0)
 
 
-def _nu_plus(p: np.ndarray):
-    """nu = +1 at a point, or at every row of a stack."""
-    return 1 if p.ndim == 1 else np.ones(p.shape[0], dtype=int)
+class _Entry(NamedTuple):
+    """One catalog entry.  chart(p, a), jacobian(p, a) and evaluate(p, a,
+    anchor_variant) take chart points checked by _chart_point;
+    sample(rng, i, a) draws sample i, or None to draw again.  expected is
+    the GeometricType or a function of the chart point, summary its text in
+    the listing, epsilon(p) the stated algebraic sign where there is one.
+
+    Level sets also keep their chart data: quadric() gives the arguments
+    of the defining QuadricFunction, the chart fixes the free coordinates
+    of anchor, solves for the pivots and checks clauses, (name, tolerance,
+    linear form in the ambient point).  frame(x, anchor_variant) is a
+    displayed moving frame in the coordinates x of the ambient point(s),
+    else the frame is the coordinate frame; shape is the constant shape
+    matrix in the frame, or None to compute it from a sphere quadric."""
+
+    id: str
+    ambient: SpaceForm
+    param_dim: int
+    chart: Callable
+    jacobian: Callable
+    evaluate: Callable
+    sample: Callable
+    expected: GeometricType | Callable[[np.ndarray], GeometricType]
+    summary: str
+    anchor_variant: bool = False
+    epsilon: Callable[[np.ndarray], int | None] | None = None
+    quadric: Callable[[], tuple] | None = None
+    anchor: np.ndarray | None = None
+    pivots: tuple[int, ...] = ()
+    clauses: tuple = ()
+    frame: Callable | None = None
+    shape: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -218,43 +253,15 @@ def quadric_of(example_id: str) -> QuadricFunction:
     Each quadric is built and validated once, on first use, and the same
     instance is returned afterwards; its P and p are read-only.
     """
-    e3 = _anti(3)
-    i3 = np.eye(3)
-    table = {
-        "a": ("flat", 2, -np.eye(5), -1.0, np.zeros(5)),
-        "b": ("flat", 2, _p_flat_b(), 1.0, _e(3)),
-        "c": ("flat", 2, _p_flat_c(), 1.0, _e(4)),
-        "d": ("flat", 2, _p_flat_d(), 1.0, _e(4)),
-        "e": ("sphere", 2, _dsum(_anti(2), _anti(4)), 0.0, None),
-        "f": ("sphere", 3, _dsum(e3, e3), 3.0, None),
-        "g": ("sphere", 3, _p_sphere_g(), 1.0, None),
-        "h": ("sphere", 3, np.block([[e3, i3], [-i3, -e3]]), -1.0, None),
-        "i": ("sphere", 3, np.block([[i3, i3], [-i3, -i3]]), -1.0, None),
-        "j": ("sphere", 3, np.block([[i3, -e3], [e3, i3]]), 1.0, None),
-    }
-    if example_id not in table:
+    entry = _REGISTRY.get(example_id)
+    if entry is None or entry.quadric is None:
         raise DomainError(f"{example_id} has no defining quadric")
-    variant, s, p_mat, c, p_vec = table[example_id]
-    f = QuadricFunction(variant, s, p_mat, c, p_vec)
+    f = QuadricFunction(*entry.quadric())
     f.P.flags.writeable = False
     if f.p is not None:
         f.p.flags.writeable = False
     return f
 
-
-# anchors and pivot coordinates (0-based) for the level-set charts
-_ANCHOR = {
-    "a": (_e(3), (2,)),
-    "b": (_e(1), (2,)),
-    "c": (_e(4) / 2.0, (3,)),
-    "d": (_e(4) / 2.0, (3,)),
-    "e": (_e(6, 6), (2, 5)),
-    "f": (np.array([-1 / SQ2, 0, 1 / SQ2, 0, SQ2, 0]), (0, 4)),
-    "g": (np.array([0, 0, 0, 1 / SQ2, 0, 1 / SQ2]), (0, 3)),
-    "h": (_e(5, 6), (1, 4)),
-    "i": (_e(5, 6), (1, 4)),
-    "j": (_e(4, 6), (2, 3)),
-}
 
 # a row of the sphere-variant chart solve stops once its residual is below this
 _NEWTON_STOP = 1e-14
@@ -266,29 +273,17 @@ _NEWTON_STOP = 1e-14
 # clause cannot be told from 0.
 _SINGULAR_TOL = 10.0 * np.sqrt(_NEWTON_STOP)
 
-# the chart conditions (name, tolerance, coefficients of the linear clause),
-# which every chart solve checks: the explicit frames of g, h and i divide by
-# their clauses, and the level set of g, 2 (x1 + x4)(x6 - x3) = 1, has no
-# point where either fails
-_DOMAIN_CLAUSES = {
-    "g": (("x1 + x4 != 0", 1e-9, _e(1, 6) + _e(4, 6)),
-          ("-x3 + x6 != 0", 1e-9, -_e(3, 6) + _e(6, 6))),
-    "h": (("x2 + x5 != 0", _SINGULAR_TOL, _e(2, 6) + _e(5, 6)),),
-    "i": (("x2 + x5 != 0", _SINGULAR_TOL, _e(2, 6) + _e(5, 6)),),
-}
-
 
 def _check_domain(example_id: str, x: np.ndarray, margin: float = 0.0) -> None:
     """Every point of x, shape (n,) or (k, n), satisfies the chart conditions,
     each clause by more than its tolerance or the margin, whichever is
     larger."""
-    for name, tol, coef in _DOMAIN_CLAUSES.get(example_id, ()):
+    for name, tol, coef in _REGISTRY[example_id].clauses:
         if (np.abs(x @ coef) <= max(tol, margin)).any():
             raise DomainError(f"point violates the chart condition {name}")
 
 
-@dataclass(frozen=True)
-class _LevelSet:
+class _LevelSet(NamedTuple):
     """Per-entry constants of a level-set chart, built once."""
 
     f: QuadricFunction
@@ -303,16 +298,16 @@ class _LevelSet:
 
 @functools.cache
 def _level_set(example_id: str) -> _LevelSet:
+    entry = _REGISTRY[example_id]
     f = quadric_of(example_id)
-    anchor, pivots = _ANCHOR[example_id]
-    n = anchor.shape[0]
+    n = entry.anchor.shape[0]
     g = inner_matrix(n, f.s)
     gpt = (g @ f.P).T.copy()
     return _LevelSet(
         f=f,
-        anchor=anchor,
-        pivots=list(pivots),
-        free=[i for i in range(n) if i not in pivots],
+        anchor=entry.anchor,
+        pivots=list(entry.pivots),
+        free=[i for i in range(n) if i not in entry.pivots],
         sign=np.diag(g).copy(),
         gpt=gpt,
         gpv=None if f.p is None else g @ f.p,
@@ -321,28 +316,29 @@ def _level_set(example_id: str) -> _LevelSet:
 
 
 def _level_chart(example_id: str, q: np.ndarray) -> np.ndarray:
-    """Chart for the level-set entries at a stack of points, (k, m) -> (k, n):
-    q fills the free coordinates, the pivot coordinates are solved from the
-    defining constraints."""
+    """Chart for the level-set entries at a point, (m,) -> (n,), or a stack,
+    (k, m) -> (k, n): q fills the free coordinates, the pivot coordinates are
+    solved from the defining constraints."""
     ls = _level_set(example_id)
     f = ls.f
-    k, n = q.shape[0], ls.anchor.shape[0]
+    k, n = np.atleast_2d(q).shape[0], ls.anchor.shape[0]
     x = np.tile(ls.anchor, (k, 1))
     x[:, ls.free] = q
     if f.variant == "flat":
-        if example_id == "a":
-            # <x, x>_2 = 1 solved for the pivot (positive branch)
-            rest = (ls.sign * x * x).sum(axis=1) - x[:, 2] * x[:, 2]
+        i = ls.pivots[0]
+        if ls.gpv[i] == 0:
+            # no linear term in the pivot: the level set is the unit sphere
+            # <x, x>_2 = 1 of entry a, solved for the pivot (positive branch)
+            rest = (ls.sign * x * x).sum(axis=1) - x[:, i] * x[:, i]
             if not (1.0 - rest > 0).all():
                 raise DomainError("point leaves the chart of the unit sphere")
-            x[:, 2] = np.sqrt(1.0 - rest)
+            x[:, i] = np.sqrt(1.0 - rest)
         else:
             # the pivot coordinate enters only through the linear term
-            i = ls.pivots[0]
             x[:, i] = 0.0
             value = ((x @ ls.gpt) * x).sum(axis=1) + 2.0 * (x @ ls.gpv)
             x[:, i] = (f.c - value) / 2.0
-        return x
+        return x if q.ndim == 2 else x[0]
     # sphere variant: one Newton solve in the two pivot coordinates for
     # <x, x> = 1 and <Px, x> = c over the whole stack; a row stops moving
     # once its residual is below _NEWTON_STOP
@@ -365,7 +361,7 @@ def _level_chart(example_id: str, q: np.ndarray) -> np.ndarray:
     # on h and i the solve is singular where the chart condition fails, and
     # a row there stops short of it with a finite but meaningless point
     _check_domain(example_id, x)
-    return x
+    return x if q.ndim == 2 else x[0]
 
 
 def _coordinate_tangent_frame(example_id: str, x: np.ndarray) -> np.ndarray:
@@ -395,22 +391,20 @@ def _coordinate_tangent_frame(example_id: str, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # explicit moving frames for the quadric entries
 #
-# Each takes a level-set point (n,) or a stack (k, n) and returns the frame,
-# (n, 4) or (k, n, 4), with the constant shape matrix in that frame.
+# Each takes the coordinates (see _coords) of a level-set point (n,) or a
+# stack (k, n) and returns the frame, (n, 4) or (k, n, 4), in which the
+# entry's shape matrix is constant.
 
-def _frame_b(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = _coords(x)
-    frame = _columns(
+def _frame_b(x: list, anchor_variant: bool) -> np.ndarray:
+    return _columns(
         _e(1) + _e(5),
         _e(1) + (-x[0] + x[4]) * _e(3),
         _e(2),
         _e(4),
     )
-    return frame, _dsum(_j(0.0, 2), np.zeros((2, 2)))
 
 
-def _frame_c(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = _coords(x)
+def _frame_c(x: list, anchor_variant: bool) -> np.ndarray:
     th1 = -_e(1) - _e(3)
     th2 = _e(2) + (x[0] - x[2]) * _e(4)
     et1 = -_e(2) + _e(5)
@@ -427,11 +421,10 @@ def _frame_c(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b2 = th2pp / SQ2 - (s_val * s_val - 2.0) / (4.0 * SQ2) * th1p
     b3 = et1p / SQ2
     b4 = et2p / SQ2 + (t_val * t_val - 2.0) / (4.0 * SQ2) * et1p
-    return _columns(b1, b2, b3, b4), _dsum(_j(0.0, 2), _j(0.0, 2))
+    return _columns(b1, b2, b3, b4)
 
 
-def _frame_d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = _coords(x)
+def _frame_d(x: list, anchor_variant: bool) -> np.ndarray:
     th1 = -_e(1) + _e(5)
     th2 = _e(1) + (x[0] + x[4]) * _e(4)
     et1 = -_e(2) - _e(3)
@@ -441,10 +434,10 @@ def _frame_d(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b2 = th2p - 0.5 * ((x[0] + x[4]) ** 2 - 1.0) * th1
     b3 = et1
     b4 = et2 - 0.5 * ((x[1] - x[2]) ** 2 - 1.0) * et1
-    return _columns(b1, b2, b3, b4), _dsum(_j(0.0, 2), _j(0.0, 2))
+    return _columns(b1, b2, b3, b4)
 
 
-def _tangent_quads_g(x: list) -> list[np.ndarray]:
+def _frame_g(x: list, anchor_variant: bool) -> np.ndarray:
     d1 = x[0] + x[3]
     d2 = -x[2] + x[5]
     e = lambda i: _e(i, 6)
@@ -452,26 +445,13 @@ def _tangent_quads_g(x: list) -> list[np.ndarray]:
     a2 = (-x[2] / d1 + x[3] / d2) * e(1) + e(3) + (x[2] / d1 + x[0] / d2) * e(4)
     a3 = x[4] / d1 * e(1) - x[4] / d1 * e(4) + e(5)
     a4 = (x[5] / d1 - x[3] / d2) * e(1) + (-x[5] / d1 - x[0] / d2) * e(4) + e(6)
-    return [a1, a2, a3, a4]
+    return _columns(a2 + a4, -(d2 / d1) * a2, a1, a3)
 
 
-def _frame_g(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = _coords(x)
-    a1, a2, a3, a4 = _tangent_quads_g(x)
-    d1 = x[0] + x[3]
-    d2 = -x[2] + x[5]
-    return _columns(a2 + a4, -(d2 / d1) * a2, a1, a3), _dsum(_j(1.0, 2), np.eye(2))
-
-
-def _tangent_quads_hi(x: list, variant: str) -> list[np.ndarray]:
+def _tangent_quads_hi(x: list, s1, s2, s3, s4) -> list[np.ndarray]:
+    """The tangent vectors of h and i, which differ only in the sums s1-s4."""
     d = x[1] + x[4]
     e = lambda i: _e(i, 6)
-    if variant == "h":
-        s1, s2 = x[2] + x[3], x[0] + x[5]
-    else:
-        s1, s2 = x[0] + x[3], x[2] + x[5]
-    # a3 and a4 take s1 and s2 in order for "i", swapped for "h"
-    s3, s4 = (s2, s1) if variant == "h" else (s1, s2)
     a1 = e(1) + (-x[0] / d - x[4] * s1 / d**2) * e(2) + (x[0] / d - x[1] * s1 / d**2) * e(5)
     a2 = (-x[2] / d - x[4] * s2 / d**2) * e(2) + e(3) + (x[2] / d - x[1] * s2 / d**2) * e(5)
     a3 = (x[3] / d - x[4] * s3 / d**2) * e(2) + e(4) + (-x[3] / d - x[1] * s3 / d**2) * e(5)
@@ -479,36 +459,24 @@ def _tangent_quads_hi(x: list, variant: str) -> list[np.ndarray]:
     return [a1, a2, a3, a4]
 
 
-def _frame_h(x: np.ndarray, anchor_variant: bool) -> tuple[np.ndarray, np.ndarray]:
-    a1, a2, a3, a4 = _tangent_quads_hi(_coords(x), "h")
+def _frame_h(x: list, anchor_variant: bool) -> np.ndarray:
+    s1, s2 = x[2] + x[3], x[0] + x[5]
+    a1, a2, a3, a4 = _tangent_quads_hi(x, s1, s2, s2, s1)
     if anchor_variant:
         b1 = (-a1 - a2 + a3 + a4) / SQ2
         b2 = (a1 + a2 + a3 + a4) / (2.0 * SQ2)
         b3 = (-a1 + a2 - a3 + a4) / SQ2
         b4 = (-a1 + a2 + a3 - a4) / (2.0 * SQ2)
-        frame = _columns(b1, b2, b3, b4)
-    else:
-        frame = _columns(-a1 + a4, a2, -a2 + a3, a1)
-    return frame, _dsum(_j(-1.0, 2), _j(-1.0, 2))
+        return _columns(b1, b2, b3, b4)
+    return _columns(-a1 + a4, a2, -a2 + a3, a1)
 
 
-def _frame_i(x: np.ndarray, anchor_variant: bool) -> tuple[np.ndarray, np.ndarray]:
-    a1, a2, a3, a4 = _tangent_quads_hi(_coords(x), "i")
+def _frame_i(x: list, anchor_variant: bool) -> np.ndarray:
+    s1, s2 = x[0] + x[3], x[2] + x[5]
+    a1, a2, a3, a4 = _tangent_quads_hi(x, s1, s2, s1, s2)
     if anchor_variant:
-        frame = _columns(-a1 + a3, (a1 + a3) / 2.0, -a2 + a4, (a2 + a4) / 2.0)
-    else:
-        frame = _columns(-a1 + a3, a1, -a2 + a4, a2)
-    return frame, _dsum(_j(-1.0, 2), _j(-1.0, 2))
-
-
-_EXPLICIT_FRAMES = {
-    "b": lambda x, anchor_variant: _frame_b(x),
-    "c": lambda x, anchor_variant: _frame_c(x),
-    "d": lambda x, anchor_variant: _frame_d(x),
-    "g": lambda x, anchor_variant: _frame_g(x),
-    "h": _frame_h,
-    "i": _frame_i,
-}
+        return _columns(-a1 + a3, (a1 + a3) / 2.0, -a2 + a4, (a2 + a4) / 2.0)
+    return _columns(-a1 + a3, a1, -a2 + a4, a2)
 
 
 def _sphere_shapes(ls: _LevelSet, x: np.ndarray, phi, jac: np.ndarray) -> np.ndarray:
@@ -526,18 +494,19 @@ def _sphere_shapes(ls: _LevelSet, x: np.ndarray, phi, jac: np.ndarray) -> np.nda
     return shape
 
 
-def _level_jacobian(example_id: str, stack: np.ndarray, shape: tuple) -> np.ndarray:
-    return _coordinate_tangent_frame(example_id, stack).reshape(shape)
+def _level_jacobian(example_id: str, x: np.ndarray) -> np.ndarray:
+    jac = _coordinate_tangent_frame(example_id, np.atleast_2d(x))
+    return jac if x.ndim == 2 else jac[0]
 
 
-def _evaluate_level(example_id: str, p: np.ndarray, anchor_variant: bool) -> FrameData:
+def _evaluate_level(example_id: str, p: np.ndarray, a: float, anchor_variant: bool) -> FrameData:
     """Frame data of a level-set entry at a chart point (m,) or a stack of
     them (k, m): one chart solve, one gradient per point, each check once per
     point.  The formulas take the ambient point (n,) or the stack (k, n)."""
+    entry = _REGISTRY[example_id]
     ls = _level_set(example_id)
     f = ls.f
-    stack = _level_chart(example_id, np.atleast_2d(p))
-    x = stack if p.ndim == 2 else stack[0]
+    x = _level_chart(example_id, p)
     grad = quadric_gradient(f, x)
     phi = ambient_inner(grad, grad, f.s)
     if (np.abs(phi) < 1e-12).any():
@@ -545,16 +514,15 @@ def _evaluate_level(example_id: str, p: np.ndarray, anchor_variant: bool) -> Fra
     norm = np.sqrt(np.abs(phi))
     xi = grad / (norm if x.ndim == 1 else norm[:, None])
     nu = (phi > 0) * 2 - 1  # the sign of <xi, xi> = phi / |phi|
-    jac = functools.partial(_level_jacobian, example_id, stack, x.shape + (-1,))
-    if example_id in _EXPLICIT_FRAMES:
-        frame, shape = _EXPLICIT_FRAMES[example_id](x, anchor_variant)
-        shape = _batch(shape, x)
-    else:
+    jac = functools.partial(_level_jacobian, example_id, x)
+    if entry.frame is None:
         jac = frame = jac()
-        if example_id == "a":
-            shape = _batch(np.eye(4), x)
-        else:  # e, f, j: diagonalizable, no displayed frame
-            shape = _sphere_shapes(ls, x, phi, frame)
+    else:
+        frame = entry.frame(_coords(x), anchor_variant)
+    if entry.shape is None:  # e, f, j: diagonalizable, no displayed frame
+        shape = _sphere_shapes(ls, x, phi, frame)
+    else:
+        shape = _batch(entry.shape, x)
     return FrameData(
         point=x,
         frame=frame,
@@ -566,8 +534,42 @@ def _evaluate_level(example_id: str, p: np.ndarray, anchor_variant: bool) -> Fra
     )
 
 
+def _sample_level(example_id: str, rng, i: int, a: float) -> np.ndarray | None:
+    """Free coordinates near the anchor's, or None where the chart fails or
+    comes within 5e-2 of a chart condition."""
+    ls = _level_set(example_id)
+    q = ls.anchor[ls.free] + rng.uniform(-0.2, 0.2, size=len(ls.free))
+    try:
+        x = _level_chart(example_id, q)
+        _check_domain(example_id, x, margin=5e-2)
+    except DomainError:
+        return None
+    return q
+
+
+def _level_entry(
+    example_id: str, ambient: SpaceForm, label: str, quadric: Callable, anchor: np.ndarray,
+    pivots: tuple, frame=None, shape=None, clauses=(), anchor_variant=False,
+) -> _Entry:
+    """A level set of quadric() of fixed index-2 type label; see _Entry."""
+    return _Entry(
+        example_id, ambient, anchor.shape[0] - len(pivots),
+        lambda p, a: _level_chart(example_id, p),
+        lambda p, a: _level_jacobian(example_id, _level_chart(example_id, p)),
+        functools.partial(_evaluate_level, example_id),
+        functools.partial(_sample_level, example_id), GeometricType(2, label),
+        f"{label} (index 2)", anchor_variant, quadric=quadric, anchor=anchor, pivots=pivots,
+        clauses=clauses, frame=frame, shape=shape,
+    )
+
+
 # ---------------------------------------------------------------------------
 # parametrized entries
+#
+# Chart, Jacobian and frame functions take the chart point (m,) or a stack
+# (k, m) and the parameter a, which only entries k and l read.  A frame
+# function returns the frame, normal, shape and Jacobian; _closed_frame_data
+# adds the rest.
 
 
 def _check_a(a: float) -> None:
@@ -575,32 +577,53 @@ def _check_a(a: float) -> None:
         raise DomainError(f"a must be finite and nonzero, got {a}")
 
 
+def _region(i: int, values: tuple, p: np.ndarray):
+    """values[r] for the region r of the angle p[i] on entries 0-1 and 0-2:
+    r = 0 where sin p[i] = 0 (within 1e-12), 1 where it is positive, 2 where
+    it is negative."""
+    s = np.sin(float(p[i]))
+    if abs(s) < 1e-12:
+        return values[0]
+    return values[1] if s > 0 else values[2]
+
+
+def _sample_region(width: int, rng, i: int, a: float) -> np.ndarray:
+    """Sample i of entries 0-1 and 0-2: width coordinates in (-1, 1), then an
+    angle in region i % 3 (see _region), drawn 0.15 inside the open ones."""
+    box = rng.uniform(-1.0, 1.0, size=width)
+    region = i % 3
+    if region == 0:
+        angle = np.pi * rng.integers(-2, 3)
+    elif region == 1:
+        angle = rng.uniform(0.15, np.pi - 0.15)
+    else:
+        angle = rng.uniform(np.pi + 0.15, 2 * np.pi - 0.15)
+    return np.array([*box, float(angle)])
+
+
 _A01 = (np.array([1.0, 1.0, 0.0]) / SQ2, np.array([1.0, -1.0, 0.0]) / SQ2)
 
 
-def _chart_01(p: np.ndarray) -> np.ndarray:
+def _chart_01(p: np.ndarray, a: float) -> np.ndarray:
     u, v = _coords(p)
     a1, a2 = _A01
     return u * a1 + v * a2 - np.sin(v) * np.array([0.0, 0.0, 1.0])
 
 
-def _jacobian_01(p: np.ndarray) -> np.ndarray:
+def _jacobian_01(p: np.ndarray, a: float) -> np.ndarray:
     jac = np.empty(p.shape[:-1] + (3, 2))
     jac[..., 0], jac[..., 1] = _A01
     jac[..., 2, 1] -= np.cos(p[..., 1])
     return jac
 
 
-def _evaluate_01(p: np.ndarray) -> FrameData:
+def _frame_01(p: np.ndarray, a: float) -> tuple:
     u, v = _coords(p)
-    frame = _jacobian_01(p)
+    frame = _jacobian_01(p, a)
     xi = _vec(v, np.cos(v) / SQ2, np.cos(v) / SQ2, -1.0)
     shape = np.zeros(p.shape[:-1] + (2, 2))
     shape[..., 0, 1] = np.sin(p[..., 1])
-    return FrameData(
-        point=_chart_01(p), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 1), nu=_nu_plus(p), _jacobian=frame,
-    )
+    return frame, xi, shape, frame
 
 
 _A02 = np.array(
@@ -608,13 +631,13 @@ _A02 = np.array(
 ).T
 
 
-def _chart_02(p: np.ndarray) -> np.ndarray:
+def _chart_02(p: np.ndarray, a: float) -> np.ndarray:
     x, y, z, w = _coords(p)
     a1, a2, a3, a4 = _A02.T
     return x * a1 + y * a2 + z * a3 + w * a4 + (y * y / 2.0 - np.sin(w)) * _e(5)
 
 
-def _jacobian_02(p: np.ndarray) -> np.ndarray:
+def _jacobian_02(p: np.ndarray, a: float) -> np.ndarray:
     jac = np.empty(p.shape[:-1] + (5, 4))
     jac[...] = _A02
     jac[..., 4, 1] += p[..., 1]
@@ -622,17 +645,14 @@ def _jacobian_02(p: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _evaluate_02(p: np.ndarray) -> FrameData:
+def _frame_02(p: np.ndarray, a: float) -> tuple:
     x, y, z, w = _coords(p)
-    frame = _jacobian_02(p)
+    frame = _jacobian_02(p, a)
     xi = _vec(y, -y / SQ2, np.cos(w) / SQ2, -y / SQ2, np.cos(w) / SQ2, -1.0)
     shape = np.zeros(p.shape[:-1] + (4, 4))
     shape[..., 0, 1] = 1.0
     shape[..., 2, 3] = np.sin(p[..., 3])
-    return FrameData(
-        point=_chart_02(p), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 2), nu=_nu_plus(p), _jacobian=frame,
-    )
+    return frame, xi, shape, frame
 
 
 def _data_k():
@@ -669,45 +689,6 @@ def _data_k():
     return X, Y, Yp, Z, Zp, V, C, Cp, xint
 
 
-def _chart_k(p: np.ndarray, a: float) -> np.ndarray:
-    _check_a(a)
-    s, u, z, v = _coords(p)
-    X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = _data_k()
-    root = np.sqrt(1 + a * a * v * v)
-    return xint(s) + u * Y(s) + z * Z(s) + v * V + (1 - root) / a * C(s)
-
-
-def _jacobian_k(p: np.ndarray, a: float) -> np.ndarray:
-    _check_a(a)
-    s, u, z, v = _coords(p)
-    X, Y, Yp, Z, Zp, V, C, Cp, _xint = _data_k()
-    root = np.sqrt(1 + a * a * v * v)
-    df_s = X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s)
-    df_v = V - (a * v / root) * C(s)
-    return np.stack([df_s, Y(s), Z(s), df_v], axis=-1)
-
-
-def _evaluate_k(p: np.ndarray, a: float) -> FrameData:
-    s, u, z, v = _coords(p)
-    if (abs(z + SQ2) <= 1e-9).any():
-        raise DomainError("point violates the chart condition z + sqrt(2) != 0")
-    jac = _jacobian_k(p, a)
-    df_s, df_u, df_z, df_v = jac.transpose(-1, *range(jac.ndim - 1))
-    _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = _data_k()
-    root = np.sqrt(1 + a * a * v * v)
-    b1 = df_u
-    b2 = (z + SQ2) ** 2 / (2 * root) * df_z
-    b3 = -((z + SQ2) ** 3) / (2 * SQ2 * root * root) * df_s
-    b4 = SQ2 * a * z * v / ((z + SQ2) * root) * df_u + df_v
-    frame = _columns(b1, b2, b3, b4)
-    xi = -SQ2 * z / (z + SQ2) * root * Y(s) - a * v * V + root * C(s)
-    shape = _batch(_dsum(_j(0.0, 3), np.array([[a]])), p)
-    return FrameData(
-        point=_chart_k(p, a), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 2), nu=_nu_plus(p), _jacobian=jac,
-    )
-
-
 def _data_l():
     def X(s):
         q = SQ2 * (s * s + 2) / 8
@@ -739,49 +720,65 @@ def _data_l():
     return X, Y, Yp, Z, Zp, V, C, Cp, xint
 
 
-def _root_l(v: np.ndarray, a: float) -> np.ndarray:
-    """sqrt(1 - a^2 v^2), defined on the chart |a v| < 1 of entry l."""
+# Entries k (eps = 1, data _data_k) and l (eps = -1, data _data_l) are one
+# family: root = sqrt(1 + eps a^2 v^2), and the chart condition is
+# w = z + eps sqrt(2) != 0, with |a v| < 1 on l as well.
+
+def _root_kl(eps: float, v, a: float):
     _check_a(a)
-    if not (np.abs(a * v) < 1.0).all():
+    if eps < 0 and not (np.abs(a * v) < 1.0).all():
         raise DomainError("point violates the chart condition |v| < 1/|a|")
-    return np.sqrt(1 - a * a * v * v)
+    return np.sqrt(1 + eps * a * a * v * v)
 
 
-def _chart_l(p: np.ndarray, a: float) -> np.ndarray:
+def _chart_kl(data, eps: float, p: np.ndarray, a: float) -> np.ndarray:
     s, u, z, v = _coords(p)
-    X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = _data_l()
-    root = _root_l(v, a)
+    X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = data()
+    root = _root_kl(eps, v, a)
     return xint(s) + u * Y(s) + z * Z(s) + v * V + (1 - root) / a * C(s)
 
 
-def _jacobian_l(p: np.ndarray, a: float) -> np.ndarray:
+def _jacobian_kl(data, eps: float, p: np.ndarray, a: float) -> np.ndarray:
     s, u, z, v = _coords(p)
-    X, Y, Yp, Z, Zp, V, C, Cp, _xint = _data_l()
-    root = _root_l(v, a)
+    X, Y, Yp, Z, Zp, V, C, Cp, _xint = data()
+    root = _root_kl(eps, v, a)
     df_s = X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s)
-    df_v = V + (a * v / root) * C(s)
+    df_v = V - eps * (a * v / root) * C(s)
     return np.stack([df_s, Y(s), Z(s), df_v], axis=-1)
 
 
-def _evaluate_l(p: np.ndarray, a: float) -> FrameData:
+def _frame_kl(data, eps: float, p: np.ndarray, a: float) -> tuple:
     s, u, z, v = _coords(p)
-    if (abs(z - SQ2) <= 1e-9).any():
-        raise DomainError("point violates the chart condition z - sqrt(2) != 0")
-    jac = _jacobian_l(p, a)
+    w = z + eps * SQ2
+    if (abs(w) <= 1e-9).any():
+        sign = "+" if eps > 0 else "-"
+        raise DomainError(f"point violates the chart condition z {sign} sqrt(2) != 0")
+    jac = _jacobian_kl(data, eps, p, a)
     df_s, df_u, df_z, df_v = jac.transpose(-1, *range(jac.ndim - 1))
-    _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = _data_l()
-    root = _root_l(v, a)
+    _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = data()
+    root = _root_kl(eps, v, a)
     b1 = df_u
-    b2 = (z - SQ2) ** 2 / (2 * root) * df_z
-    b3 = (z - SQ2) ** 3 / (2 * SQ2 * root * root) * df_s
-    b4 = SQ2 * a * z * v / ((z - SQ2) * root) * df_u + df_v
-    frame = _columns(b1, b2, b3, b4)
-    xi = SQ2 * z / (z - SQ2) * root * Y(s) - a * v * V + root * C(s)
-    shape = _batch(_dsum(_j(0.0, 3), np.array([[a]])), p)
-    return FrameData(
-        point=_chart_l(p, a), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 2), nu=_nu_plus(p), _jacobian=jac,
-    )
+    b2 = w ** 2 / (2 * root) * df_z
+    b3 = -eps * w ** 3 / (2 * SQ2 * root * root) * df_s
+    b4 = SQ2 * a * z * v / (w * root) * df_u + df_v
+    xi = -eps * SQ2 * z / w * root * Y(s) - a * v * V + root * C(s)
+    return _columns(b1, b2, b3, b4), xi, _batch(_dsum(_j(0.0, 3), np.array([[a]])), p), jac
+
+
+def _sample_kl(eps: float, rng, i: int, a: float) -> np.ndarray:
+    """A point of the box |coordinate| < 0.8; on l, v is drawn again so that
+    |a v| <= 0.8 stays inside the chart."""
+    _check_a(a)
+    p = rng.uniform(-0.8, 0.8, size=4)
+    if eps < 0:
+        p[3] = rng.uniform(-0.8, 0.8) / max(abs(a), 1.0)
+    return p
+
+
+def _kl_family(data, eps: float) -> tuple:
+    """chart, jacobian, frame and sample of entry k (eps = 1) or l (-1)."""
+    formulas = (functools.partial(fn, data, eps) for fn in (_chart_kl, _jacobian_kl, _frame_kl))
+    return (*formulas, functools.partial(_sample_kl, eps))
 
 
 def _data_m():
@@ -808,13 +805,13 @@ def _data_m():
     return X, Y, Z, W, Wp, C, Cp, yint
 
 
-def _chart_m(p: np.ndarray) -> np.ndarray:
+def _chart_m(p: np.ndarray, a: float) -> np.ndarray:
     s, w, z, u = _coords(p)
     X, Y, Z, W, _Wp, C, _Cp, yint = _data_m()
     return s * X + w * W(u) + z * Z - z * z / 2.0 * C(u) + yint(u)
 
 
-def _jacobian_m(p: np.ndarray) -> np.ndarray:
+def _jacobian_m(p: np.ndarray, a: float) -> np.ndarray:
     s, w, z, u = _coords(p)
     X, Y, Z, W, Wp, C, Cp, _yint = _data_m()
     df_w = W(u)
@@ -823,96 +820,138 @@ def _jacobian_m(p: np.ndarray) -> np.ndarray:
     return np.stack([np.broadcast_to(X, df_w.shape), df_w, df_z, df_u], axis=-1)
 
 
-def _evaluate_m(p: np.ndarray) -> FrameData:
+def _frame_m(p: np.ndarray, a: float) -> tuple:
     s, w, z, u = _coords(p)
     X, _Y, _Z, W, _Wp, C, _Cp, _yint = _data_m()
-    jac = _jacobian_m(p)
+    jac = _jacobian_m(p, a)
     df_s, df_w, df_z, df_u = jac.transpose(-1, *range(jac.ndim - 1))
     b1 = df_s
     b2 = df_w
     b3 = 1.5 * z * z * df_w + df_z
     b4 = (2.25 * z**4 + z) * df_w + 1.5 * z * z * df_z + df_u
-    frame = _columns(b1, b2, b3, b4)
     xi = (-w + z**3 / 2.0) * X - z * W(u) + C(u)
-    shape = _batch(_j(0.0, 4), p)
+    return _columns(b1, b2, b3, b4), xi, _batch(_j(0.0, 4), p), jac
+
+
+def _closed_frame_data(chart, frame_fn, s: int, p: np.ndarray, a: float, anchor_variant: bool):
+    frame, xi, shape, jac = frame_fn(p, a)
     return FrameData(
-        point=_chart_m(p), frame=frame, normal=xi, shape=shape,
-        gram=_frame_gram(frame, 2), nu=_nu_plus(p), _jacobian=jac,
+        point=chart(p, a), frame=frame, normal=xi, shape=shape, gram=_frame_gram(frame, s),
+        nu=1 if p.ndim == 1 else np.ones(p.shape[0], dtype=int), _jacobian=jac,
     )
+
+
+def _closed_entry(
+    example_id: str, ambient: SpaceForm, param_dim: int, chart, jacobian, frame, sample,
+    expected, summary: str | None = None, epsilon=None,
+) -> _Entry:
+    """An entry given by closed formulas.  expected is the label of a fixed
+    index-2 type, or a function of the chart point described by summary."""
+    if isinstance(expected, str):
+        expected, summary = GeometricType(2, expected), f"{expected} (index 2)"
+    evaluate = functools.partial(_closed_frame_data, chart, frame, ambient.embedding_index)
+    return _Entry(
+        example_id, ambient, param_dim, chart, jacobian, evaluate, sample, expected, summary,
+        epsilon=epsilon,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+_R3_1, _R5_2 = SpaceForm(3, 1, 0), SpaceForm(5, 2, 0)
+_S5_2, _S5_3 = SpaceForm(5, 2, 1), SpaceForm(5, 3, 1)
+_E3, _I3 = _anti(3), np.eye(3)
+
+# The explicit frames of g, h and i divide by their chart conditions, and
+# every chart solve checks them; the level set of g, 2 (x1 + x4)(x6 - x3) = 1,
+# has no point where either fails.
+_CLAUSES_G = (
+    ("x1 + x4 != 0", 1e-9, _e(1, 6) + _e(4, 6)),
+    ("-x3 + x6 != 0", 1e-9, -_e(3, 6) + _e(6, 6)),
+)
+_CLAUSES_HI = (("x2 + x5 != 0", _SINGULAR_TOL, _e(2, 6) + _e(5, 6)),)
+
+_REGISTRY = {entry.id: entry for entry in (
+    _closed_entry(
+        "0-1", _R3_1, 2, _chart_01, _jacobian_01, _frame_01, functools.partial(_sample_region, 1),
+        functools.partial(_region, 1, tuple(GeometricType(1, t) for t in ("I", "II", "II"))),
+        "I or II by region (index 1)", functools.partial(_region, 1, (None, -1, 1)),
+    ),
+    _closed_entry(
+        "0-2", _R5_2, 4, _chart_02, _jacobian_02, _frame_02, functools.partial(_sample_region, 3),
+        functools.partial(_region, 3, tuple(GeometricType(2, t) for t in ("X", "IX-i", "IX-ii"))),
+        "X, IX-i, or IX-ii by region (index 2)",
+    ),
+    _level_entry("a", _R5_2, "XI", lambda: ("flat", 2, -np.eye(5), -1.0, np.zeros(5)),
+                 _e(3), (2,), shape=np.eye(4)),
+    _level_entry("b", _R5_2, "X", lambda: ("flat", 2, _p_flat_b(), 1.0, _e(3)),
+                 _e(1), (2,), _frame_b, _dsum(_j(0.0, 2), np.zeros((2, 2)))),
+    _level_entry("c", _R5_2, "IX-ii", lambda: ("flat", 2, _p_flat_c(), 1.0, _e(4)),
+                 _e(4) / 2.0, (3,), _frame_c, _dsum(_j(0.0, 2), _j(0.0, 2))),
+    _level_entry("d", _R5_2, "IX-i", lambda: ("flat", 2, _p_flat_d(), 1.0, _e(4)),
+                 _e(4) / 2.0, (3,), _frame_d, _dsum(_j(0.0, 2), _j(0.0, 2))),
+    _level_entry("e", _S5_2, "XI", lambda: ("sphere", 2, _dsum(_anti(2), _anti(4)), 0.0),
+                 _e(6, 6), (2, 5)),
+    _level_entry("f", _S5_3, "XI", lambda: ("sphere", 3, _dsum(_E3, _E3), 3.0),
+                 np.array([-1 / SQ2, 0, 1 / SQ2, 0, SQ2, 0]), (0, 4)),
+    _level_entry("g", _S5_3, "X", lambda: ("sphere", 3, _p_sphere_g(), 1.0),
+                 np.array([0, 0, 0, 1 / SQ2, 0, 1 / SQ2]), (0, 3),
+                 _frame_g, _dsum(_j(1.0, 2), np.eye(2)), _CLAUSES_G),
+    _level_entry("h", _S5_3, "IX-ii",
+                 lambda: ("sphere", 3, np.block([[_E3, _I3], [-_I3, -_E3]]), -1.0),
+                 _e(5, 6), (1, 4), _frame_h, _dsum(_j(-1.0, 2), _j(-1.0, 2)), _CLAUSES_HI, True),
+    _level_entry("i", _S5_3, "IX-i",
+                 lambda: ("sphere", 3, np.block([[_I3, _I3], [-_I3, -_I3]]), -1.0),
+                 _e(5, 6), (1, 4), _frame_i, _dsum(_j(-1.0, 2), _j(-1.0, 2)), _CLAUSES_HI, True),
+    _level_entry("j", _S5_3, "II", lambda: ("sphere", 3, np.block([[_I3, -_E3], [_E3, _I3]]), 1.0),
+                 _e(4, 6), (2, 3)),
+    _closed_entry("k", _R5_2, 4, *_kl_family(_data_k, 1.0), "VII-ii"),
+    _closed_entry("l", _R5_2, 4, *_kl_family(_data_l, -1.0), "VII-i"),
+    _closed_entry(
+        "m", _R5_2, 4, _chart_m, _jacobian_m, _frame_m,
+        lambda rng, i, a: rng.uniform(-0.8, 0.8, size=4), "VI",
+    ),
+)}
+
+EXAMPLE_IDS = tuple(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
 # the uniform interface
 
-_AMBIENT = {
-    "0-1": SpaceForm(3, 1, 0),
-    "0-2": SpaceForm(5, 2, 0),
-    "a": SpaceForm(5, 2, 0),
-    "b": SpaceForm(5, 2, 0),
-    "c": SpaceForm(5, 2, 0),
-    "d": SpaceForm(5, 2, 0),
-    "e": SpaceForm(5, 2, 1),
-    "f": SpaceForm(5, 3, 1),
-    "g": SpaceForm(5, 3, 1),
-    "h": SpaceForm(5, 3, 1),
-    "i": SpaceForm(5, 3, 1),
-    "j": SpaceForm(5, 3, 1),
-    "k": SpaceForm(5, 2, 0),
-    "l": SpaceForm(5, 2, 0),
-    "m": SpaceForm(5, 2, 0),
-}
 
-_PARAM_DIM = {
-    "0-1": 2, "0-2": 4,
-    "a": 4, "b": 4, "c": 4, "d": 4,
-    "e": 4, "f": 4, "g": 4, "h": 4, "i": 4, "j": 4,
-    "k": 4, "l": 4, "m": 4,
-}
-
-# fixed geometric type per entry (index 2 unless noted); the two surfaces with
-# region-dependent type are handled in expected_type
-_FIXED_TYPE = {
-    "a": "XI", "b": "X", "c": "IX-ii", "d": "IX-i",
-    "e": "XI", "f": "XI", "g": "X", "h": "IX-ii", "i": "IX-i",
-    "j": "II", "k": "VII-ii", "l": "VII-i", "m": "VI",
-}
+def _entry(example_id: str) -> _Entry:
+    entry = _REGISTRY.get(example_id)
+    if entry is None:
+        raise DomainError(f"unknown example id {example_id!r}")
+    return entry
 
 
 def ambient_of(example_id: str) -> SpaceForm:
-    if example_id not in _AMBIENT:
-        raise DomainError(f"unknown example id {example_id!r}")
-    return _AMBIENT[example_id]
+    return _entry(example_id).ambient
 
 
 def param_dim(example_id: str) -> int:
-    if example_id not in _PARAM_DIM:
-        raise DomainError(f"unknown example id {example_id!r}")
-    return _PARAM_DIM[example_id]
+    return _entry(example_id).param_dim
 
 
-def _chart_point(example_id: str, p, stack: bool = False) -> np.ndarray:
-    """p as a float array of shape (m,), or (k, m) when stack is allowed."""
+def _chart_point(entry: _Entry, p, stack: bool = False) -> np.ndarray:
+    """p as a float array of shape (m,), or (k, m) when stack is allowed,
+    with finite coordinates."""
     p = np.asarray(p, dtype=float)
-    m = param_dim(example_id)
+    m = entry.param_dim
     if p.shape != (m,) and not (stack and p.ndim == 2 and p.shape[1] == m):
-        raise ShapeError(f"{example_id} takes {m} chart coordinates")
+        raise ShapeError(f"{entry.id} takes {m} chart coordinates")
+    if not np.isfinite(p).all():
+        raise DomainError("chart point has a non-finite coordinate (NaN or infinity)")
     return p
 
 
 def chart(example_id: str, p, a: float = 1.0) -> np.ndarray:
     """Smooth map from chart coordinates to the ambient point."""
-    p = _chart_point(example_id, p)
-    if example_id == "0-1":
-        return _chart_01(p)
-    if example_id == "0-2":
-        return _chart_02(p)
-    if example_id == "k":
-        return _chart_k(p, a)
-    if example_id == "l":
-        return _chart_l(p, a)
-    if example_id == "m":
-        return _chart_m(p)
-    return _level_chart(example_id, p[None])[0]
+    entry = _entry(example_id)
+    return entry.chart(_chart_point(entry, p), a)
 
 
 def evaluate(
@@ -927,73 +966,40 @@ def evaluate(
     displayed at the anchor point, whose Gram is a signed anti-diagonal; the
     other entries have no such basis and raise DomainError.
     """
-    p = _chart_point(example_id, p, stack=True)
-    if anchor_variant and example_id not in ("h", "i"):
-        raise DomainError("anchor_variant exists only for entries h and i")
-    if example_id == "0-1":
-        return _evaluate_01(p)
-    if example_id == "0-2":
-        return _evaluate_02(p)
-    if example_id == "k":
-        return _evaluate_k(p, a)
-    if example_id == "l":
-        return _evaluate_l(p, a)
-    if example_id == "m":
-        return _evaluate_m(p)
-    return _evaluate_level(example_id, p, anchor_variant)
+    entry = _entry(example_id)
+    p = _chart_point(entry, p, stack=True)
+    if anchor_variant and not entry.anchor_variant:
+        ids = " and ".join(e.id for e in _REGISTRY.values() if e.anchor_variant)
+        raise DomainError(f"anchor_variant exists only for entries {ids}")
+    return entry.evaluate(p, a, anchor_variant)
 
 
 def chart_jacobian(example_id: str, p, a: float = 1.0) -> np.ndarray:
     """Exact ambient partial derivatives of the chart, one column per chart
     coordinate: shape (n, m) at a point p of shape (m,), and (k, n, m) at a
     stack of k points of shape (k, m)."""
-    p = _chart_point(example_id, p, stack=True)
-    if example_id == "0-1":
-        return _jacobian_01(p)
-    if example_id == "0-2":
-        return _jacobian_02(p)
-    if example_id == "k":
-        return _jacobian_k(p, a)
-    if example_id == "l":
-        return _jacobian_l(p, a)
-    if example_id == "m":
-        return _jacobian_m(p)
-    jac = _coordinate_tangent_frame(example_id, _level_chart(example_id, np.atleast_2d(p)))
-    return jac if p.ndim == 2 else jac[0]
+    entry = _entry(example_id)
+    return entry.jacobian(_chart_point(entry, p, stack=True), a)
 
 
 def expected_type(example_id: str, p=None) -> GeometricType:
     """The stated geometric type; for "0-1"/"0-2" it depends on the point."""
-    if example_id in _FIXED_TYPE:
-        return GeometricType(2, _FIXED_TYPE[example_id])
-    if example_id == "0-1":
-        if p is None:
-            raise DomainError("entry 0-1 has a point-dependent type")
-        v = float(np.asarray(p, dtype=float)[1])
-        if abs(np.sin(v)) < 1e-12:
-            return GeometricType(1, "I")
-        return GeometricType(1, "II")
-    if example_id == "0-2":
-        if p is None:
-            raise DomainError("entry 0-2 has a point-dependent type")
-        w = float(np.asarray(p, dtype=float)[3])
-        if abs(np.sin(w)) < 1e-12:
-            return GeometricType(2, "X")
-        if np.sin(w) > 0:
-            return GeometricType(2, "IX-i")
-        return GeometricType(2, "IX-ii")
-    raise DomainError(f"unknown example id {example_id!r}")
+    entry = _entry(example_id)
+    if p is not None:
+        p = _chart_point(entry, p)
+    if not callable(entry.expected):
+        return entry.expected
+    if p is None:
+        raise DomainError(f"entry {example_id} has a point-dependent type")
+    return entry.expected(p)
 
 
 def expected_algebraic_epsilon(example_id: str, p) -> int | None:
     """The stated sign for the region-dependent entries, where defined."""
-    if example_id == "0-1":
-        v = float(np.asarray(p, dtype=float)[1])
-        sv = np.sin(v)
-        if abs(sv) < 1e-12:
-            return None
-        return -1 if sv > 0 else 1
-    raise DomainError(f"{example_id} has no stated region-dependent sign")
+    entry = _REGISTRY.get(example_id)
+    if entry is None or entry.epsilon is None:
+        raise DomainError(f"{example_id} has no stated region-dependent sign")
+    return entry.epsilon(_chart_point(entry, p))
 
 
 def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0):
@@ -1001,72 +1007,24 @@ def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0):
     through all their regions."""
     if n < 1:
         raise DomainError("need at least one sample")
+    entry = _entry(example_id)
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
-        k = len(out)
-        if example_id == "0-1":
-            u = rng.uniform(-1.0, 1.0)
-            region = k % 3
-            if region == 0:
-                v = np.pi * rng.integers(-2, 3)
-            elif region == 1:
-                v = rng.uniform(0.15, np.pi - 0.15)
-            else:
-                v = rng.uniform(np.pi + 0.15, 2 * np.pi - 0.15)
-            out.append(np.array([u, float(v)]))
-            continue
-        if example_id == "0-2":
-            xyz = rng.uniform(-1.0, 1.0, size=3)
-            region = k % 3
-            if region == 0:
-                w = np.pi * rng.integers(-2, 3)
-            elif region == 1:
-                w = rng.uniform(0.15, np.pi - 0.15)
-            else:
-                w = rng.uniform(np.pi + 0.15, 2 * np.pi - 0.15)
-            out.append(np.array([*xyz, float(w)]))
-            continue
-        if example_id in ("k", "l", "m"):
-            p = rng.uniform(-0.8, 0.8, size=4)
-            if example_id == "l":
-                p[3] = rng.uniform(-0.8, 0.8) / max(abs(a), 1.0)
-                if not abs(a * p[3]) < 1.0:
-                    continue
+        p = entry.sample(rng, len(out), a)
+        if p is not None:
             out.append(p)
-            continue
-        if example_id in _ANCHOR:
-            anchor, pivots = _ANCHOR[example_id]
-            free = [i for i in range(anchor.shape[0]) if i not in pivots]
-            q = anchor[free] + rng.uniform(-0.2, 0.2, size=len(free))
-            try:
-                x = _level_chart(example_id, q[None])[0]
-                _check_domain(example_id, x, margin=5e-2)
-            except DomainError:
-                continue
-            out.append(q)
-            continue
-        raise DomainError(f"unknown example id {example_id!r}")
     return out
 
 
 def catalog_summary() -> list[dict]:
     """One row per entry for the CLI listing."""
-    rows = []
-    for ex_id in EXAMPLE_IDS:
-        amb = _AMBIENT[ex_id]
-        kind = {0: "flat", 1: "sphere"}[amb.curvature]
-        if ex_id in _FIXED_TYPE:
-            expected = f"{_FIXED_TYPE[ex_id]} (index 2)"
-        elif ex_id == "0-1":
-            expected = "I or II by region (index 1)"
-        else:
-            expected = "X, IX-i, or IX-ii by region (index 2)"
-        rows.append(
-            {
-                "id": ex_id,
-                "ambient": f"{kind} dim {amb.dim} index {amb.index}",
-                "expected_type": expected,
-            }
-        )
-    return rows
+    kind = {0: "flat", 1: "sphere"}
+    return [
+        {
+            "id": e.id,
+            "ambient": f"{kind[e.ambient.curvature]} dim {e.ambient.dim} index {e.ambient.index}",
+            "expected_type": e.summary,
+        }
+        for e in _REGISTRY.values()
+    ]

@@ -45,7 +45,7 @@ import numpy as np
 from . import catalog
 from .linalg import BilinearSpace
 from .petrov import SelfAdjointPair, classify_geometric
-from .spaceform import QuadricFunction, ambient_inner, inner_matrix, quadric_gradient
+from .spaceform import QuadricFunction, SpaceForm, ambient_inner, inner_matrix, quadric_gradient
 
 # per-check defaults, overridable from the CLI
 CONFIG = {
@@ -471,28 +471,28 @@ _TABLE1_CELLS = {
         "IX-ii": "h", "X": "g", "XI": "f",
     },
 }
-_TABLE1_ROW_OF = {
-    "a": "R5_2 (delta=0)", "b": "R5_2 (delta=0)", "c": "R5_2 (delta=0)",
-    "d": "R5_2 (delta=0)", "k": "R5_2 (delta=0)", "l": "R5_2 (delta=0)",
-    "m": "R5_2 (delta=0)",
-    "e": "S5_2 (delta=1)",
-    "f": "S5_3 (delta=-1)", "g": "S5_3 (delta=-1)", "h": "S5_3 (delta=-1)",
-    "i": "S5_3 (delta=-1)", "j": "S5_3 (delta=-1)",
+# an entry of fixed type sits in the row of its ambient space form
+_TABLE1_ROW_OF_AMBIENT = {
+    SpaceForm(5, 2, 0): "R5_2 (delta=0)",
+    SpaceForm(5, 2, 1): "S5_2 (delta=1)",
+    SpaceForm(5, 3, 1): "S5_3 (delta=-1)",
 }
 
 
 def _case_table(samples: int, seed: int) -> dict:
     mismatches = []
     computed_cells = {row: dict(cells) for row, cells in _TABLE1_CELLS.items()}
-    for ex_id, row in _TABLE1_ROW_OF.items():
-        want = catalog.expected_type(ex_id)
-        for p in catalog.sample_domain(ex_id, samples, seed=seed):
-            got = _classify_sample(ex_id, p)
-            if got.label != want.label or got.index != want.index:
-                mismatches.append({"example": ex_id, "point": list(map(float, p))})
-        # the letter sits in the column of its computed type
-        if want.label not in _TABLE1_COLUMNS or _TABLE1_CELLS[row][want.label] != ex_id:
-            mismatches.append({"example": ex_id, "cell": want.label})
+    fixed = [ex_id for ex_id in catalog.EXAMPLE_IDS if ex_id not in _REGION_ROWS]
+    for ambient, row in _TABLE1_ROW_OF_AMBIENT.items():
+        for ex_id in [ex_id for ex_id in fixed if catalog.ambient_of(ex_id) == ambient]:
+            want = catalog.expected_type(ex_id)
+            for p in catalog.sample_domain(ex_id, samples, seed=seed):
+                got = _classify_sample(ex_id, p)
+                if got.label != want.label or got.index != want.index:
+                    mismatches.append({"example": ex_id, "point": list(map(float, p))})
+            # the letter sits in the column of its computed type
+            if want.label not in _TABLE1_COLUMNS or _TABLE1_CELLS[row][want.label] != ex_id:
+                mismatches.append({"example": ex_id, "cell": want.label})
     return {
         "table": 1,
         "columns": list(_TABLE1_COLUMNS),

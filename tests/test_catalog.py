@@ -354,3 +354,49 @@ def test_frame_data_without_jacobian():
     assert np.array_equal(bare.shape, fd.shape)
     with pytest.raises(ValueError, match="without a chart Jacobian"):
         bare.jacobian
+
+
+def test_catalog_summary_golden():
+    flat, sphere = "flat dim 5 index 2", "sphere dim 5 index 3"
+    want = [
+        ("0-1", "flat dim 3 index 1", "I or II by region (index 1)"),
+        ("0-2", flat, "X, IX-i, or IX-ii by region (index 2)"),
+        ("a", flat, "XI (index 2)"),
+        ("b", flat, "X (index 2)"),
+        ("c", flat, "IX-ii (index 2)"),
+        ("d", flat, "IX-i (index 2)"),
+        ("e", "sphere dim 5 index 2", "XI (index 2)"),
+        ("f", sphere, "XI (index 2)"),
+        ("g", sphere, "X (index 2)"),
+        ("h", sphere, "IX-ii (index 2)"),
+        ("i", sphere, "IX-i (index 2)"),
+        ("j", sphere, "II (index 2)"),
+        ("k", flat, "VII-ii (index 2)"),
+        ("l", flat, "VII-i (index 2)"),
+        ("m", flat, "VI (index 2)"),
+    ]
+    got = [(row["id"], row["ambient"], row["expected_type"]) for row in catalog_summary()]
+    assert got == want
+
+
+@pytest.mark.parametrize("ex_id", ["k", "l"])
+@pytest.mark.parametrize("aval", [0.0, np.nan, np.inf, -np.inf])
+def test_sample_domain_refuses_bad_a(ex_id, aval):
+    # the l sampler used to retry forever at a NaN or infinite a
+    with pytest.raises(DomainError, match="a must be finite and nonzero"):
+        sample_domain(ex_id, 3, a=aval)
+
+
+@pytest.mark.parametrize("fun, ex_id, p, error", [
+    (expected_type, "0-1", [0.3, np.nan], DomainError),
+    (expected_type, "0-2", [0, 0, 0, np.inf], DomainError),
+    (expected_algebraic_epsilon, "0-1", [0.3, np.nan], DomainError),
+    (expected_type, "0-1", [0.3], ShapeError),
+    (expected_type, "a", [0.3], ShapeError),
+    (evaluate, "0-1", [0.3, np.nan], DomainError),
+    (chart, "k", [0.1, 0.2, -np.inf, 0.1], DomainError),
+    (chart_jacobian, "e", [[0.1, 0.2, 0.3, 0.1], [0.1, np.nan, 0.3, 0.1]], DomainError),
+])
+def test_bad_chart_points_refused(fun, ex_id, p, error):
+    with pytest.raises(error):
+        fun(ex_id, p)

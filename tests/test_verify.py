@@ -45,6 +45,12 @@ def test_run_checks_all_pass_small_sweep():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("aval", [np.nan, np.inf])
+def test_run_checks_refuses_non_finite_a(aval):
+    with pytest.raises(DomainError, match="a must be finite and nonzero"):
+        run_checks("l", samples=2, a=aval)
+
+
 def test_gauss_residual_converges_or_hits_noise_floor():
     p = sample_domain("g", 1, seed=37)[0]
     h = CONFIG["curvature_h"]
