@@ -655,7 +655,10 @@ def _frame_02(p: np.ndarray, a: float) -> tuple:
     return frame, xi, shape, frame
 
 
-def _data_k():
+def _data_k() -> tuple:
+    """Curves and constant vectors of entry k, built once: X, Y, Y', Z, Z',
+    V, C, C' and the integral of X."""
+
     def X(s):
         q = SQ2 * (s * s + 6) / 8
         return _vec(s, q + 0.5, SQ2 / 2, q - SQ2 + 0.5, -SQ2 / 2 * s, 1 + SQ2 / 2)
@@ -689,7 +692,9 @@ def _data_k():
     return X, Y, Yp, Z, Zp, V, C, Cp, xint
 
 
-def _data_l():
+def _data_l() -> tuple:
+    """The data of _data_k for entry l."""
+
     def X(s):
         q = SQ2 * (s * s + 2) / 8
         return _vec(s, q - SQ2, SQ2 / 2 * s, q, SQ2 / 2, SQ2 / 2)
@@ -720,7 +725,7 @@ def _data_l():
     return X, Y, Yp, Z, Zp, V, C, Cp, xint
 
 
-# Entries k (eps = 1, data _data_k) and l (eps = -1, data _data_l) are one
+# Entries k (eps = 1, data _data_k()) and l (eps = -1, data _data_l()) are one
 # family: root = sqrt(1 + eps a^2 v^2), and the chart condition is
 # w = z + eps sqrt(2) != 0, with |a v| < 1 on l as well.
 
@@ -731,23 +736,23 @@ def _root_kl(eps: float, v, a: float):
     return np.sqrt(1 + eps * a * a * v * v)
 
 
-def _chart_kl(data, eps: float, p: np.ndarray, a: float) -> np.ndarray:
+def _chart_kl(data: tuple, eps: float, p: np.ndarray, a: float) -> np.ndarray:
     s, u, z, v = _coords(p)
-    X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = data()
+    X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = data
     root = _root_kl(eps, v, a)
     return xint(s) + u * Y(s) + z * Z(s) + v * V + (1 - root) / a * C(s)
 
 
-def _jacobian_kl(data, eps: float, p: np.ndarray, a: float) -> np.ndarray:
+def _jacobian_kl(data: tuple, eps: float, p: np.ndarray, a: float) -> np.ndarray:
     s, u, z, v = _coords(p)
-    X, Y, Yp, Z, Zp, V, C, Cp, _xint = data()
+    X, Y, Yp, Z, Zp, V, C, Cp, _xint = data
     root = _root_kl(eps, v, a)
     df_s = X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s)
     df_v = V - eps * (a * v / root) * C(s)
     return np.stack([df_s, Y(s), Z(s), df_v], axis=-1)
 
 
-def _frame_kl(data, eps: float, p: np.ndarray, a: float) -> tuple:
+def _frame_kl(data: tuple, eps: float, p: np.ndarray, a: float) -> tuple:
     s, u, z, v = _coords(p)
     w = z + eps * SQ2
     if (abs(w) <= 1e-9).any():
@@ -755,7 +760,7 @@ def _frame_kl(data, eps: float, p: np.ndarray, a: float) -> tuple:
         raise DomainError(f"point violates the chart condition z {sign} sqrt(2) != 0")
     jac = _jacobian_kl(data, eps, p, a)
     df_s, df_u, df_z, df_v = jac.transpose(-1, *range(jac.ndim - 1))
-    _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = data()
+    _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = data
     root = _root_kl(eps, v, a)
     b1 = df_u
     b2 = w ** 2 / (2 * root) * df_z
@@ -775,13 +780,16 @@ def _sample_kl(eps: float, rng, i: int, a: float) -> np.ndarray:
     return p
 
 
-def _kl_family(data, eps: float) -> tuple:
-    """chart, jacobian, frame and sample of entry k (eps = 1) or l (-1)."""
+def _kl_family(data: tuple, eps: float) -> tuple:
+    """chart, jacobian, frame and sample of entry k (eps = 1) or l (-1), all
+    on the one data tuple."""
     formulas = (functools.partial(fn, data, eps) for fn in (_chart_kl, _jacobian_kl, _frame_kl))
     return (*formulas, functools.partial(_sample_kl, eps))
 
 
-def _data_m():
+def _data_m() -> tuple:
+    """Curves and constant vectors of entry m: X, Y, Z, W, W', C, C' and the
+    integral of Y."""
     X = np.array([0.0, -1.0, 0.0, 0.0, 1.0])
     Z = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
 
@@ -805,15 +813,18 @@ def _data_m():
     return X, Y, Z, W, Wp, C, Cp, yint
 
 
+_DATA_M = _data_m()
+
+
 def _chart_m(p: np.ndarray, a: float) -> np.ndarray:
     s, w, z, u = _coords(p)
-    X, Y, Z, W, _Wp, C, _Cp, yint = _data_m()
+    X, Y, Z, W, _Wp, C, _Cp, yint = _DATA_M
     return s * X + w * W(u) + z * Z - z * z / 2.0 * C(u) + yint(u)
 
 
 def _jacobian_m(p: np.ndarray, a: float) -> np.ndarray:
     s, w, z, u = _coords(p)
-    X, Y, Z, W, Wp, C, Cp, _yint = _data_m()
+    X, Y, Z, W, Wp, C, Cp, _yint = _DATA_M
     df_w = W(u)
     df_z = Z - z * C(u)
     df_u = w * Wp(u) - z * z / 2.0 * Cp + Y(u)
@@ -822,7 +833,7 @@ def _jacobian_m(p: np.ndarray, a: float) -> np.ndarray:
 
 def _frame_m(p: np.ndarray, a: float) -> tuple:
     s, w, z, u = _coords(p)
-    X, _Y, _Z, W, _Wp, C, _Cp, _yint = _data_m()
+    X, _Y, _Z, W, _Wp, C, _Cp, _yint = _DATA_M
     jac = _jacobian_m(p, a)
     df_s, df_w, df_z, df_u = jac.transpose(-1, *range(jac.ndim - 1))
     b1 = df_s
@@ -906,8 +917,8 @@ _REGISTRY = {entry.id: entry for entry in (
                  _e(5, 6), (1, 4), _frame_i, _dsum(_j(-1.0, 2), _j(-1.0, 2)), _CLAUSES_HI, True),
     _level_entry("j", _S5_3, "II", lambda: ("sphere", 3, np.block([[_I3, -_E3], [_E3, _I3]]), 1.0),
                  _e(4, 6), (2, 3)),
-    _closed_entry("k", _R5_2, 4, *_kl_family(_data_k, 1.0), "VII-ii"),
-    _closed_entry("l", _R5_2, 4, *_kl_family(_data_l, -1.0), "VII-i"),
+    _closed_entry("k", _R5_2, 4, *_kl_family(_data_k(), 1.0), "VII-ii"),
+    _closed_entry("l", _R5_2, 4, *_kl_family(_data_l(), -1.0), "VII-i"),
     _closed_entry(
         "m", _R5_2, 4, _chart_m, _jacobian_m, _frame_m,
         lambda rng, i, a: rng.uniform(-0.8, 0.8, size=4), "VI",

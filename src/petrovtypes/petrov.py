@@ -19,10 +19,20 @@ the chain peel:
   step, raises ConditioningError;
 - with a block of size 2 or more: the generalized eigenspace is computed
   once and shared by the rank staircase that sizes the blocks and the chain
-  peel, which takes longest chains first.
+  peel, which takes longest chains first in the coordinates of that
+  eigenspace.
 
 Complex clusters always take the peel.  A cluster spanning the whole space
 gets the identity basis.
+
+The other orientation needs no second solve.  By the sign characteristic
+rule (Gohberg, Lancaster & Rodman, *Indefinite Linear Algebra and Its
+Applications*, 2005, ch. 5), the normal form of (-A, G) has the real
+eigenvalues negated, a real block of size m and sign eps with sign
+eps (-1)^(m-1), and each complex block (alpha, beta) as (-alpha, beta);
+``flip_orientation`` derives it, transform included, from the form of
+(A, G), and the orientation-free ``classify_geometric`` and ``classify_pair``
+compute one normal form each.
 """
 
 from __future__ import annotations
@@ -292,19 +302,70 @@ def petrov_normal_form(
         for m, _eps, cols in chains:
             cplx_chains.append((alpha, beta, m, _realify_chain(cols)))
 
+    form = _assemble_form(structure, real_chains, cplx_chains)
+    if form.transform.shape != (n, n):
+        raise ConditioningError("chain construction did not produce a full basis")
+    cond = np.linalg.cond(form.transform)
+    if cond > 1.0 / max(tol, np.finfo(float).eps * 10):
+        raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
+    return form
+
+
+def _assemble_form(
+    structure: JordanStructure,
+    real_chains: list[tuple[float, int, int, np.ndarray]],
+    cplx_chains: list[tuple[float, float, int, np.ndarray]],
+) -> PetrovNormalForm:
+    """Chains (lam, m, eps, cols) and (alpha, beta, m, cols) sorted into
+    canonical block order, their columns stacked into T, and the normal pair
+    of the structure and signs."""
     # canonical block order: real eigenvalues ascending, sizes ascending,
     # sign +1 first among equal sizes; then complex by (alpha, beta)
     real_chains.sort(key=lambda t: (t[0], t[1], -t[2]))
     cplx_chains.sort(key=lambda t: (t[0], t[1], t[2]))
     columns = [cols for *_x, cols in real_chains] + [c for *_y, c in cplx_chains]
-    t_mat = np.hstack(columns) if columns else np.zeros((n, 0))
-    if t_mat.shape != (n, n):
-        raise ConditioningError("chain construction did not produce a full basis")
-    cond = np.linalg.cond(t_mat)
-    if cond > 1.0 / max(tol, np.finfo(float).eps * 10):
-        raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
+    t_mat = np.hstack(columns) if columns else np.zeros((structure.dim, 0))
     signs = tuple(eps for _lam, _m, eps, _c in real_chains)
     return PetrovNormalForm(structure, signs, t_mat, *_normal_matrices(structure, list(signs)))
+
+
+def flip_orientation(form: PetrovNormalForm) -> PetrovNormalForm:
+    """Normal form of (-A, G) from the normal form of (A, G), with no solve.
+
+    The sign characteristic rule (Gohberg, Lancaster & Rodman, *Indefinite
+    Linear Algebra and Its Applications*, 2005, ch. 5): a real block J_m(lam)
+    of sign eps becomes J_m(-lam) of sign eps (-1)^(m-1), with chain column j
+    multiplied by (-1)^(j-1).  A complex chain of (alpha, beta) becomes the
+    conjugate chain of (-alpha, beta), so each realified pair (re, im) becomes
+    (re, -im); for even m the chain is also multiplied by -i, which makes the
+    pair (im, re) and restores the Gram sign.  Pair j then takes the same
+    (-1)^(j-1).  The blocks are re-sorted into canonical order.
+
+    The new T is the old one times a signed permutation, so it has the same
+    singular values and cond(T) needs no second check.
+    """
+    t = form.transform
+    n = t.shape[0]
+    real_chains: list[tuple[float, int, int, np.ndarray]] = []
+    cplx_chains: list[tuple[float, float, int, np.ndarray]] = []
+    at = 0  # first column of the next block
+    for lam, m, eps in _real_block_list(form):
+        alt = (-1.0) ** np.arange(m)
+        real_chains.append((0.0 - lam, m, eps * (-1) ** (m - 1), t[:, at : at + m] * alt))
+        at += m
+    for alpha, beta, sizes in form.structure.complex_blocks:
+        for m in sizes:
+            pairs = t[:, at : at + 2 * m].reshape(n, m, 2) * ((-1.0) ** np.arange(m))[:, None]
+            re, im = pairs[..., 0], pairs[..., 1]
+            cols = np.stack((re, -im) if m % 2 else (im, re), axis=-1).reshape(n, 2 * m)
+            cplx_chains.append((0.0 - alpha, beta, m, cols))
+            at += 2 * m
+    # 0.0 - x, not -x: an eigenvalue or alpha of 0.0 must not become -0.0
+    structure = JordanStructure(
+        tuple(sorted((0.0 - lam, sizes) for lam, sizes in form.structure.real_blocks)),
+        tuple(sorted((0.0 - a, b, sizes) for a, b, sizes in form.structure.complex_blocks)),
+    )
+    return _assemble_form(structure, real_chains, cplx_chains)
 
 
 def _simple_chains(
@@ -360,32 +421,41 @@ def _extract_chains(
     tol: float,
     complex_mode: bool = False,
 ) -> list[tuple[int, complex, np.ndarray]]:
-    """Peel Jordan chains off the active subspace, longest first.
+    """Peel Jordan chains off the span of basis, longest first.
 
     Returns (size, sign_or_1, columns) with columns ordered so the operator
     acts as an upper Jordan/companion block and the chain Gram is exactly the
-    target anti-diagonal block.
+    target anti-diagonal block.  The span of basis (orthonormal columns) is
+    N-invariant, so the peel runs in its coordinates, on
+    N_r = basis^H N basis and G_r = basis^T G basis: the powers of N never
+    reach the other eigenspaces, whose roundoff they would scale by
+    (lam_j - lam)^k.  The chains are mapped back with basis @ cols.
     """
-    powers = [np.eye(nmat.shape[0], dtype=nmat.dtype), nmat]  # N^0 .. N^(m-1)
+    n_scale = np.abs(nmat).max()
+    nr = basis.conj().T @ nmat @ basis
+    gr = basis.T @ g @ basis
+    k = nr.shape[0]
+    powers = [np.eye(k, dtype=nr.dtype), nr]  # N_r^0 .. N_r^(m-1)
     while len(powers) < max(sizes):
-        powers.append(powers[-1] @ nmat)
-    active = basis
+        powers.append(powers[-1] @ nr)
+    active = powers[0]
     out = []
     for m in sorted(sizes, reverse=True):
         if out:  # B-orthocomplement of the previous chain
-            active = _deflate(g, active, out[-1][2], tol)
-        v, eps = _pick_chain_generator(powers, g, active, m, tol, complex_mode)
-        v = _straighten(powers, g, v, m, eps)
+            active = _deflate(gr, active, out[-1][2], tol)
+        v, eps = _pick_chain_generator(powers, gr, active, m, tol, complex_mode, n_scale)
+        v = _straighten(powers, gr, v, m, eps)
         chain_cols = np.column_stack([powers[m - j] @ v for j in range(1, m + 1)])
         out.append((m, eps, chain_cols))
-    return out
+    return [(m, eps, basis @ cols) for m, eps, cols in out]
 
 
-def _pick_chain_generator(powers, g, active, m, tol, complex_mode):
+def _pick_chain_generator(powers, g, active, m, tol, complex_mode, n_scale):
     """Vector v in the active span with B(v, N^(m-1) v) != 0, normalized to +-1.
 
     Float real mode picks the dominant eigenvector of the projected symmetric
     form; complex bilinear mode searches deterministic candidate combinations.
+    n_scale is max |N| on the whole space, part of the degeneracy scale.
     """
     k = active.shape[1]
     if not complex_mode:
@@ -396,7 +466,7 @@ def _pick_chain_generator(powers, g, active, m, tol, complex_mode):
         w, vecs = (form_s[0], np.ones((1, 1))) if k == 1 else np.linalg.eigh(form_s)
         idx = int(np.argmax(np.abs(w)))
         theta = w[idx]
-        scale = max(np.abs(form_s).max(), np.abs(powers[1]).max(), 1.0)
+        scale = max(np.abs(form_s).max(), n_scale, 1.0)
         if abs(theta) <= tol * scale:
             raise ConditioningError(
                 f"degenerate chain pairing for block size {m}; "
@@ -587,14 +657,19 @@ def classify_geometric(
     pair: SelfAdjointPair, tol: float | None = None
 ) -> GeometricType:
     """Orientation-free label: agree under both unit-normal directions."""
-    t1 = classify_algebraic(petrov_normal_form(pair, tol))
-    flipped = SelfAdjointPair(-to_float(pair.a), pair.space)
-    t2 = classify_algebraic(petrov_normal_form(flipped, tol))
-    if t1.label != t2.label or t1.index != t2.index:
+    form = petrov_normal_form(pair, tol)
+    return _orientation_free(form, classify_algebraic(form))
+
+
+def _orientation_free(form: PetrovNormalForm, alg: AlgebraicType) -> GeometricType:
+    """The geometric type of a form whose algebraic type is alg, checked
+    against the type of the flipped orientation (-A, G)."""
+    flipped = classify_algebraic(flip_orientation(form))
+    if alg.label != flipped.label or alg.index != flipped.index:
         raise TaxonomyError(
-            f"label not orientation-invariant: {t1.label} vs {t2.label}"
+            f"label not orientation-invariant: {alg.label} vs {flipped.label}"
         )
-    return GeometricType(t1.index, t1.label)
+    return GeometricType(alg.index, alg.label)
 
 
 def classify_pair(
@@ -606,7 +681,7 @@ def classify_pair(
     pair = SelfAdjointPair(to_float(a), space)
     form = petrov_normal_form(pair, tol)
     alg = classify_algebraic(form)
-    geo = classify_geometric(pair, tol)
+    geo = _orientation_free(form, alg)
     return {
         "algebraic": alg.to_json(),
         "geometric": geo.to_json(),
