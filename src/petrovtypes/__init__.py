@@ -10,7 +10,6 @@ from .linalg import (
     DegenerateGramError,
     ShapeError,
     ToleranceError,
-    char_poly,
     default_tol,
     eigen_clusters,
     matrix_from_json,
@@ -44,7 +43,6 @@ from .spaceform import (
     cartan_residual,
     modulus_relation,
     quadric_gradient,
-    regular_level_value,
     sphere_shape_operator,
     type3_forced_curvature,
 )

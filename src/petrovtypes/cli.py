@@ -89,8 +89,6 @@ def _cmd_classify(args) -> int:
         ) from exc
     except (TypeError, ValueError) as exc:
         raise CliError(f"malformed matrix in input: {exc}") from exc
-    a = np.asarray(a, dtype=float)
-    gram = np.asarray(gram, dtype=float)
     for name, mat in (("a", a), ("gram", gram)):
         if not np.isfinite(mat).all():
             raise CliError(f'"{name}" has a non-finite entry (NaN or infinity)')

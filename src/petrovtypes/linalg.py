@@ -1,9 +1,8 @@
-"""Dense small-matrix primitives with dual numeric paths.
+"""Dense small-matrix primitives on float64 numpy arrays.
 
-Matrices are numpy arrays: float64 for the floating path, object arrays of
-``fractions.Fraction`` for the exact path (selected automatically when every
-entry is rational, e.g. parsed from ``"p/q"`` strings).  All float-mode
-predicates go through explicit tolerances, never raw equality.
+Every predicate goes through an explicit tolerance, never raw equality.
+Matrix JSON may write an entry as a ``"p/q"`` string; it is parsed exactly
+and rounded once to float64, so there is one numeric path.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,32 +61,36 @@ def resolve_tol(tol) -> float:
     return default_tol() if tol is None else checked_tol(tol, "tol")
 
 
-def is_exact(a: np.ndarray) -> bool:
-    return a.dtype == object
-
-
-def to_float(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=float)
-
-
 def matrix_to_json(a: np.ndarray) -> dict:
-    """{"rows":r,"cols":c,"data":[...]} row-major; Fractions as "p/q"."""
+    """{"rows": r, "cols": c, "data": [...]}, row-major floats."""
     r, c = a.shape
-    if is_exact(a):
-        data = [str(x) for x in a.reshape(-1)]
-    else:
-        data = [float(x) for x in a.reshape(-1)]
-    return {"rows": r, "cols": c, "data": data}
+    return {"rows": r, "cols": c, "data": [float(x) for x in a.reshape(-1)]}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    r, c = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
+    """The float64 matrix of {"rows": r, "cols": c, "data": [...]}.
+
+    rows and cols are positive integers and data is a row-major list of
+    r * c numbers or "p/q" strings; a string is read as an exact fraction
+    and rounded once to float.  A bad layout raises ShapeError, any other
+    entry ValueError or TypeError.
+    """
+    # imported on use: only a "p/q" entry needs it
+    from fractions import Fraction
+
+    r, c, data = obj["rows"], obj["cols"], obj["data"]
+    for name, size in (("rows", r), ("cols", c)):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ShapeError(f'"{name}" must be a positive integer, got {size!r}')
+    if not isinstance(data, list):
+        raise ShapeError(f'"data" must be a list, got {type(data).__name__}')
     if len(data) != r * c:
         raise ShapeError(f"expected {r * c} entries, got {len(data)}")
-    if all(isinstance(x, str) for x in data) and data:
-        return np.array([Fraction(x) for x in data], dtype=object).reshape(r, c)
-    return np.array([float(x) for x in data], dtype=float).reshape(r, c)
+    try:
+        values = [float(Fraction(x)) if isinstance(x, str) else float(x) for x in data]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"entry with a zero denominator: {exc}") from exc
+    return np.array(values, dtype=float).reshape(r, c)
 
 
 def _require_square(a: np.ndarray, what: str = "matrix") -> int:
@@ -121,11 +123,7 @@ def signature(gram: np.ndarray, tol: float | None = None) -> tuple[int, int, int
     """Sylvester signature (pos, neg, null) of a symmetric matrix."""
     tol = resolve_tol(tol)
     n = _require_square(gram, "gram")
-    if is_exact(gram):
-        if (gram != gram.T).any():
-            raise ShapeError("gram matrix is not symmetric")
-        return _signature_exact(gram)
-    g = to_float(gram)
+    g = np.asarray(gram, dtype=float)
     scale = max(np.abs(g).max(), 1.0)
     if np.abs(g - g.T).max() > tol * scale:
         raise ShapeError("gram matrix is not symmetric within tolerance")
@@ -136,144 +134,47 @@ def signature(gram: np.ndarray, tol: float | None = None) -> tuple[int, int, int
     return pos, neg, n - pos - neg
 
 
-def _signature_exact(gram: np.ndarray) -> tuple[int, int, int]:
-    """Lagrange congruence diagonalization over the rationals."""
-    g = gram.copy()
-    n = g.shape[0]
-    pos = neg = null = 0
-    idx = list(range(n))
-    while idx:
-        # find a nonzero diagonal entry, or create one from an off-diagonal
-        piv = next((i for i in idx if g[i, i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in idx for j in idx if j > i and g[i, j] != 0), None
-            )
-            if pair is None:
-                null += len(idx)
-                break
-            i, j = pair
-            # (e_i + e_j) has nonzero square; fold j into i
-            g[i, :] = g[i, :] + g[j, :]
-            g[:, i] = g[:, i] + g[:, j]
-            piv = i
-        d = g[piv, piv]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        idx.remove(piv)
-        for i in list(idx):
-            if g[i, piv] != 0:
-                f = g[i, piv] / d
-                g[i, :] = g[i, :] - f * g[piv, :]
-                g[:, i] = g[:, i] - f * g[:, piv]
-    return pos, neg, null
-
-
 def is_self_adjoint(
     a: np.ndarray, space: BilinearSpace, tol: float | None = None
 ) -> bool:
-    """True iff gram @ a == a.T @ gram (max-norm within tol in float mode)."""
+    """True iff gram @ a == a.T @ gram in the max norm, within tol."""
     tol = resolve_tol(tol)
     n = _require_square(a)
     if n != space.dim:
         raise ShapeError(f"operator dim {n} != space dim {space.dim}")
-    g = space.gram
-    if is_exact(a) and is_exact(g):
-        return not (g @ a != a.T @ g).any()
-    g = to_float(g)
-    af = to_float(a)
+    g = np.asarray(space.gram, dtype=float)
+    af = np.asarray(a, dtype=float)
     scale = max(np.abs(g).max() * max(np.abs(af).max(), 1.0), 1.0)
     return float(np.abs(g @ af - af.T @ g).max()) <= tol * scale
-
-
-def char_poly(a: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial, coefficients ascending.
-
-    Exact mode uses Faddeev-LeVerrier over the rationals; float mode expands
-    from the (clustered) eigenvalues.
-    """
-    n = _require_square(a)
-    if is_exact(a):
-        # Faddeev-LeVerrier: M_0 = I, c_n = 1; M_k = A M_{k-1} + c_{n-k+1} I
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[n] = Fraction(1)
-        m = _exact_identity(n)
-        for k in range(1, n + 1):
-            am = a @ m
-            c = -sum(am[i, i] for i in range(n)) / k
-            coeffs[n - k] = c
-            m = am + c * _exact_identity(n)
-        return np.array(coeffs, dtype=object)
-    clusters = eigen_clusters(a)
-    roots: list[complex] = []
-    for val, mult in clusters:
-        if isinstance(val, tuple):
-            alpha, beta = val
-            roots += [complex(alpha, beta)] * mult + [complex(alpha, -beta)] * mult
-        else:
-            roots += [complex(val, 0.0)] * mult
-    desc = np.poly(np.array(roots)) if roots else np.array([1.0])
-    return np.real(desc[::-1]).astype(float)
 
 
 def minimal_poly(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Monic polynomial of least degree annihilating a, ascending coefficients."""
     tol = resolve_tol(tol)
-    n = _require_square(a)
-    if is_exact(a):
-        return _minimal_poly_exact(a)
+    _require_square(a)
+    a = np.asarray(a, dtype=float)
     clusters = eigen_clusters(a, tol)
     poly = np.array([1.0])
     for val, mult in clusters:
         if isinstance(val, tuple):
             alpha, beta = val
-            lam = complex(alpha, beta)
-            k = _max_block_size(to_float(a).astype(complex), lam, mult, tol)
+            k = _max_block_size(a.astype(complex), complex(alpha, beta), mult, tol)
             factor = np.array([alpha * alpha + beta * beta, -2.0 * alpha, 1.0])
         else:
-            k = _max_block_size(to_float(a), float(val), mult, tol)
+            k = _max_block_size(a, float(val), mult, tol)
             factor = np.array([-float(val), 1.0])
         for _ in range(k):
             poly = np.convolve(poly, factor)
     poly = np.real(poly)
     # residual guard against misgrouped clusters
-    residual = _poly_eval_matrix(poly, to_float(a))
-    scale = max(np.abs(to_float(a)).max(), 1.0) ** max(len(poly) - 1, 1)
+    residual = _poly_eval_matrix(poly, a)
+    scale = max(np.abs(a).max(), 1.0) ** max(len(poly) - 1, 1)
     if np.abs(residual).max() > max(1e3 * tol * scale, 1e-6 * scale):
         raise ToleranceError(
             f"minimal polynomial residual {np.abs(residual).max():.3e} too large; "
             f"ill-conditioned eigencluster near {clusters}"
         )
     return poly
-
-
-def _minimal_poly_exact(a: np.ndarray) -> np.ndarray:
-    """Least-degree monic annihilator via exact Krylov elimination."""
-    n = a.shape[0]
-    powers = [_exact_identity(n)]
-    pivots: dict[int, list[Fraction]] = {}
-    for deg in range(n + 1):
-        vec = list(powers[-1].reshape(-1)) + [Fraction(0)] * (n + 1)
-        vec[n * n + deg] = Fraction(1)  # track combination coefficients
-        # reduce against existing pivot rows
-        for col, prow in sorted(pivots.items()):
-            if vec[col] != 0:
-                f = vec[col] / prow[col]
-                vec = [x - f * y for x, y in zip(vec, prow)]
-        lead = next((i for i in range(n * n) if vec[i] != 0), None)
-        if lead is None:
-            coeffs = vec[n * n : n * n + deg + 1]
-            top = coeffs[deg]
-            return np.array([c / top for c in coeffs], dtype=object)
-        pivots[lead] = vec
-        powers.append(a @ powers[-1])
-    raise RuntimeError("unreachable: Cayley-Hamilton bounds the degree")
-
-
-def _exact_identity(n: int) -> np.ndarray:
-    return np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)
 
 
 def _poly_eval_matrix(poly: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -391,27 +292,6 @@ def _max_block_size(a: np.ndarray, lam, mult: int, tol: float) -> int:
     return next(k for k in range(mult + 1) if profile[k] == 0)
 
 
-def rank_sequence(a: np.ndarray, lam, tol: float | None = None) -> list[int]:
-    """[rank((a - lam I)^k) for k = 0..n]; complex lam works on the complexification."""
-    tol = resolve_tol(tol)
-    n = _require_square(a)
-    base = to_float(a)
-    if isinstance(lam, tuple):
-        lam = complex(lam[0], lam[1])
-    if isinstance(lam, complex) and lam.imag != 0:
-        base = base.astype(complex)
-    mult = None
-    for val, m in eigen_clusters(base.real if np.iscomplexobj(base) else base, tol):
-        v = complex(val[0], val[1]) if isinstance(val, tuple) else complex(val)
-        if abs(v - complex(lam)) <= max(tol, 1e-6) * max(1.0, abs(v)):
-            mult = m
-    if mult is None:
-        return [n] * (n + 1)  # lam is not an eigenvalue: full rank throughout
-    profile = jordan_rank_profile(base, lam, mult, tol)
-    profile = profile + [0] * (n - mult)
-    return [(n - mult) + r for r in profile[: n + 1]]
-
-
 def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object, int]]:
     """Eigenvalues grouped by single-linkage at distance tol.
 
@@ -423,7 +303,7 @@ def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object
     n = _require_square(a)
     if n == 0:
         return []
-    ev = np.linalg.eigvals(to_float(a))
+    ev = np.linalg.eigvals(np.asarray(a, dtype=float))
     # the linkage loops run on Python scalars, which are far cheaper to
     # subtract and compare than numpy ones
     values = [complex(x) for x in ev.tolist()]
@@ -499,19 +379,3 @@ def _cluster_key(item):
         return (1, val[0], val[1])
     return (0, float(val), 0.0)
 
-
-def poly_to_string(poly: np.ndarray, var: str = "t") -> str:
-    terms = []
-    for k in range(len(poly) - 1, -1, -1):
-        c = poly[k]
-        if (isinstance(c, Fraction) and c == 0) or (
-            not isinstance(c, Fraction) and abs(float(c)) < 1e-14
-        ):
-            continue
-        if k == 0:
-            terms.append(f"{c}")
-        elif k == 1:
-            terms.append(f"{c}*{var}")
-        else:
-            terms.append(f"{c}*{var}^{k}")
-    return " + ".join(terms) if terms else "0"

@@ -51,7 +51,6 @@ from .linalg import (
     jordan_rank_profile,
     resolve_tol,
     simple_eigenvectors,
-    to_float,
 )
 
 
@@ -107,8 +106,15 @@ class PetrovNormalForm:
     structure: JordanStructure
     signs: tuple[int, ...]  # one per real block, in canonical block order
     transform: np.ndarray  # columns: adapted basis; A_norm = T^-1 A T
-    a_norm: np.ndarray
-    g_norm: np.ndarray
+
+    # the normal pair is a function of structure and signs, built when read
+    @property
+    def a_norm(self) -> np.ndarray:
+        return _normal_matrices(self.structure, list(self.signs))[0]
+
+    @property
+    def g_norm(self) -> np.ndarray:
+        return _normal_matrices(self.structure, list(self.signs))[1]
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ def jordan_structure(
     per cluster (real, then complex, in canonical order) an orthonormal basis
     of its generalized eigenspace, computed once for both uses."""
     tol = resolve_tol(tol)
-    af = to_float(a)
+    af = np.asarray(a, dtype=float)
     n = af.shape[0]
     if n > 8:
         raise ContractError("jordan_structure supports dim <= 8")
@@ -260,8 +266,8 @@ def petrov_normal_form(
     all at once, each semisimple one with one eigensolve (module docstring).
     """
     tol = resolve_tol(tol)
-    a = to_float(pair.a)
-    g = to_float(pair.space.gram)
+    a = np.asarray(pair.a, dtype=float)
+    g = np.asarray(pair.space.gram, dtype=float)
     n = a.shape[0]
     if n > 8:
         raise ContractError("petrov_normal_form supports dim <= 8")
@@ -317,8 +323,7 @@ def _assemble_form(
     cplx_chains: list[tuple[float, float, int, np.ndarray]],
 ) -> PetrovNormalForm:
     """Chains (lam, m, eps, cols) and (alpha, beta, m, cols) sorted into
-    canonical block order, their columns stacked into T, and the normal pair
-    of the structure and signs."""
+    canonical block order, with their columns stacked into T."""
     # canonical block order: real eigenvalues ascending, sizes ascending,
     # sign +1 first among equal sizes; then complex by (alpha, beta)
     real_chains.sort(key=lambda t: (t[0], t[1], -t[2]))
@@ -326,7 +331,7 @@ def _assemble_form(
     columns = [cols for *_x, cols in real_chains] + [c for *_y, c in cplx_chains]
     t_mat = np.hstack(columns) if columns else np.zeros((structure.dim, 0))
     signs = tuple(eps for _lam, _m, eps, _c in real_chains)
-    return PetrovNormalForm(structure, signs, t_mat, *_normal_matrices(structure, list(signs)))
+    return PetrovNormalForm(structure, signs, t_mat)
 
 
 def flip_orientation(form: PetrovNormalForm) -> PetrovNormalForm:
@@ -678,7 +683,7 @@ def classify_pair(
     """One-shot classification bundle used by the CLI."""
     tol = resolve_tol(tol)
     space = BilinearSpace.from_gram(gram, tol)
-    pair = SelfAdjointPair(to_float(a), space)
+    pair = SelfAdjointPair(np.asarray(a, dtype=float), space)
     form = petrov_normal_form(pair, tol)
     alg = classify_algebraic(form)
     geo = _orientation_free(form, alg)

@@ -21,7 +21,6 @@ from .linalg import (
     matrix_to_json,
     minimal_poly,
     resolve_tol,
-    to_float,
 )
 
 
@@ -248,24 +247,6 @@ def _quadratic_minimal_data(p_bytes: bytes, n: int, tol: float) -> tuple[float, 
     return -float(mu[1]), -float(mu[0])
 
 
-def regular_level_value(f: QuadricFunction, tol: float | None = None) -> float:
-    """Phi(c) = <grad f, grad f> as a function of the level value alone."""
-    tol = resolve_tol(tol)
-    c = f.c
-    if f.variant == "flat":
-        ok, diag = admissibility_check(f, tol)
-        if not ok:
-            raise DomainError(f"inadmissible quadric: {diag}")
-        if "rho" in diag:
-            rho = float(f.P[0, 0])
-            # <2Px+2p, 2Px+2p> = 4 rho (<Px,x> + 2<p,x>) + 4<p,p> = 4 rho c + 4<p,p>
-            return 4.0 * rho * c + 4.0 * ambient_inner(f.p, f.p, f.s)
-        return 4.0 * ambient_inner(f.p, f.p, f.s)
-    a, b = quadratic_minimal_data(f, tol)
-    # <grad, grad> = 4(<P^2 x, x> - c^2) = 4(a c + b - c^2) on the sphere
-    return 4.0 * (a * c + b - c * c)
-
-
 def sphere_level_operator(f: QuadricFunction, x, phi, tol: float | None = None):
     """The operator (cE - P)/sqrt(-delta*mu_P(c)) of a sphere-variant level
     set and delta, the causal sign of the gradient, at a point x (n,) with
@@ -314,7 +295,7 @@ def sphere_shape_operator(
     """
     tol = resolve_tol(tol)
     x = np.asarray(x, dtype=float)
-    basis = to_float(tangent_basis)
+    basis = np.asarray(tangent_basis, dtype=float)
     if basis.shape[0] != f.dim:
         raise ShapeError("tangent basis rows must match the ambient dimension")
     grad = quadric_gradient(f, x, tol)
@@ -331,12 +312,6 @@ class CurvatureSpectrum:
 
     real: tuple[tuple[float, int], ...]
     complex: tuple[tuple[float, float, int], ...] = field(default_factory=tuple)
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _k, m in self.real) + 2 * sum(
-            m for _a, _b, m in self.complex
-        )
 
 
 def cartan_residual(spec: CurvatureSpectrum, delta: int, i: int) -> float:

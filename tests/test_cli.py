@@ -227,6 +227,12 @@ def test_python_dash_m_entry_point():
     ({"rows": 2, "cols": 2, "data": ["1", "0", "0", "nan"]}, "malformed matrix"),
     ({"rows": 2, "cols": 2, "data": [1, 0, 0]}, "malformed matrix"),
     ({"cols": 2, "data": [1, 0, 0, 1]}, "missing 'rows'"),
+    # four characters, but a string is not a list of entries
+    ({"rows": 2, "cols": 2, "data": "2003"}, "malformed matrix"),
+    ({"rows": 2, "cols": 2, "data": ["1/0", "0", "0", "1"]}, "malformed matrix"),
+    ({"rows": 0, "cols": 0, "data": []}, "malformed matrix"),
+    ({"rows": 2.5, "cols": 2, "data": [1, 0, 0, 1]}, "malformed matrix"),
+    ({"rows": True, "cols": 1, "data": [1]}, "malformed matrix"),
 ])
 def test_classify_malformed_matrix_exit_one(tmp_path, capsys, matrix, message):
     path = tmp_path / "pair.json"
@@ -235,6 +241,29 @@ def test_classify_malformed_matrix_exit_one(tmp_path, capsys, matrix, message):
     assert run(["classify", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("data", [
+    ["1/3", "2", "-2", "-5/7"],
+    ["1/3", 2, -2, "-5/7"],
+], ids=["strings", "mixed"])
+def test_classify_rational_strings_match_floats(tmp_path, capsys, data):
+    """A "p/q" entry is read as the float nearest the fraction, so the output
+    is byte for byte that of the pair written as floats."""
+    outputs = []
+    for name, a, gram in [
+        ("rational.json", data, ["1", "0", "0", "-1"]),
+        ("float.json", [1 / 3, 2.0, -2.0, -5 / 7], [1.0, 0.0, 0.0, -1.0]),
+    ]:
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "a": {"rows": 2, "cols": 2, "data": a},
+            "gram": {"rows": 2, "cols": 2, "data": gram},
+        }))
+        assert run(["classify", "--input", str(path), "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["algebraic"]["label"] == "IV"
 
 
 def test_catalog_eval_singular_chart_jacobian_exit_one(capsys):

@@ -424,7 +424,7 @@ def _transform_contract_residual(structure, signs, base, pair):
     nf = petrov_normal_form(pair)
     _assert_same_structure(nf.structure, structure)
     assert nf.signs == signs
-    want = PetrovNormalForm(structure, signs, np.eye(structure.dim), base.a, base.space.gram)
+    want = PetrovNormalForm(structure, signs, np.eye(structure.dim))
     assert negative_index(nf) == negative_index(want) == signature(pair.space.gram)[1]
     assert _label(nf) == _label(want)
     return _contract_residual(nf, pair.a, pair.space.gram)
@@ -531,7 +531,7 @@ def test_flip_orientation_fixed_cases(case):
     pair = _pair(real, signs, cplx)
     # the normal pair is its own form, with T = I
     structure = JordanStructure(tuple(real), tuple(cplx))
-    form = PetrovNormalForm(structure, tuple(signs), np.eye(structure.dim), pair.a, pair.space.gram)
+    form = PetrovNormalForm(structure, tuple(signs), np.eye(structure.dim))
     flipped = flip_orientation(form)
     assert flipped.structure.real_blocks == tuple(want_real)
     assert flipped.structure.complex_blocks == tuple((-a, b, s) for a, b, s in cplx)

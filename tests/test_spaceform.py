@@ -15,7 +15,6 @@ from petrovtypes.spaceform import (
     modulus_relation,
     quadratic_minimal_data,
     quadric_gradient,
-    regular_level_value,
     sphere_shape_operator,
     type3_forced_curvature,
 )
@@ -148,17 +147,6 @@ def test_quadratic_minimal_data():
     # mu(t) = t^2 - 1, so P^2 = 0*P + 1*E
     assert a == pytest.approx(0.0, abs=1e-10)
     assert b == pytest.approx(1.0, abs=1e-10)
-
-
-def test_regular_level_value_flat_scalar():
-    f = QuadricFunction("flat", 2, -np.eye(5), -1.0, np.zeros(5))
-    assert regular_level_value(f) == pytest.approx(4.0)
-
-
-def test_regular_level_value_sphere():
-    p_mat = np.kron(np.eye(3), _anti(2))
-    f = QuadricFunction("sphere", 2, p_mat, 0.0)
-    assert regular_level_value(f) == pytest.approx(4.0)
 
 
 def test_sphere_shape_operator_eigenvalues():
