@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--timings", action="store_true",
         help="add each check's wall time, summed over samples (time_ms); "
-        "gauss and codazzi share one chart solve per sample, counted toward gauss",
+        "the three checks share one chart solve per sample, counted toward shape_fd",
     )
     p_ver.set_defaults(func=_cmd_verify)
 

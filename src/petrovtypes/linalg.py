@@ -96,6 +96,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def _require_square(a: np.ndarray, what: str = "matrix") -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ShapeError(f"{what} is empty, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ShapeError(f"{what} has a non-finite entry (NaN or infinity)")
     return a.shape[0]
 
 
@@ -109,11 +113,10 @@ class BilinearSpace:
 
     @classmethod
     def from_gram(cls, gram: np.ndarray, tol: float | None = None) -> "BilinearSpace":
-        n = _require_square(gram, "gram")
         pos, neg, null = signature(gram, tol)
         if null:
             raise DegenerateGramError("gram matrix is degenerate")
-        return cls(dim=n, gram=gram, signature=(pos, neg))
+        return cls(dim=pos + neg, gram=gram, signature=(pos, neg))
 
     def inner(self, u: np.ndarray, v: np.ndarray):
         return u @ self.gram @ v
@@ -139,7 +142,7 @@ def is_self_adjoint(
 ) -> bool:
     """True iff gram @ a == a.T @ gram in the max norm, within tol."""
     tol = resolve_tol(tol)
-    n = _require_square(a)
+    n = _require_square(a, "operator")
     if n != space.dim:
         raise ShapeError(f"operator dim {n} != space dim {space.dim}")
     g = np.asarray(space.gram, dtype=float)

@@ -16,21 +16,26 @@ Christoffel symbols come from differences of the metric, and the curvature
 from differences of the Christoffel symbols.  A check runs on the stencil of
 points p + h*o, o an integer offset: the 41 (13 in two coordinates) of two
 nested differences for Gauss, the 1 + 2m of one for Codazzi and the shape
-check.  Each stencil is one stacked catalog.evaluate call, which solves the
-chart once and returns the Jacobians, frames, normals and shapes together,
-so every point of it has to pass the domain and consistency checks of
-catalog.evaluate; curvature_data reads no frame data and calls
-catalog.chart_jacobian instead.  The rest is one array program over the
+check, the shape check at its own smaller step.  Each stack of stencils is
+one catalog.evaluate call, which solves the chart once and returns the
+Jacobians, frames, normals and shapes together, so every point of it has to
+pass the domain and consistency checks of catalog.evaluate; curvature_data
+reads no frame data and calls catalog.chart_jacobian instead.  The rest is one array program over the
 stack: one batched inverse gives the Christoffel symbols at every centre,
 every derivative is a difference of a whole stack over index arrays, and the
 contractions are einsum calls.
 
-gauss_residual keeps the reach-2 stencil it builds in one slot, keyed by the
-entry, the bytes of p, a, h and the PETROV_TOL setting; a codazzi_residual
-call with the same key reads the first 1 + 2m rows of that stencil instead of
-solving the chart again.  On any other key, a Codazzi check builds and
-evaluates only its own reach-1 stencil, so a standalone check needs only
-those points in the chart domain.
+shape_fd_check evaluates the Gauss check's reach-2 stencil at
+CONFIG["curvature_h"] and the 2m further points of its own reach-1 stencil
+as one stack, and keeps the reach-2 stencil in one slot, keyed by the entry,
+the bytes of p, a, the curvature step and the PETROV_TOL setting.  A
+gauss_residual call with the same key reads that stencil, and else builds
+its own and keeps it in the slot; a codazzi_residual call with the same key
+reads the first 1 + 2m rows of it.  So shape, Gauss and Codazzi at one point
+solve the chart once.  On any other key, a Codazzi check builds and
+evaluates only its own reach-1 stencil, and a shape check whose reach-2
+stencil leaves the chart domain evaluates only its own reach-1 points, so a
+standalone check needs only those points in the chart domain.
 """
 
 from __future__ import annotations
@@ -45,7 +50,9 @@ import numpy as np
 from . import catalog
 from .linalg import BilinearSpace
 from .petrov import SelfAdjointPair, classify_geometric
-from .spaceform import QuadricFunction, SpaceForm, ambient_inner, inner_matrix, quadric_gradient
+from .spaceform import (
+    DomainError, QuadricFunction, SpaceForm, ambient_inner, inner_matrix, quadric_gradient,
+)
 
 # per-check defaults, overridable from the CLI
 CONFIG = {
@@ -111,15 +118,27 @@ class _Stencil:
     call that solves the chart once: catalog.evaluate with frames, so every
     point must pass its checks, and catalog.chart_jacobian, for the metrics
     alone, without.  Derivatives are differences of whole stacks over the
-    index arrays of _stencil_layout."""
+    index arrays of _stencil_layout.
+
+    The shape check differences the normal over a reach-1 stencil with its
+    own step shape_h.  Its points p +- shape_h*e_l are the rows shape_up and
+    shape_down, (m,), of the stack: rows 1..2m when shape_h is h, and else 2m
+    rows appended after the stencil, which share its centre, row 0."""
 
     def __init__(
         self, example_id: str, p: np.ndarray, a: float, h: float, reach: int,
-        frames: bool = True,
+        frames: bool = True, shape_h: float | None = None,
     ):
-        offsets, self.up, self.down = _stencil_layout(p.shape[0], reach)
+        m = p.shape[0]
+        offsets, self.up, self.down = _stencil_layout(m, reach)
         points = p + h * offsets
         self.h = h
+        self.shape_h = h if shape_h is None else shape_h
+        self.shape_up, self.shape_down = self.up[0], self.down[0]
+        if self.shape_h != h:
+            k = len(offsets)
+            points = np.concatenate([points, p + self.shape_h * offsets[1 : 1 + 2 * m]])
+            self.shape_up, self.shape_down = np.arange(k, k + m), np.arange(k + m, k + 2 * m)
         amb = catalog.ambient_of(example_id)
         self.kappa = amb.curvature
         self.g = inner_matrix(amb.embedding_dim, amb.embedding_index)
@@ -134,6 +153,11 @@ class _Stencil:
         """Central differences of values stacked over the rows, at the centres
         c: out[c, l] = d_l values at centre c, or out[l] at one centre c."""
         return (values[self.up[c]] - values[self.down[c]]) / (2 * self.h)
+
+    def shape_diff(self, values: np.ndarray) -> np.ndarray:
+        """Central differences of values at p with the step shape_h:
+        out[l] = d_l values."""
+        return (values[self.shape_up] - values[self.shape_down]) / (2 * self.shape_h)
 
     @functools.cached_property
     def christoffel(self) -> np.ndarray:
@@ -177,24 +201,47 @@ def _shape_in_coordinates(fd: catalog.FrameData, g: np.ndarray, rows=slice(None)
     return np.linalg.solve(coef, (fd.shape[rows] if shape is None else shape) @ coef)
 
 
+# (key, stencil) of the last reach-2 stencil evaluated with frames, by
+# shape_fd_check or gauss_residual; read by the next Gauss and Codazzi checks
+_handoff: tuple = (None, None)
+
+
+def _handoff_key(example_id: str, p: np.ndarray, a: float, h: float) -> tuple:
+    # the chart checks of catalog.evaluate read PETROV_TOL; a, h and the
+    # setting are keyed as given, so building a key never raises
+    return (example_id, p.tobytes(), a, h, os.environ.get("PETROV_TOL"))
+
+
 def shape_fd_check(
     example_id: str, p, a: float = 1.0, h: float | None = None,
     threshold: float | None = None,
 ) -> ResidualReport:
     """Compare the central difference of the unit normal along each chart
-    direction against minus the shape operator applied to that direction."""
+    direction against minus the shape operator applied to that direction.
+    The check evaluates the reach-2 stencil of the Gauss check at
+    CONFIG["curvature_h"] in the same stack and hands it on; if that stencil
+    leaves the chart domain, it evaluates its own reach-1 points alone."""
     p = np.asarray(p, dtype=float)
     h = CONFIG["shape_h"] if h is None else h
     threshold = CONFIG["shape_threshold"] if threshold is None else threshold
-    st = _Stencil(example_id, p, a, h, reach=1)
+    curvature_h = CONFIG["curvature_h"]
+    global _handoff
+    _handoff = (None, None)
+    key = _handoff_key(example_id, p, a, curvature_h)
+    try:
+        st = _Stencil(example_id, p, a, curvature_h, reach=2, shape_h=h)
+    except DomainError:
+        key, st = None, _Stencil(example_id, p, a, h, reach=1)
     fd = st.frames
-    dxi = st.diff(fd.normal, 0).T  # dxi[:, l] = d_l xi
+    dxi = st.shape_diff(fd.normal).T  # dxi[:, l] = d_l xi
     resid = dxi + fd.jacobian[0] @ _shape_in_coordinates(fd, st.g, 0)
     if st.kappa != 0:
         # compare tangentially: the radial component of d(xi) is curvature of
         # the ambient sphere, not shape information
         q, _ = np.linalg.qr(fd.frame[0])
         resid = q @ (q.T @ resid)
+    if key is not None:
+        _handoff = (key, st)
     return ResidualReport(
         example_id, "shape_fd", (tuple(p),), float(np.abs(resid).max()), h, threshold
     )
@@ -213,29 +260,24 @@ def _gauss(st: _Stencil, shape_override: np.ndarray | None = None) -> float:
     return float(np.abs(data.curvature - rhs).max())
 
 
-# (key, stencil) of the last gauss_residual call, read by codazzi_residual
-_handoff: tuple = (None, None)
-
-
-def _handoff_key(example_id: str, p: np.ndarray, a: float, h: float) -> tuple:
-    # the chart checks of catalog.evaluate read PETROV_TOL; a, h and the
-    # setting are keyed as given, so building a key never raises
-    return (example_id, p.tobytes(), a, h, os.environ.get("PETROV_TOL"))
-
-
 def gauss_residual(
     example_id: str, p, a: float = 1.0, h: float | None = None,
     threshold: float | None = None, shape_override: np.ndarray | None = None,
 ) -> ResidualReport:
     """Gauss equation in chart coordinates: curvature of the induced metric
-    against the constant-curvature term plus the shape-operator term."""
+    against the constant-curvature term plus the shape-operator term.  Right
+    after shape_fd_check at the same point and a, with h the curvature step,
+    it reuses that call's stencil."""
     p = np.asarray(p, dtype=float)
     h = CONFIG["curvature_h"] if h is None else h
     threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
     global _handoff
-    _handoff = (None, None)
-    st = _Stencil(example_id, p, a, h, reach=2)
-    _handoff = (_handoff_key(example_id, p, a, h), st)
+    key = _handoff_key(example_id, p, a, h)
+    handed, st = _handoff
+    if handed != key:
+        _handoff = (None, None)
+        st = _Stencil(example_id, p, a, h, reach=2)
+        _handoff = (key, st)
     resid = _gauss(st, shape_override)
     return ResidualReport(example_id, "gauss", (tuple(p),), resid, h, threshold)
 
@@ -264,8 +306,8 @@ def codazzi_residual(
 ) -> ResidualReport:
     """Codazzi equation in chart coordinates: the covariant derivative
     expression is symmetric in its first two slots.  Right after
-    gauss_residual at the same point, a and h, it reuses that call's
-    stencil."""
+    gauss_residual at the same point, a and h, or shape_fd_check at the same
+    point and a with h the curvature step, it reuses that call's stencil."""
     p = np.asarray(p, dtype=float)
     h = CONFIG["curvature_h"] if h is None else h
     threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
@@ -370,9 +412,11 @@ def run_checks(
     h: float | None = None,
 ) -> list[ResidualReport]:
     """All finite-difference checks for one entry over seeded sample points;
-    each report carries the wall time of its check.  Codazzi reuses the
-    stencil of the Gauss check before it, so the shared chart solve counts
-    toward the Gauss time."""
+    each report carries the wall time of its check.  At the default h,
+    Gauss and Codazzi reuse the stack of the shape check before them, so the
+    shared chart solve counts toward the shape_fd time; at any other h,
+    Codazzi reuses the stencil of the Gauss check, and it counts toward
+    gauss."""
     reports = []
     for p in catalog.sample_domain(example_id, samples, seed=seed, a=a):
         for check in (shape_fd_check, gauss_residual, codazzi_residual):

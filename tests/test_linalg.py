@@ -47,6 +47,39 @@ def test_signature_rejects_nonsymmetric():
         signature(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+_BAD_MATRICES = {
+    "empty": (np.zeros((0, 0)), "is empty"),
+    "nan": (np.array([[1.0, 0.0], [0.0, np.nan]]), "has a non-finite entry"),
+    "inf": (np.array([[np.inf, 0.0], [0.0, 1.0]]), "has a non-finite entry"),
+    "-inf": (np.array([[1.0, 0.0], [0.0, -np.inf]]), "has a non-finite entry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MATRICES))
+def test_signature_refuses_empty_and_non_finite(case):
+    mat, message = _BAD_MATRICES[case]
+    with pytest.raises(ShapeError, match=f"gram {message}"):
+        signature(mat)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MATRICES))
+def test_minimal_poly_refuses_empty_and_non_finite(case):
+    mat, message = _BAD_MATRICES[case]
+    with pytest.raises(ShapeError, match=f"matrix {message}"):
+        minimal_poly(mat)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MATRICES))
+def test_classify_pair_refuses_empty_and_non_finite(case):
+    mat, message = _BAD_MATRICES[case]
+    good = np.eye(len(mat))
+    with pytest.raises(ShapeError, match=f"gram {message}"):
+        classify_pair(good, mat)
+    if len(mat):  # an empty operator needs an empty Gram, which is refused first
+        with pytest.raises(ShapeError, match=f"operator {message}"):
+            classify_pair(mat, good)
+
+
 def test_minimal_poly_identity():
     # t - 1, although the characteristic polynomial is (t - 1)^2
     mp = minimal_poly(np.eye(2))

@@ -419,3 +419,78 @@ def test_failed_gauss_leaves_no_stencil(evaluate_rows):
     del evaluate_rows[:]
     assert np.isfinite(codazzi_residual("l", edge).residual)
     assert evaluate_rows == [1 + 2 * 4]
+
+
+# the shape check evaluates the Gauss check's reach-2 stencil with its own
+# 2m points and hands it on
+
+
+def _chain(ex_id, p, h=None):
+    return [
+        check(ex_id, p, h=h).residual
+        for check in (shape_fd_check, gauss_residual, codazzi_residual)
+    ]
+
+
+@pytest.mark.parametrize("ex_id", ["0-1", "0-2", "b", "e", "h", "k"])
+def test_shape_gauss_codazzi_evaluate_once(ex_id, evaluate_rows):
+    p = sample_domain(ex_id, 1, seed=107)[0]
+    _chain(ex_id, p)
+    m = p.shape[0]
+    assert evaluate_rows == [(41 if m == 4 else 13) + 2 * m]
+
+
+@pytest.mark.parametrize("miss", sorted(set(_MISSES) - {"alone"}))
+def test_gauss_after_shape_on_another_key_evaluates_reach_2(miss, evaluate_rows, monkeypatch):
+    monkeypatch.delenv("PETROV_TOL", raising=False)
+    p = sample_domain("k", 1, seed=109)[0]
+    shape_fd_check("k", p)
+    if miss == "other PETROV_TOL":
+        monkeypatch.setenv("PETROV_TOL", "1e-8")
+    _MISSES[miss](p)  # a Gauss check on another key
+    assert evaluate_rows == [41 + 8, 41]
+
+
+def test_failed_shape_check_leaves_no_stencil(monkeypatch):
+    p = sample_domain("l", 1, seed=113)[0]
+    shape_fd_check("l", p)
+    assert verify._handoff[0] is not None
+    outside = p.copy()
+    outside[3] = 1.5  # |a v| < 1 fails at the centre
+    with pytest.raises(DomainError):
+        shape_fd_check("l", outside)
+    assert verify._handoff == (None, None)
+    # a failure after the stack was evaluated hands nothing on either
+    shape_fd_check("l", p)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular frame Gram")
+
+    monkeypatch.setattr(verify, "_shape_in_coordinates", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        shape_fd_check("l", p)
+    assert verify._handoff == (None, None)
+
+
+def test_shape_check_near_the_edge_evaluates_reach_1(evaluate_rows):
+    # the l edge point of test_failed_gauss_leaves_no_stencil: only the
+    # reach-2 stencil at the curvature step leaves the domain
+    p = sample_domain("l", 1, seed=103)[0]
+    edge = p.copy()
+    edge[3] = 1.0 - 1.5 * CONFIG["curvature_h"]
+    rep = shape_fd_check("l", edge)
+    assert evaluate_rows == [41 + 8, 1 + 2 * 4]
+    assert verify._handoff == (None, None)
+    assert abs(rep.residual - _oracle_shape_fd("l", edge, 1.0, CONFIG["shape_h"])) <= 1e-10
+
+
+@pytest.mark.parametrize("h", [None, 5e-4])
+@pytest.mark.parametrize("ex_id", catalog.EXAMPLE_IDS)
+def test_shared_stack_gives_the_standalone_residuals(ex_id, h, monkeypatch):
+    p = sample_domain(ex_id, 1, seed=127)[0]
+    alone = []
+    for check in (shape_fd_check, gauss_residual, codazzi_residual):
+        monkeypatch.setattr(verify, "_handoff", (None, None))
+        alone.append(check(ex_id, p, h=h).residual)
+    monkeypatch.setattr(verify, "_handoff", (None, None))
+    assert _chain(ex_id, p, h) == alone
