@@ -30,7 +30,6 @@ from .petrov import (
     classify_algebraic,
     classify_geometric,
     classify_pair,
-    flip_orientation,
     negative_index,
     petrov_normal_form,
 )

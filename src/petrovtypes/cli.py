@@ -42,8 +42,8 @@ class CliError(Exception):
     pass
 
 
-def _emit(payload: dict, as_json: bool, markdown_lines=None) -> None:
-    if as_json or markdown_lines is None:
+def _emit(payload: dict, as_json: bool, markdown_lines: list[str]) -> None:
+    if as_json:
         try:
             text = json.dumps(payload, sort_keys=True, allow_nan=False)
         except ValueError as exc:
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--timings", action="store_true",
         help="add each check's wall time, summed over samples (time_ms); "
-        "the three checks share one chart solve per sample, counted toward shape_fd",
+        "the three checks share one chart solve per sample at any --h, counted "
+        "toward shape_fd",
     )
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -93,14 +93,17 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return np.array(values, dtype=float).reshape(r, c)
 
 
-def _require_square(a: np.ndarray, what: str = "matrix") -> int:
+def _require_square(a, what: str = "matrix") -> np.ndarray:
+    """a as a float64 array, if it is a nonempty square matrix of finite
+    entries; otherwise ShapeError."""
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ShapeError(f"{what} is empty, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ShapeError(f"{what} has a non-finite entry (NaN or infinity)")
-    return a.shape[0]
+    return a
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,8 @@ class BilinearSpace:
 def signature(gram: np.ndarray, tol: float | None = None) -> tuple[int, int, int]:
     """Sylvester signature (pos, neg, null) of a symmetric matrix."""
     tol = resolve_tol(tol)
-    n = _require_square(gram, "gram")
-    g = np.asarray(gram, dtype=float)
+    g = _require_square(gram, "gram")
+    n = g.shape[0]
     scale = max(np.abs(g).max(), 1.0)
     if np.abs(g - g.T).max() > tol * scale:
         raise ShapeError("gram matrix is not symmetric within tolerance")
@@ -142,11 +145,10 @@ def is_self_adjoint(
 ) -> bool:
     """True iff gram @ a == a.T @ gram in the max norm, within tol."""
     tol = resolve_tol(tol)
-    n = _require_square(a, "operator")
-    if n != space.dim:
-        raise ShapeError(f"operator dim {n} != space dim {space.dim}")
+    af = _require_square(a, "operator")
+    if af.shape[0] != space.dim:
+        raise ShapeError(f"operator dim {af.shape[0]} != space dim {space.dim}")
     g = np.asarray(space.gram, dtype=float)
-    af = np.asarray(a, dtype=float)
     scale = max(np.abs(g).max() * max(np.abs(af).max(), 1.0), 1.0)
     return float(np.abs(g @ af - af.T @ g).max()) <= tol * scale
 
@@ -154,8 +156,7 @@ def is_self_adjoint(
 def minimal_poly(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Monic polynomial of least degree annihilating a, ascending coefficients."""
     tol = resolve_tol(tol)
-    _require_square(a)
-    a = np.asarray(a, dtype=float)
+    a = _require_square(a)
     clusters = eigen_clusters(a, tol)
     poly = np.array([1.0])
     for val, mult in clusters:
@@ -303,10 +304,10 @@ def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object
     sum to dim counting each conjugate pair twice.
     """
     tol = resolve_tol(tol)
-    n = _require_square(a)
-    if n == 0:
-        return []
-    ev = np.linalg.eigvals(np.asarray(a, dtype=float))
+    a = _require_square(a)
+    n = a.shape[0]
+    # + 0.0: a zero eigenvalue reads 0.0, never -0.0, as it does for -A
+    ev = np.linalg.eigvals(a) + 0.0
     # the linkage loops run on Python scalars, which are far cheaper to
     # subtract and compare than numpy ones
     values = [complex(x) for x in ev.tolist()]

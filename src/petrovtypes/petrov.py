@@ -25,14 +25,17 @@ the chain peel:
 Complex clusters always take the peel.  A cluster spanning the whole space
 gets the identity basis.
 
-The other orientation needs no second solve.  By the sign characteristic
-rule (Gohberg, Lancaster & Rodman, *Indefinite Linear Algebra and Its
-Applications*, 2005, ch. 5), the normal form of (-A, G) has the real
-eigenvalues negated, a real block of size m and sign eps with sign
-eps (-1)^(m-1), and each complex block (alpha, beta) as (-alpha, beta);
-``flip_orientation`` derives it, transform included, from the form of
-(A, G), and the orientation-free ``classify_geometric`` and ``classify_pair``
-compute one normal form each.
+The type labels are orientation-free: (-A, G), the other unit normal, gets
+the index and label of (A, G).  By the sign characteristic rule (Gohberg,
+Lancaster & Rodman, *Indefinite Linear Algebra and Its Applications*, 2005,
+ch. 5), its normal form has the eigenvalues negated, each even-size real
+block with its sign negated and each odd-size real block with its sign
+kept.  The index and label read only block sizes, complex sizes, the signs
+of odd-size blocks and whether two even-size blocks have equal signs, and
+the negative index reads no more, so (-A, G) gets the same index and label,
+or the same TaxonomyError; only epsilon and the eigenvalue parameters of
+the algebraic type may change.  ``classify_geometric`` returns that index and
+label.
 """
 
 from __future__ import annotations
@@ -308,69 +311,18 @@ def petrov_normal_form(
         for m, _eps, cols in chains:
             cplx_chains.append((alpha, beta, m, _realify_chain(cols)))
 
-    form = _assemble_form(structure, real_chains, cplx_chains)
-    if form.transform.shape != (n, n):
-        raise ConditioningError("chain construction did not produce a full basis")
-    cond = np.linalg.cond(form.transform)
-    if cond > 1.0 / max(tol, np.finfo(float).eps * 10):
-        raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
-    return form
-
-
-def _assemble_form(
-    structure: JordanStructure,
-    real_chains: list[tuple[float, int, int, np.ndarray]],
-    cplx_chains: list[tuple[float, float, int, np.ndarray]],
-) -> PetrovNormalForm:
-    """Chains (lam, m, eps, cols) and (alpha, beta, m, cols) sorted into
-    canonical block order, with their columns stacked into T."""
     # canonical block order: real eigenvalues ascending, sizes ascending,
     # sign +1 first among equal sizes; then complex by (alpha, beta)
     real_chains.sort(key=lambda t: (t[0], t[1], -t[2]))
     cplx_chains.sort(key=lambda t: (t[0], t[1], t[2]))
     columns = [cols for *_x, cols in real_chains] + [c for *_y, c in cplx_chains]
-    t_mat = np.hstack(columns) if columns else np.zeros((structure.dim, 0))
-    signs = tuple(eps for _lam, _m, eps, _c in real_chains)
-    return PetrovNormalForm(structure, signs, t_mat)
-
-
-def flip_orientation(form: PetrovNormalForm) -> PetrovNormalForm:
-    """Normal form of (-A, G) from the normal form of (A, G), with no solve.
-
-    The sign characteristic rule (Gohberg, Lancaster & Rodman, *Indefinite
-    Linear Algebra and Its Applications*, 2005, ch. 5): a real block J_m(lam)
-    of sign eps becomes J_m(-lam) of sign eps (-1)^(m-1), with chain column j
-    multiplied by (-1)^(j-1).  A complex chain of (alpha, beta) becomes the
-    conjugate chain of (-alpha, beta), so each realified pair (re, im) becomes
-    (re, -im); for even m the chain is also multiplied by -i, which makes the
-    pair (im, re) and restores the Gram sign.  Pair j then takes the same
-    (-1)^(j-1).  The blocks are re-sorted into canonical order.
-
-    The new T is the old one times a signed permutation, so it has the same
-    singular values and cond(T) needs no second check.
-    """
-    t = form.transform
-    n = t.shape[0]
-    real_chains: list[tuple[float, int, int, np.ndarray]] = []
-    cplx_chains: list[tuple[float, float, int, np.ndarray]] = []
-    at = 0  # first column of the next block
-    for lam, m, eps in _real_block_list(form):
-        alt = (-1.0) ** np.arange(m)
-        real_chains.append((0.0 - lam, m, eps * (-1) ** (m - 1), t[:, at : at + m] * alt))
-        at += m
-    for alpha, beta, sizes in form.structure.complex_blocks:
-        for m in sizes:
-            pairs = t[:, at : at + 2 * m].reshape(n, m, 2) * ((-1.0) ** np.arange(m))[:, None]
-            re, im = pairs[..., 0], pairs[..., 1]
-            cols = np.stack((re, -im) if m % 2 else (im, re), axis=-1).reshape(n, 2 * m)
-            cplx_chains.append((0.0 - alpha, beta, m, cols))
-            at += 2 * m
-    # 0.0 - x, not -x: an eigenvalue or alpha of 0.0 must not become -0.0
-    structure = JordanStructure(
-        tuple(sorted((0.0 - lam, sizes) for lam, sizes in form.structure.real_blocks)),
-        tuple(sorted((0.0 - a, b, sizes) for a, b, sizes in form.structure.complex_blocks)),
-    )
-    return _assemble_form(structure, real_chains, cplx_chains)
+    t_mat = np.hstack(columns) if columns else np.zeros((n, 0))
+    if t_mat.shape != (n, n):
+        raise ConditioningError("chain construction did not produce a full basis")
+    cond = np.linalg.cond(t_mat)
+    if cond > 1.0 / max(tol, np.finfo(float).eps * 10):
+        raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
+    return PetrovNormalForm(structure, tuple(eps for _lam, _m, eps, _c in real_chains), t_mat)
 
 
 def _simple_chains(
@@ -535,17 +487,14 @@ def _realify_chain(cols: np.ndarray) -> np.ndarray:
 
 def negative_index(form: PetrovNormalForm) -> int:
     """Negative inertia of the Gram, from the block data alone."""
-    total = 0
-    i = 0
-    for _lam, sizes in form.structure.real_blocks:
-        for m in sizes:
-            eps = form.signs[i]
-            total += (m + ((-1) ** m - 1) // 2 * eps) // 2
-            i += 1
-    for _a, _b, sizes in form.structure.complex_blocks:
-        for m in sizes:
-            total += m
-    return total
+    real = sum(_negative_dim(m, eps) for _lam, m, eps in _real_block_list(form))
+    return real + sum(sum(sizes) for _a, _b, sizes in form.structure.complex_blocks)
+
+
+def _negative_dim(m: int, eps: int) -> int:
+    """Negative directions of eps times the m x m anti-identity: m / 2 for
+    even m, (m - eps) / 2 for odd m."""
+    return (m - (m % 2) * eps) // 2
 
 
 def _real_block_list(form: PetrovNormalForm) -> list[tuple[float, int, int]]:
@@ -569,12 +518,8 @@ def classify_algebraic(form: PetrovNormalForm) -> AlgebraicType:
         (a, b, m) for a, b, sizes in form.structure.complex_blocks for m in sizes
     ]
     # blocks that carry negative Gram directions
-    neg_reals = [
-        (lam, m, eps) for lam, m, eps in reals if (m + ((-1) ** m - 1) // 2 * eps) // 2
-    ]
-    background = [
-        (lam, m, eps) for lam, m, eps in reals if not (m + ((-1) ** m - 1) // 2 * eps) // 2
-    ]
+    neg_reals = [(lam, m, eps) for lam, m, eps in reals if _negative_dim(m, eps)]
+    background = [(lam, m, eps) for lam, m, eps in reals if not _negative_dim(m, eps)]
     if any(m != 1 or eps != 1 for _l, m, eps in background):
         raise TaxonomyError("non-index blocks must be positive 1-blocks")
     if neg == 1:
@@ -661,19 +606,9 @@ def _classify_index2(neg_reals, cplx) -> AlgebraicType:
 def classify_geometric(
     pair: SelfAdjointPair, tol: float | None = None
 ) -> GeometricType:
-    """Orientation-free label: agree under both unit-normal directions."""
-    form = petrov_normal_form(pair, tol)
-    return _orientation_free(form, classify_algebraic(form))
-
-
-def _orientation_free(form: PetrovNormalForm, alg: AlgebraicType) -> GeometricType:
-    """The geometric type of a form whose algebraic type is alg, checked
-    against the type of the flipped orientation (-A, G)."""
-    flipped = classify_algebraic(flip_orientation(form))
-    if alg.label != flipped.label or alg.index != flipped.index:
-        raise TaxonomyError(
-            f"label not orientation-invariant: {alg.label} vs {flipped.label}"
-        )
+    """Orientation-free label: the algebraic label, which (-A, G) shares
+    (module docstring)."""
+    alg = classify_algebraic(petrov_normal_form(pair, tol))
     return GeometricType(alg.index, alg.label)
 
 
@@ -686,10 +621,9 @@ def classify_pair(
     pair = SelfAdjointPair(np.asarray(a, dtype=float), space)
     form = petrov_normal_form(pair, tol)
     alg = classify_algebraic(form)
-    geo = _orientation_free(form, alg)
     return {
         "algebraic": alg.to_json(),
-        "geometric": geo.to_json(),
+        "geometric": GeometricType(alg.index, alg.label).to_json(),
         "structure": form.structure.to_json(),
         "signs": list(form.signs),
         "negative_index": negative_index(form),

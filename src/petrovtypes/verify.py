@@ -25,11 +25,13 @@ stack: one batched inverse gives the Christoffel symbols at every centre,
 every derivative is a difference of a whole stack over index arrays, and the
 contractions are einsum calls.
 
-shape_fd_check evaluates the Gauss check's reach-2 stencil at
-CONFIG["curvature_h"] and the 2m further points of its own reach-1 stencil
-as one stack, and keeps the reach-2 stencil in one slot, keyed by the entry,
-the bytes of p, a, the curvature step and the PETROV_TOL setting.  A
-gauss_residual call with the same key reads that stencil, and else builds
+shape_fd_check evaluates the Gauss check's reach-2 stencil and its own
+reach-1 points as one stack, and keeps the reach-2 stencil in one slot,
+keyed by the entry, the bytes of p, a, the stencil step and the PETROV_TOL
+setting.  The stencil step is the h the shape check was given, and then its
+own points are the stencil's rows 1..2m; without an h, it is
+CONFIG["curvature_h"], and the 2m points at CONFIG["shape_h"] are appended.
+A gauss_residual call with the same key reads that stencil, and else builds
 its own and keeps it in the slot; a codazzi_residual call with the same key
 reads the first 1 + 2m rows of it.  So shape, Gauss and Codazzi at one point
 solve the chart once.  On any other key, a Codazzi check builds and
@@ -218,18 +220,19 @@ def shape_fd_check(
 ) -> ResidualReport:
     """Compare the central difference of the unit normal along each chart
     direction against minus the shape operator applied to that direction.
-    The check evaluates the reach-2 stencil of the Gauss check at
-    CONFIG["curvature_h"] in the same stack and hands it on; if that stencil
-    leaves the chart domain, it evaluates its own reach-1 points alone."""
+    The check evaluates the reach-2 stencil of the Gauss check at step h,
+    or at CONFIG["curvature_h"] if h is None, in the same stack and hands it
+    on; if that stencil leaves the chart domain, it evaluates its own reach-1
+    points alone."""
     p = np.asarray(p, dtype=float)
+    step = CONFIG["curvature_h"] if h is None else h
     h = CONFIG["shape_h"] if h is None else h
     threshold = CONFIG["shape_threshold"] if threshold is None else threshold
-    curvature_h = CONFIG["curvature_h"]
     global _handoff
     _handoff = (None, None)
-    key = _handoff_key(example_id, p, a, curvature_h)
+    key = _handoff_key(example_id, p, a, step)
     try:
-        st = _Stencil(example_id, p, a, curvature_h, reach=2, shape_h=h)
+        st = _Stencil(example_id, p, a, step, reach=2, shape_h=h)
     except DomainError:
         key, st = None, _Stencil(example_id, p, a, h, reach=1)
     fd = st.frames
@@ -266,8 +269,8 @@ def gauss_residual(
 ) -> ResidualReport:
     """Gauss equation in chart coordinates: curvature of the induced metric
     against the constant-curvature term plus the shape-operator term.  Right
-    after shape_fd_check at the same point and a, with h the curvature step,
-    it reuses that call's stencil."""
+    after shape_fd_check at the same point, a and h, it reuses that call's
+    stencil."""
     p = np.asarray(p, dtype=float)
     h = CONFIG["curvature_h"] if h is None else h
     threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
@@ -306,8 +309,8 @@ def codazzi_residual(
 ) -> ResidualReport:
     """Codazzi equation in chart coordinates: the covariant derivative
     expression is symmetric in its first two slots.  Right after
-    gauss_residual at the same point, a and h, or shape_fd_check at the same
-    point and a with h the curvature step, it reuses that call's stencil."""
+    gauss_residual or shape_fd_check at the same point, a and h, it reuses
+    that call's stencil."""
     p = np.asarray(p, dtype=float)
     h = CONFIG["curvature_h"] if h is None else h
     threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
@@ -412,11 +415,9 @@ def run_checks(
     h: float | None = None,
 ) -> list[ResidualReport]:
     """All finite-difference checks for one entry over seeded sample points;
-    each report carries the wall time of its check.  At the default h,
-    Gauss and Codazzi reuse the stack of the shape check before them, so the
-    shared chart solve counts toward the shape_fd time; at any other h,
-    Codazzi reuses the stencil of the Gauss check, and it counts toward
-    gauss."""
+    each report carries the wall time of its check.  Gauss and Codazzi reuse
+    the stack of the shape check before them, at the default h and at any
+    other, so the shared chart solve counts toward the shape_fd time."""
     reports = []
     for p in catalog.sample_domain(example_id, samples, seed=seed, a=a):
         for check in (shape_fd_check, gauss_residual, codazzi_residual):

@@ -15,6 +15,7 @@ from petrovtypes.linalg import (
     default_tol,
     eigen_clusters,
     generalized_eigenspace,
+    is_self_adjoint,
     jordan_rank_profile,
     matrix_from_json,
     matrix_to_json,
@@ -78,6 +79,26 @@ def test_classify_pair_refuses_empty_and_non_finite(case):
     if len(mat):  # an empty operator needs an empty Gram, which is refused first
         with pytest.raises(ShapeError, match=f"operator {message}"):
             classify_pair(mat, good)
+
+
+# a type-II pair of index 1; each call gets both matrices through `as_matrix`
+_GRAM = [[0.0, 1.0], [1.0, 0.0]]
+_NILPOTENT = [[0.0, 1.0], [0.0, 0.0]]
+_MATRIX_CALLS = {
+    "signature": lambda as_matrix: signature(as_matrix(_GRAM)),
+    "minimal_poly": lambda as_matrix: minimal_poly(as_matrix(_NILPOTENT)),
+    "eigen_clusters": lambda as_matrix: eigen_clusters(as_matrix(_NILPOTENT)),
+    "is_self_adjoint": lambda as_matrix: is_self_adjoint(
+        as_matrix(_NILPOTENT), BilinearSpace.from_gram(as_matrix(_GRAM))
+    ),
+    "classify_pair": lambda as_matrix: classify_pair(as_matrix(_NILPOTENT), as_matrix(_GRAM)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MATRIX_CALLS))
+def test_nested_list_input_matches_array(name):
+    call = _MATRIX_CALLS[name]
+    np.testing.assert_equal(call(lambda rows: rows), call(np.array))
 
 
 def test_minimal_poly_identity():

@@ -440,6 +440,13 @@ def test_shape_gauss_codazzi_evaluate_once(ex_id, evaluate_rows):
     assert evaluate_rows == [(41 if m == 4 else 13) + 2 * m]
 
 
+def test_run_checks_at_a_given_h_evaluates_once_per_point(evaluate_rows):
+    # given h, the stencil is built at h and the shape check's points are its
+    # rows 1..2m, so no rows are appended
+    verify.run_checks("k", samples=2, seed=1, h=5e-4)
+    assert evaluate_rows == [41, 41]
+
+
 @pytest.mark.parametrize("miss", sorted(set(_MISSES) - {"alone"}))
 def test_gauss_after_shape_on_another_key_evaluates_reach_2(miss, evaluate_rows, monkeypatch):
     monkeypatch.delenv("PETROV_TOL", raising=False)
