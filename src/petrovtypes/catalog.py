@@ -53,8 +53,7 @@ class FrameData:
     """Everything measured at one point: frame columns are tangent vectors.
 
     At a stack of k points every field has a leading axis of length k, and
-    nu is an integer array.  The chart Jacobian is optional: a FrameData
-    built without one raises ValueError when its jacobian is read."""
+    nu is an integer array."""
 
     point: np.ndarray
     frame: np.ndarray
@@ -65,31 +64,14 @@ class FrameData:
     # the chart Jacobian, or a function that computes it on first use: on the
     # entries with an explicit frame it costs a solve that classification
     # never needs
-    _jacobian: np.ndarray | Callable[[], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _jacobian: np.ndarray | Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @functools.cached_property
     def jacobian(self) -> np.ndarray:
         """Exact partial derivatives of the chart at the point(s), one column
         per chart coordinate, from the same chart solve as the frame."""
         jac = self._jacobian
-        if jac is None:
-            raise ValueError("this FrameData was built without a chart Jacobian")
         return jac() if callable(jac) else jac
-
-    def row(self, i: int) -> "FrameData":
-        """The data at point i of a stack.  Its jacobian is row i of the
-        stack's, which is computed once, on first use by either."""
-        return FrameData(
-            point=self.point[i], frame=self.frame[i], normal=self.normal[i],
-            shape=self.shape[i], gram=self.gram[i], nu=int(self.nu[i]),
-            _jacobian=functools.partial(_jacobian_row, self, i),
-        )
-
-
-def _jacobian_row(fd: FrameData, i: int) -> np.ndarray:
-    return fd.jacobian[i]
 
 
 def _e(i: int, n: int = 5) -> np.ndarray:
@@ -1018,6 +1000,8 @@ def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0):
     through all their regions."""
     if n < 1:
         raise DomainError("need at least one sample")
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
     entry = _entry(example_id)
     rng = np.random.default_rng(seed)
     out = []

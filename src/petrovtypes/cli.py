@@ -307,6 +307,7 @@ def run(argv=None) -> int:
         ContractError,
         DomainError,
         TaxonomyError,
+        np.linalg.LinAlgError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -121,9 +121,6 @@ class BilinearSpace:
             raise DegenerateGramError("gram matrix is degenerate")
         return cls(dim=pos + neg, gram=gram, signature=(pos, neg))
 
-    def inner(self, u: np.ndarray, v: np.ndarray):
-        return u @ self.gram @ v
-
 
 def signature(gram: np.ndarray, tol: float | None = None) -> tuple[int, int, int]:
     """Sylvester signature (pos, neg, null) of a symmetric matrix."""

@@ -17,8 +17,6 @@ import numpy as np
 from .linalg import (
     ShapeError,
     ToleranceError,
-    matrix_from_json,
-    matrix_to_json,
     minimal_poly,
     resolve_tol,
 )
@@ -151,28 +149,6 @@ class QuadricFunction:
         if self.variant == "flat":
             out += 2.0 * ambient_inner(self.p, x, self.s)
         return out
-
-    def to_json(self) -> dict:
-        out = {
-            "variant": self.variant,
-            "s": self.s,
-            "P": matrix_to_json(self.P),
-            "c": self.c,
-        }
-        if self.variant == "flat":
-            out["p"] = list(map(float, self.p))
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuadricFunction":
-        p = data.get("p")
-        return cls(
-            variant=data["variant"],
-            s=int(data["s"]),
-            P=matrix_from_json(data["P"]),
-            c=float(data["c"]),
-            p=None if p is None else np.asarray(p, dtype=float),
-        )
 
 
 def quadric_gradient(f: QuadricFunction, x, tol: float | None = None) -> np.ndarray:

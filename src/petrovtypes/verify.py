@@ -15,29 +15,19 @@ The curvature checks use nested central differences with the step h: the
 Christoffel symbols come from differences of the metric, and the curvature
 from differences of the Christoffel symbols.  A check runs on the stencil of
 points p + h*o, o an integer offset: the 41 (13 in two coordinates) of two
-nested differences for Gauss, the 1 + 2m of one for Codazzi and the shape
-check, the shape check at its own smaller step.  Each stack of stencils is
-one catalog.evaluate call, which solves the chart once and returns the
-Jacobians, frames, normals and shapes together, so every point of it has to
-pass the domain and consistency checks of catalog.evaluate; curvature_data
-reads no frame data and calls catalog.chart_jacobian instead.  The rest is one array program over the
-stack: one batched inverse gives the Christoffel symbols at every centre,
-every derivative is a difference of a whole stack over index arrays, and the
-contractions are einsum calls.
-
-shape_fd_check evaluates the Gauss check's reach-2 stencil and its own
-reach-1 points as one stack, and keeps the reach-2 stencil in one slot,
-keyed by the entry, the bytes of p, a, the stencil step and the PETROV_TOL
-setting.  The stencil step is the h the shape check was given, and then its
-own points are the stencil's rows 1..2m; without an h, it is
-CONFIG["curvature_h"], and the 2m points at CONFIG["shape_h"] are appended.
-A gauss_residual call with the same key reads that stencil, and else builds
-its own and keeps it in the slot; a codazzi_residual call with the same key
-reads the first 1 + 2m rows of it.  So shape, Gauss and Codazzi at one point
-solve the chart once.  On any other key, a Codazzi check builds and
-evaluates only its own reach-1 stencil, and a shape check whose reach-2
-stencil leaves the chart domain evaluates only its own reach-1 points, so a
-standalone check needs only those points in the chart domain.
+nested differences for Gauss, and the first 1 + 2m of them, one difference,
+for Codazzi.  The shape check differences the normal with its own smaller
+step over 2m more points, unless a step h is given, which sets both steps.
+The three checks at one entry, p, a and h read one memoized stack of these
+points, _point_stack: one catalog.evaluate call, which solves the chart once
+and returns the Jacobians, frames, normals and shapes together, so every
+point of it has to pass the domain and consistency checks of
+catalog.evaluate.  Where the stack leaves the chart domain, the shape and
+Codazzi checks evaluate their own reach-1 points alone.  curvature_data
+reads no frame data and calls catalog.chart_jacobian instead.  The rest is
+one array program over the stack: one batched inverse gives the Christoffel
+symbols at every centre, every derivative is a difference of a whole stack
+over index arrays, and the contractions are einsum calls.
 """
 
 from __future__ import annotations
@@ -203,15 +193,19 @@ def _shape_in_coordinates(fd: catalog.FrameData, g: np.ndarray, rows=slice(None)
     return np.linalg.solve(coef, (fd.shape[rows] if shape is None else shape) @ coef)
 
 
-# (key, stencil) of the last reach-2 stencil evaluated with frames, by
-# shape_fd_check or gauss_residual; read by the next Gauss and Codazzi checks
-_handoff: tuple = (None, None)
+@functools.lru_cache(maxsize=1)
+def _stack(example_id: str, p: bytes, a: float, step: float, shape_step: float, tol) -> _Stencil:
+    # tol is the PETROV_TOL setting, which the chart checks of catalog.evaluate
+    # read; a call that raised is not kept
+    return _Stencil(example_id, np.frombuffer(p), a, step, reach=2, shape_h=shape_step)
 
 
-def _handoff_key(example_id: str, p: np.ndarray, a: float, h: float) -> tuple:
-    # the chart checks of catalog.evaluate read PETROV_TOL; a, h and the
-    # setting are keyed as given, so building a key never raises
-    return (example_id, p.tobytes(), a, h, os.environ.get("PETROV_TOL"))
+def _point_stack(example_id: str, p: np.ndarray, a: float, h: float | None) -> _Stencil:
+    """The stack that the three checks at (example_id, p, a, h) read: the
+    reach-2 stencil at step h, or at CONFIG["curvature_h"] with the shape
+    check's 2m points at CONFIG["shape_h"] appended if h is None."""
+    step, shape_step = (CONFIG["curvature_h"], CONFIG["shape_h"]) if h is None else (h, h)
+    return _stack(example_id, p.tobytes(), a, step, shape_step, os.environ.get("PETROV_TOL"))
 
 
 def shape_fd_check(
@@ -219,22 +213,15 @@ def shape_fd_check(
     threshold: float | None = None,
 ) -> ResidualReport:
     """Compare the central difference of the unit normal along each chart
-    direction against minus the shape operator applied to that direction.
-    The check evaluates the reach-2 stencil of the Gauss check at step h,
-    or at CONFIG["curvature_h"] if h is None, in the same stack and hands it
-    on; if that stencil leaves the chart domain, it evaluates its own reach-1
-    points alone."""
+    direction against minus the shape operator applied to that direction,
+    on the point's stack, or on its own reach-1 points if the stack leaves
+    the chart domain."""
     p = np.asarray(p, dtype=float)
-    step = CONFIG["curvature_h"] if h is None else h
-    h = CONFIG["shape_h"] if h is None else h
     threshold = CONFIG["shape_threshold"] if threshold is None else threshold
-    global _handoff
-    _handoff = (None, None)
-    key = _handoff_key(example_id, p, a, step)
     try:
-        st = _Stencil(example_id, p, a, step, reach=2, shape_h=h)
+        st = _point_stack(example_id, p, a, h)
     except DomainError:
-        key, st = None, _Stencil(example_id, p, a, h, reach=1)
+        st = _Stencil(example_id, p, a, CONFIG["shape_h"] if h is None else h, reach=1)
     fd = st.frames
     dxi = st.shape_diff(fd.normal).T  # dxi[:, l] = d_l xi
     resid = dxi + fd.jacobian[0] @ _shape_in_coordinates(fd, st.g, 0)
@@ -243,10 +230,8 @@ def shape_fd_check(
         # the ambient sphere, not shape information
         q, _ = np.linalg.qr(fd.frame[0])
         resid = q @ (q.T @ resid)
-    if key is not None:
-        _handoff = (key, st)
     return ResidualReport(
-        example_id, "shape_fd", (tuple(p),), float(np.abs(resid).max()), h, threshold
+        example_id, "shape_fd", (tuple(p),), float(np.abs(resid).max()), st.shape_h, threshold
     )
 
 
@@ -268,21 +253,13 @@ def gauss_residual(
     threshold: float | None = None, shape_override: np.ndarray | None = None,
 ) -> ResidualReport:
     """Gauss equation in chart coordinates: curvature of the induced metric
-    against the constant-curvature term plus the shape-operator term.  Right
-    after shape_fd_check at the same point, a and h, it reuses that call's
-    stencil."""
+    against the constant-curvature term plus the shape-operator term, on the
+    point's stack."""
     p = np.asarray(p, dtype=float)
-    h = CONFIG["curvature_h"] if h is None else h
     threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
-    global _handoff
-    key = _handoff_key(example_id, p, a, h)
-    handed, st = _handoff
-    if handed != key:
-        _handoff = (None, None)
-        st = _Stencil(example_id, p, a, h, reach=2)
-        _handoff = (key, st)
+    st = _point_stack(example_id, p, a, h)
     resid = _gauss(st, shape_override)
-    return ResidualReport(example_id, "gauss", (tuple(p),), resid, h, threshold)
+    return ResidualReport(example_id, "gauss", (tuple(p),), resid, st.h, threshold)
 
 
 def _codazzi(st: _Stencil) -> float:
@@ -308,17 +285,16 @@ def codazzi_residual(
     threshold: float | None = None,
 ) -> ResidualReport:
     """Codazzi equation in chart coordinates: the covariant derivative
-    expression is symmetric in its first two slots.  Right after
-    gauss_residual or shape_fd_check at the same point, a and h, it reuses
-    that call's stencil."""
+    expression is symmetric in its first two slots, on the first 1 + 2m
+    rows of the point's stack, or on those points alone if the stack leaves
+    the chart domain."""
     p = np.asarray(p, dtype=float)
-    h = CONFIG["curvature_h"] if h is None else h
     threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
-    key, st = _handoff
-    if key != _handoff_key(example_id, p, a, h):
-        st = _Stencil(example_id, p, a, h, reach=1)
-    resid = _codazzi(st)
-    return ResidualReport(example_id, "codazzi", (tuple(p),), resid, h, threshold)
+    try:
+        st = _point_stack(example_id, p, a, h)
+    except DomainError:
+        st = _Stencil(example_id, p, a, CONFIG["curvature_h"] if h is None else h, reach=1)
+    return ResidualReport(example_id, "codazzi", (tuple(p),), _codazzi(st), st.h, threshold)
 
 
 def _pseudo_orthonormal_tangent(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -415,9 +391,9 @@ def run_checks(
     h: float | None = None,
 ) -> list[ResidualReport]:
     """All finite-difference checks for one entry over seeded sample points;
-    each report carries the wall time of its check.  Gauss and Codazzi reuse
-    the stack of the shape check before them, at the default h and at any
-    other, so the shared chart solve counts toward the shape_fd time."""
+    each report carries the wall time of its check.  The three checks at a
+    point read the stack the shape check evaluates, so the shared chart solve
+    counts toward the shape_fd time."""
     reports = []
     for p in catalog.sample_domain(example_id, samples, seed=seed, a=a):
         for check in (shape_fd_check, gauss_residual, codazzi_residual):
@@ -467,7 +443,7 @@ _REGION_ROWS = {
 
 
 def _region_table(example_id: str, samples: int, seed: int) -> dict:
-    pts = catalog.sample_domain(example_id, 3 * max(samples, 1), seed=seed)
+    pts = catalog.sample_domain(example_id, 3 * samples, seed=seed)
     rows = []
     mismatches = []
     for region in range(3):

@@ -267,8 +267,8 @@ def test_criterion_7_finite_difference_verification():
         for p in sample_domain(ex_id, 20, seed=0):
             if not shape_fd_check(ex_id, p, h=1e-4, threshold=1e-5).passed:
                 failures.append((ex_id, "shape_fd", tuple(p)))
-            # Gauss then Codazzi at each step, so that each pair shares a
-            # stencil; the h = 1e-3 pair also shares the shape check's stack
+            # Gauss then Codazzi at each step, so that each pair shares one
+            # stack; the shape check's stack is built at its own h = 1e-4
             runs = {gauss_residual: [], codazzi_residual: []}
             for h in (1e-3, 5e-4):
                 for check, reports in runs.items():

@@ -8,7 +8,6 @@ import pytest
 
 from petrovtypes.catalog import (
     EXAMPLE_IDS,
-    FrameData,
     ambient_of,
     catalog_summary,
     chart,
@@ -214,6 +213,11 @@ def test_sample_domain_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def test_sample_domain_refuses_a_negative_seed():
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        sample_domain("e", 1, seed=-1)
+
+
 @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
 def test_stacked_chart_jacobian_matches_rows(ex_id):
     rows = np.array(sample_domain(ex_id, 7, seed=13))
@@ -341,19 +345,10 @@ def test_chart_rejects_the_singular_set_of_h_and_i(ex_id):
 def test_frame_data_pickles_and_copies(ex_id):
     rows = np.array(sample_domain(ex_id, 3, seed=5))
     stacked = evaluate(ex_id, rows)
-    for fd in (evaluate(ex_id, rows[0]), stacked, stacked.row(1)):
+    for fd in (evaluate(ex_id, rows[0]), stacked):
         for other in (pickle.loads(pickle.dumps(fd)), copy.deepcopy(fd)):
             assert np.array_equal(other.frame, fd.frame)
             assert np.array_equal(other.jacobian, fd.jacobian)
-    assert np.array_equal(stacked.row(2).jacobian, chart_jacobian(ex_id, rows[2]))
-
-
-def test_frame_data_without_jacobian():
-    fd = evaluate("e", sample_domain("e", 1)[0])
-    bare = FrameData(fd.point, fd.frame, fd.normal, fd.shape, fd.gram, fd.nu)
-    assert np.array_equal(bare.shape, fd.shape)
-    with pytest.raises(ValueError, match="without a chart Jacobian"):
-        bare.jacobian
 
 
 def test_catalog_summary_golden():

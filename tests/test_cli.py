@@ -211,16 +211,34 @@ def test_bad_env_tolerance_exit_one(pair_file, capsys, monkeypatch, tol, argv):
     assert captured.out == ""
 
 
-def test_python_dash_m_entry_point():
+def _python_dash_m(*args):
     src = str(Path(petrovtypes.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "petrovtypes", "catalog", "list", "--json"],
+    return subprocess.run(
+        [sys.executable, "-m", "petrovtypes", *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_dash_m_entry_point():
+    proc = _python_dash_m("catalog", "list", "--json")
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["examples"]) == 15
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "run", "--id", "e", "--samples", "1", "--seed", "-1"], "seed must be non-negative"),
+    (["report", "--table", "3", "--samples", "1", "--seed", "-2"], "seed must be non-negative"),
+    (["report", "--table", "2", "--samples", "0"], "need at least one sample"),
+    # the chart stack at this step is singular in the Codazzi check
+    (["verify", "run", "--id", "k", "--samples", "1", "--h", "1e300"], "Singular matrix"),
+])
+def test_bad_sampling_exits_one_without_a_traceback(args, message):
+    proc = _python_dash_m(*args, "--json")
+    assert proc.returncode == 1
+    assert f"error: {message}" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("matrix, message", [

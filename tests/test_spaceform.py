@@ -195,11 +195,3 @@ def test_type3_forced_curvature():
     assert type3_forced_curvature(1.0, 1.0) == pytest.approx(2.0)
     with pytest.raises(DomainError):
         type3_forced_curvature(0.0, 1.0)
-
-
-def test_quadric_json_round_trip():
-    p_mat = np.kron(np.eye(3), _anti(2))
-    f = QuadricFunction("sphere", 2, p_mat, 0.5)
-    g = QuadricFunction.from_json(f.to_json())
-    assert g.variant == f.variant and g.s == f.s and g.c == f.c
-    assert np.array_equal(g.P, f.P)

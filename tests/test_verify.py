@@ -348,7 +348,8 @@ def test_run_checks_matches_public_checks(ex_id):
 
 @pytest.fixture
 def evaluate_rows(monkeypatch):
-    """The number of points of each catalog.evaluate call, in call order."""
+    """The number of points of each catalog.evaluate call, in call order,
+    from an empty stack memo."""
     rows = []
     evaluate = catalog.evaluate
 
@@ -357,6 +358,7 @@ def evaluate_rows(monkeypatch):
         return evaluate(example_id, p, *args, **kwargs)
 
     monkeypatch.setattr(catalog, "evaluate", counted)
+    verify._stack.cache_clear()
     return rows
 
 
@@ -377,17 +379,28 @@ _MISSES = {
 }
 
 
+def _l_edge_point():
+    # only the reach-2 stencil at the curvature step leaves the chart domain
+    p = sample_domain("l", 1, seed=103)[0]
+    p[3] = 1.0 - 1.5 * CONFIG["curvature_h"]
+    return p
+
+
 @pytest.mark.parametrize("miss", sorted(_MISSES))
 def test_codazzi_without_its_gauss_evaluates_reach_1(miss, evaluate_rows, monkeypatch):
-    monkeypatch.setattr(verify, "_handoff", (None, None))
+    # whichever stack the memo holds, a Codazzi check whose Gauss check
+    # leaves the chart domain evaluates its own reach-1 points
     monkeypatch.delenv("PETROV_TOL", raising=False)
     p = sample_domain("k", 1, seed=97)[0]
     _MISSES[miss](p)
     if miss == "other PETROV_TOL":
         monkeypatch.setenv("PETROV_TOL", "1e-8")
+    edge = _l_edge_point()
+    with pytest.raises(DomainError):
+        gauss_residual("l", edge)
     del evaluate_rows[:]
-    codazzi_residual("k", p)
-    assert evaluate_rows == [1 + 2 * 4]
+    assert np.isfinite(codazzi_residual("l", edge).residual)
+    assert evaluate_rows == [41 + 8, 1 + 2 * 4]
 
 
 @pytest.mark.parametrize("h", [1e-3, 5e-4])
@@ -406,23 +419,13 @@ def test_failed_gauss_leaves_no_stencil(evaluate_rows):
     outside[3] = 1.5  # |a v| < 1 fails at the centre
     with pytest.raises(DomainError):
         gauss_residual("l", outside)
-    assert verify._handoff == (None, None)
     with pytest.raises(DomainError):
         codazzi_residual("l", outside)
-    # near the chart edge only the reach-2 stencil leaves the domain, and a
-    # standalone Codazzi check evaluates its reach-1 points alone
-    h = CONFIG["curvature_h"]
-    edge = p.copy()
-    edge[3] = 1.0 - 1.5 * h
-    with pytest.raises(DomainError):
-        gauss_residual("l", edge)
+    # the memo still holds the stack of p
     del evaluate_rows[:]
-    assert np.isfinite(codazzi_residual("l", edge).residual)
-    assert evaluate_rows == [1 + 2 * 4]
-
-
-# the shape check evaluates the Gauss check's reach-2 stencil with its own
-# 2m points and hands it on
+    for check in (shape_fd_check, gauss_residual, codazzi_residual):
+        check("l", p)
+    assert evaluate_rows == []
 
 
 def _chain(ex_id, p, h=None):
@@ -455,49 +458,35 @@ def test_gauss_after_shape_on_another_key_evaluates_reach_2(miss, evaluate_rows,
     if miss == "other PETROV_TOL":
         monkeypatch.setenv("PETROV_TOL", "1e-8")
     _MISSES[miss](p)  # a Gauss check on another key
-    assert evaluate_rows == [41 + 8, 41]
+    assert evaluate_rows == [41 + 8, 41 if miss == "other h" else 41 + 8]
 
 
-def test_failed_shape_check_leaves_no_stencil(monkeypatch):
+def test_failed_shape_check_leaves_no_stencil(evaluate_rows):
     p = sample_domain("l", 1, seed=113)[0]
     shape_fd_check("l", p)
-    assert verify._handoff[0] is not None
     outside = p.copy()
     outside[3] = 1.5  # |a v| < 1 fails at the centre
     with pytest.raises(DomainError):
         shape_fd_check("l", outside)
-    assert verify._handoff == (None, None)
-    # a failure after the stack was evaluated hands nothing on either
-    shape_fd_check("l", p)
-
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular frame Gram")
-
-    monkeypatch.setattr(verify, "_shape_in_coordinates", fail)
-    with pytest.raises(np.linalg.LinAlgError):
-        shape_fd_check("l", p)
-    assert verify._handoff == (None, None)
+    del evaluate_rows[:]
+    gauss_residual("l", p)
+    assert evaluate_rows == []
 
 
 def test_shape_check_near_the_edge_evaluates_reach_1(evaluate_rows):
-    # the l edge point of test_failed_gauss_leaves_no_stencil: only the
-    # reach-2 stencil at the curvature step leaves the domain
-    p = sample_domain("l", 1, seed=103)[0]
-    edge = p.copy()
-    edge[3] = 1.0 - 1.5 * CONFIG["curvature_h"]
+    edge = _l_edge_point()
     rep = shape_fd_check("l", edge)
     assert evaluate_rows == [41 + 8, 1 + 2 * 4]
-    assert verify._handoff == (None, None)
     assert abs(rep.residual - _oracle_shape_fd("l", edge, 1.0, CONFIG["shape_h"])) <= 1e-10
 
 
 @pytest.mark.parametrize("h", [None, 5e-4])
 @pytest.mark.parametrize("ex_id", catalog.EXAMPLE_IDS)
-def test_shared_stack_gives_the_standalone_residuals(ex_id, h, monkeypatch):
+def test_shared_stack_gives_the_standalone_residuals(ex_id, h):
     p = sample_domain(ex_id, 1, seed=127)[0]
     alone = []
     for check in (shape_fd_check, gauss_residual, codazzi_residual):
-        monkeypatch.setattr(verify, "_handoff", (None, None))
+        verify._stack.cache_clear()
         alone.append(check(ex_id, p, h=h).residual)
-    monkeypatch.setattr(verify, "_handoff", (None, None))
+    verify._stack.cache_clear()
     assert _chain(ex_id, p, h) == alone
