@@ -3,34 +3,32 @@
 Fifteen entries behind one interface: two low-index surfaces whose type varies
 over the surface ("0-1", "0-2"), ten quadric level sets ("a"-"j"), and three
 explicitly parametrized index-2 hypersurfaces ("k", "l", "m").  Each entry
-exposes a smooth chart p -> ambient point and a frame evaluator returning the
-tangent frame, unit normal, shape matrix in the frame, frame Gram and exact
-chart Jacobian.
-
-evaluate and chart_jacobian take one chart point of shape (m,) or a stack of
-k points of shape (k, m).  A stack is solved once: one vectorized chart solve
-on the level sets (a Newton solve on the sphere entries), broadcast closed
-forms on the others, and the frames, normals and shapes of all k points from
-the same ambient points.  A single point goes through the same code with
-numbers in place of columns, so its results do not depend on being stacked.
+has a smooth chart p -> ambient point, its exact Jacobian, and frame data:
+tangent frame, unit normal, shape matrix in the frame and frame Gram.
+evaluate and chart_jacobian take one chart point (m,) or a stack (k, m),
+solved at once by the same code, so a result does not depend on being
+stacked; they refuse results that are not finite.
 
 Everything known about an entry is one _Entry record in _REGISTRY, and the
-public functions only look the id up there and call the record.  To add an
-entry, add one record to _REGISTRY (its place there is its place in
-EXAMPLE_IDS), built by _level_entry for a quadric level set (the quadric, an
-anchor point, the pivot coordinates the chart solves for, and optionally a
-displayed moving frame) or by _closed_entry for closed formulas (chart,
-Jacobian, frame data and a sampler).
+public functions only look the id up there.  To add an entry, add one record
+(its place there is its place in EXAMPLE_IDS), built by _level_entry for a
+quadric level set (the quadric, an anchor point, the pivot coordinates the
+chart solves for, and optionally a displayed moving frame) or by
+_closed_entry for closed formulas (chart, Jacobian, frame data and a
+sampler).  The curves in the formulas of k, l and m are coefficient tables,
+each written once, with their derivatives and integrals derived.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .linalg import ShapeError, default_tol
 from .petrov import GeometricType
@@ -551,7 +549,10 @@ def _level_entry(
 # Chart, Jacobian and frame functions take the chart point (m,) or a stack
 # (k, m) and the parameter a, which only entries k and l read.  A frame
 # function returns the frame, normal, shape and Jacobian; _closed_frame_data
-# adds the rest.
+# adds the rest.  Entries k, l and m write each curve once, as a coefficient
+# table: row i holds the coefficients of s**i, one column per ambient
+# coordinate.  The derivatives and integrals in their formulas are derived
+# from the tables with polyder and polyint.
 
 
 def _check_a(a: float) -> None:
@@ -637,79 +638,21 @@ def _frame_02(p: np.ndarray, a: float) -> tuple:
     return frame, xi, shape, frame
 
 
-def _data_k() -> tuple:
-    """Curves and constant vectors of entry k, built once: X, Y, Y', Z, Z',
-    V, C, C' and the integral of X."""
-
-    def X(s):
-        q = SQ2 * (s * s + 6) / 8
-        return _vec(s, q + 0.5, SQ2 / 2, q - SQ2 + 0.5, -SQ2 / 2 * s, 1 + SQ2 / 2)
-
-    def Y(s):
-        q = SQ2 * (s * s + 6) / 8
-        return _vec(s, q - 0.5, SQ2 / 2, q - SQ2 - 0.5, -SQ2 / 2 * s, 1 - SQ2 / 2)
-
-    def Yp(s):
-        return _vec(s, SQ2 * s / 4, 0.0, SQ2 * s / 4, -SQ2 / 2, 0.0)
-
-    def Z(s):
-        return _vec(s, s / 2, 0.0, s / 2, -1.0, 0.0)
-
-    Zp = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
-    V = np.array([0.5, -1.0, 0.5, 0.0, 0.0])
-
-    def C(s):
-        return _vec(s, s * s / 4 + 1, 1.0, s * s / 4 - 1, -s, SQ2)
-
-    def Cp(s):
-        return _vec(s, s / 2, 0.0, s / 2, -1.0, 0.0)
-
-    def xint(s):
-        cubic = SQ2 * (s**3 / 3 + 6 * s) / 8
-        return _vec(
-            s, cubic + s / 2, SQ2 / 2 * s, cubic - SQ2 * s + s / 2, -SQ2 / 4 * s * s,
-            (1 + SQ2 / 2) * s,
-        )
-
-    return X, Y, Yp, Z, Zp, V, C, Cp, xint
+def _at(table: np.ndarray, s) -> np.ndarray:
+    """The curve of a coefficient table at a number s, (n,), or a (k, 1)
+    column s, (k, n); Horner's rule keeps integer tables exact."""
+    out = table[-1]
+    for row in table[-2::-1]:
+        out = out * s + row
+    return out
 
 
-def _data_l() -> tuple:
-    """The data of _data_k for entry l."""
+# Entries k (eps = 1) and l (eps = -1) are one family: root = sqrt(1 + eps a^2
+# v^2), and the chart condition is w = z + eps sqrt(2) != 0, with |a v| < 1 on
+# l as well.  Curves: X, Y, Z, C, V (one row), Y', Z', C', xint = int_0^s X.
+_CurvesKL = collections.namedtuple("_CurvesKL", "X Y Z C V Yp Zp Cp xint")
+_der, _int = (functools.partial(fn, axis=0) for fn in (P.polyder, P.polyint))
 
-    def X(s):
-        q = SQ2 * (s * s + 2) / 8
-        return _vec(s, q - SQ2, SQ2 / 2 * s, q, SQ2 / 2, SQ2 / 2)
-
-    def Y(s):
-        q = SQ2 * (s * s + 2) / 8
-        return _vec(s, -q + SQ2, -SQ2 / 2 * s, -q, -SQ2 / 2, SQ2 / 2)
-
-    def Yp(s):
-        return _vec(s, -SQ2 * s / 4, -SQ2 / 2, -SQ2 * s / 4, 0.0, 0.0)
-
-    def Z(s):
-        return _vec(s, s / 2, 1.0, s / 2, 0.0, 0.0)
-
-    Zp = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
-    V = np.array([0.5, 0.0, 0.5, -1.0, 0.0])
-
-    def C(s):
-        return _vec(s, s * s / 4 - 1, s, s * s / 4 + 1, 1.0, 0.0)
-
-    def Cp(s):
-        return _vec(s, s / 2, 1.0, s / 2, 0.0, 0.0)
-
-    def xint(s):
-        cubic = SQ2 * (s**3 / 3 + 2 * s) / 8
-        return _vec(s, cubic - SQ2 * s, SQ2 / 4 * s * s, cubic, SQ2 / 2 * s, SQ2 / 2 * s)
-
-    return X, Y, Yp, Z, Zp, V, C, Cp, xint
-
-
-# Entries k (eps = 1, data _data_k()) and l (eps = -1, data _data_l()) are one
-# family: root = sqrt(1 + eps a^2 v^2), and the chart condition is
-# w = z + eps sqrt(2) != 0, with |a v| < 1 on l as well.
 
 def _root_kl(eps: float, v, a: float):
     _check_a(a)
@@ -718,37 +661,35 @@ def _root_kl(eps: float, v, a: float):
     return np.sqrt(1 + eps * a * a * v * v)
 
 
-def _chart_kl(data: tuple, eps: float, p: np.ndarray, a: float) -> np.ndarray:
+def _chart_kl(c: _CurvesKL, eps: float, p: np.ndarray, a: float) -> np.ndarray:
     s, u, z, v = _coords(p)
-    X, Y, _Yp, Z, _Zp, V, C, _Cp, xint = data
     root = _root_kl(eps, v, a)
-    return xint(s) + u * Y(s) + z * Z(s) + v * V + (1 - root) / a * C(s)
+    out = _at(c.xint, s) + u * _at(c.Y, s) + z * _at(c.Z, s) + v * _at(c.V, s)
+    return out + (1 - root) / a * _at(c.C, s)
 
 
-def _jacobian_kl(data: tuple, eps: float, p: np.ndarray, a: float) -> np.ndarray:
+def _jacobian_kl(c: _CurvesKL, eps: float, p: np.ndarray, a: float) -> np.ndarray:
     s, u, z, v = _coords(p)
-    X, Y, Yp, Z, Zp, V, C, Cp, _xint = data
     root = _root_kl(eps, v, a)
-    df_s = X(s) + u * Yp(s) + z * Zp + (1 - root) / a * Cp(s)
-    df_v = V - eps * (a * v / root) * C(s)
-    return np.stack([df_s, Y(s), Z(s), df_v], axis=-1)
+    df_s = _at(c.X, s) + u * _at(c.Yp, s) + z * _at(c.Zp, s) + (1 - root) / a * _at(c.Cp, s)
+    df_v = _at(c.V, s) - eps * (a * v / root) * _at(c.C, s)
+    return np.stack([df_s, _at(c.Y, s), _at(c.Z, s), df_v], axis=-1)
 
 
-def _frame_kl(data: tuple, eps: float, p: np.ndarray, a: float) -> tuple:
+def _frame_kl(c: _CurvesKL, eps: float, p: np.ndarray, a: float) -> tuple:
     s, u, z, v = _coords(p)
     w = z + eps * SQ2
     if (abs(w) <= 1e-9).any():
         sign = "+" if eps > 0 else "-"
         raise DomainError(f"point violates the chart condition z {sign} sqrt(2) != 0")
-    jac = _jacobian_kl(data, eps, p, a)
+    jac = _jacobian_kl(c, eps, p, a)
     df_s, df_u, df_z, df_v = jac.transpose(-1, *range(jac.ndim - 1))
-    _X, Y, _Yp, _Z, _Zp, V, C, _Cp, _xint = data
     root = _root_kl(eps, v, a)
     b1 = df_u
     b2 = w ** 2 / (2 * root) * df_z
     b3 = -eps * w ** 3 / (2 * SQ2 * root * root) * df_s
     b4 = SQ2 * a * z * v / (w * root) * df_u + df_v
-    xi = -eps * SQ2 * z / w * root * Y(s) - a * v * V + root * C(s)
+    xi = -eps * SQ2 * z / w * root * df_u - a * v * _at(c.V, s) + root * _at(c.C, s)
     return _columns(b1, b2, b3, b4), xi, _batch(_dsum(_j(0.0, 3), np.array([[a]])), p), jac
 
 
@@ -762,67 +703,63 @@ def _sample_kl(eps: float, rng, i: int, a: float) -> np.ndarray:
     return p
 
 
-def _kl_family(data: tuple, eps: float) -> tuple:
-    """chart, jacobian, frame and sample of entry k (eps = 1) or l (-1), all
-    on the one data tuple."""
-    formulas = (functools.partial(fn, data, eps) for fn in (_chart_kl, _jacobian_kl, _frame_kl))
+def _kl_family(X, Y, Z, C, V, eps: float) -> tuple:
+    """chart, jacobian, frame and sample of entry k (eps = 1) or l (-1)."""
+    X, Y, Z, C, V = (np.array(t, float) for t in (X, Y, Z, C, V))
+    c = _CurvesKL(X, Y, Z, C, V, _der(Y), _der(Z), _der(C), _int(X))
+    formulas = (functools.partial(fn, c, eps) for fn in (_chart_kl, _jacobian_kl, _frame_kl))
     return (*formulas, functools.partial(_sample_kl, eps))
 
 
-def _data_m() -> tuple:
-    """Curves and constant vectors of entry m: X, Y, Z, W, W', C, C' and the
-    integral of Y."""
-    X = np.array([0.0, -1.0, 0.0, 0.0, 1.0])
-    Z = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+_S8 = SQ2 / 8  # the k and l tables hold multiples of sqrt(2)/8
+_FAMILY_K = _kl_family(
+    X=[[0.5 + 6 * _S8, 4 * _S8, 0.5 - 2 * _S8, 0, 1 + 4 * _S8], [0, 0, 0, -4 * _S8, 0],
+       [_S8, 0, _S8, 0, 0]],
+    Y=[[-0.5 + 6 * _S8, 4 * _S8, -0.5 - 2 * _S8, 0, 1 - 4 * _S8], [0, 0, 0, -4 * _S8, 0],
+       [_S8, 0, _S8, 0, 0]],
+    Z=[[0, 0, 0, -1, 0], [0.5, 0, 0.5, 0, 0]],
+    C=[[1, 1, -1, 0, SQ2], [0, 0, 0, -1, 0], [0.25, 0, 0.25, 0, 0]],
+    V=[[0.5, -1, 0.5, 0, 0]], eps=1.0,
+)
+_FAMILY_L = _kl_family(
+    X=[[-6 * _S8, 0, 2 * _S8, 4 * _S8, 4 * _S8], [0, 4 * _S8, 0, 0, 0], [_S8, 0, _S8, 0, 0]],
+    Y=[[6 * _S8, 0, -2 * _S8, -4 * _S8, 4 * _S8], [0, -4 * _S8, 0, 0, 0], [-_S8, 0, -_S8, 0, 0]],
+    Z=[[0, 1, 0, 0, 0], [0.5, 0, 0.5, 0, 0]],
+    C=[[-1, 0, 1, 1, 0], [0, 1, 0, 0, 0], [0.25, 0, 0.25, 0, 0]],
+    V=[[0.5, 0, 0.5, -1, 0]], eps=-1.0,
+)
 
-    def Y(u):
-        return _vec(u, u, -1.0, u, 1.0, 0.0)
-
-    def W(u):
-        return 0.5 * _vec(u, u * u + 1, 0.0, u * u - 1, 2 * u, 0.0)
-
-    def Wp(u):
-        return _vec(u, u, 0.0, u, 1.0, 0.0)
-
-    def C(u):
-        return _vec(u, -u, 1.0, -u, -1.0, -1.0)
-
-    Cp = np.array([-1.0, 0.0, -1.0, 0.0, 0.0])
-
-    def yint(u):
-        return _vec(u, u * u / 2, -u, u * u / 2, u, 0.0)
-
-    return X, Y, Z, W, Wp, C, Cp, yint
-
-
-_DATA_M = _data_m()
+# entry m: the curves Y, W and C of u, with W', C' and the integral of Y from
+# 0, and the constant vectors X and Z
+_M_X, _M_Z = np.array([0.0, -1.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+_M_Y = np.array([[0, -1, 0, 1, 0], [1, 0, 1, 0, 0]], float)
+_M_W = np.array([[0.5, 0, -0.5, 0, 0], [0, 0, 0, 1, 0], [0.5, 0, 0.5, 0, 0]])
+_M_C = np.array([[0, 1, 0, -1, -1], [-1, 0, -1, 0, 0]], float)
+_M_WP, _M_CP, _M_YINT = _der(_M_W), _der(_M_C), _int(_M_Y)
 
 
 def _chart_m(p: np.ndarray, a: float) -> np.ndarray:
     s, w, z, u = _coords(p)
-    X, Y, Z, W, _Wp, C, _Cp, yint = _DATA_M
-    return s * X + w * W(u) + z * Z - z * z / 2.0 * C(u) + yint(u)
+    return s * _M_X + w * _at(_M_W, u) + z * _M_Z - z * z / 2.0 * _at(_M_C, u) + _at(_M_YINT, u)
 
 
 def _jacobian_m(p: np.ndarray, a: float) -> np.ndarray:
     s, w, z, u = _coords(p)
-    X, Y, Z, W, Wp, C, Cp, _yint = _DATA_M
-    df_w = W(u)
-    df_z = Z - z * C(u)
-    df_u = w * Wp(u) - z * z / 2.0 * Cp + Y(u)
-    return np.stack([np.broadcast_to(X, df_w.shape), df_w, df_z, df_u], axis=-1)
+    df_w = _at(_M_W, u)
+    df_z = _M_Z - z * _at(_M_C, u)
+    df_u = w * _at(_M_WP, u) - z * z / 2.0 * _at(_M_CP, u) + _at(_M_Y, u)
+    return np.stack([np.broadcast_to(_M_X, df_w.shape), df_w, df_z, df_u], axis=-1)
 
 
 def _frame_m(p: np.ndarray, a: float) -> tuple:
     s, w, z, u = _coords(p)
-    X, _Y, _Z, W, _Wp, C, _Cp, _yint = _DATA_M
     jac = _jacobian_m(p, a)
     df_s, df_w, df_z, df_u = jac.transpose(-1, *range(jac.ndim - 1))
     b1 = df_s
     b2 = df_w
     b3 = 1.5 * z * z * df_w + df_z
     b4 = (2.25 * z**4 + z) * df_w + 1.5 * z * z * df_z + df_u
-    xi = (-w + z**3 / 2.0) * X - z * W(u) + C(u)
+    xi = (-w + z**3 / 2.0) * _M_X - z * df_w + _at(_M_C, u)
     return _columns(b1, b2, b3, b4), xi, _batch(_j(0.0, 4), p), jac
 
 
@@ -899,8 +836,8 @@ _REGISTRY = {entry.id: entry for entry in (
                  _e(5, 6), (1, 4), _frame_i, _dsum(_j(-1.0, 2), _j(-1.0, 2)), _CLAUSES_HI, True),
     _level_entry("j", _S5_3, "II", lambda: ("sphere", 3, np.block([[_I3, -_E3], [_E3, _I3]]), 1.0),
                  _e(4, 6), (2, 3)),
-    _closed_entry("k", _R5_2, 4, *_kl_family(_data_k(), 1.0), "VII-ii"),
-    _closed_entry("l", _R5_2, 4, *_kl_family(_data_l(), -1.0), "VII-i"),
+    _closed_entry("k", _R5_2, 4, *_FAMILY_K, "VII-ii"),
+    _closed_entry("l", _R5_2, 4, *_FAMILY_L, "VII-i"),
     _closed_entry(
         "m", _R5_2, 4, _chart_m, _jacobian_m, _frame_m,
         lambda rng, i, a: rng.uniform(-0.8, 0.8, size=4), "VI",
@@ -941,6 +878,12 @@ def _chart_point(entry: _Entry, p, stack: bool = False) -> np.ndarray:
     return p
 
 
+def _finite(*arrays: np.ndarray) -> None:
+    # far enough out, the formulas of an entry overflow
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise DomainError("frame data is not finite at this point (overflow)")
+
+
 def chart(example_id: str, p, a: float = 1.0) -> np.ndarray:
     """Smooth map from chart coordinates to the ambient point."""
     entry = _entry(example_id)
@@ -964,7 +907,11 @@ def evaluate(
     if anchor_variant and not entry.anchor_variant:
         ids = " and ".join(e.id for e in _REGISTRY.values() if e.anchor_variant)
         raise DomainError(f"anchor_variant exists only for entries {ids}")
-    return entry.evaluate(p, a, anchor_variant)
+    with np.errstate(all="ignore"):
+        fd = entry.evaluate(p, a, anchor_variant)
+    # a frame column that is not finite shows on the diagonal of the Gram
+    _finite(fd.point, fd.normal, fd.shape, fd.gram)
+    return fd
 
 
 def chart_jacobian(example_id: str, p, a: float = 1.0) -> np.ndarray:
@@ -972,7 +919,10 @@ def chart_jacobian(example_id: str, p, a: float = 1.0) -> np.ndarray:
     coordinate: shape (n, m) at a point p of shape (m,), and (k, n, m) at a
     stack of k points of shape (k, m)."""
     entry = _entry(example_id)
-    return entry.jacobian(_chart_point(entry, p, stack=True), a)
+    with np.errstate(all="ignore"):
+        jac = entry.jacobian(_chart_point(entry, p, stack=True), a)
+    _finite(jac)
+    return jac
 
 
 def expected_type(example_id: str, p=None) -> GeometricType:

@@ -395,3 +395,196 @@ def test_sample_domain_refuses_bad_a(ex_id, aval):
 def test_bad_chart_points_refused(fun, ex_id, p, error):
     with pytest.raises(error):
         fun(ex_id, p)
+
+
+# Point, normal, Gram and chart Jacobian of the closed entries at fixed chart
+# points, recorded from the hand-written curve formulas before each curve
+# became a coefficient table: a wrong coefficient in a table shows here.
+_CLOSED_GOLDENS = [
+    ('k', 1.0, [0.3, -0.2, 0.5, 0.4], (
+        [0.550708823861306, -0.40632228330824627, 0.5633533904777985, -0.46628350985413153, 0.34461233179358686],
+        [0.671875556568827, 1.1957077784385206, -0.919540000308214, -0.23871233353155613, 1.406625914941902],
+        [
+            [-3.063421842343711e-16, -7.892703010272483e-17, 2.893633842818735, -9.438270449620914e-18],
+            [-7.892703010272483e-17, 2.8936338428187343, 0.7944207959654556, 1.6399220401244144e-17],
+            [2.893633842818735, 0.7944207959654556, -3.01352707026648, -2.227813796910862e-16],
+            [-9.438270449620914e-18, 1.6399220401244144e-17, -2.227813796910862e-16, -0.8620689655172418],
+        ],
+        [
+            [1.793801926706887, 0.5765700743565187, 0.15, 0.12025303342792903],
+            [0.7071067811865476, 0.7071067811865476, 0.0, -1.3713906763541037],
+            [0.37958836433379206, -0.8376434880165764, 0.15, 0.8630343861361364],
+            [0.006322283308246246, -0.21213203435596426, -1.0, 0.1114172029062311],
+            [1.7071067811865475, 0.2928932188134524, 0.0, -0.5252257314388902],
+        ],
+    )),
+    ('k', 1.0, [-0.6, 0.7, -0.1, -0.5], (
+        [-0.8607712254060085, 0.45267668936875993, -0.7661246041435281, 0.1988852342348345, -0.9861640832536065],
+        [1.5437669579781388, 0.7031064625669391, -0.8624459671557394, 0.7218638775401635, 1.6163770025238395],
+        [
+            [-4.312422745047012e-16, 7.034214978531175e-18, 0.5966144591704067, -5.931050249123813e-17],
+            [7.034214978531175e-18, 0.5966144591704062, -0.18692303093590976, 2.3244698514537883e-17],
+            [0.5966144591704067, -0.18692303093590976, 0.11685503689692193, 7.320953784785023e-17],
+            [-5.931050249123813e-17, 2.3244698514537883e-17, 7.320953784785023e-17, -0.8],
+        ],
+        [
+            [1.4612175546624042, 0.6242997820866107, -0.3, 0.9874628190949541],
+            [0.7071067811865476, 0.7071067811865476, 0.0, -0.5527864045000421],
+            [0.047003992289309085, -0.7899137802864844, -0.3, 0.09303562809503829],
+            [0.04732331063124012, 0.4242640687119285, -1.0, 0.2683281572999747],
+            [1.7071067811865475, 0.2928932188134524, 0.0, 0.6324555320336759],
+        ],
+    )),
+    ('k', 1.3, [0.3, -0.2, 0.5, 0.4], (
+        [0.5294900812780666, -0.427074109795522, 0.5836383008691106, -0.4600579619079488, 0.3152648173312683],
+        [0.652422003844265, 1.3527120541542905, -1.013002104464316, -0.24981361624628712, 1.4720408506706963],
+        [
+            [-3.063421842343711e-16, 2.4501460481728912e-17, 2.6421719597526234, -5.716501830073656e-17],
+            [2.4501460481728912e-17, 2.642171959752623, 0.7589943768971732, 3.0341626445576294e-17],
+            [2.6421719597526234, 0.7589943768971732, -2.476334800052069, 3.438803841817413e-16],
+            [-5.716501830073656e-17, 3.0341626445576294e-17, 3.438803841817413e-16, -0.7871536523929467],
+        ],
+        [
+            [1.7906891527337958, 0.5765700743565187, 0.15, 0.02826682678356579],
+            [0.7071067811865476, 0.7071067811865476, 0.0, -1.4613527366419894],
+            [0.37647559036070066, -0.8376434880165764, 0.15, 0.9509723000675447],
+            [0.02707410979552198, -0.21213203435596426, -1.0, 0.13840582099259682],
+            [1.7071067811865475, 0.2928932188134524, 0.0, -0.6524512971970443],
+        ],
+    )),
+    ('k', 1.3, [-0.6, 0.7, -0.1, -0.5], (
+        [-0.8936740147182733, 0.42249064412814996, -0.738655302974573, 0.18077360709046852, -1.0288535978272848],
+        [1.7051528493216743, 0.633438877542534, -0.8617249057633938, 0.7700633265255205, 1.7243038337426762],
+        [
+            [-4.312422745047012e-16, 1.967186236601967e-17, 0.5242657813448213, -2.984585907508283e-16],
+            [1.967186236601967e-17, 0.524265781344821, -0.14164416681080166, 4.083807751749362e-17],
+            [0.5242657813448213, -0.14164416681080166, 0.08327962840157542, 2.234751852881433e-16],
+            [-2.984585907508283e-16, 4.083807751749362e-17, 2.234751852881433e-16, -0.7029876977152902],
+        ],
+        [
+            [1.4702733682345872, 0.6242997820866107, -0.3, 1.0940373021490015],
+            [0.7071067811865476, 0.7071067811865476, 0.0, -0.45501164940458594],
+            [0.056059805861492076, -0.7899137802864844, -0.3, 0.004060600958173177],
+            [0.0775093558718501, 0.4242640687119285, -1.0, 0.3269930103572484],
+            [1.7071067811865475, 0.2928932188134524, 0.0, 0.7707299167473779],
+        ],
+    )),
+    ('l', 1.0, [0.3, -0.2, 0.5, 0.4], (
+        [-0.33216356675303466, 0.5992916703272371, 0.5419129364511768, 0.037038251602105776, 0.07071067811865472],
+        [-1.8365033870236518, 0.4253321739125352, 0.999044439059916, 1.817773913041784, -0.501258774050616],
+        [
+            [-4.266421588589642e-17, -4.9870249239826775e-18, -0.20789850277412872, 1.682074001105416e-16],
+            [-4.9870249239826775e-18, -0.2078985027741287, 0.03297963476401454, 9.979959924229293e-18],
+            [-0.20789850277412872, 0.03297963476401454, 0.06790284793718412, 5.06027229345756e-17],
+            [1.682074001105416e-16, 9.979959924229293e-18, 5.06027229345756e-17, 1.1904761904761907],
+        ],
+        [
+            [-0.7610143366162028, 1.044750269203124, 0.15, 0.07338402458863486],
+            [0.4370382516021058, -0.21213203435596426, 1.0, 0.13093073414159542],
+            [0.6531992257568923, -0.36946329316997106, 0.15, 0.9462555855326045],
+            [0.7071067811865476, -0.7071067811865476, 0.0, -0.5635642195280153],
+            [0.7071067811865476, 0.7071067811865476, 0.0, 0.0],
+        ],
+    )),
+    ('l', 1.0, [-0.6, 0.7, -0.1, -0.5], (
+        [0.9796656914814964, 0.24387931098259163, -0.5908627471724043, -0.28526421932695034, 0.07071067811865478],
+        [-0.4574408718795912, -0.4852993930943874, 1.160223771768367, 0.308832321823979, 0.05719308196045956],
+        [
+            [1.2386923780787705e-16, 5.3478127653240816e-17, -1.752375901382657, -1.2041057701789894e-16],
+            [5.3478127653240816e-17, -1.7523759013826572, -0.7821249809932105, -1.9733581034010197e-18],
+            [-1.752375901382657, -0.7821249809932105, -0.7278934093214379, -2.4559337725082773e-16],
+            [-1.2041057701789894e-16, -1.9733581034010197e-18, -2.4559337725082773e-16, 1.3333333333333328],
+        ],
+        [
+            [-0.9387205162885256, 0.9970205614730321, -0.3, 1.0253887449625596],
+            [-0.7852642193269503, 0.4242640687119285, 1.0, 0.3464101615137755],
+            [0.47549304608456955, -0.41719300090006306, -0.3, -0.1293117934166922],
+            [0.7071067811865476, -0.7071067811865476, 0.0, -1.5773502691896257],
+            [0.7071067811865476, 0.7071067811865476, 0.0, 0.0],
+        ],
+    )),
+    ('l', 1.3, [0.3, -0.2, 0.5, 0.4], (
+        [-0.3602128694947102, 0.6079001519870864, 0.5712535114418298, 0.06573319046827003, 0.07071067811865472],
+        [-1.7851750007925786, 0.39639759002514335, 0.8574755993750438, 1.8413253000838112, -0.4671590399213064],
+        [
+            [-4.266421588589642e-17, 1.111029708533524e-17, -0.23935682885179302, 1.784433357714608e-16],
+            [1.111029708533524e-17, -0.23935682885179296, 0.04593960966034613, -6.528394345101538e-18],
+            [-0.23935682885179302, 0.04593960966034613, 0.08812469324786772, 8.645375454505999e-17],
+            [1.784433357714608e-16, -6.528394345101538e-18, 8.645375454505999e-17, 1.370614035087719],
+        ],
+        [
+            [-0.7567100957862781, 1.044750269203124, 0.15, -0.09508321003371889],
+            [0.46573319046827005, -0.21213203435596426, 1.0, 0.18263423325843034],
+            [0.6575034665868169, -0.36946329316997106, 0.15, 1.1224783450224833],
+            [0.7071067811865476, -0.7071067811865476, 0.0, -0.3912192224718989],
+            [0.7071067811865476, 0.7071067811865476, 0.0, 0.0],
+        ],
+    )),
+    ('l', 1.3, [-0.6, 0.7, -0.1, -0.5], (
+        [0.9335365194126304, 0.21346447225586684, -0.5356091234855209, -0.2345728214490757, 0.07071067811865478],
+        [-0.2957768456929045, -0.425848489162626, 1.1237181181825155, 0.059747481937709956, 0.05018672574082315],
+        [
+            [1.2386923780787705e-16, 4.178608747938157e-18, -2.2758128589385156, 9.309744650488212e-17],
+            [4.178608747938157e-18, -2.275812858938515, -0.9950083201314561, -5.031761738146153e-17],
+            [-2.2758128589385156, -0.9950083201314561, -1.0739437545785986, 1.1248034633537703e-16],
+            [9.309744650488212e-17, -5.031761738146153e-17, 1.1248034633537703e-16, 1.7316017316017314],
+        ],
+        [
+            [-0.9539279356518879, 0.9970205614730321, -0.3, 1.2783568551374067],
+            [-0.7345728214490757, 0.4242640687119285, 1.0, 0.5132023220686198],
+            [0.46028562672120715, -0.41719300090006306, -0.3, -0.4323175517579927],
+            [0.7071067811865476, -0.7071067811865476, 0.0, -1.8553372034476996],
+            [0.7071067811865476, 0.7071067811865476, 0.0, 0.0],
+        ],
+    )),
+    ('m', 1.0, [0.3, -0.2, 0.5, 0.4], (
+        [0.514, -0.825, 0.714, 0.445, 0.425],
+        [-0.6900000000000001, 0.7375, -0.19000000000000003, -1.2, -0.7375],
+        [
+            [0.0, 0.0, 0.0, -1.0],
+            [0.0, -9.658940314238862e-17, -1.0, -0.5000000000000001],
+            [0.0, -1.0, -0.4999999999999999, -0.8343750000000001],
+            [-1.0, -0.5000000000000001, -0.8343750000000001, -1.04046875],
+        ],
+        [
+            [0.0, 0.5800000000000001, 1.2, 0.445],
+            [-1.0, 0.0, -0.5, -1.0],
+            [0.0, -0.42, 1.2, 0.445],
+            [0.0, 0.4, 0.5, 0.8],
+            [1.0, 0.0, 0.5, 0.0],
+        ],
+    )),
+    ('m', 1.0, [-0.6, 0.7, -0.1, -0.5], (
+        [0.46, 1.095, -0.23999999999999994, -0.845, -0.595],
+        [0.5625, 1.7005, 0.4625, -1.05, -1.7005],
+        [
+            [0.0, 0.0, 0.0, -1.0],
+            [0.0, 0.0, -1.0, -0.020000000000000018],
+            [0.0, -1.0, -0.019999999999999706, 0.029624999999999943],
+            [-1.0, -0.020000000000000018, 0.029624999999999943, 1.89189325],
+        ],
+        [
+            [0.0, 0.625, 1.05, -0.845],
+            [-1.0, 0.0, 0.1, -1.0],
+            [0.0, -0.375, 1.05, -0.845],
+            [0.0, -0.5, -0.1, 1.7],
+            [1.0, 0.0, -0.1, 0.0],
+        ],
+    )),
+]
+
+
+@pytest.mark.parametrize("ex_id, aval, p, golden", _CLOSED_GOLDENS)
+def test_closed_entry_goldens(ex_id, aval, p, golden):
+    fd = evaluate(ex_id, p, a=aval)
+    for got, want in zip((fd.point, fd.normal, fd.gram, fd.jacobian), golden):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+
+def test_overflowing_point_refused():
+    # the frame of k at z = 1e200 overflows; RuntimeWarnings are errors in
+    # this suite, so this also shows that none escapes
+    with pytest.raises(DomainError, match="not finite"):
+        evaluate("k", [0, 0, 1e200, 0])
+    with pytest.raises(DomainError, match="not finite"):
+        chart_jacobian("m", [1e160, 1e160, 1e160, 1e160])

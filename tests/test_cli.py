@@ -215,8 +215,9 @@ def _python_dash_m(*args):
     src = str(Path(petrovtypes.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    # a RuntimeWarning is an error here, as in the in-process tests
     return subprocess.run(
-        [sys.executable, "-m", "petrovtypes", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "petrovtypes", *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
 
@@ -231,13 +232,15 @@ def test_python_dash_m_entry_point():
     (["verify", "run", "--id", "e", "--samples", "1", "--seed", "-1"], "seed must be non-negative"),
     (["report", "--table", "3", "--samples", "1", "--seed", "-2"], "seed must be non-negative"),
     (["report", "--table", "2", "--samples", "0"], "need at least one sample"),
-    # the chart stack at this step is singular in the Codazzi check
-    (["verify", "run", "--id", "k", "--samples", "1", "--h", "1e300"], "Singular matrix"),
+    # the frame data of the stencil points at this step overflows
+    (["verify", "run", "--id", "k", "--samples", "1", "--h", "1e300"], "frame data is not finite"),
+    (["catalog", "eval", "k", "--point", "0,0,1e200,0"], "frame data is not finite"),
+    (["catalog", "eval", "m", "--point", "1e160,1e160,1e160,1e160"], "frame data is not finite"),
 ])
 def test_bad_sampling_exits_one_without_a_traceback(args, message):
     proc = _python_dash_m(*args, "--json")
     assert proc.returncode == 1
-    assert f"error: {message}" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
 
 
