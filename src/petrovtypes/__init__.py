@@ -14,7 +14,6 @@ from .linalg import (
     eigen_clusters,
     matrix_from_json,
     matrix_to_json,
-    minimal_poly,
     signature,
 )
 from .petrov import (

@@ -887,7 +887,10 @@ def _finite(*arrays: np.ndarray) -> None:
 def chart(example_id: str, p, a: float = 1.0) -> np.ndarray:
     """Smooth map from chart coordinates to the ambient point."""
     entry = _entry(example_id)
-    return entry.chart(_chart_point(entry, p), a)
+    with np.errstate(all="ignore"):
+        x = entry.chart(_chart_point(entry, p), a)
+    _finite(x)
+    return x
 
 
 def evaluate(

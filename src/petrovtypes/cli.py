@@ -23,7 +23,6 @@ import numpy as np
 from . import catalog, verify
 from .linalg import (
     BadToleranceError,
-    ClusterAmbiguityError,
     DegenerateGramError,
     ShapeError,
     ToleranceError,
@@ -32,7 +31,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
 )
-from .petrov import ConditioningError, ContractError, TaxonomyError, classify_pair
+from .petrov import ContractError, TaxonomyError, classify_pair
 from .spaceform import DomainError
 
 SCHEMA = "1"
@@ -40,6 +39,21 @@ SCHEMA = "1"
 
 class CliError(Exception):
     pass
+
+
+# the errors a command reports as one "error:" line and exit status 1; the
+# cluster and conditioning errors are ToleranceErrors
+_REPORTED = (
+    BadToleranceError,
+    CliError,
+    DegenerateGramError,
+    ShapeError,
+    ToleranceError,
+    ContractError,
+    DomainError,
+    TaxonomyError,
+    np.linalg.LinAlgError,
+)
 
 
 def _emit(payload: dict, as_json: bool, markdown_lines: list[str]) -> None:
@@ -147,9 +161,15 @@ def _cmd_verify(args) -> int:
     ids = [args.id] if args.id else list(catalog.EXAMPLE_IDS)
     reports = []
     for ex_id in ids:
-        reports.extend(
-            verify.run_checks(ex_id, samples=args.samples, seed=args.seed, h=args.h)
-        )
+        try:
+            reports.extend(
+                verify.run_checks(ex_id, samples=args.samples, seed=args.seed, h=args.h)
+            )
+        except _REPORTED as exc:
+            if args.h is None:
+                raise
+            # a solver message does not say that the step caused it
+            raise CliError(f"{exc} (entry {ex_id} at --h {args.h:g})") from exc
     all_pass = all(r.passed for r in reports)
     summary = {}
     for r in reports:
@@ -296,19 +316,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (
-        BadToleranceError,
-        CliError,
-        DegenerateGramError,
-        ShapeError,
-        ToleranceError,
-        ClusterAmbiguityError,
-        ConditioningError,
-        ContractError,
-        DomainError,
-        TaxonomyError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

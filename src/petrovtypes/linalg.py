@@ -150,44 +150,6 @@ def is_self_adjoint(
     return float(np.abs(g @ af - af.T @ g).max()) <= tol * scale
 
 
-def minimal_poly(a: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Monic polynomial of least degree annihilating a, ascending coefficients."""
-    tol = resolve_tol(tol)
-    a = _require_square(a)
-    clusters = eigen_clusters(a, tol)
-    poly = np.array([1.0])
-    for val, mult in clusters:
-        if isinstance(val, tuple):
-            alpha, beta = val
-            k = _max_block_size(a.astype(complex), complex(alpha, beta), mult, tol)
-            factor = np.array([alpha * alpha + beta * beta, -2.0 * alpha, 1.0])
-        else:
-            k = _max_block_size(a, float(val), mult, tol)
-            factor = np.array([-float(val), 1.0])
-        for _ in range(k):
-            poly = np.convolve(poly, factor)
-    poly = np.real(poly)
-    # residual guard against misgrouped clusters
-    residual = _poly_eval_matrix(poly, a)
-    scale = max(np.abs(a).max(), 1.0) ** max(len(poly) - 1, 1)
-    if np.abs(residual).max() > max(1e3 * tol * scale, 1e-6 * scale):
-        raise ToleranceError(
-            f"minimal polynomial residual {np.abs(residual).max():.3e} too large; "
-            f"ill-conditioned eigencluster near {clusters}"
-        )
-    return poly
-
-
-def _poly_eval_matrix(poly: np.ndarray, a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    out = np.zeros_like(a)
-    acc = np.eye(n, dtype=a.dtype)
-    for c in poly:
-        out = out + c * acc
-        acc = acc @ a
-    return out
-
-
 def generalized_eigenspace(a: np.ndarray, lam, mult: int) -> np.ndarray:
     """Orthonormal columns spanning the mult-dimensional kernel of (a - lam I)^mult.
 
@@ -285,12 +247,6 @@ def simple_eigenvectors(a: np.ndarray, lams, tol: float) -> np.ndarray:
             f"restriction to the eigenspace of {lams[bad[0]]} is not numerically nilpotent"
         )
     return vecs.T
-
-
-def _max_block_size(a: np.ndarray, lam, mult: int, tol: float) -> int:
-    """Largest Jordan block size at lam: first k with rank(N^k) = 0."""
-    profile = jordan_rank_profile(a, lam, mult, tol)
-    return next(k for k in range(mult + 1) if profile[k] == 0)
 
 
 def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object, int]]:

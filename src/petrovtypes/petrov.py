@@ -108,16 +108,9 @@ class SelfAdjointPair:
 class PetrovNormalForm:
     structure: JordanStructure
     signs: tuple[int, ...]  # one per real block, in canonical block order
-    transform: np.ndarray  # columns: adapted basis; A_norm = T^-1 A T
-
-    # the normal pair is a function of structure and signs, built when read
-    @property
-    def a_norm(self) -> np.ndarray:
-        return _normal_matrices(self.structure, list(self.signs))[0]
-
-    @property
-    def g_norm(self) -> np.ndarray:
-        return _normal_matrices(self.structure, list(self.signs))[1]
+    # columns: adapted basis; T^-1 A T and T^T G T are the normal pair of
+    # structure and signs, which assemble_normal_pair builds
+    transform: np.ndarray
 
 
 @dataclass(frozen=True)

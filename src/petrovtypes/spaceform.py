@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    ShapeError,
-    ToleranceError,
-    minimal_poly,
-    resolve_tol,
-)
+from .linalg import ShapeError, ToleranceError, resolve_tol
 
 
 class DomainError(ValueError):
@@ -123,21 +118,23 @@ class QuadricFunction:
     def __post_init__(self):
         if self.variant not in ("flat", "sphere"):
             raise ShapeError("variant must be 'flat' or 'sphere'")
+        if self.variant == "sphere" and self.p is not None:
+            raise ShapeError("sphere variant takes no linear term")
         pmat = np.array(self.P, dtype=float)  # a copy: later edits of the input do not reach it
         n = pmat.shape[0]
         if pmat.shape != (n, n):
             raise ShapeError("P must be square")
+        pv = np.zeros(n) if self.p is None else np.array(self.p, dtype=float)
+        if pv.shape != (n,):
+            raise ShapeError("p must match the dimension of P")
+        if not all(np.isfinite(v).all() for v in (pmat, pv, self.c)):
+            raise ShapeError("P, p and c must be finite (no NaN or infinity)")
         g = inner_matrix(n, self.s)
         if np.abs(g @ pmat - pmat.T @ g).max() > 1e-9 * max(np.abs(pmat).max(), 1.0):
             raise ShapeError("P is not self-adjoint for the ambient form")
         object.__setattr__(self, "P", pmat)
         if self.variant == "flat":
-            pv = np.zeros(n) if self.p is None else np.array(self.p, dtype=float)
-            if pv.shape != (n,):
-                raise ShapeError("p must match the dimension of P")
             object.__setattr__(self, "p", pv)
-        elif self.p is not None:
-            raise ShapeError("sphere variant takes no linear term")
 
     @property
     def dim(self) -> int:
@@ -175,20 +172,18 @@ def admissibility_check(
     """Checks the conditions that make the quadric level sets isoparametric.
 
     flat:   P = rho*E with rho != 0, or P^2 = O, Pp = 0, <p,p> != 0.
-    sphere: the minimal polynomial of P has degree 2.
+    sphere: the minimal polynomial of P has degree 2, decided as in
+            quadratic_minimal_data, whose DomainError text a refusal reports.
     """
     tol = resolve_tol(tol)
-    n = f.dim
-    scale = max(np.abs(f.P).max(), 1.0)
     if f.variant == "sphere":
         try:
-            mu = minimal_poly(f.P, tol)
-        except ToleranceError as exc:
-            return False, f"minimal polynomial undecidable: {exc}"
-        deg = len(mu) - 1
-        if deg == 2:
-            return True, "deg mu_P = 2"
-        return False, f"deg mu_P = {deg}, need 2"
+            quadratic_minimal_data(f, tol)
+        except DomainError as exc:
+            return False, str(exc)
+        return True, "deg mu_P = 2"
+    n = f.dim
+    scale = max(np.abs(f.P).max(), 1.0)
     diag = f.P[0, 0]
     if (
         abs(diag) > tol * scale
@@ -205,7 +200,12 @@ def admissibility_check(
 
 
 def quadratic_minimal_data(f: QuadricFunction, tol: float | None = None):
-    """Coefficients (a, b) with P^2 = a*P + b*E, for sphere-variant quadrics.
+    """Coefficients (a, b) with P^2 = a*P + b*E, for sphere-variant quadrics:
+    the Frobenius projection of P^2 onto span{P, E}.  P0, the traceless part
+    of P, is orthogonal to E, so a = <P^2, P0>/<P0, P0> and
+    b = (tr P^2 - a tr P)/n.  With scale = max(|P|, 1), a DomainError names
+    degree 1 when |P0| <= tol*scale, and a degree above 2 when
+    |P^2 - aP - bE| > tol*scale^2.  tol is the only cut.
 
     Computed once per distinct P and tolerance: the memo is keyed by the
     bytes of P, so a changed P is never answered from an old entry.
@@ -216,11 +216,20 @@ def quadratic_minimal_data(f: QuadricFunction, tol: float | None = None):
 
 @functools.lru_cache(maxsize=64)
 def _quadratic_minimal_data(p_bytes: bytes, n: int, tol: float) -> tuple[float, float]:
-    mu = minimal_poly(np.frombuffer(p_bytes).reshape(n, n), tol)
-    if len(mu) - 1 != 2:
-        raise DomainError("minimal polynomial of P must have degree 2")
-    # monic t^2 - a t - b stored ascending as [-b, -a, 1]
-    return -float(mu[1]), -float(mu[0])
+    p = np.frombuffer(p_bytes).reshape(n, n)
+    eye = np.eye(n)
+    scale = max(float(np.linalg.norm(p)), 1.0)
+    p0 = p - np.trace(p) / n * eye
+    p0_norm2 = float((p0 * p0).sum())
+    if np.sqrt(p0_norm2) <= tol * scale:
+        raise DomainError("deg mu_P = 1: P is a multiple of E, need degree 2")
+    p2 = p @ p
+    a = float((p2 * p0).sum()) / p0_norm2
+    b = float(np.trace(p2) - a * np.trace(p)) / n
+    residual = float(np.linalg.norm(p2 - a * p - b * eye))
+    if residual > tol * scale * scale:
+        raise DomainError(f"deg mu_P above 2: |P^2 - aP - bE| = {residual:.3e}, need 2")
+    return a, b
 
 
 def sphere_level_operator(f: QuadricFunction, x, phi, tol: float | None = None):

@@ -251,14 +251,17 @@ def test_parameter_a_must_be_finite_and_nonzero(ex_id, aval):
 
 
 def test_minimal_polynomial_memo_follows_tolerance(monkeypatch):
-    # eigenvalues 1 and 1.05 are one cluster at tol 0.1, two at the default
-    f = QuadricFunction("sphere", 2, np.diag([1.0, 1.05, -1.0, -1.0]), 0.0)
+    # with eigenvalues 1, 1.05 and -1, P^2 leaves span{P, E} by far more than
+    # the default tol, and by less than 0.1
+    diag = np.array([1.0, 1.05, -1.0, -1.0])
+    f = QuadricFunction("sphere", 2, np.diag(diag), 0.0)
     monkeypatch.delenv("PETROV_TOL", raising=False)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="above 2"):
         quadratic_minimal_data(f)
     monkeypatch.setenv("PETROV_TOL", "0.1")
-    a, b = quadratic_minimal_data(f)
-    assert a == pytest.approx(0.025) and b == pytest.approx(1.025)
+    # the projection of a diagonal P^2 onto span{P, E} is the least-squares
+    # line through the points (d, d^2)
+    assert quadratic_minimal_data(f) == pytest.approx(tuple(np.polyfit(diag, diag**2, 1)))
     monkeypatch.delenv("PETROV_TOL")
     with pytest.raises(DomainError):
         quadratic_minimal_data(f)
@@ -588,3 +591,5 @@ def test_overflowing_point_refused():
         evaluate("k", [0, 0, 1e200, 0])
     with pytest.raises(DomainError, match="not finite"):
         chart_jacobian("m", [1e160, 1e160, 1e160, 1e160])
+    with pytest.raises(DomainError, match="not finite"):
+        chart("m", [1e160] * 4)

@@ -236,6 +236,13 @@ def test_python_dash_m_entry_point():
     (["verify", "run", "--id", "k", "--samples", "1", "--h", "1e300"], "frame data is not finite"),
     (["catalog", "eval", "k", "--point", "0,0,1e200,0"], "frame data is not finite"),
     (["catalog", "eval", "m", "--point", "1e160,1e160,1e160,1e160"], "frame data is not finite"),
+    # a step so large that a solve fails names the entry and the step
+    (["verify", "run", "--id", "k", "--samples", "1", "--h", "1e20"],
+     "Singular matrix (entry k at --h 1e+20)"),
+    (["verify", "run", "--id", "m", "--samples", "1", "--h", "1e10"],
+     "Singular matrix (entry m at --h 1e+10)"),
+    (["verify", "run", "--id", "e", "--samples", "1", "--h", "1e10"],
+     "chart solver did not converge; point too far out (entry e at --h 1e+10)"),
 ])
 def test_bad_sampling_exits_one_without_a_traceback(args, message):
     proc = _python_dash_m(*args, "--json")

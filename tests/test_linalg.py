@@ -1,4 +1,4 @@
-"""Core linear algebra: signatures, polynomials, clustering, JSON round trips."""
+"""Core linear algebra: signatures, clustering, Jordan profiles, JSON round trips."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from petrovtypes.linalg import (
     jordan_rank_profile,
     matrix_from_json,
     matrix_to_json,
-    minimal_poly,
     resolve_tol,
     signature,
     simple_eigenvectors,
@@ -64,13 +63,6 @@ def test_signature_refuses_empty_and_non_finite(case):
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_MATRICES))
-def test_minimal_poly_refuses_empty_and_non_finite(case):
-    mat, message = _BAD_MATRICES[case]
-    with pytest.raises(ShapeError, match=f"matrix {message}"):
-        minimal_poly(mat)
-
-
-@pytest.mark.parametrize("case", sorted(_BAD_MATRICES))
 def test_classify_pair_refuses_empty_and_non_finite(case):
     mat, message = _BAD_MATRICES[case]
     good = np.eye(len(mat))
@@ -86,7 +78,6 @@ _GRAM = [[0.0, 1.0], [1.0, 0.0]]
 _NILPOTENT = [[0.0, 1.0], [0.0, 0.0]]
 _MATRIX_CALLS = {
     "signature": lambda as_matrix: signature(as_matrix(_GRAM)),
-    "minimal_poly": lambda as_matrix: minimal_poly(as_matrix(_NILPOTENT)),
     "eigen_clusters": lambda as_matrix: eigen_clusters(as_matrix(_NILPOTENT)),
     "is_self_adjoint": lambda as_matrix: is_self_adjoint(
         as_matrix(_NILPOTENT), BilinearSpace.from_gram(as_matrix(_GRAM))
@@ -99,25 +90,6 @@ _MATRIX_CALLS = {
 def test_nested_list_input_matches_array(name):
     call = _MATRIX_CALLS[name]
     np.testing.assert_equal(call(lambda rows: rows), call(np.array))
-
-
-def test_minimal_poly_identity():
-    # t - 1, although the characteristic polynomial is (t - 1)^2
-    mp = minimal_poly(np.eye(2))
-    assert np.allclose(mp, [-1.0, 1.0], atol=1e-12)
-
-
-def test_minimal_poly_float_jordan_block():
-    a = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
-    mp = minimal_poly(a)
-    # (t - 2)^3 ascending: -8, 12, -6, 1
-    assert np.allclose(mp, [-8.0, 12.0, -6.0, 1.0], atol=1e-8)
-
-
-def test_minimal_poly_detects_diagonalizable():
-    a = np.diag([1.0, 1.0, 3.0])
-    mp = minimal_poly(a)
-    assert np.allclose(mp, [3.0, -4.0, 1.0], atol=1e-10)
 
 
 def test_eigen_clusters_merges_defective_eigenvalue():

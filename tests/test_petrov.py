@@ -357,9 +357,10 @@ CONTRACT_BOUND = 1e-6
 def _contract_residual(form, a, g):
     """max |T^-1 A T - A_norm| and |T^T G T - G_norm| of a form of (a, g)."""
     t = form.transform
+    a_norm, g_norm = _normal_matrices(form.structure, list(form.signs))
     return max(
-        float(np.abs(np.linalg.solve(t, a @ t) - form.a_norm).max()),
-        float(np.abs(t.T @ g @ t - form.g_norm).max()),
+        float(np.abs(np.linalg.solve(t, a @ t) - a_norm).max()),
+        float(np.abs(t.T @ g @ t - g_norm).max()),
     )
 
 

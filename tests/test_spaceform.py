@@ -117,19 +117,22 @@ def test_admissibility_scalar_matrix():
     assert ok and "rho" in diag
 
 
+# self-adjoint for index 2, and N^2 = O
+_NILPOTENT = np.array(
+    [
+        [-1, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+        [-1, 0, 0, 0, 1],
+    ],
+    dtype=float,
+)
+
+
 def test_admissibility_nilpotent_case():
     # self-adjoint nilpotent P with Pp = 0 and <p, p> = 1
-    p_mat = np.array(
-        [
-            [-1, 0, 0, 0, 1],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [-1, 0, 0, 0, 1],
-        ],
-        dtype=float,
-    )
-    f = QuadricFunction("flat", 2, p_mat, 1.0, np.eye(5)[2])
+    f = QuadricFunction("flat", 2, _NILPOTENT, 1.0, np.eye(5)[2])
     ok, diag = admissibility_check(f)
     assert ok and "P^2" in diag
 
@@ -138,6 +141,38 @@ def test_admissibility_rejects_bad_p():
     f = QuadricFunction("flat", 2, np.diag([2.0, 1.0, 0.0, 0.0, 0.0]), 1.0, np.zeros(5))
     ok, _diag = admissibility_check(f)
     assert not ok
+
+
+@pytest.mark.parametrize("s, p_mat, want", [
+    (2, 3.0 * np.eye(5), "deg mu_P = 1"),
+    # (P - E/2)^2 = O: mu_P = (t - 1/2)^2 = t^2 - t + 1/4
+    (2, 0.5 * np.eye(5) + _NILPOTENT, (1.0, -0.25)),
+    (2, np.diag([1.0, 1.0, -2.0, -2.0, 1.0]), (-1.0, 2.0)),
+    # the complex pair 1 +- i of entry j: mu_P = t^2 - 2t + 2
+    (3, np.block([[np.eye(3), -_anti(3)], [_anti(3), np.eye(3)]]), (2.0, -2.0)),
+    (2, np.diag([1.0, 2.0, 3.0, 1.0, 1.0]), "deg mu_P above 2"),
+], ids=["scalar", "nilpotent-shift", "two-real", "complex-pair", "three-real"])
+def test_sphere_minimal_degree_by_projection(s, p_mat, want):
+    f = QuadricFunction("sphere", s, p_mat, 0.0)
+    ok, diag = admissibility_check(f)
+    if isinstance(want, str):
+        assert not ok and diag.startswith(want)
+        with pytest.raises(DomainError, match=want):
+            quadratic_minimal_data(f)
+    else:
+        assert ok and diag == "deg mu_P = 2"
+        assert quadratic_minimal_data(f) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant, p_mat, c, p_vec", [
+    ("sphere", np.diag([1.0, np.nan, -1.0]), 0.0, None),
+    ("sphere", np.diag([1.0, 1.0, -1.0]), np.inf, None),
+    ("flat", np.diag([np.inf, 0.0, 0.0]), 1.0, np.zeros(3)),
+    ("flat", np.zeros((3, 3)), 1.0, np.array([0.0, np.nan, 1.0])),
+], ids=["sphere-P", "sphere-c", "flat-P", "flat-p"])
+def test_quadric_refuses_non_finite_data(variant, p_mat, c, p_vec):
+    with pytest.raises(ShapeError, match="must be finite"):
+        QuadricFunction(variant, 1, p_mat, c, p_vec)
 
 
 def test_quadratic_minimal_data():
