@@ -16,7 +16,9 @@ quadric level set (the quadric, an anchor point, the pivot coordinates the
 chart solves for, and optionally a displayed moving frame) or by
 _closed_entry for closed formulas (chart, Jacobian, frame data and a
 sampler).  The curves in the formulas of k, l and m are coefficient tables,
-each written once, with their derivatives and integrals derived.
+each written once, with their derivatives and integrals derived; one
+evaluate, chart or chart_jacobian call evaluates all tables of the entry
+once, side by side.
 """
 
 from __future__ import annotations
@@ -548,11 +550,13 @@ def _level_entry(
 #
 # Chart, Jacobian and frame functions take the chart point (m,) or a stack
 # (k, m) and the parameter a, which only entries k and l read.  A frame
-# function returns the frame, normal, shape and Jacobian; _closed_frame_data
-# adds the rest.  Entries k, l and m write each curve once, as a coefficient
-# table: row i holds the coefficients of s**i, one column per ambient
-# coordinate.  The derivatives and integrals in their formulas are derived
-# from the tables with polyder and polyint.
+# function returns the point, frame, normal, shape and Jacobian;
+# _closed_frame_data adds the rest.  Entries k, l and m write each curve once,
+# as a coefficient table: row i holds the coefficients of s**i, one column per
+# ambient coordinate.  The derivatives and integrals in their formulas are
+# derived from the tables with polyder and polyint.  Their formulas read the
+# curves at the point, c, which _Curves evaluates once per call for all of
+# them.
 
 
 def _check_a(a: float) -> None:
@@ -606,7 +610,7 @@ def _frame_01(p: np.ndarray, a: float) -> tuple:
     xi = _vec(v, np.cos(v) / SQ2, np.cos(v) / SQ2, -1.0)
     shape = np.zeros(p.shape[:-1] + (2, 2))
     shape[..., 0, 1] = np.sin(p[..., 1])
-    return frame, xi, shape, frame
+    return _chart_01(p, a), frame, xi, shape, frame
 
 
 _A02 = np.array(
@@ -635,21 +639,54 @@ def _frame_02(p: np.ndarray, a: float) -> tuple:
     shape = np.zeros(p.shape[:-1] + (4, 4))
     shape[..., 0, 1] = 1.0
     shape[..., 2, 3] = np.sin(p[..., 3])
-    return frame, xi, shape, frame
+    return _chart_02(p, a), frame, xi, shape, frame
 
 
 def _at(table: np.ndarray, s) -> np.ndarray:
-    """The curve of a coefficient table at a number s, (n,), or a (k, 1)
-    column s, (k, n); Horner's rule keeps integer tables exact."""
+    """The curve of a coefficient table at a number s, or an array s of
+    shape (1,), (n,), or at a (k, 1) column s, (k, n); Horner's rule keeps
+    integer tables exact."""
     out = table[-1]
     for row in table[-2::-1]:
         out = out * s + row
     return out
 
 
+class _Curves:
+    """The curves of an entry: tables, a namedtuple of coefficient tables in
+    the chart coordinate `coord`, all with the same columns.  They are kept
+    side by side in one array, each padded with zero rows to the longest, so
+    that one Horner pass evaluates them all.  A padded row gives
+    +-0 * s + 0 = 0 until the rows of its table begin, so each curve equals
+    _at(table, s) bit for bit."""
+
+    def __init__(self, tables: tuple, coord: int):
+        self.tables, self.coord = tables, coord
+        rows = max(len(t) for t in tables)
+        self.side_by_side = np.hstack([np.pad(t, ((0, rows - len(t)), (0, 0))) for t in tables])
+
+    def __call__(self, p: np.ndarray) -> tuple:
+        """Every curve at the chart point p, (n,), or at each row of a stack,
+        (k, n): a namedtuple like tables."""
+        values = _at(self.side_by_side, p[..., self.coord : self.coord + 1])
+        # one block of columns per table, moved to the front
+        blocks = values.reshape(*p.shape[:-1], len(self.tables), -1).swapaxes(0, -2)
+        return self.tables._make(blocks)
+
+    def bind(self, *formulas) -> tuple:
+        """Each formula f(c, p, a) as a function of (p, a) that reads the
+        curves c at p."""
+        return tuple(functools.partial(_on_curves, self, f) for f in formulas)
+
+
+def _on_curves(curves: _Curves, formula, p: np.ndarray, a: float):
+    return formula(curves(p), p, a)
+
+
 # Entries k (eps = 1) and l (eps = -1) are one family: root = sqrt(1 + eps a^2
 # v^2), and the chart condition is w = z + eps sqrt(2) != 0, with |a v| < 1 on
-# l as well.  Curves: X, Y, Z, C, V (one row), Y', Z', C', xint = int_0^s X.
+# l as well.  Curves of s: X, Y, Z, C, V (one row), Y', Z', C', xint =
+# int_0^s X.
 _CurvesKL = collections.namedtuple("_CurvesKL", "X Y Z C V Yp Zp Cp xint")
 _der, _int = (functools.partial(fn, axis=0) for fn in (P.polyder, P.polyint))
 
@@ -661,36 +698,36 @@ def _root_kl(eps: float, v, a: float):
     return np.sqrt(1 + eps * a * a * v * v)
 
 
-def _chart_kl(c: _CurvesKL, eps: float, p: np.ndarray, a: float) -> np.ndarray:
-    s, u, z, v = _coords(p)
+def _chart_kl(eps: float, c: _CurvesKL, p: np.ndarray, a: float) -> np.ndarray:
+    _s, u, z, v = _coords(p)
     root = _root_kl(eps, v, a)
-    out = _at(c.xint, s) + u * _at(c.Y, s) + z * _at(c.Z, s) + v * _at(c.V, s)
-    return out + (1 - root) / a * _at(c.C, s)
+    return c.xint + u * c.Y + z * c.Z + v * c.V + (1 - root) / a * c.C
 
 
-def _jacobian_kl(c: _CurvesKL, eps: float, p: np.ndarray, a: float) -> np.ndarray:
-    s, u, z, v = _coords(p)
+def _jacobian_kl(eps: float, c: _CurvesKL, p: np.ndarray, a: float) -> np.ndarray:
+    _s, u, z, v = _coords(p)
     root = _root_kl(eps, v, a)
-    df_s = _at(c.X, s) + u * _at(c.Yp, s) + z * _at(c.Zp, s) + (1 - root) / a * _at(c.Cp, s)
-    df_v = _at(c.V, s) - eps * (a * v / root) * _at(c.C, s)
-    return np.stack([df_s, _at(c.Y, s), _at(c.Z, s), df_v], axis=-1)
+    df_s = c.X + u * c.Yp + z * c.Zp + (1 - root) / a * c.Cp
+    df_v = c.V - eps * (a * v / root) * c.C
+    return np.stack([df_s, c.Y, c.Z, df_v], axis=-1)
 
 
-def _frame_kl(c: _CurvesKL, eps: float, p: np.ndarray, a: float) -> tuple:
-    s, u, z, v = _coords(p)
+def _frame_kl(eps: float, c: _CurvesKL, p: np.ndarray, a: float) -> tuple:
+    _s, u, z, v = _coords(p)
     w = z + eps * SQ2
     if (abs(w) <= 1e-9).any():
         sign = "+" if eps > 0 else "-"
         raise DomainError(f"point violates the chart condition z {sign} sqrt(2) != 0")
-    jac = _jacobian_kl(c, eps, p, a)
+    jac = _jacobian_kl(eps, c, p, a)
     df_s, df_u, df_z, df_v = jac.transpose(-1, *range(jac.ndim - 1))
     root = _root_kl(eps, v, a)
     b1 = df_u
     b2 = w ** 2 / (2 * root) * df_z
     b3 = -eps * w ** 3 / (2 * SQ2 * root * root) * df_s
     b4 = SQ2 * a * z * v / (w * root) * df_u + df_v
-    xi = -eps * SQ2 * z / w * root * df_u - a * v * _at(c.V, s) + root * _at(c.C, s)
-    return _columns(b1, b2, b3, b4), xi, _batch(_dsum(_j(0.0, 3), np.array([[a]])), p), jac
+    xi = -eps * SQ2 * z / w * root * df_u - a * v * c.V + root * c.C
+    shape = _batch(_dsum(_j(0.0, 3), np.array([[a]])), p)
+    return _chart_kl(eps, c, p, a), _columns(b1, b2, b3, b4), xi, shape, jac
 
 
 def _sample_kl(eps: float, rng, i: int, a: float) -> np.ndarray:
@@ -703,70 +740,73 @@ def _sample_kl(eps: float, rng, i: int, a: float) -> np.ndarray:
     return p
 
 
-def _kl_family(X, Y, Z, C, V, eps: float) -> tuple:
-    """chart, jacobian, frame and sample of entry k (eps = 1) or l (-1)."""
+def _kl_curves(X, Y, Z, C, V) -> _Curves:
     X, Y, Z, C, V = (np.array(t, float) for t in (X, Y, Z, C, V))
-    c = _CurvesKL(X, Y, Z, C, V, _der(Y), _der(Z), _der(C), _int(X))
-    formulas = (functools.partial(fn, c, eps) for fn in (_chart_kl, _jacobian_kl, _frame_kl))
-    return (*formulas, functools.partial(_sample_kl, eps))
+    return _Curves(_CurvesKL(X, Y, Z, C, V, _der(Y), _der(Z), _der(C), _int(X)), 0)
+
+
+def _kl_family(curves: _Curves, eps: float) -> tuple:
+    """chart, jacobian, frame and sample of entry k (eps = 1) or l (-1)."""
+    formulas = (functools.partial(fn, eps) for fn in (_chart_kl, _jacobian_kl, _frame_kl))
+    return (*curves.bind(*formulas), functools.partial(_sample_kl, eps))
 
 
 _S8 = SQ2 / 8  # the k and l tables hold multiples of sqrt(2)/8
-_FAMILY_K = _kl_family(
+_CURVES_K = _kl_curves(
     X=[[0.5 + 6 * _S8, 4 * _S8, 0.5 - 2 * _S8, 0, 1 + 4 * _S8], [0, 0, 0, -4 * _S8, 0],
        [_S8, 0, _S8, 0, 0]],
     Y=[[-0.5 + 6 * _S8, 4 * _S8, -0.5 - 2 * _S8, 0, 1 - 4 * _S8], [0, 0, 0, -4 * _S8, 0],
        [_S8, 0, _S8, 0, 0]],
     Z=[[0, 0, 0, -1, 0], [0.5, 0, 0.5, 0, 0]],
     C=[[1, 1, -1, 0, SQ2], [0, 0, 0, -1, 0], [0.25, 0, 0.25, 0, 0]],
-    V=[[0.5, -1, 0.5, 0, 0]], eps=1.0,
+    V=[[0.5, -1, 0.5, 0, 0]],
 )
-_FAMILY_L = _kl_family(
+_CURVES_L = _kl_curves(
     X=[[-6 * _S8, 0, 2 * _S8, 4 * _S8, 4 * _S8], [0, 4 * _S8, 0, 0, 0], [_S8, 0, _S8, 0, 0]],
     Y=[[6 * _S8, 0, -2 * _S8, -4 * _S8, 4 * _S8], [0, -4 * _S8, 0, 0, 0], [-_S8, 0, -_S8, 0, 0]],
     Z=[[0, 1, 0, 0, 0], [0.5, 0, 0.5, 0, 0]],
     C=[[-1, 0, 1, 1, 0], [0, 1, 0, 0, 0], [0.25, 0, 0.25, 0, 0]],
-    V=[[0.5, 0, 0.5, -1, 0]], eps=-1.0,
+    V=[[0.5, 0, 0.5, -1, 0]],
 )
 
-# entry m: the curves Y, W and C of u, with W', C' and the integral of Y from
-# 0, and the constant vectors X and Z
+# entry m: the curves Y, W and C of u = p[3], with W', C' and the integral of
+# Y from 0, and the constant vectors X and Z
+_CurvesM = collections.namedtuple("_CurvesM", "Y W C Wp Cp yint")
 _M_X, _M_Z = np.array([0.0, -1.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0, 0.0, 0.0])
 _M_Y = np.array([[0, -1, 0, 1, 0], [1, 0, 1, 0, 0]], float)
 _M_W = np.array([[0.5, 0, -0.5, 0, 0], [0, 0, 0, 1, 0], [0.5, 0, 0.5, 0, 0]])
 _M_C = np.array([[0, 1, 0, -1, -1], [-1, 0, -1, 0, 0]], float)
-_M_WP, _M_CP, _M_YINT = _der(_M_W), _der(_M_C), _int(_M_Y)
+_CURVES_M = _Curves(_CurvesM(_M_Y, _M_W, _M_C, _der(_M_W), _der(_M_C), _int(_M_Y)), 3)
 
 
-def _chart_m(p: np.ndarray, a: float) -> np.ndarray:
-    s, w, z, u = _coords(p)
-    return s * _M_X + w * _at(_M_W, u) + z * _M_Z - z * z / 2.0 * _at(_M_C, u) + _at(_M_YINT, u)
+def _chart_m(c: _CurvesM, p: np.ndarray, a: float) -> np.ndarray:
+    s, w, z, _u = _coords(p)
+    return s * _M_X + w * c.W + z * _M_Z - z * z / 2.0 * c.C + c.yint
 
 
-def _jacobian_m(p: np.ndarray, a: float) -> np.ndarray:
-    s, w, z, u = _coords(p)
-    df_w = _at(_M_W, u)
-    df_z = _M_Z - z * _at(_M_C, u)
-    df_u = w * _at(_M_WP, u) - z * z / 2.0 * _at(_M_CP, u) + _at(_M_Y, u)
-    return np.stack([np.broadcast_to(_M_X, df_w.shape), df_w, df_z, df_u], axis=-1)
+def _jacobian_m(c: _CurvesM, p: np.ndarray, a: float) -> np.ndarray:
+    _s, w, z, _u = _coords(p)
+    df_z = _M_Z - z * c.C
+    df_u = w * c.Wp - z * z / 2.0 * c.Cp + c.Y
+    return np.stack([np.broadcast_to(_M_X, c.W.shape), c.W, df_z, df_u], axis=-1)
 
 
-def _frame_m(p: np.ndarray, a: float) -> tuple:
-    s, w, z, u = _coords(p)
-    jac = _jacobian_m(p, a)
+def _frame_m(c: _CurvesM, p: np.ndarray, a: float) -> tuple:
+    _s, w, z, _u = _coords(p)
+    jac = _jacobian_m(c, p, a)
     df_s, df_w, df_z, df_u = jac.transpose(-1, *range(jac.ndim - 1))
     b1 = df_s
     b2 = df_w
     b3 = 1.5 * z * z * df_w + df_z
     b4 = (2.25 * z**4 + z) * df_w + 1.5 * z * z * df_z + df_u
-    xi = (-w + z**3 / 2.0) * _M_X - z * df_w + _at(_M_C, u)
-    return _columns(b1, b2, b3, b4), xi, _batch(_j(0.0, 4), p), jac
+    xi = (-w + z**3 / 2.0) * _M_X - z * df_w + c.C
+    return _chart_m(c, p, a), _columns(b1, b2, b3, b4), xi, _batch(_j(0.0, 4), p), jac
 
 
-def _closed_frame_data(chart, frame_fn, s: int, p: np.ndarray, a: float, anchor_variant: bool):
-    frame, xi, shape, jac = frame_fn(p, a)
+def _closed_frame_data(frame_fn, s: int, p: np.ndarray, a: float, anchor_variant: bool):
+    point, frame, xi, shape, jac = frame_fn(p, a)
     return FrameData(
-        point=chart(p, a), frame=frame, normal=xi, shape=shape, gram=_frame_gram(frame, s),
+        point=point, frame=frame, normal=xi, shape=shape, gram=_frame_gram(frame, s),
         nu=1 if p.ndim == 1 else np.ones(p.shape[0], dtype=int), _jacobian=jac,
     )
 
@@ -779,7 +819,7 @@ def _closed_entry(
     index-2 type, or a function of the chart point described by summary."""
     if isinstance(expected, str):
         expected, summary = GeometricType(2, expected), f"{expected} (index 2)"
-    evaluate = functools.partial(_closed_frame_data, chart, frame, ambient.embedding_index)
+    evaluate = functools.partial(_closed_frame_data, frame, ambient.embedding_index)
     return _Entry(
         example_id, ambient, param_dim, chart, jacobian, evaluate, sample, expected, summary,
         epsilon=epsilon,
@@ -836,10 +876,10 @@ _REGISTRY = {entry.id: entry for entry in (
                  _e(5, 6), (1, 4), _frame_i, _dsum(_j(-1.0, 2), _j(-1.0, 2)), _CLAUSES_HI, True),
     _level_entry("j", _S5_3, "II", lambda: ("sphere", 3, np.block([[_I3, -_E3], [_E3, _I3]]), 1.0),
                  _e(4, 6), (2, 3)),
-    _closed_entry("k", _R5_2, 4, *_FAMILY_K, "VII-ii"),
-    _closed_entry("l", _R5_2, 4, *_FAMILY_L, "VII-i"),
+    _closed_entry("k", _R5_2, 4, *_kl_family(_CURVES_K, 1.0), "VII-ii"),
+    _closed_entry("l", _R5_2, 4, *_kl_family(_CURVES_L, -1.0), "VII-i"),
     _closed_entry(
-        "m", _R5_2, 4, _chart_m, _jacobian_m, _frame_m,
+        "m", _R5_2, 4, *_CURVES_M.bind(_chart_m, _jacobian_m, _frame_m),
         lambda rng, i, a: rng.uniform(-0.8, 0.8, size=4), "VI",
     ),
 )}

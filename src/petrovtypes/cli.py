@@ -274,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--timings", action="store_true",
         help="add each check's wall time, summed over samples (time_ms); "
-        "the three checks share one chart solve per sample at any --h, counted "
-        "toward shape_fd",
+        "the three checks share one chart solve and one coordinate-shape solve "
+        "per sample at any --h, both counted toward shape_fd",
     )
     p_ver.set_defaults(func=_cmd_verify)
 

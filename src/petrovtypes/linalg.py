@@ -170,7 +170,7 @@ def generalized_eigenspace(a: np.ndarray, lam, mult: int) -> np.ndarray:
 
 
 def jordan_rank_profile(
-    a: np.ndarray, lam, mult: int, tol: float, basis: np.ndarray | None = None
+    a: np.ndarray, lam, mult: int, tol: float, restricted: np.ndarray | None = None
 ) -> list[int]:
     """[rank(N^k) for k = 0..mult] where N restricts (a - lam I) to the
     generalized eigenspace of lam.
@@ -178,15 +178,18 @@ def jordan_rank_profile(
     Kernel dimensions are grown as a staircase, ker N^(k+1) = preimage of
     ker N^k, so every rank decision is one SVD of the unpowered N and never
     suffers the decay of explicit matrix powers; a simple cluster's 1x1 N
-    needs no SVD at all.  ``basis`` is ``generalized_eigenspace(a, lam,
-    mult)`` when the caller already has it.
+    needs no SVD at all.  ``restricted`` is N = q^H (a - lam I) q, q =
+    ``generalized_eigenspace(a, lam, mult)``, when the caller already has it;
+    a cluster of all n eigenvalues reads a - lam I itself.
     """
     n = a.shape[0]
     if mult == n:
         nil = a - lam * np.eye(n, dtype=a.dtype)
-    else:
-        q = generalized_eigenspace(a, lam, mult) if basis is None else basis
+    elif restricted is None:
+        q = generalized_eigenspace(a, lam, mult)
         nil = q.conj().T @ (a - lam * np.eye(n, dtype=a.dtype)) @ q
+    else:
+        nil = restricted
     cut = max(tol, RANK_TOL)
     # the first staircase step is the SVD of N itself, which also gives |N|_2;
     # a 1x1 N is its own singular value

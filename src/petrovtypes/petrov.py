@@ -140,10 +140,12 @@ class GeometricType:
 
 def jordan_structure(
     a: np.ndarray, tol: float | None = None
-) -> tuple[JordanStructure, list[np.ndarray]]:
+) -> tuple[JordanStructure, list[np.ndarray], list[np.ndarray | None]]:
     """Block sizes per eigenvalue from rank sequences of (a - lam I)^k, and
     per cluster (real, then complex, in canonical order) an orthonormal basis
-    of its generalized eigenspace, computed once for both uses."""
+    q of its generalized eigenspace and N_r = q^H (a - lam I) q, each
+    computed once for both uses.  N_r is None for a simple cluster and for
+    one of all n eigenvalues, whose rank profile reads a - lam I itself."""
     tol = resolve_tol(tol)
     af = np.asarray(a, dtype=float)
     n = af.shape[0]
@@ -152,6 +154,7 @@ def jordan_structure(
     real: list[tuple[float, tuple[int, ...]]] = []
     cplx: list[tuple[float, float, tuple[int, ...]]] = []
     bases: list[np.ndarray] = []
+    restricted: list[np.ndarray | None] = []
     clusters = eigen_clusters(a, tol)
     # simple real clusters take their eigenvectors from one stacked SVD
     simple = [val for val, mult in clusters if mult == 1 and not isinstance(val, tuple)]
@@ -161,23 +164,27 @@ def jordan_structure(
         if mult == 1 and not isinstance(val, tuple):
             real.append((float(val), (1,)))
             bases.append(next(vecs)[:, None])
+            restricted.append(None)
             continue
         if isinstance(val, tuple):
             mat, lam = af.astype(complex), complex(*val)
         else:
             mat, lam = af, float(val)
-        bases.append(generalized_eigenspace(mat, lam, mult))
-        sizes = _block_sizes(mat, lam, mult, tol, bases[-1])
+        q = generalized_eigenspace(mat, lam, mult)
+        nr = None if mult == n else q.conj().T @ (mat - lam * np.eye(n, dtype=mat.dtype)) @ q
+        bases.append(q)
+        restricted.append(nr)
+        sizes = _block_sizes(mat, lam, mult, tol, nr)
         if isinstance(val, tuple):
             cplx.append((*val, sizes))
         else:
             real.append((lam, sizes))
-    return JordanStructure(tuple(real), tuple(cplx)), bases
+    return JordanStructure(tuple(real), tuple(cplx)), bases, restricted
 
 
-def _block_sizes(a: np.ndarray, lam, mult: int, tol: float, basis) -> tuple[int, ...]:
+def _block_sizes(a: np.ndarray, lam, mult: int, tol: float, restricted) -> tuple[int, ...]:
     """Sizes (ascending) from rank differences on the generalized eigenspace."""
-    ranks = jordan_rank_profile(a, lam, mult, tol, basis)
+    ranks = jordan_rank_profile(a, lam, mult, tol, restricted)
     # blocks of size >= k: ranks[k-1] - ranks[k]
     counts = [ranks[k - 1] - ranks[k] for k in range(1, mult + 1)]
     sizes: list[int] = []
@@ -269,7 +276,7 @@ def petrov_normal_form(
         raise ContractError("petrov_normal_form supports dim <= 8")
     if not is_self_adjoint(pair.a, pair.space, max(tol, 1e-7)):
         raise ContractError("operator is not self-adjoint for the given gram")
-    structure, bases = jordan_structure(a, tol)
+    structure, bases, restricted = jordan_structure(a, tol)
 
     real_chains: list[tuple[float, int, int, np.ndarray]] = []  # (lam, m, eps, cols)
     simple = [i for i, (_lam, sizes) in enumerate(structure.real_blocks) if sizes == (1,)]
@@ -279,27 +286,28 @@ def petrov_normal_form(
         real_chains += [
             (lam, 1, eps, cols[:, j : j + 1]) for j, (lam, eps) in enumerate(zip(lams, signs))
         ]
-    for (lam, sizes), basis in zip(structure.real_blocks, bases):
+    for (lam, sizes), basis, nr in zip(structure.real_blocks, bases, restricted):
         if sizes == (1,):
             continue
         nmat = a - lam * np.eye(n)
         if max(sizes) == 1:
             chains = _semisimple_chains(nmat, g, basis, tol)
         else:
-            chains = _extract_chains(nmat, g, basis, list(sizes), tol)
+            chains = _extract_chains(nmat, g, basis, list(sizes), tol, nr=nr)
         for m, eps, cols in chains:
             real_chains.append((lam, m, int(np.sign(eps)), cols))
 
     cplx_chains: list[tuple[float, float, int, np.ndarray]] = []
     ac = a.astype(complex)
     gc = g.astype(complex)
-    for (alpha, beta, sizes), basis in zip(
-        structure.complex_blocks, bases[len(structure.real_blocks) :]
+    n_real = len(structure.real_blocks)
+    for (alpha, beta, sizes), basis, nr in zip(
+        structure.complex_blocks, bases[n_real:], restricted[n_real:]
     ):
         lam = complex(alpha, beta)
         chains = _extract_chains(
             ac - lam * np.eye(n, dtype=complex), gc, basis, list(sizes), tol,
-            complex_mode=True,
+            complex_mode=True, nr=nr,
         )
         for m, _eps, cols in chains:
             cplx_chains.append((alpha, beta, m, _realify_chain(cols)))
@@ -370,6 +378,7 @@ def _extract_chains(
     sizes: list[int],
     tol: float,
     complex_mode: bool = False,
+    nr: np.ndarray | None = None,
 ) -> list[tuple[int, complex, np.ndarray]]:
     """Peel Jordan chains off the span of basis, longest first.
 
@@ -379,10 +388,11 @@ def _extract_chains(
     N-invariant, so the peel runs in its coordinates, on
     N_r = basis^H N basis and G_r = basis^T G basis: the powers of N never
     reach the other eigenspaces, whose roundoff they would scale by
-    (lam_j - lam)^k.  The chains are mapped back with basis @ cols.
+    (lam_j - lam)^k.  The chains are mapped back with basis @ cols.  nr is
+    N_r when the caller already has it.
     """
     n_scale = np.abs(nmat).max()
-    nr = basis.conj().T @ nmat @ basis
+    nr = basis.conj().T @ nmat @ basis if nr is None else nr
     gr = basis.T @ g @ basis
     k = nr.shape[0]
     powers = [np.eye(k, dtype=nr.dtype), nr]  # N_r^0 .. N_r^(m-1)

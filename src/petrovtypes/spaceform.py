@@ -121,9 +121,9 @@ class QuadricFunction:
         if self.variant == "sphere" and self.p is not None:
             raise ShapeError("sphere variant takes no linear term")
         pmat = np.array(self.P, dtype=float)  # a copy: later edits of the input do not reach it
+        if pmat.ndim != 2 or pmat.shape[0] != pmat.shape[1] or pmat.size == 0:
+            raise ShapeError(f"P must be a nonempty square matrix, got shape {pmat.shape}")
         n = pmat.shape[0]
-        if pmat.shape != (n, n):
-            raise ShapeError("P must be square")
         pv = np.zeros(n) if self.p is None else np.array(self.p, dtype=float)
         if pv.shape != (n,):
             raise ShapeError("p must match the dimension of P")

@@ -22,12 +22,15 @@ The three checks at one entry, p, a and h read one memoized stack of these
 points, _point_stack: one catalog.evaluate call, which solves the chart once
 and returns the Jacobians, frames, normals and shapes together, so every
 point of it has to pass the domain and consistency checks of
-catalog.evaluate.  Where the stack leaves the chart domain, the shape and
-Codazzi checks evaluate their own reach-1 points alone.  curvature_data
-reads no frame data and calls catalog.chart_jacobian instead.  The rest is
-one array program over the stack: one batched inverse gives the Christoffel
-symbols at every centre, every derivative is a difference of a whole stack
-over index arrays, and the contractions are einsum calls.
+catalog.evaluate.  The shape matrices in chart coordinates at its first
+1 + 2m rows are one solve of the stack, kept with it: the shape and Gauss
+checks read row 0, Codazzi all of them.  Where the stack leaves the chart
+domain, the shape and Codazzi checks evaluate their own reach-1 points
+alone, with the same one solve.  curvature_data reads no frame data and
+calls catalog.chart_jacobian instead.  The rest is one array program over
+the stack: one batched inverse gives the Christoffel symbols at every
+centre, every derivative is a difference of a whole stack over index
+arrays, and the contractions are einsum calls.
 """
 
 from __future__ import annotations
@@ -152,6 +155,13 @@ class _Stencil:
         return (values[self.shape_up] - values[self.shape_down]) / (2 * self.shape_h)
 
     @functools.cached_property
+    def shapes(self) -> np.ndarray:
+        """Shape matrices in chart coordinates (_shape_in_coordinates) at the
+        first 1 + 2m rows, the reach-1 stencil: one solve of the stack for
+        all three checks."""
+        return _shape_in_coordinates(self.frames, self.g, slice(1 + 2 * self.up.shape[1]))
+
+    @functools.cached_property
     def christoffel(self) -> np.ndarray:
         """gamma[c, k, i, j] for nabla_i d_j = gamma^k_ij d_k at every centre c."""
         dg = self.diff(self.metric)  # dg[c, l, i, j] = d_l g_ij
@@ -224,7 +234,7 @@ def shape_fd_check(
         st = _Stencil(example_id, p, a, CONFIG["shape_h"] if h is None else h, reach=1)
     fd = st.frames
     dxi = st.shape_diff(fd.normal).T  # dxi[:, l] = d_l xi
-    resid = dxi + fd.jacobian[0] @ _shape_in_coordinates(fd, st.g, 0)
+    resid = dxi + fd.jacobian[0] @ st.shapes[0]
     if st.kappa != 0:
         # compare tangentially: the radial component of d(xi) is curvature of
         # the ambient sphere, not shape information
@@ -238,7 +248,10 @@ def shape_fd_check(
 def _gauss(st: _Stencil, shape_override: np.ndarray | None = None) -> float:
     """Largest Gauss-equation residual at the centre of a reach-2 stencil."""
     data = _curvature(st)
-    a_coord = _shape_in_coordinates(st.frames, st.g, 0, shape_override)
+    if shape_override is None:
+        a_coord = st.shapes[0]
+    else:
+        a_coord = _shape_in_coordinates(st.frames, st.g, 0, shape_override)
     g = data.metric
     ag = g @ a_coord  # ag[i, j] = <d_i, A d_j>, symmetric by self-adjointness
     # rhs[i, j, k, l] = kappa (g_jk g_il - g_ik g_jl) + nu (ag_jk ag_il - ag_ik ag_jl)
@@ -265,12 +278,10 @@ def gauss_residual(
 def _codazzi(st: _Stencil) -> float:
     """Largest Codazzi-equation residual at the centre of a stencil, from its
     first 1 + 2m rows, the reach-1 stencil."""
-    m = st.up.shape[1]
     g0 = st.metric[0]
     gamma = st.christoffel[0]
-    shapes = _shape_in_coordinates(st.frames, st.g, slice(1 + 2 * m))
-    a0 = shapes[0]
-    da = st.diff(shapes, 0)  # da[l] = d_l of the coordinate shape matrix
+    a0 = st.shapes[0]
+    da = st.diff(st.shapes, 0)  # da[l] = d_l of the coordinate shape matrix
     # term[i, j, k] = <nabla_i (A d_j), d_k> - <nabla_i d_j, A d_k>
     term = (
         np.einsum("inj,nk->ijk", da, g0)
@@ -393,7 +404,7 @@ def run_checks(
     """All finite-difference checks for one entry over seeded sample points;
     each report carries the wall time of its check.  The three checks at a
     point read the stack the shape check evaluates, so the shared chart solve
-    counts toward the shape_fd time."""
+    and coordinate-shape solve count toward the shape_fd time."""
     reports = []
     for p in catalog.sample_domain(example_id, samples, seed=seed, a=a):
         for check in (shape_fd_check, gauss_residual, codazzi_residual):

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from petrovtypes import catalog
 from petrovtypes.catalog import (
     EXAMPLE_IDS,
     ambient_of,
@@ -593,3 +594,19 @@ def test_overflowing_point_refused():
         chart_jacobian("m", [1e160, 1e160, 1e160, 1e160])
     with pytest.raises(DomainError, match="not finite"):
         chart("m", [1e160] * 4)
+
+
+@pytest.mark.parametrize("ex_id", ["k", "l", "m"])
+def test_curves_in_one_pass_equal_each_table(ex_id):
+    # the side-by-side Horner pass against each table alone at the curve
+    # parameter, as the formulas read it, at single points and on a stack
+    curves = getattr(catalog, f"_CURVES_{ex_id.upper()}")
+    pts = np.array(sample_domain(ex_id, 5, seed=137))
+    for p in (*pts, pts):
+        got = curves(p)
+        s = catalog._coords(p)[curves.coord]
+        for name, table in zip(curves.tables._fields, curves.tables):
+            value = getattr(got, name)
+            assert value.shape == p.shape[:-1] + (table.shape[1],)
+            want = np.broadcast_to(catalog._at(table, s), value.shape)
+            assert value.tobytes() == want.tobytes(), name

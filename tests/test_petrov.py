@@ -244,7 +244,7 @@ def test_semisimple_path_matches_peel():
     tol = default_tol()
     seen = 0
     for a, g in _sample_pairs():
-        structure, bases = jordan_structure(a, tol)
+        structure, bases, _restricted = jordan_structure(a, tol)
         for (lam, sizes), basis in zip(structure.real_blocks, bases):
             if len(sizes) < 2 or max(sizes) > 1:
                 continue

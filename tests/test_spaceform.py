@@ -1,5 +1,7 @@
 """Space forms, quadric level sets, shape operators, and curvature identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,13 @@ def test_sphere_minimal_degree_by_projection(s, p_mat, want):
 def test_quadric_refuses_non_finite_data(variant, p_mat, c, p_vec):
     with pytest.raises(ShapeError, match="must be finite"):
         QuadricFunction(variant, 1, p_mat, c, p_vec)
+
+
+@pytest.mark.parametrize("p_mat", [1.0, np.zeros((0, 0))], ids=["0-d", "empty"])
+def test_quadric_refuses_malformed_p(p_mat):
+    shape = str(np.shape(p_mat))
+    with pytest.raises(ShapeError, match=f"square matrix, got shape {re.escape(shape)}"):
+        QuadricFunction("sphere", 0, p_mat, 0.0)
 
 
 def test_quadratic_minimal_data():

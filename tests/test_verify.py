@@ -490,3 +490,37 @@ def test_shared_stack_gives_the_standalone_residuals(ex_id, h):
         alone.append(check(ex_id, p, h=h).residual)
     verify._stack.cache_clear()
     assert _chain(ex_id, p, h) == alone
+
+
+@pytest.fixture
+def shape_solves(monkeypatch):
+    """The _shape_in_coordinates calls, from an empty stack memo."""
+    calls = []
+    solve = verify._shape_in_coordinates
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_shape_in_coordinates", counted)
+    verify._stack.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("h", [None, 5e-4])
+@pytest.mark.parametrize("ex_id", ["0-1", "0-2", "b", "e", "h", "k"])
+def test_shape_gauss_codazzi_solve_coordinate_shapes_once(ex_id, h, shape_solves):
+    p = sample_domain(ex_id, 1, seed=131)[0]
+    _chain(ex_id, p, h)
+    assert len(shape_solves) == 1
+    # an override is solved on its own, on the same stack
+    gauss_residual(ex_id, p, h=h, shape_override=catalog.evaluate(ex_id, p).shape + 1e-2)
+    assert len(shape_solves) == 2
+
+
+def test_reach_1_fallback_solves_coordinate_shapes_once(shape_solves):
+    edge = _l_edge_point()
+    shape_fd_check("l", edge)
+    assert len(shape_solves) == 1
+    codazzi_residual("l", edge)
+    assert len(shape_solves) == 2
