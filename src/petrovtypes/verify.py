@@ -2,9 +2,9 @@
 
 Finite-difference checks that the catalog entries really are what they claim:
 the shape matrix matches the derivative of the unit normal, the induced
-metric satisfies the Gauss and Codazzi equations, the defining functions of
-the level-set entries are isoparametric, and the classification tables are
-reproduced cell by cell.
+metric satisfies the Gauss and Codazzi equations, and the classification
+tables are reproduced cell by cell.  One exact check, no differences, reads
+the gradient norm of a quadric along its levels (isoparametric_function_check).
 
 All derivatives are second-order central differences.  First derivatives of
 the charts are exact (catalog.chart_jacobian), so the finite differencing is
@@ -36,6 +36,7 @@ arrays, and the contractions are einsum calls.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -49,7 +50,8 @@ from .spaceform import (
     DomainError, QuadricFunction, SpaceForm, ambient_inner, inner_matrix, quadric_gradient,
 )
 
-# per-check defaults, overridable from the CLI
+# per-check defaults, for a check called without h or threshold; the CLI
+# passes only --h, as the h of every check
 CONFIG = {
     "shape_h": 1e-4,
     "shape_threshold": 1e-5,
@@ -124,6 +126,8 @@ class _Stencil:
         self, example_id: str, p: np.ndarray, a: float, h: float, reach: int,
         frames: bool = True, shape_h: float | None = None,
     ):
+        if not (math.isfinite(h) and h > 0):
+            raise DomainError(f"step h must be positive and finite, got {h}")
         m = p.shape[0]
         offsets, self.up, self.down = _stencil_layout(m, reach)
         points = p + h * offsets
@@ -308,92 +312,28 @@ def codazzi_residual(
     return ResidualReport(example_id, "codazzi", (tuple(p),), _codazzi(st), st.h, threshold)
 
 
-def _pseudo_orthonormal_tangent(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-orthonormal basis of the tangent space of the unit pseudo-sphere
-    at x; returns (basis columns, signs)."""
-    n = x.shape[0]
-    g = inner_matrix(n, s)
-    row = (g @ x)[None, :]
-    _u, _sv, vh = np.linalg.svd(row)
-    cand = [vh[i] for i in range(1, n)]
-    basis = []
-    signs = []
-    while cand:
-        norms = [ambient_inner(v, v, s) for v in cand]
-        idx = int(np.argmax(np.abs(norms)))
-        v = cand.pop(idx)
-        nv = norms[idx]
-        if abs(nv) < 1e-10:
-            raise np.linalg.LinAlgError("degenerate tangent direction")
-        sgn = 1 if nv > 0 else -1
-        v = v / np.sqrt(abs(nv))
-        basis.append(v)
-        signs.append(sgn)
-        cand = [
-            w - sgn * ambient_inner(w, v, s) * v for w in cand
-        ]
-    return np.array(basis).T, np.array(signs)
-
-
-def _second_derivative(fun, h: float) -> float:
-    """Fourth-order five-point second difference of a scalar function of one
-    variable at 0."""
-    return (
-        -fun(2 * h) + 16 * fun(h) - 30 * fun(0.0) + 16 * fun(-h) - fun(-2 * h)
-    ) / (12 * h * h)
-
-
-def _sphere_laplacian(f: QuadricFunction, x: np.ndarray, h: float) -> float:
-    """Laplace-Beltrami of f on the unit pseudo-sphere via second derivatives
-    along geodesics in a pseudo-orthonormal tangent frame."""
-    basis, signs = _pseudo_orthonormal_tangent(x, f.s)
-    total = 0.0
-    for v, sgn in zip(basis.T, signs):
-        if sgn > 0:
-            geo = lambda t: np.cos(t) * x + np.sin(t) * v
-        else:
-            geo = lambda t: np.cosh(t) * x + np.sinh(t) * v
-        total += sgn * _second_derivative(lambda t: f.value(geo(t)), h)
-    return total
-
-
-def _flat_laplacian(f: QuadricFunction, x: np.ndarray, h: float) -> float:
-    n = x.shape[0]
-    total = 0.0
-    for i in range(n):
-        eps = -1.0 if i < f.s else 1.0
-        e = np.zeros(n)
-        e[i] = 1.0
-        total += eps * _second_derivative(lambda t: f.value(x + t * e), h)
-    return total
-
-
 def isoparametric_function_check(
-    f: QuadricFunction, samples, h: float = 5e-3, threshold: float | None = None
+    f: QuadricFunction, samples, threshold: float | None = None
 ) -> ResidualReport:
-    """Within each level group of sample points, the squared gradient norm and
-    the finite-difference Laplacian must be constant."""
+    """Largest spread of the squared gradient norm of f within a level of f
+    (its value to 9 digits) among the sample points, from one gradient of
+    their stack.  That norm is the one half of the isoparametric condition a
+    quadric can fail: its Laplacian is 2 tr P on the flat variant and
+    2 tr P - 2n f on the unit pseudo-sphere in R^n_s, a function of f on
+    every level.  No step is taken, so the report's h is 0.  Raises
+    DomainError when no level holds two points, where nothing is compared."""
     if threshold is None:
         threshold = CONFIG["isoparametric_threshold"]
-    levels: dict[float, list[np.ndarray]] = {}
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        levels.setdefault(round(f.value(x), 9), []).append(x)
-    spread = 0.0
-    for pts in levels.values():
-        grads = []
-        laps = []
-        for x in pts:
-            grad = quadric_gradient(f, x)
-            grads.append(ambient_inner(grad, grad, f.s))
-            if f.variant == "flat":
-                laps.append(_flat_laplacian(f, x, h))
-            else:
-                laps.append(_sphere_laplacian(f, x, h))
-        spread = max(spread, max(grads) - min(grads), max(laps) - min(laps))
+    pts = np.asarray(samples, dtype=float)
+    levels = np.round([f.value(x) for x in pts], 9)
+    _, level, counts = np.unique(levels, return_inverse=True, return_counts=True)
+    if not (counts > 1).any():
+        raise DomainError("no level of f holds two sample points")
+    grad = quadric_gradient(f, pts)
+    norms = ambient_inner(grad, grad, f.s)
+    spread = max(np.ptp(norms[level == i]) for i in range(len(counts)))
     return ResidualReport(
-        "-", "isoparametric", tuple(tuple(x) for x in samples[:1]), float(spread),
-        h, threshold,
+        "-", "isoparametric", tuple(map(tuple, pts[:1])), float(spread), 0.0, threshold
     )
 
 

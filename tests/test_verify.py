@@ -19,7 +19,7 @@ from petrovtypes.verify import (
     table_report,
 )
 from petrovtypes.catalog import chart, quadric_of, sample_domain
-from petrovtypes.spaceform import DomainError, QuadricFunction, inner_matrix
+from petrovtypes.spaceform import DomainError, QuadricFunction, admissibility_check, inner_matrix
 
 
 SPOT_IDS = ["0-1", "0-2", "b", "e", "g", "j", "k", "m"]
@@ -83,12 +83,13 @@ def test_gauss_negative_control_shape_override():
     assert not rep.passed
 
 
-@pytest.mark.parametrize("ex_id", ["a", "e", "h", "b", "c"])
+@pytest.mark.parametrize("ex_id", list("abcdefghij"))
 def test_isoparametric_level_invariants(ex_id):
     f = quadric_of(ex_id)
     pts = [chart(ex_id, p) for p in sample_domain(ex_id, 8, seed=47)]
     rep = isoparametric_function_check(f, pts)
     assert rep.passed, (ex_id, rep.residual)
+    assert rep.residual <= 1e-12, (ex_id, rep.residual)
 
 
 def test_isoparametric_negative_control():
@@ -111,6 +112,46 @@ def test_isoparametric_negative_control():
         pts[1] = pts[0] * np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
     rep = isoparametric_function_check(f, pts)
     assert not rep.passed
+
+
+def test_isoparametric_sphere_negative_control():
+    # deg mu_P = 3, so the level c = 0.5 of the unit pseudo-sphere in R^6_3 is
+    # not isoparametric: 4 (<Px, Px> - f^2), the squared gradient norm, varies
+    p_mat = np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+    f = QuadricFunction("sphere", 3, p_mat, 0.5)
+    assert not admissibility_check(f)[0]
+    rng = np.random.default_rng(71)
+    pts = []
+    while len(pts) < 8:
+        x = rng.uniform(-1.0, 1.0, size=6)
+        # <x, x> = 1 and f(x) = 0.5 are linear in x1^2 and x5^2
+        sphere = 1.0 + x[1] ** 2 + x[2] ** 2 - x[3] ** 2 - x[5] ** 2  # = x5^2 - x1^2
+        level = 0.5 + 2 * x[1] ** 2 + 3 * x[2] ** 2 - x[3] ** 2 - 3 * x[5] ** 2  # = 2 x5^2 - x1^2
+        x5sq, x1sq = level - sphere, level - 2 * sphere
+        if x5sq < 0 or x1sq < 0:
+            continue
+        x[0], x[4] = np.sqrt(x1sq), np.sqrt(x5sq)
+        pts.append(x)
+    rep = isoparametric_function_check(f, pts)
+    assert not rep.passed, rep.residual
+
+
+def test_isoparametric_refuses_vacuous_samples():
+    # a check that compares no two points on one level shows nothing
+    f = QuadricFunction("flat", 2, np.diag([2.0, 1.0, 0.0, 0.0, 0.0]), 1.0, np.zeros(5))
+    distinct = list(np.random.default_rng(73).uniform(-1.0, 1.0, size=(8, 5)))
+    assert len({round(f.value(x), 9) for x in distinct}) == 8
+    for samples in ([], distinct[:1], distinct):
+        with pytest.raises(DomainError, match="no level of f holds two sample points"):
+            isoparametric_function_check(f, samples)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+def test_checks_refuse_bad_step(h):
+    p = sample_domain("b", 1, seed=79)[0]
+    for check in (shape_fd_check, gauss_residual, codazzi_residual, curvature_data):
+        with pytest.raises(DomainError, match="step h must be positive and finite"):
+            check("b", p, h=h)
 
 
 def test_table_reports_have_no_mismatches():
