@@ -150,53 +150,46 @@ def is_self_adjoint(
     return float(np.abs(g @ af - af.T @ g).max()) <= tol * scale
 
 
-def generalized_eigenspace(a: np.ndarray, lam, mult: int) -> np.ndarray:
-    """Orthonormal columns spanning the mult-dimensional kernel of (a - lam I)^mult.
+def generalized_eigenspace(a: np.ndarray, lams, mult: int) -> np.ndarray:
+    """(k, n, mult) stack: for each of the k eigenvalues lams (real or complex,
+    of a's dtype), orthonormal columns spanning the mult-dimensional kernel of
+    (a - lam I)^mult.
 
     The dimension is taken from the eigenvalue cluster, so no rank threshold is
     needed: the mult smallest right singular directions of the power are
-    returned.  A cluster holding all n eigenvalues (a = lam I included) spans
-    the whole space and gets the identity; a simple cluster gets the last
-    right singular direction of (a - lam I) itself.
+    returned, one stacked SVD for all of lams, and a stacked row equals the
+    call for its eigenvalue alone bit for bit.  A cluster holding all n
+    eigenvalues (a = lam I included) spans the whole space and gets the
+    identity.
     """
     n = a.shape[0]
+    lams = np.asarray(lams, dtype=a.dtype)
     if mult == n:
-        return np.eye(n, dtype=a.dtype)
-    power = a - lam * np.eye(n, dtype=a.dtype)
+        return np.tile(np.eye(n, dtype=a.dtype), (len(lams), 1, 1))
+    power = a - lams[:, None, None] * np.eye(n, dtype=a.dtype)
     if mult > 1:  # scaled to norm 1 so that the power cannot overflow
-        power = np.linalg.matrix_power(power / np.linalg.norm(power, 2), mult)
+        norm = np.linalg.norm(power, 2, axis=(1, 2))
+        power = np.linalg.matrix_power(power / norm[:, None, None], mult)
     _u, _s, vh = np.linalg.svd(power)
-    return vh.conj().T[:, n - mult :]
+    return vh.conj().transpose(0, 2, 1)[:, :, n - mult :]
 
 
-def jordan_rank_profile(
-    a: np.ndarray, lam, mult: int, tol: float, restricted: np.ndarray | None = None
-) -> list[int]:
-    """[rank(N^k) for k = 0..mult] where N restricts (a - lam I) to the
-    generalized eigenspace of lam.
+def jordan_rank_profile(nil: np.ndarray, lam, tol: float) -> list[int]:
+    """[rank(N^k) for k = 0..mult] of N = nil, the mult x mult restriction
+    q^H (a - lam I) q of a to the generalized eigenspace q of its eigenvalue
+    lam, which only the error text reads.
 
     Kernel dimensions are grown as a staircase, ker N^(k+1) = preimage of
     ker N^k, so every rank decision is one SVD of the unpowered N and never
     suffers the decay of explicit matrix powers; a simple cluster's 1x1 N
-    needs no SVD at all.  ``restricted`` is N = q^H (a - lam I) q, q =
-    ``generalized_eigenspace(a, lam, mult)``, when the caller already has it;
-    a cluster of all n eigenvalues reads a - lam I itself.
+    needs no SVD at all.  A restriction that is not numerically nilpotent
+    raises ToleranceError.
     """
-    n = a.shape[0]
-    if mult == n:
-        nil = a - lam * np.eye(n, dtype=a.dtype)
-    elif restricted is None:
-        q = generalized_eigenspace(a, lam, mult)
-        nil = q.conj().T @ (a - lam * np.eye(n, dtype=a.dtype)) @ q
-    else:
-        nil = restricted
+    mult = nil.shape[0]
     cut = max(tol, RANK_TOL)
     # the first staircase step is the SVD of N itself, which also gives |N|_2;
-    # a 1x1 N is its own singular value
-    if mult == 1:
-        sv, vh = np.abs(nil[0]), np.ones((1, 1))
-    else:
-        _u, sv, vh = np.linalg.svd(nil)
+    # a 1x1 N is its own singular value, and its first step is its last
+    _u, sv, vh = np.linalg.svd(nil) if mult > 1 else (None, np.abs(nil[0]), None)
     norm = sv[0]
     if norm <= cut:
         return [mult] + [0] * mult
@@ -218,38 +211,12 @@ def jordan_rank_profile(
                 f"restriction to the eigenspace of {lam} is not numerically nilpotent"
             )
         new_dim = kernel.shape[1] + increment
-        kernel = vh.conj().T[:, mult - new_dim :]
         ranks.append(mult - new_dim)
         if new_dim == mult:
             break
+        kernel = vh.conj().T[:, mult - new_dim :]
     ranks += [0] * (mult + 1 - len(ranks))
     return ranks
-
-
-def simple_eigenvectors(a: np.ndarray, lams, tol: float) -> np.ndarray:
-    """Columns v_i spanning ker(a - lams[i] I) for real simple eigenvalues.
-
-    The batched ``generalized_eigenspace(a, lam, 1)`` and
-    ``jordan_rank_profile(a, lam, 1, tol)``: one SVD of the (k, n, n) stack of
-    shifts gives every eigenvector as the last right singular direction of its
-    shift, and the 1x1 restrictions v^T (a - lam I) v get the rank decision of
-    the profile in one comparison.  A restriction above max(tol, RANK_TOL)
-    raises ToleranceError, unless the cut is 1 or more: the profile normalizes
-    a nonzero 1x1 N to 1 before its staircase.
-    """
-    n = a.shape[0]
-    lams = np.asarray(lams, dtype=float)
-    shifted = a - lams[:, None, None] * np.eye(n)
-    _u, _s, vh = np.linalg.svd(shifted)
-    vecs = vh[:, n - 1, :]
-    restricted = (vecs[:, None, :] @ shifted @ vecs[:, :, None])[:, 0, 0]
-    cut = max(tol, RANK_TOL)
-    bad = np.flatnonzero(np.abs(restricted) > cut) if cut < 1.0 else []
-    if len(bad):
-        raise ToleranceError(
-            f"restriction to the eigenspace of {lams[bad[0]]} is not numerically nilpotent"
-        )
-    return vecs.T
 
 
 def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object, int]]:

@@ -5,25 +5,27 @@ real 2x2-companion chains for conjugate pairs) with a Gram matrix made of
 signed anti-diagonal blocks.  The sign attached to each real block is part of
 the invariant data and drives the type labels.
 
-A real eigenvalue cluster takes one of three paths, all with the decisions of
-the chain peel:
+Every eigenvalue cluster, real or complex, simple or whole-space, gets its
+orthonormal eigenspace basis q and N_r = q^H (a - lam I) q in one way:
+clusters of one kind and multiplicity share one stacked
+``generalized_eigenspace`` call, and the rank profile of N_r sizes the
+blocks.  A real cluster then takes one of three paths to its chains, all
+with the decisions of the chain peel:
 
-- simple (one 1-block): the eigenvectors of all simple clusters come from
-  one SVD of the stack of shifts a - lam_i I, which also makes their 1x1 rank
-  decisions; each v is scaled to B(v, v) = +-1 and its sign, the whole sign
-  characteristic of a simple eigenvalue, is read off in one array expression;
+- simple (one 1-block): the eigenvectors of all simple clusters are scaled
+  at once to B(v, v) = +-1, and their signs, the whole sign characteristic
+  of a simple eigenvalue, are read off in one array expression;
 - semisimple (several 1-blocks): one symmetric eigensolve of the Gram
   restricted to the eigenspace gives B-orthogonal eigenvectors, and its
   inertia is the sign characteristic.  A restricted form with an eigenvalue
   at most tol * max(|form|, |a - lam I|, 1), the scale of the peel's first
   step, raises ConditioningError;
-- with a block of size 2 or more: the generalized eigenspace is computed
-  once and shared by the rank staircase that sizes the blocks and the chain
-  peel, which takes longest chains first in the coordinates of that
-  eigenspace.
+- with a block of size 2 or more: the chain peel takes longest chains first
+  in the coordinates of q, on N_r.
 
-Complex clusters always take the peel.  A cluster spanning the whole space
-gets the identity basis.
+Complex clusters always take the peel, over the complexification, and are
+realified into companion blocks.  A cluster spanning the whole space gets
+the identity basis.
 
 The type labels are orientation-free: (-A, G), the other unit normal, gets
 the index and label of (A, G).  By the sign characteristic rule (Gohberg,
@@ -53,7 +55,6 @@ from .linalg import (
     is_self_adjoint,
     jordan_rank_profile,
     resolve_tol,
-    simple_eigenvectors,
 )
 
 
@@ -140,64 +141,54 @@ class GeometricType:
 
 def jordan_structure(
     a: np.ndarray, tol: float | None = None
-) -> tuple[JordanStructure, list[np.ndarray], list[np.ndarray | None]]:
-    """Block sizes per eigenvalue from rank sequences of (a - lam I)^k, and
-    per cluster (real, then complex, in canonical order) an orthonormal basis
-    q of its generalized eigenspace and N_r = q^H (a - lam I) q, each
-    computed once for both uses.  N_r is None for a simple cluster and for
-    one of all n eigenvalues, whose rank profile reads a - lam I itself."""
+) -> tuple[JordanStructure, list[np.ndarray], list[np.ndarray]]:
+    """Block sizes per eigenvalue from the rank profile of N_r, and per
+    cluster (real, then complex, in canonical order) an orthonormal basis q
+    of its generalized eigenspace and N_r = q^H (a - lam I) q, each computed
+    once for both uses.  Clusters of one kind and multiplicity, above all the
+    simple ones, share one stacked ``generalized_eigenspace`` call."""
     tol = resolve_tol(tol)
     af = np.asarray(a, dtype=float)
     n = af.shape[0]
     if n > 8:
         raise ContractError("jordan_structure supports dim <= 8")
+    # eigen_clusters lists real clusters ascending, then complex by (alpha, beta)
+    clusters = [
+        (complex(*val) if isinstance(val, tuple) else float(val), mult)
+        for val, mult in eigen_clusters(a, tol)
+    ]
+    groups: dict[tuple[type, int], list[int]] = {}
+    for i, (lam, mult) in enumerate(clusters):
+        groups.setdefault((type(lam), mult), []).append(i)
+    bases, restricted = [None] * len(clusters), [None] * len(clusters)
+    for (kind, mult), members in groups.items():
+        # a complex cluster's eigenspace lies in the complexification
+        mat = af.astype(kind)
+        lams = np.array([clusters[i][0] for i in members])
+        q = generalized_eigenspace(mat, lams, mult)
+        nr = q.conj().transpose(0, 2, 1) @ (mat - lams[:, None, None] * np.eye(n)) @ q
+        for i, qi, nri in zip(members, q, nr):
+            bases[i], restricted[i] = qi, nri
     real: list[tuple[float, tuple[int, ...]]] = []
     cplx: list[tuple[float, float, tuple[int, ...]]] = []
-    bases: list[np.ndarray] = []
-    restricted: list[np.ndarray | None] = []
-    clusters = eigen_clusters(a, tol)
-    # simple real clusters take their eigenvectors from one stacked SVD
-    simple = [val for val, mult in clusters if mult == 1 and not isinstance(val, tuple)]
-    vecs = iter(simple_eigenvectors(af, simple, tol).T if simple else ())
-    # eigen_clusters lists real clusters ascending, then complex by (alpha, beta)
-    for val, mult in clusters:
-        if mult == 1 and not isinstance(val, tuple):
-            real.append((float(val), (1,)))
-            bases.append(next(vecs)[:, None])
-            restricted.append(None)
-            continue
-        if isinstance(val, tuple):
-            mat, lam = af.astype(complex), complex(*val)
-        else:
-            mat, lam = af, float(val)
-        q = generalized_eigenspace(mat, lam, mult)
-        nr = None if mult == n else q.conj().T @ (mat - lam * np.eye(n, dtype=mat.dtype)) @ q
-        bases.append(q)
-        restricted.append(nr)
-        sizes = _block_sizes(mat, lam, mult, tol, nr)
-        if isinstance(val, tuple):
-            cplx.append((*val, sizes))
+    for (lam, _mult), nr in zip(clusters, restricted):
+        sizes = _block_sizes(nr, lam, tol)
+        if isinstance(lam, complex):
+            cplx.append((lam.real, lam.imag, sizes))
         else:
             real.append((lam, sizes))
     return JordanStructure(tuple(real), tuple(cplx)), bases, restricted
 
 
-def _block_sizes(a: np.ndarray, lam, mult: int, tol: float, restricted) -> tuple[int, ...]:
-    """Sizes (ascending) from rank differences on the generalized eigenspace."""
-    ranks = jordan_rank_profile(a, lam, mult, tol, restricted)
-    # blocks of size >= k: ranks[k-1] - ranks[k]
-    counts = [ranks[k - 1] - ranks[k] for k in range(1, mult + 1)]
-    sizes: list[int] = []
-    for k in range(mult, 0, -1):
-        exactly_k = counts[k - 1] - (counts[k] if k < mult else 0)
-        sizes = [k] * exactly_k + sizes
-    sizes.sort()
-    if sum(sizes) != mult:
-        raise ConditioningError(
-            f"rank sequence at eigenvalue {lam} gives sizes {sizes} "
-            f"inconsistent with multiplicity {mult}"
-        )
-    return tuple(sizes)
+def _block_sizes(nr: np.ndarray, lam, tol: float) -> tuple[int, ...]:
+    """Sizes (ascending) from the rank profile of N_r on the generalized
+    eigenspace."""
+    ranks = jordan_rank_profile(nr, lam, tol)
+    # at_least[k] blocks have size k + 1 or more
+    at_least = [r - s for r, s in zip(ranks, ranks[1:])] + [0]
+    return tuple(
+        k + 1 for k in range(len(at_least) - 1) for _ in range(at_least[k] - at_least[k + 1])
+    )
 
 
 def assemble_normal_pair(
@@ -277,53 +268,43 @@ def petrov_normal_form(
     if not is_self_adjoint(pair.a, pair.space, max(tol, 1e-7)):
         raise ContractError("operator is not self-adjoint for the given gram")
     structure, bases, restricted = jordan_structure(a, tol)
-
-    real_chains: list[tuple[float, int, int, np.ndarray]] = []  # (lam, m, eps, cols)
+    clusters = list(structure.real_blocks) + [
+        (complex(alpha, beta), sizes) for alpha, beta, sizes in structure.complex_blocks
+    ]
+    # (key, sign, columns) per block; the keys sort to the canonical block
+    # order: real eigenvalues ascending, sizes ascending, sign +1 first among
+    # equal sizes; then complex by (alpha, beta, size)
+    blocks: list[tuple[tuple, int, np.ndarray]] = []
     simple = [i for i, (_lam, sizes) in enumerate(structure.real_blocks) if sizes == (1,)]
     if simple:
-        lams = [structure.real_blocks[i][0] for i in simple]
+        lams = [clusters[i][0] for i in simple]
         cols, signs = _simple_chains(a, g, lams, np.hstack([bases[i] for i in simple]), tol)
-        real_chains += [
-            (lam, 1, eps, cols[:, j : j + 1]) for j, (lam, eps) in enumerate(zip(lams, signs))
+        blocks += [
+            ((False, lam, 0.0, 1, -eps), eps, cols[:, j : j + 1])
+            for j, (lam, eps) in enumerate(zip(lams, signs))
         ]
-    for (lam, sizes), basis, nr in zip(structure.real_blocks, bases, restricted):
-        if sizes == (1,):
+    for i, ((lam, sizes), basis, nr) in enumerate(zip(clusters, bases, restricted)):
+        if i in simple:
             continue
+        cplx = isinstance(lam, complex)
         nmat = a - lam * np.eye(n)
-        if max(sizes) == 1:
+        if not cplx and max(sizes) == 1:
             chains = _semisimple_chains(nmat, g, basis, tol)
         else:
-            chains = _extract_chains(nmat, g, basis, list(sizes), tol, nr=nr)
+            chains = _extract_chains(nmat, g, basis, list(sizes), tol, nr)
         for m, eps, cols in chains:
-            real_chains.append((lam, m, int(np.sign(eps)), cols))
-
-    cplx_chains: list[tuple[float, float, int, np.ndarray]] = []
-    ac = a.astype(complex)
-    gc = g.astype(complex)
-    n_real = len(structure.real_blocks)
-    for (alpha, beta, sizes), basis, nr in zip(
-        structure.complex_blocks, bases[n_real:], restricted[n_real:]
-    ):
-        lam = complex(alpha, beta)
-        chains = _extract_chains(
-            ac - lam * np.eye(n, dtype=complex), gc, basis, list(sizes), tol,
-            complex_mode=True, nr=nr,
-        )
-        for m, _eps, cols in chains:
-            cplx_chains.append((alpha, beta, m, _realify_chain(cols)))
-
-    # canonical block order: real eigenvalues ascending, sizes ascending,
-    # sign +1 first among equal sizes; then complex by (alpha, beta)
-    real_chains.sort(key=lambda t: (t[0], t[1], -t[2]))
-    cplx_chains.sort(key=lambda t: (t[0], t[1], t[2]))
-    columns = [cols for *_x, cols in real_chains] + [c for *_y, c in cplx_chains]
+            key = (cplx, lam.real, lam.imag, m, -eps)
+            blocks.append((key, eps, _realify_chain(cols) if cplx else cols))
+    blocks.sort(key=lambda t: t[0])
+    columns = [cols for _key, _eps, cols in blocks]
     t_mat = np.hstack(columns) if columns else np.zeros((n, 0))
     if t_mat.shape != (n, n):
         raise ConditioningError("chain construction did not produce a full basis")
     cond = np.linalg.cond(t_mat)
     if cond > 1.0 / max(tol, np.finfo(float).eps * 10):
         raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
-    return PetrovNormalForm(structure, tuple(eps for _lam, _m, eps, _c in real_chains), t_mat)
+    signs = tuple(eps for key, eps, _cols in blocks if not key[0])
+    return PetrovNormalForm(structure, signs, t_mat)
 
 
 def _simple_chains(
@@ -377,22 +358,20 @@ def _extract_chains(
     basis: np.ndarray,
     sizes: list[int],
     tol: float,
-    complex_mode: bool = False,
-    nr: np.ndarray | None = None,
-) -> list[tuple[int, complex, np.ndarray]]:
+    nr: np.ndarray,
+) -> list[tuple[int, int, np.ndarray]]:
     """Peel Jordan chains off the span of basis, longest first.
 
-    Returns (size, sign_or_1, columns) with columns ordered so the operator
-    acts as an upper Jordan/companion block and the chain Gram is exactly the
-    target anti-diagonal block.  The span of basis (orthonormal columns) is
-    N-invariant, so the peel runs in its coordinates, on
-    N_r = basis^H N basis and G_r = basis^T G basis: the powers of N never
-    reach the other eigenspaces, whose roundoff they would scale by
-    (lam_j - lam)^k.  The chains are mapped back with basis @ cols.  nr is
-    N_r when the caller already has it.
+    Returns (size, sign, columns) with columns ordered so the operator acts
+    as an upper Jordan/companion block and the chain Gram is exactly the
+    target anti-diagonal block; a complex cluster (complex basis and nr) has
+    sign 1.  The span of basis (orthonormal columns) is N-invariant, so the
+    peel runs in its coordinates, on N_r = nr = basis^H N basis, as
+    ``jordan_structure`` returns it, and G_r = basis^T G basis: the powers of
+    N never reach the other eigenspaces, whose roundoff they would scale by
+    (lam_j - lam)^k.  The chains are mapped back with basis @ cols.
     """
     n_scale = np.abs(nmat).max()
-    nr = basis.conj().T @ nmat @ basis if nr is None else nr
     gr = basis.T @ g @ basis
     k = nr.shape[0]
     powers = [np.eye(k, dtype=nr.dtype), nr]  # N_r^0 .. N_r^(m-1)
@@ -403,22 +382,23 @@ def _extract_chains(
     for m in sorted(sizes, reverse=True):
         if out:  # B-orthocomplement of the previous chain
             active = _deflate(gr, active, out[-1][2], tol)
-        v, eps = _pick_chain_generator(powers, gr, active, m, tol, complex_mode, n_scale)
+        v, eps = _pick_chain_generator(powers, gr, active, m, tol, n_scale)
         v = _straighten(powers, gr, v, m, eps)
         chain_cols = np.column_stack([powers[m - j] @ v for j in range(1, m + 1)])
         out.append((m, eps, chain_cols))
     return [(m, eps, basis @ cols) for m, eps, cols in out]
 
 
-def _pick_chain_generator(powers, g, active, m, tol, complex_mode, n_scale):
+def _pick_chain_generator(powers, g, active, m, tol, n_scale):
     """Vector v in the active span with B(v, N^(m-1) v) != 0, normalized to +-1.
 
-    Float real mode picks the dominant eigenvector of the projected symmetric
-    form; complex bilinear mode searches deterministic candidate combinations.
-    n_scale is max |N| on the whole space, part of the degeneracy scale.
+    A real active span picks the dominant eigenvector of the projected
+    symmetric form; a complex one (a complex cluster) searches deterministic
+    candidate combinations of the bilinear form.  n_scale is max |N| on the
+    whole space, part of the degeneracy scale.
     """
     k = active.shape[1]
-    if not complex_mode:
+    if not np.iscomplexobj(active):
         # active has real span; form is symmetric up to roundoff
         form = active.conj().T @ g @ powers[m - 1] @ active
         form_s = (form + form.T).real / 2.0

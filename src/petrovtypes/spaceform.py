@@ -140,11 +140,15 @@ class QuadricFunction:
     def dim(self) -> int:
         return self.P.shape[0]
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """f at a point x (n,), a float, or at each row of a stack (k, n), an
+        array whose rows equal the point values bit for bit."""
         x = np.asarray(x, dtype=float)
-        out = ambient_inner(self.P @ x, x, self.s)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ShapeError("point dimension mismatch")
+        out = ambient_inner(_matvec(self.P, x), x, self.s)
         if self.variant == "flat":
-            out += 2.0 * ambient_inner(self.p, x, self.s)
+            out += 2.0 * ambient_inner(np.broadcast_to(self.p, x.shape), x, self.s)
         return out
 
 

@@ -324,8 +324,9 @@ def isoparametric_function_check(
     DomainError when no level holds two points, where nothing is compared."""
     if threshold is None:
         threshold = CONFIG["isoparametric_threshold"]
-    pts = np.asarray(samples, dtype=float)
-    levels = np.round([f.value(x) for x in pts], 9)
+    # an empty sample list is an empty stack of points
+    pts = np.asarray(samples, dtype=float) if len(samples) else np.empty((0, f.dim))
+    levels = np.round(f.value(pts), 9)
     _, level, counts = np.unique(levels, return_inverse=True, return_counts=True)
     if not (counts > 1).any():
         raise DomainError("no level of f holds two sample points")
@@ -453,7 +454,6 @@ _TABLE1_ROW_OF_AMBIENT = {
 
 def _case_table(samples: int, seed: int) -> dict:
     mismatches = []
-    computed_cells = {row: dict(cells) for row, cells in _TABLE1_CELLS.items()}
     fixed = [ex_id for ex_id in catalog.EXAMPLE_IDS if ex_id not in _REGION_ROWS]
     for ambient, row in _TABLE1_ROW_OF_AMBIENT.items():
         for ex_id in [ex_id for ex_id in fixed if catalog.ambient_of(ex_id) == ambient]:
@@ -468,6 +468,8 @@ def _case_table(samples: int, seed: int) -> dict:
     return {
         "table": 1,
         "columns": list(_TABLE1_COLUMNS),
-        "rows": computed_cells,
+        # the stated cells: a computed type that disagrees with its entry's
+        # expected type, or a letter outside its computed column, is a mismatch
+        "rows": _TABLE1_CELLS,
         "mismatches": mismatches,
     }

@@ -21,7 +21,6 @@ from petrovtypes.linalg import (
     matrix_to_json,
     resolve_tol,
     signature,
-    simple_eigenvectors,
 )
 from petrovtypes.petrov import classify_pair
 from petrovtypes.spaceform import SpaceForm
@@ -114,10 +113,17 @@ def test_eigen_clusters_complex_pair():
     assert abs(alpha - 1.0) < 1e-12 and abs(beta - 2.0) < 1e-12
 
 
+def _restriction(a, lam, mult):
+    """N_r = q^H (a - lam I) q on the generalized eigenspace q of lam, as
+    jordan_structure forms it."""
+    q = generalized_eigenspace(a, [lam], mult)[0]
+    return q.conj().T @ (a - lam * np.eye(a.shape[0], dtype=a.dtype)) @ q
+
+
 def test_jordan_rank_profile_single_jordan_block():
     n = 6
     a = np.eye(n, k=1)
-    profile = jordan_rank_profile(a, 0.0, n, default_tol())
+    profile = jordan_rank_profile(_restriction(a, 0.0, n), 0.0, default_tol())
     assert profile == [n - k for k in range(n)] + [0]
 
 
@@ -129,7 +135,7 @@ def test_jordan_rank_profile_conjugated_block():
         if np.linalg.cond(t) <= 50:
             break
     a = t @ j @ np.linalg.inv(t)
-    assert jordan_rank_profile(a, 1.5, 4, default_tol()) == [4, 3, 2, 1, 0]
+    assert jordan_rank_profile(_restriction(a, 1.5, 4), 1.5, default_tol()) == [4, 3, 2, 1, 0]
 
 
 def test_matrix_json_round_trip_float():
@@ -195,9 +201,9 @@ def _oracle_generalized_eigenspace(a, lam, mult):
 
 
 def _oracle_simple_rank_profile(a, lam, tol):
-    """jordan_rank_profile(a, lam, 1, tol) by the SVD staircase on the oracle
-    basis: the SVD of the 1x1 restriction N gives |N|; a nonzero N is
-    normalized, and the staircase then finds no kernel unless 1 <= cut."""
+    """jordan_rank_profile of a simple eigenvalue lam by the SVD staircase on
+    the oracle basis: the SVD of the 1x1 restriction N gives |N|; a nonzero N
+    is normalized, and the staircase then finds no kernel unless 1 <= cut."""
     q = _oracle_generalized_eigenspace(a, lam, 1)
     nil = q.conj().T @ (a - lam * np.eye(a.shape[0], dtype=a.dtype)) @ q
     cut = max(tol, RANK_TOL)
@@ -220,17 +226,24 @@ def _outcome(call):
         return "ToleranceError"
 
 
+def _cluster_operator(a, val):
+    """The operator and eigenvalue of a cluster value: complex ones act on
+    the complexification."""
+    if isinstance(val, tuple):
+        return a.astype(complex), complex(*val)
+    return a, float(val)
+
+
 def test_generalized_eigenspace_fast_paths_match_oracle():
     tol = default_tol()
     seen = {"simple": 0, "whole": 0, "partial": 0}
     for a in _fast_path_inputs():
         n = a.shape[0]
         for val, mult in eigen_clusters(a, tol):
-            if isinstance(val, tuple):
-                mat, lam = a.astype(complex), complex(*val)
-            else:
-                mat, lam = a, float(val)
-            got = generalized_eigenspace(mat, lam, mult)
+            mat, lam = _cluster_operator(a, val)
+            got = generalized_eigenspace(mat, [lam], mult)
+            assert got.shape == (1, n, mult)
+            got = got[0]
             if mult == n:
                 seen["whole"] += 1
                 assert np.array_equal(got, np.eye(n))
@@ -240,53 +253,79 @@ def test_generalized_eigenspace_fast_paths_match_oracle():
             else:
                 seen["simple"] += 1
                 want = _oracle_generalized_eigenspace(mat, lam, 1)
-                assert got.shape == (n, 1)
                 assert abs(np.vdot(got[:, 0], want[:, 0])) >= 1.0 - 1e-10
                 # a shift just inside the rank cut keeps the 1-block, 1e-3 does not
                 for shift in (0.9 * RANK_TOL, -0.9 * RANK_TOL, 1e-3, -1e-3):
                     mu = lam + shift
-                    fast = _outcome(lambda: jordan_rank_profile(mat, mu, 1, tol))
+                    fast = _outcome(lambda: jordan_rank_profile(_restriction(mat, mu, 1), mu, tol))
                     assert fast == _outcome(lambda: _oracle_simple_rank_profile(mat, mu, tol))
                     assert fast == ([1, 0] if abs(shift) < RANK_TOL else "ToleranceError")
     assert min(seen.values()) > 0, seen
 
 
-def _stacked_profile(a, lam, tol):
-    """The rank profile of a simple eigenvalue lam as simple_eigenvectors
-    decides it: [1, 0] unless it raises."""
-    simple_eigenvectors(a, [lam], tol)
-    return [1, 0]
+def _stacked_profiles(mat, lams, tol):
+    """The rank profile of each simple eigenvalue of lams as jordan_structure
+    decides it: one stacked eigenspace call, N_r per eigenvalue, one
+    jordan_rank_profile each."""
+    lams = np.asarray(lams, dtype=mat.dtype)
+    q = generalized_eigenspace(mat, lams, 1)
+    nr = q.conj().transpose(0, 2, 1) @ (mat - lams[:, None, None] * np.eye(mat.shape[0])) @ q
+    return [_outcome(lambda: jordan_rank_profile(n_j, lam, tol)) for n_j, lam in zip(nr, lams)]
 
 
-def test_simple_eigenvectors_match_rank_profile_oracle():
-    """The stacked eigenvectors of the simple real clusters span the simple
-    generalized eigenspaces, and the stacked 1x1 rank decision is the one of
-    jordan_rank_profile, at eigenvalues shifted just inside the rank cut and
-    well outside it."""
+def test_simple_eigenspaces_match_rank_profile_oracle():
+    """The stacked eigenspaces of the simple clusters of each kind, real and
+    complex, span the simple generalized eigenspaces, and the rank decision
+    on their stacked 1x1 restrictions is the oracle's, at eigenvalues shifted
+    just inside the rank cut and well outside it."""
     tol = default_tol()
-    seen = 0
+    seen = {False: 0, True: 0}
     for a in _fast_path_inputs():
         clusters = eigen_clusters(a, tol)
-        lams = [val for val, mult in clusters if mult == 1 and not isinstance(val, tuple)]
-        if not lams:
-            continue
-        vecs = simple_eigenvectors(a, lams, tol)
-        assert vecs.shape == (a.shape[0], len(lams))
-        for lam, v in zip(lams, vecs.T):
-            seen += 1
-            want = generalized_eigenspace(a, lam, 1)[:, 0]
-            assert abs(v @ want) >= 1.0 - 1e-10
+        for cplx in (False, True):
+            vals = [val for val, mult in clusters if mult == 1 and isinstance(val, tuple) == cplx]
+            if not vals:
+                continue
+            pairs = [_cluster_operator(a, val) for val in vals]
+            mat, lams = pairs[0][0], [lam for _m, lam in pairs]
+            vecs = generalized_eigenspace(mat, lams, 1)
+            assert vecs.shape == (len(lams), a.shape[0], 1)
+            for lam, v in zip(lams, vecs[:, :, 0]):
+                seen[cplx] += 1
+                want = _oracle_generalized_eigenspace(mat, lam, 1)[:, 0]
+                assert abs(np.vdot(v, want)) >= 1.0 - 1e-10
             for shift in (0.9 * RANK_TOL, -0.9 * RANK_TOL, 1e-3, -1e-3):
-                mu = lam + shift
-                oracle = _outcome(lambda: jordan_rank_profile(a, mu, 1, tol))
-                stacked = _outcome(lambda: _stacked_profile(a, mu, tol))
-                assert stacked == oracle == ([1, 0] if abs(shift) < RANK_TOL else "ToleranceError")
-        # the whole stack at once: inside the cut passes, one outlier raises
-        for shift in (0.9 * RANK_TOL, -0.9 * RANK_TOL):
-            simple_eigenvectors(a, [lam + shift for lam in lams], tol)
-        with pytest.raises(ToleranceError, match="not numerically nilpotent"):
-            simple_eigenvectors(a, lams[:-1] + [lams[-1] + 1e-3], tol)
-    assert seen > 0
+                mus = [lam + shift for lam in lams]
+                want = [_outcome(lambda: _oracle_simple_rank_profile(mat, mu, tol)) for mu in mus]
+                expected = [1, 0] if abs(shift) < RANK_TOL else "ToleranceError"
+                assert _stacked_profiles(mat, mus, tol) == want == [expected] * len(mus)
+            # one outlier in the stack raises alone
+            mus = lams[:-1] + [lams[-1] + 1e-3]
+            assert _stacked_profiles(mat, mus, tol) == [[1, 0]] * (len(mus) - 1) + ["ToleranceError"]
+    assert min(seen.values()) > 0, seen
+
+
+def test_stacked_generalized_eigenspace_matches_single_calls():
+    """A stacked generalized_eigenspace equals one call per eigenvalue bit for
+    bit, for real and complex eigenvalues at multiplicity 1 and 2.  Each
+    complex cluster is stacked with its conjugate, whose generalized
+    eigenspace has the same dimension."""
+    tol = default_tol()
+    seen = dict.fromkeys([(False, 1), (False, 2), (True, 1), (True, 2)], 0)
+    for a in _fast_path_inputs():
+        clusters = eigen_clusters(a, tol)
+        for cplx, mult in seen:
+            pairs = [_cluster_operator(a, val) for val, m in clusters
+                     if m == mult and isinstance(val, tuple) == cplx]
+            lams = [lam for _m, lam in pairs] + [lam.conjugate() for _m, lam in pairs if cplx]
+            if len(lams) < 2:
+                continue
+            mat = pairs[0][0]
+            stacked = generalized_eigenspace(mat, lams, mult)
+            for lam, q in zip(lams, stacked):
+                assert np.array_equal(q, generalized_eigenspace(mat, [lam], mult)[0])
+            seen[cplx, mult] += 1
+    assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])

@@ -113,6 +113,19 @@ def test_gradient_on_stacks_matches_rows():
         quadric_gradient(flat, np.zeros((2, 2, 3)))
 
 
+def test_quadric_value_refuses_wrong_dimension():
+    """A point or stack of the wrong dimension gets the ShapeError of
+    quadric_gradient, not numpy's matmul error."""
+    sphere = QuadricFunction("sphere", 2, np.kron(np.eye(3), _anti(2)), 0.0)
+    flat = QuadricFunction("flat", 1, -np.eye(3), -1.0, np.array([0.5, 0.0, 1.0]))
+    for f in (sphere, flat):
+        for bad in (np.zeros(f.dim - 1), np.zeros((3, f.dim + 1)), np.zeros((2, 2, f.dim))):
+            with pytest.raises(ShapeError, match="point dimension mismatch"):
+                f.value(bad)
+            with pytest.raises(ShapeError, match="point dimension mismatch"):
+                quadric_gradient(f, bad)
+
+
 def test_admissibility_scalar_matrix():
     f = QuadricFunction("flat", 2, 3.0 * np.eye(5), 1.0, np.zeros(5))
     ok, diag = admissibility_check(f)

@@ -19,6 +19,7 @@ from petrovtypes.verify import (
     table_report,
 )
 from petrovtypes.catalog import chart, quadric_of, sample_domain
+from petrovtypes.linalg import ShapeError
 from petrovtypes.spaceform import DomainError, QuadricFunction, admissibility_check, inner_matrix
 
 
@@ -92,6 +93,17 @@ def test_isoparametric_level_invariants(ex_id):
     assert rep.residual <= 1e-12, (ex_id, rep.residual)
 
 
+@pytest.mark.parametrize("ex_id", list("abcdefghij"))
+def test_quadric_value_on_stacks_matches_points(ex_id):
+    """f.value of a stack of 50 chart points equals the value at each point
+    bit for bit."""
+    f = quadric_of(ex_id)
+    pts = np.array([chart(ex_id, p) for p in sample_domain(ex_id, 50, seed=59)])
+    values = f.value(pts)
+    assert values.shape == (50,)
+    assert [float(v) for v in values] == [f.value(x) for x in pts]
+
+
 def test_isoparametric_negative_control():
     # P fails every admissibility clause, so the level sets are not
     # isoparametric and the gradient norm varies along them
@@ -144,6 +156,13 @@ def test_isoparametric_refuses_vacuous_samples():
     for samples in ([], distinct[:1], distinct):
         with pytest.raises(DomainError, match="no level of f holds two sample points"):
             isoparametric_function_check(f, samples)
+
+
+def test_isoparametric_refuses_wrong_dimension():
+    f = quadric_of("a")
+    pts = [chart("a", p)[:-1] for p in sample_domain("a", 4, seed=47)]
+    with pytest.raises(ShapeError, match="point dimension mismatch"):
+        isoparametric_function_check(f, pts)
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
