@@ -7,7 +7,10 @@ has a smooth chart p -> ambient point, its exact Jacobian, and frame data:
 tangent frame, unit normal, shape matrix in the frame and frame Gram.
 evaluate and chart_jacobian take one chart point (m,) or a stack (k, m),
 solved at once by the same code, so a result does not depend on being
-stacked; they refuse results that are not finite.
+stacked; they refuse results that are not finite.  sample_domain asks an
+entry's sampler for all n points at once: a level set draws its candidates
+as one block and solves them in one chart call, keeping those that hold
+every chart condition by a margin, in draw order.
 
 Everything known about an entry is one _Entry record in _REGISTRY, and the
 public functions only look the id up there.  To add an entry, add one record
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -145,9 +149,10 @@ def _batch(mat: np.ndarray, p: np.ndarray) -> np.ndarray:
 class _Entry(NamedTuple):
     """One catalog entry.  chart(p, a), jacobian(p, a) and evaluate(p, a,
     anchor_variant) take chart points checked by _chart_point;
-    sample(rng, i, a) draws sample i, or None to draw again.  expected is
-    the GeometricType or a function of the chart point, summary its text in
-    the listing, epsilon(p) the stated algebraic sign where there is one.
+    sample(rng, n, a) returns the first n chart points the entry accepts
+    from rng.  expected is the GeometricType or a function of the chart
+    point, summary its text in the listing, epsilon(p) the stated algebraic
+    sign where there is one.
 
     Level sets also keep their chart data: quadric() gives the arguments
     of the defining QuadricFunction, the chart fixes the free coordinates
@@ -256,12 +261,23 @@ _NEWTON_STOP = 1e-14
 _SINGULAR_TOL = 10.0 * np.sqrt(_NEWTON_STOP)
 
 
-def _check_domain(example_id: str, x: np.ndarray, margin: float = 0.0) -> None:
-    """Every point of x, shape (n,) or (k, n), satisfies the chart conditions,
-    each clause by more than its tolerance or the margin, whichever is
+def _clause_failures(example_id: str, x: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    """Which points of the stack x, (k, n), fail which chart condition of the
+    entry, one row per clause, (clauses, k): a point fails a clause unless it
+    holds by more than the clause's tolerance or the margin, whichever is
     larger."""
-    for name, tol, coef in _REGISTRY[example_id].clauses:
-        if (np.abs(x @ coef) <= max(tol, margin)).any():
+    clauses = _REGISTRY[example_id].clauses
+    return np.array(
+        [np.abs(x @ coef) <= max(tol, margin) for _name, tol, coef in clauses], dtype=bool
+    ).reshape(len(clauses), len(x))
+
+
+def _check_domain(example_id: str, x: np.ndarray) -> None:
+    """Every point of the stack x, (k, n), satisfies the chart conditions,
+    each clause by more than its tolerance."""
+    failures = _clause_failures(example_id, x)
+    for (name, _tol, _coef), failed in zip(_REGISTRY[example_id].clauses, failures):
+        if failed.any():
             raise DomainError(f"point violates the chart condition {name}")
 
 
@@ -516,17 +532,31 @@ def _evaluate_level(example_id: str, p: np.ndarray, a: float, anchor_variant: bo
     )
 
 
-def _sample_level(example_id: str, rng, i: int, a: float) -> np.ndarray | None:
-    """Free coordinates near the anchor's, or None where the chart fails or
-    comes within 5e-2 of a chart condition."""
+def _sample_level(example_id: str, rng, n: int, a: float) -> list[np.ndarray]:
+    """The first n accepted candidates, in draw order: free coordinates within
+    0.2 of the anchor's, accepted where the chart solves them with every
+    chart condition held by more than 5e-2.  The missing candidates are drawn
+    as one block, which takes the same doubles as one draw each, and solved
+    in one chart call."""
     ls = _level_set(example_id)
-    q = ls.anchor[ls.free] + rng.uniform(-0.2, 0.2, size=len(ls.free))
+    out: list[np.ndarray] = []
+    while len(out) < n:
+        q = ls.anchor[ls.free] + rng.uniform(-0.2, 0.2, size=(n - len(out), len(ls.free)))
+        out += list(q[_accepted(example_id, q)])
+    return out
+
+
+def _accepted(example_id: str, q: np.ndarray) -> np.ndarray:
+    """Which candidates of the stack q, (k, m), are samples.  Where the chart
+    solve of the stack raises, each row is solved alone, so a row's fate does
+    not depend on its neighbours."""
     try:
         x = _level_chart(example_id, q)
-        _check_domain(example_id, x, margin=5e-2)
     except DomainError:
-        return None
-    return q
+        if len(q) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_accepted(example_id, row) for row in q[:, None]])
+    return ~_clause_failures(example_id, x, margin=5e-2).any(axis=0)
 
 
 def _level_entry(
@@ -803,6 +833,12 @@ def _frame_m(c: _CurvesM, p: np.ndarray, a: float) -> tuple:
     return _chart_m(c, p, a), _columns(b1, b2, b3, b4), xi, _batch(_j(0.0, 4), p), jac
 
 
+def _draw_each(draw, rng, n: int, a: float) -> list[np.ndarray]:
+    """The sampler of a closed entry, which takes every draw: draw(rng, i, a)
+    is sample i."""
+    return [draw(rng, i, a) for i in range(n)]
+
+
 def _closed_frame_data(frame_fn, s: int, p: np.ndarray, a: float, anchor_variant: bool):
     point, frame, xi, shape, jac = frame_fn(p, a)
     return FrameData(
@@ -812,17 +848,18 @@ def _closed_frame_data(frame_fn, s: int, p: np.ndarray, a: float, anchor_variant
 
 
 def _closed_entry(
-    example_id: str, ambient: SpaceForm, param_dim: int, chart, jacobian, frame, sample,
+    example_id: str, ambient: SpaceForm, param_dim: int, chart, jacobian, frame, draw,
     expected, summary: str | None = None, epsilon=None,
 ) -> _Entry:
-    """An entry given by closed formulas.  expected is the label of a fixed
-    index-2 type, or a function of the chart point described by summary."""
+    """An entry given by closed formulas, sampled by draw(rng, i, a).
+    expected is the label of a fixed index-2 type, or a function of the chart
+    point described by summary."""
     if isinstance(expected, str):
         expected, summary = GeometricType(2, expected), f"{expected} (index 2)"
     evaluate = functools.partial(_closed_frame_data, frame, ambient.embedding_index)
     return _Entry(
-        example_id, ambient, param_dim, chart, jacobian, evaluate, sample, expected, summary,
-        epsilon=epsilon,
+        example_id, ambient, param_dim, chart, jacobian, evaluate,
+        functools.partial(_draw_each, draw), expected, summary, epsilon=epsilon,
     )
 
 
@@ -988,21 +1025,17 @@ def expected_algebraic_epsilon(example_id: str, p) -> int | None:
     return entry.epsilon(_chart_point(entry, p))
 
 
-def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0):
-    """Deterministic chart points; the region-partitioned entries cycle
-    through all their regions."""
+def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0) -> list[np.ndarray]:
+    """n deterministic chart points, the first n that the entry's sampler
+    accepts from a generator seeded with seed; the region-partitioned entries
+    cycle through all their regions."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"the number of samples must be an integer, got {n!r}")
     if n < 1:
         raise DomainError("need at least one sample")
     if seed < 0:
         raise DomainError("seed must be non-negative")
-    entry = _entry(example_id)
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        p = entry.sample(rng, len(out), a)
-        if p is not None:
-            out.append(p)
-    return out
+    return _entry(example_id).sample(np.random.default_rng(seed), int(n), a)
 
 
 def catalog_summary() -> list[dict]:

@@ -267,7 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run finite-difference checks")
     p_ver.add_argument("action", choices=["run"])
     p_ver.add_argument("--id", default=None, choices=list(catalog.EXAMPLE_IDS))
-    p_ver.add_argument("--h", type=float, default=None, help="step override")
+    p_ver.add_argument(
+        "--h", type=float, default=None,
+        help="one step for every check: it sets both the shape check's step "
+        "(default 1e-4) and the curvature step (default 1e-3), and each "
+        "threshold stays as it is, so a step that suits one check may fail "
+        "the other (at --h 5e-4 the shape check of entry g reads 1.0956e-5 "
+        "against 1e-5 and the run exits 1)",
+    )
     p_ver.add_argument("--samples", type=int, default=5)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--json", action="store_true", help="JSON output")

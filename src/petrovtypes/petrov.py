@@ -141,12 +141,13 @@ class GeometricType:
 
 def jordan_structure(
     a: np.ndarray, tol: float | None = None
-) -> tuple[JordanStructure, list[np.ndarray], list[np.ndarray]]:
+) -> tuple[JordanStructure, list[np.ndarray], list[np.ndarray], list[float]]:
     """Block sizes per eigenvalue from the rank profile of N_r, and per
     cluster (real, then complex, in canonical order) an orthonormal basis q
-    of its generalized eigenspace and N_r = q^H (a - lam I) q, each computed
-    once for both uses.  Clusters of one kind and multiplicity, above all the
-    simple ones, share one stacked ``generalized_eigenspace`` call."""
+    of its generalized eigenspace, N_r = q^H (a - lam I) q and max |a - lam I|,
+    the shift's part of the chain degeneracy scale, each computed once for
+    every use.  Clusters of one kind and multiplicity, above all the simple
+    ones, share one stacked ``generalized_eigenspace`` call."""
     tol = resolve_tol(tol)
     af = np.asarray(a, dtype=float)
     n = af.shape[0]
@@ -160,15 +161,16 @@ def jordan_structure(
     groups: dict[tuple[type, int], list[int]] = {}
     for i, (lam, mult) in enumerate(clusters):
         groups.setdefault((type(lam), mult), []).append(i)
-    bases, restricted = [None] * len(clusters), [None] * len(clusters)
+    bases, restricted, shift_scales = ([None] * len(clusters) for _ in range(3))
     for (kind, mult), members in groups.items():
         # a complex cluster's eigenspace lies in the complexification
         mat = af.astype(kind)
         lams = np.array([clusters[i][0] for i in members])
         q = generalized_eigenspace(mat, lams, mult)
-        nr = q.conj().transpose(0, 2, 1) @ (mat - lams[:, None, None] * np.eye(n)) @ q
-        for i, qi, nri in zip(members, q, nr):
-            bases[i], restricted[i] = qi, nri
+        shifts = mat - lams[:, None, None] * np.eye(n)
+        nr = q.conj().transpose(0, 2, 1) @ shifts @ q
+        for i, qi, nri, scale in zip(members, q, nr, np.abs(shifts).max(axis=(1, 2))):
+            bases[i], restricted[i], shift_scales[i] = qi, nri, scale
     real: list[tuple[float, tuple[int, ...]]] = []
     cplx: list[tuple[float, float, tuple[int, ...]]] = []
     for (lam, _mult), nr in zip(clusters, restricted):
@@ -177,7 +179,7 @@ def jordan_structure(
             cplx.append((lam.real, lam.imag, sizes))
         else:
             real.append((lam, sizes))
-    return JordanStructure(tuple(real), tuple(cplx)), bases, restricted
+    return JordanStructure(tuple(real), tuple(cplx)), bases, restricted, shift_scales
 
 
 def _block_sizes(nr: np.ndarray, lam, tol: float) -> tuple[int, ...]:
@@ -267,7 +269,7 @@ def petrov_normal_form(
         raise ContractError("petrov_normal_form supports dim <= 8")
     if not is_self_adjoint(pair.a, pair.space, max(tol, 1e-7)):
         raise ContractError("operator is not self-adjoint for the given gram")
-    structure, bases, restricted = jordan_structure(a, tol)
+    structure, bases, restricted, shift_scales = jordan_structure(a, tol)
     clusters = list(structure.real_blocks) + [
         (complex(alpha, beta), sizes) for alpha, beta, sizes in structure.complex_blocks
     ]
@@ -278,20 +280,23 @@ def petrov_normal_form(
     simple = [i for i, (_lam, sizes) in enumerate(structure.real_blocks) if sizes == (1,)]
     if simple:
         lams = [clusters[i][0] for i in simple]
-        cols, signs = _simple_chains(a, g, lams, np.hstack([bases[i] for i in simple]), tol)
+        cols, signs = _simple_chains(
+            g, np.hstack([bases[i] for i in simple]), [shift_scales[i] for i in simple], tol
+        )
         blocks += [
             ((False, lam, 0.0, 1, -eps), eps, cols[:, j : j + 1])
             for j, (lam, eps) in enumerate(zip(lams, signs))
         ]
-    for i, ((lam, sizes), basis, nr) in enumerate(zip(clusters, bases, restricted)):
+    for i, ((lam, sizes), basis, nr, shift_scale) in enumerate(
+        zip(clusters, bases, restricted, shift_scales)
+    ):
         if i in simple:
             continue
         cplx = isinstance(lam, complex)
-        nmat = a - lam * np.eye(n)
         if not cplx and max(sizes) == 1:
-            chains = _semisimple_chains(nmat, g, basis, tol)
+            chains = _semisimple_chains(shift_scale, g, basis, tol)
         else:
-            chains = _extract_chains(nmat, g, basis, list(sizes), tol, nr)
+            chains = _extract_chains(shift_scale, g, basis, list(sizes), tol, nr)
         for m, eps, cols in chains:
             key = (cplx, lam.real, lam.imag, m, -eps)
             blocks.append((key, eps, _realify_chain(cols) if cplx else cols))
@@ -308,17 +313,17 @@ def petrov_normal_form(
 
 
 def _simple_chains(
-    a: np.ndarray, g: np.ndarray, lams: list[float], vecs: np.ndarray, tol: float
+    g: np.ndarray, vecs: np.ndarray, shift_scales: list[float], tol: float
 ) -> tuple[np.ndarray, list[int]]:
-    """Chains of the simple real eigenvalues lams, all at once.
+    """Chains of simple real eigenvalues, all at once.
 
-    vecs holds one eigenvector per eigenvalue; each is scaled to
-    B(v, v) = +-1, and that sign is the whole sign characteristic of a simple
-    eigenvalue.  The degeneracy check is the chain generator's, at its scale.
+    vecs holds one eigenvector per eigenvalue lam, and shift_scales the
+    max |a - lam I| of each; each eigenvector is scaled to B(v, v) = +-1, and
+    that sign is the whole sign characteristic of a simple eigenvalue.  The
+    degeneracy check is the chain generator's, at its scale.
     """
     theta = np.einsum("ik,ij,jk->k", vecs, g, vecs)
-    shifts = a - np.asarray(lams)[:, None, None] * np.eye(a.shape[0])
-    scale = np.maximum(np.maximum(np.abs(theta), np.abs(shifts).max(axis=(1, 2))), 1.0)
+    scale = np.maximum(np.maximum(np.abs(theta), shift_scales), 1.0)
     if (np.abs(theta) <= tol * scale).any():
         raise ConditioningError(
             "degenerate chain pairing for block size 1; "
@@ -328,7 +333,7 @@ def _simple_chains(
 
 
 def _semisimple_chains(
-    nmat: np.ndarray, g: np.ndarray, basis: np.ndarray, tol: float
+    shift_scale: float, g: np.ndarray, basis: np.ndarray, tol: float
 ) -> list[tuple[int, int, np.ndarray]]:
     """1-chains of a real eigenvalue whose blocks all have size 1.
 
@@ -336,13 +341,14 @@ def _semisimple_chains(
     restricted form basis^T G basis gives B-orthogonal eigenvectors, scaled to
     B(v, v) = +-1, and their signs are the inertia of that form, which is the
     sign characteristic of a semisimple eigenvalue.  A restricted form with an
-    eigenvalue at most tol * max(|form|, |N|, 1) raises ConditioningError: the
-    scale of the first chain generator pick in ``_extract_chains``.
+    eigenvalue at most tol * max(|form|, shift_scale, 1) raises
+    ConditioningError, shift_scale being max |N| = max |a - lam I|: the scale
+    of the first chain generator pick in ``_extract_chains``.
     """
     form = basis.T @ g @ basis
     form = (form + form.T) / 2.0
     w, vecs = np.linalg.eigh(form)
-    scale = max(np.abs(form).max(), np.abs(nmat).max(), 1.0)
+    scale = max(np.abs(form).max(), shift_scale, 1.0)
     if np.abs(w).min() <= tol * scale:
         raise ConditioningError(
             f"degenerate form on a {len(w)}-dimensional eigenspace; "
@@ -353,7 +359,7 @@ def _semisimple_chains(
 
 
 def _extract_chains(
-    nmat: np.ndarray,
+    shift_scale: float,
     g: np.ndarray,
     basis: np.ndarray,
     sizes: list[int],
@@ -370,8 +376,9 @@ def _extract_chains(
     ``jordan_structure`` returns it, and G_r = basis^T G basis: the powers of
     N never reach the other eigenspaces, whose roundoff they would scale by
     (lam_j - lam)^k.  The chains are mapped back with basis @ cols.
+    shift_scale is max |N| = max |a - lam I| on the whole space, as
+    ``jordan_structure`` returns it, part of the degeneracy scale.
     """
-    n_scale = np.abs(nmat).max()
     gr = basis.T @ g @ basis
     k = nr.shape[0]
     powers = [np.eye(k, dtype=nr.dtype), nr]  # N_r^0 .. N_r^(m-1)
@@ -382,20 +389,20 @@ def _extract_chains(
     for m in sorted(sizes, reverse=True):
         if out:  # B-orthocomplement of the previous chain
             active = _deflate(gr, active, out[-1][2], tol)
-        v, eps = _pick_chain_generator(powers, gr, active, m, tol, n_scale)
+        v, eps = _pick_chain_generator(powers, gr, active, m, tol, shift_scale)
         v = _straighten(powers, gr, v, m, eps)
         chain_cols = np.column_stack([powers[m - j] @ v for j in range(1, m + 1)])
         out.append((m, eps, chain_cols))
     return [(m, eps, basis @ cols) for m, eps, cols in out]
 
 
-def _pick_chain_generator(powers, g, active, m, tol, n_scale):
+def _pick_chain_generator(powers, g, active, m, tol, shift_scale):
     """Vector v in the active span with B(v, N^(m-1) v) != 0, normalized to +-1.
 
     A real active span picks the dominant eigenvector of the projected
     symmetric form; a complex one (a complex cluster) searches deterministic
-    candidate combinations of the bilinear form.  n_scale is max |N| on the
-    whole space, part of the degeneracy scale.
+    candidate combinations of the bilinear form.  shift_scale is max |N| on
+    the whole space, part of the degeneracy scale.
     """
     k = active.shape[1]
     if not np.iscomplexobj(active):
@@ -406,7 +413,7 @@ def _pick_chain_generator(powers, g, active, m, tol, n_scale):
         w, vecs = (form_s[0], np.ones((1, 1))) if k == 1 else np.linalg.eigh(form_s)
         idx = int(np.argmax(np.abs(w)))
         theta = w[idx]
-        scale = max(np.abs(form_s).max(), n_scale, 1.0)
+        scale = max(np.abs(form_s).max(), shift_scale, 1.0)
         if abs(theta) <= tol * scale:
             raise ConditioningError(
                 f"degenerate chain pairing for block size {m}; "

@@ -26,7 +26,8 @@ catalog.evaluate.  The shape matrices in chart coordinates at its first
 1 + 2m rows are one solve of the stack, kept with it: the shape and Gauss
 checks read row 0, Codazzi all of them.  Where the stack leaves the chart
 domain, the shape and Codazzi checks evaluate their own reach-1 points
-alone, with the same one solve.  curvature_data reads no frame data and
+alone; Codazzi solves the coordinate shapes of all of them, the shape check
+of its centre alone.  curvature_data reads no frame data and
 calls catalog.chart_jacobian instead.  The rest is one array program over
 the stack: one batched inverse gives the Christoffel symbols at every
 centre, every derivative is a difference of a whole stack over index
@@ -236,9 +237,13 @@ def shape_fd_check(
         st = _point_stack(example_id, p, a, h)
     except DomainError:
         st = _Stencil(example_id, p, a, CONFIG["shape_h"] if h is None else h, reach=1)
+        # no other check reads this stencil: solve the centre row alone
+        shape = _shape_in_coordinates(st.frames, st.g, 0)
+    else:
+        shape = st.shapes[0]
     fd = st.frames
     dxi = st.shape_diff(fd.normal).T  # dxi[:, l] = d_l xi
-    resid = dxi + fd.jacobian[0] @ st.shapes[0]
+    resid = dxi + fd.jacobian[0] @ shape
     if st.kappa != 0:
         # compare tangentially: the radial component of d(xi) is curvature of
         # the ambient sphere, not shape information

@@ -219,6 +219,126 @@ def test_sample_domain_refuses_a_negative_seed():
         sample_domain("e", 1, seed=-1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None])
+def test_sample_domain_refuses_a_non_integer_count(n):
+    with pytest.raises(DomainError, match="number of samples must be an integer"):
+        sample_domain("e", n)
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_sample_domain_takes_numpy_integers(n):
+    got = sample_domain("e", n, seed=4)
+    assert len(got) == 3
+    assert all(np.array_equal(x, y) for x, y in zip(got, sample_domain("e", 3, seed=4)))
+
+
+def _draw_alone(ex_id, rng, i, a):
+    """Sample i as the sampler drew it one candidate at a time: a closed
+    entry's draw, or a level-set candidate solved alone by the chart, None
+    unless every chart condition holds by more than 5e-2."""
+    if ex_id in ("0-1", "0-2"):
+        box = rng.uniform(-1.0, 1.0, size=1 if ex_id == "0-1" else 3)
+        if i % 3 == 0:
+            angle = np.pi * rng.integers(-2, 3)
+        elif i % 3 == 1:
+            angle = rng.uniform(0.15, np.pi - 0.15)
+        else:
+            angle = rng.uniform(np.pi + 0.15, 2 * np.pi - 0.15)
+        return np.array([*box, float(angle)])
+    if ex_id in ("k", "l", "m"):
+        p = rng.uniform(-0.8, 0.8, size=4)
+        if ex_id == "l":
+            p[3] = rng.uniform(-0.8, 0.8) / max(abs(a), 1.0)
+        return p
+    ls = catalog._level_set(ex_id)
+    q = ls.anchor[ls.free] + rng.uniform(-0.2, 0.2, size=len(ls.free))
+    try:
+        x = catalog._level_chart(ex_id, q)
+    except DomainError:
+        return None
+    for _name, tol, coef in catalog._REGISTRY[ex_id].clauses:
+        if abs(x @ coef) <= max(tol, 5e-2):
+            return None
+    return q
+
+
+def _one_at_a_time(ex_id, n, rng, a=1.0):
+    out = []
+    while len(out) < n:
+        p = _draw_alone(ex_id, rng, len(out), a)
+        if p is not None:
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+def test_sample_domain_equals_the_one_at_a_time_loop(ex_id):
+    # the loop's first n samples are the first n of its 60, so one run of it
+    # per seed serves every n
+    for seed in range(10):
+        want = _one_at_a_time(ex_id, 60, np.random.default_rng(seed))
+        for n in (1, 3, 20, 60):
+            got = sample_domain(ex_id, n, seed=seed)
+            assert len(got) == n
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in want[:n]]
+            assert all(p.shape == (param_dim(ex_id),) and p.dtype == float for p in got)
+
+
+class _CandidateStub:
+    """A stand-in generator whose uniform draws are the given candidate
+    offsets, row by row, in whatever block shapes they are asked for."""
+
+    def __init__(self, rows):
+        self.values = list(np.ravel(rows))
+
+    def uniform(self, low, high, size):
+        count = int(np.prod(size))
+        taken, self.values = self.values[:count], self.values[count:]
+        return np.reshape(taken, size)
+
+
+# offsets from the free coordinates (0, 0, 0, 0) of h's anchor: the chart
+# fails on the singular set x2 + x5 = 0, holds x2 + x5 = 0.029 within the
+# 5e-2 margin, and holds it by about 1 at the small offsets
+_H_OUTSIDE = [0.0, 0.0, 1 / np.sqrt(2), 1 / np.sqrt(2)]
+_H_IN_MARGIN = [0.0, 0.0, 0.7068, 0.7068]
+_H_GOOD = [[0.1, -0.05, 0.02, 0.1], [-0.15, 0.1, 0.0, 0.05], [0.02, 0.03, -0.1, -0.18]]
+
+
+def test_sample_domain_rejections_keep_draw_order(monkeypatch):
+    rows = [_H_GOOD[0], _H_OUTSIDE, _H_IN_MARGIN, _H_GOOD[1], _H_IN_MARGIN, _H_GOOD[2]]
+    solved = []
+    level_chart = catalog._level_chart
+
+    def counted(ex_id, q):
+        solved.append(len(q))
+        return level_chart(ex_id, q)
+
+    with pytest.raises(DomainError):
+        level_chart("h", np.array([_H_OUTSIDE]))
+    assert abs(np.sum(level_chart("h", np.array(_H_IN_MARGIN))[[1, 4]])) < 5e-2
+    want = _one_at_a_time("h", 3, _CandidateStub(rows))
+    monkeypatch.setattr(catalog, "_level_chart", counted)
+    got = catalog._REGISTRY["h"].sample(_CandidateStub(rows), 3, 1.0)
+    assert [p.tolist() for p in got] == [p.tolist() for p in want] == _H_GOOD
+    # the first block of three raises and is solved row by row; the second,
+    # of two, drops its in-margin row by the clause mask; the third is one row
+    assert solved == [3, 1, 1, 1, 2, 1]
+
+
+def test_sample_domain_solves_one_block_per_draw(monkeypatch):
+    solved = []
+    level_chart = catalog._level_chart
+
+    def counted(ex_id, q):
+        solved.append(q.shape)
+        return level_chart(ex_id, q)
+
+    monkeypatch.setattr(catalog, "_level_chart", counted)
+    sample_domain("e", 60, seed=0)
+    assert solved == [(60, 4)]
+
+
 @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
 def test_stacked_chart_jacobian_matches_rows(ex_id):
     rows = np.array(sample_domain(ex_id, 7, seed=13))

@@ -240,18 +240,18 @@ def _sample_pairs():
 
 def test_jordan_structure_restricts_every_cluster():
     """Every cluster, simple and whole-space ones included, comes with its
-    basis q and N_r = q^H (a - lam I) q, and the block sizes are read from
-    the rank profile of that N_r."""
+    basis q, N_r = q^H (a - lam I) q and max |a - lam I|, and the block sizes
+    are read from the rank profile of that N_r."""
     tol = default_tol()
     seen = {"simple": 0, "whole": 0, "complex": 0}
     for a, _g in _sample_pairs():
         n = a.shape[0]
-        structure, bases, restricted = jordan_structure(a, tol)
+        structure, bases, restricted, shift_scales = jordan_structure(a, tol)
         clusters = list(structure.real_blocks) + [
             (complex(alpha, beta), sizes) for alpha, beta, sizes in structure.complex_blocks
         ]
-        assert len(bases) == len(restricted) == len(clusters)
-        for (lam, sizes), q, nr in zip(clusters, bases, restricted):
+        assert len(bases) == len(restricted) == len(shift_scales) == len(clusters)
+        for (lam, sizes), q, nr, scale in zip(clusters, bases, restricted, shift_scales):
             mult = sum(sizes)
             seen["simple"] += sizes == (1,)
             seen["whole"] += mult == n
@@ -259,6 +259,8 @@ def test_jordan_structure_restricts_every_cluster():
             assert q.shape == (n, mult) and nr.shape == (mult, mult)
             want = q.conj().T @ (a - lam * np.eye(n)) @ q
             assert np.abs(nr - want).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
+            # the scale is read off the same shift, so it is exact
+            assert scale == np.abs(a - lam * np.eye(n)).max()
             assert _block_sizes(nr, lam, tol) == sizes
     assert min(seen.values()) > 0, seen
 
@@ -270,14 +272,15 @@ def test_semisimple_path_matches_peel():
     tol = default_tol()
     seen = 0
     for a, g in _sample_pairs():
-        structure, bases, restricted = jordan_structure(a, tol)
-        for (lam, sizes), basis, nr in zip(structure.real_blocks, bases, restricted):
+        structure, bases, restricted, shift_scales = jordan_structure(a, tol)
+        for (lam, sizes), basis, nr, scale in zip(
+            structure.real_blocks, bases, restricted, shift_scales
+        ):
             if len(sizes) < 2 or max(sizes) > 1:
                 continue
             seen += 1
-            nmat = a - lam * np.eye(a.shape[0])
-            chains = _semisimple_chains(nmat, g, basis, tol)
-            peel = _extract_chains(nmat, g, basis, list(sizes), tol, nr)
+            chains = _semisimple_chains(scale, g, basis, tol)
+            peel = _extract_chains(scale, g, basis, list(sizes), tol, nr)
             signs = [eps for _m, eps, _c in chains]
             assert sorted(signs) == sorted(int(np.sign(eps)) for _m, eps, _c in peel)
             assert [m for m, _e, _c in chains] == list(sizes)

@@ -584,3 +584,12 @@ def test_reach_1_fallback_solves_coordinate_shapes_once(shape_solves):
     assert len(shape_solves) == 1
     codazzi_residual("l", edge)
     assert len(shape_solves) == 2
+
+
+def test_reach_1_shape_fallback_solves_the_centre_row_alone(shape_solves):
+    # the fallback stencil is the shape check's own, and it reads row 0 only
+    edge = _l_edge_point()
+    shape_fd_check("l", edge)
+    (fd, _g, rows), = shape_solves
+    assert len(fd.point) == 1 + 2 * 4
+    assert np.size(np.arange(len(fd.point))[rows]) == 1
