@@ -1033,6 +1033,8 @@ def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0) -> lis
         raise DomainError(f"the number of samples must be an integer, got {n!r}")
     if n < 1:
         raise DomainError("need at least one sample")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DomainError("seed must be non-negative")
     return _entry(example_id).sample(np.random.default_rng(seed), int(n), a)

@@ -150,26 +150,23 @@ def is_self_adjoint(
     return float(np.abs(g @ af - af.T @ g).max()) <= tol * scale
 
 
-def generalized_eigenspace(a: np.ndarray, lams, mult: int) -> np.ndarray:
-    """(k, n, mult) stack: for each of the k eigenvalues lams (real or complex,
-    of a's dtype), orthonormal columns spanning the mult-dimensional kernel of
-    (a - lam I)^mult.
+def generalized_eigenspace(shifts: np.ndarray, scales: np.ndarray, mult: int) -> np.ndarray:
+    """(k, n, mult) stack: for each shift a - lam I of the (k, n, n) stack
+    shifts (real or complex), orthonormal columns spanning the
+    mult-dimensional kernel of (a - lam I)^mult.
 
     The dimension is taken from the eigenvalue cluster, so no rank threshold is
     needed: the mult smallest right singular directions of the power are
-    returned, one stacked SVD for all of lams, and a stacked row equals the
-    call for its eigenvalue alone bit for bit.  A cluster holding all n
-    eigenvalues (a = lam I included) spans the whole space and gets the
-    identity.
+    returned, one stacked SVD for all shifts, and a stacked row equals the
+    call for its shift alone bit for bit.  The power is of the shift divided
+    by its entry of scales, max |a - lam I|, the scale the chain degeneracy
+    checks read; it is within a factor n of the 2-norm, so the power cannot
+    overflow.  A cluster holding all n eigenvalues gets the identity.
     """
-    n = a.shape[0]
-    lams = np.asarray(lams, dtype=a.dtype)
+    k, n, _n = shifts.shape
     if mult == n:
-        return np.tile(np.eye(n, dtype=a.dtype), (len(lams), 1, 1))
-    power = a - lams[:, None, None] * np.eye(n, dtype=a.dtype)
-    if mult > 1:  # scaled to norm 1 so that the power cannot overflow
-        norm = np.linalg.norm(power, 2, axis=(1, 2))
-        power = np.linalg.matrix_power(power / norm[:, None, None], mult)
+        return np.tile(np.eye(n, dtype=shifts.dtype), (k, 1, 1))
+    power = np.linalg.matrix_power(shifts / scales[:, None, None], mult) if mult > 1 else shifts
     _u, _s, vh = np.linalg.svd(power)
     return vh.conj().transpose(0, 2, 1)[:, :, n - mult :]
 

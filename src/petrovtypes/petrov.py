@@ -7,10 +7,11 @@ the invariant data and drives the type labels.
 
 Every eigenvalue cluster, real or complex, simple or whole-space, gets its
 orthonormal eigenspace basis q and N_r = q^H (a - lam I) q in one way:
-clusters of one kind and multiplicity share one stacked
-``generalized_eigenspace`` call, and the rank profile of N_r sizes the
-blocks.  A real cluster then takes one of three paths to its chains, all
-with the decisions of the chain peel:
+clusters of one kind and multiplicity share one shift stack a - lam I and
+one ``generalized_eigenspace`` call, scaled by max |a - lam I| (|a - lam I|
+below), which the real chains' degeneracy checks read too; the rank profile
+of N_r sizes the blocks.  A real cluster then takes one of three paths to
+its chains, all with the decisions of the chain peel:
 
 - simple (one 1-block): the eigenvectors of all simple clusters are scaled
   at once to B(v, v) = +-1, and their signs, the whole sign characteristic
@@ -145,9 +146,9 @@ def jordan_structure(
     """Block sizes per eigenvalue from the rank profile of N_r, and per
     cluster (real, then complex, in canonical order) an orthonormal basis q
     of its generalized eigenspace, N_r = q^H (a - lam I) q and max |a - lam I|,
-    the shift's part of the chain degeneracy scale, each computed once for
-    every use.  Clusters of one kind and multiplicity, above all the simple
-    ones, share one stacked ``generalized_eigenspace`` call."""
+    each computed once for every use.  Clusters of one kind and multiplicity
+    share one shift stack and one ``generalized_eigenspace`` call; that max
+    scales its power and is the shift's part of the chain degeneracy scale."""
     tol = resolve_tol(tol)
     af = np.asarray(a, dtype=float)
     n = af.shape[0]
@@ -166,10 +167,11 @@ def jordan_structure(
         # a complex cluster's eigenspace lies in the complexification
         mat = af.astype(kind)
         lams = np.array([clusters[i][0] for i in members])
-        q = generalized_eigenspace(mat, lams, mult)
         shifts = mat - lams[:, None, None] * np.eye(n)
+        scales = np.abs(shifts).max(axis=(1, 2))
+        q = generalized_eigenspace(shifts, scales, mult)
         nr = q.conj().transpose(0, 2, 1) @ shifts @ q
-        for i, qi, nri, scale in zip(members, q, nr, np.abs(shifts).max(axis=(1, 2))):
+        for i, qi, nri, scale in zip(members, q, nr, scales):
             bases[i], restricted[i], shift_scales[i] = qi, nri, scale
     real: list[tuple[float, tuple[int, ...]]] = []
     cplx: list[tuple[float, float, tuple[int, ...]]] = []
@@ -305,7 +307,8 @@ def petrov_normal_form(
     t_mat = np.hstack(columns) if columns else np.zeros((n, 0))
     if t_mat.shape != (n, n):
         raise ConditioningError("chain construction did not produce a full basis")
-    cond = np.linalg.cond(t_mat)
+    sv = np.linalg.svd(t_mat, compute_uv=False)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if cond > 1.0 / max(tol, np.finfo(float).eps * 10):
         raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
     signs = tuple(eps for key, eps, _cols in blocks if not key[0])

@@ -223,6 +223,16 @@ def _point_stack(example_id: str, p: np.ndarray, a: float, h: float | None) -> _
     return _stack(example_id, p.tobytes(), a, step, shape_step, os.environ.get("PETROV_TOL"))
 
 
+def _threshold(threshold: float | None, key: str) -> float:
+    """threshold, or CONFIG[key] for None, if it is positive and finite;
+    otherwise DomainError, since an infinite threshold passes any residual
+    and a NaN or non-positive one fails every residual."""
+    threshold = CONFIG[key] if threshold is None else threshold
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise DomainError(f"threshold must be positive and finite, got {threshold}")
+    return threshold
+
+
 def shape_fd_check(
     example_id: str, p, a: float = 1.0, h: float | None = None,
     threshold: float | None = None,
@@ -232,7 +242,7 @@ def shape_fd_check(
     on the point's stack, or on its own reach-1 points if the stack leaves
     the chart domain."""
     p = np.asarray(p, dtype=float)
-    threshold = CONFIG["shape_threshold"] if threshold is None else threshold
+    threshold = _threshold(threshold, "shape_threshold")
     try:
         st = _point_stack(example_id, p, a, h)
     except DomainError:
@@ -278,7 +288,7 @@ def gauss_residual(
     against the constant-curvature term plus the shape-operator term, on the
     point's stack."""
     p = np.asarray(p, dtype=float)
-    threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
+    threshold = _threshold(threshold, "curvature_threshold")
     st = _point_stack(example_id, p, a, h)
     resid = _gauss(st, shape_override)
     return ResidualReport(example_id, "gauss", (tuple(p),), resid, st.h, threshold)
@@ -309,7 +319,7 @@ def codazzi_residual(
     rows of the point's stack, or on those points alone if the stack leaves
     the chart domain."""
     p = np.asarray(p, dtype=float)
-    threshold = CONFIG["curvature_threshold"] if threshold is None else threshold
+    threshold = _threshold(threshold, "curvature_threshold")
     try:
         st = _point_stack(example_id, p, a, h)
     except DomainError:
@@ -327,8 +337,7 @@ def isoparametric_function_check(
     2 tr P - 2n f on the unit pseudo-sphere in R^n_s, a function of f on
     every level.  No step is taken, so the report's h is 0.  Raises
     DomainError when no level holds two points, where nothing is compared."""
-    if threshold is None:
-        threshold = CONFIG["isoparametric_threshold"]
+    threshold = _threshold(threshold, "isoparametric_threshold")
     # an empty sample list is an empty stack of points
     pts = np.asarray(samples, dtype=float) if len(samples) else np.empty((0, f.dim))
     levels = np.round(f.value(pts), 9)

@@ -232,6 +232,18 @@ def test_sample_domain_takes_numpy_integers(n):
     assert all(np.array_equal(x, y) for x, y in zip(got, sample_domain("e", 3, seed=4)))
 
 
+@pytest.mark.parametrize("seed", [2.5, 3.0, True, False, "3", None])
+def test_sample_domain_refuses_a_non_integer_seed(seed):
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        sample_domain("e", 2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(4), np.int32(4), np.uint8(4)])
+def test_sample_domain_takes_numpy_integer_seeds(seed):
+    got = sample_domain("e", 3, seed=seed)
+    assert all(np.array_equal(x, y) for x, y in zip(got, sample_domain("e", 3, seed=4)))
+
+
 def _draw_alone(ex_id, rng, i, a):
     """Sample i as the sampler drew it one candidate at a time: a closed
     entry's draw, or a level-set candidate solved alone by the chart, None

@@ -113,10 +113,18 @@ def test_eigen_clusters_complex_pair():
     assert abs(alpha - 1.0) < 1e-12 and abs(beta - 2.0) < 1e-12
 
 
+def _shift_stack(a, lams):
+    """The shifts a - lam I of the eigenvalues lams and their scales
+    max |a - lam I|, as jordan_structure forms them for generalized_eigenspace."""
+    lams = np.asarray(lams, dtype=a.dtype)
+    shifts = a - lams[:, None, None] * np.eye(a.shape[0])
+    return shifts, np.abs(shifts).max(axis=(1, 2))
+
+
 def _restriction(a, lam, mult):
     """N_r = q^H (a - lam I) q on the generalized eigenspace q of lam, as
     jordan_structure forms it."""
-    q = generalized_eigenspace(a, [lam], mult)[0]
+    q = generalized_eigenspace(*_shift_stack(a, [lam]), mult)[0]
     return q.conj().T @ (a - lam * np.eye(a.shape[0], dtype=a.dtype)) @ q
 
 
@@ -189,10 +197,10 @@ def test_eigen_clusters_ambiguous_gap_raises():
 
 def _oracle_generalized_eigenspace(a, lam, mult):
     """generalized_eigenspace without its fast paths: the mult smallest right
-    singular directions of ((a - lam I) / |a - lam I|_2)^mult."""
+    singular directions of ((a - lam I) / max |a - lam I|)^mult."""
     n = a.shape[0]
     shifted = a - lam * np.eye(n, dtype=a.dtype)
-    norm = np.linalg.norm(shifted, 2)
+    norm = np.abs(shifted).max()
     if norm == 0:
         return np.eye(n, dtype=a.dtype)[:, :mult]
     power = np.linalg.matrix_power(shifted / norm, mult)
@@ -241,7 +249,7 @@ def test_generalized_eigenspace_fast_paths_match_oracle():
         n = a.shape[0]
         for val, mult in eigen_clusters(a, tol):
             mat, lam = _cluster_operator(a, val)
-            got = generalized_eigenspace(mat, [lam], mult)
+            got = generalized_eigenspace(*_shift_stack(mat, [lam]), mult)
             assert got.shape == (1, n, mult)
             got = got[0]
             if mult == n:
@@ -268,8 +276,9 @@ def _stacked_profiles(mat, lams, tol):
     decides it: one stacked eigenspace call, N_r per eigenvalue, one
     jordan_rank_profile each."""
     lams = np.asarray(lams, dtype=mat.dtype)
-    q = generalized_eigenspace(mat, lams, 1)
-    nr = q.conj().transpose(0, 2, 1) @ (mat - lams[:, None, None] * np.eye(mat.shape[0])) @ q
+    shifts, scales = _shift_stack(mat, lams)
+    q = generalized_eigenspace(shifts, scales, 1)
+    nr = q.conj().transpose(0, 2, 1) @ shifts @ q
     return [_outcome(lambda: jordan_rank_profile(n_j, lam, tol)) for n_j, lam in zip(nr, lams)]
 
 
@@ -288,7 +297,7 @@ def test_simple_eigenspaces_match_rank_profile_oracle():
                 continue
             pairs = [_cluster_operator(a, val) for val in vals]
             mat, lams = pairs[0][0], [lam for _m, lam in pairs]
-            vecs = generalized_eigenspace(mat, lams, 1)
+            vecs = generalized_eigenspace(*_shift_stack(mat, lams), 1)
             assert vecs.shape == (len(lams), a.shape[0], 1)
             for lam, v in zip(lams, vecs[:, :, 0]):
                 seen[cplx] += 1
@@ -321,11 +330,59 @@ def test_stacked_generalized_eigenspace_matches_single_calls():
             if len(lams) < 2:
                 continue
             mat = pairs[0][0]
-            stacked = generalized_eigenspace(mat, lams, mult)
+            stacked = generalized_eigenspace(*_shift_stack(mat, lams), mult)
             for lam, q in zip(lams, stacked):
-                assert np.array_equal(q, generalized_eigenspace(mat, [lam], mult)[0])
+                assert np.array_equal(q, generalized_eigenspace(*_shift_stack(mat, [lam]), mult)[0])
             seen[cplx, mult] += 1
     assert min(seen.values()) > 0, seen
+
+
+def _projector(q):
+    return q @ q.conj().T
+
+
+def test_eigenspace_scale_keeps_the_subspace():
+    """On every partial cluster (1 < mult < n) of the sample operators, the
+    eigenspace of the power scaled by max |a - lam I| is the one of the power
+    scaled by the 2-norm |a - lam I|_2: their projectors agree within 1e-12."""
+    seen = 0
+    for a in _fast_path_inputs():
+        n = a.shape[0]
+        for val, mult in eigen_clusters(a, default_tol()):
+            if not 1 < mult < n:
+                continue
+            mat, lam = _cluster_operator(a, val)
+            shifted = mat - lam * np.eye(n, dtype=mat.dtype)
+            power = np.linalg.matrix_power(shifted / np.linalg.norm(shifted, 2), mult)
+            old = np.linalg.svd(power)[2].conj().T[:, n - mult :]
+            got = generalized_eigenspace(*_shift_stack(mat, [lam]), mult)[0]
+            assert np.linalg.norm(_projector(got) - _projector(old), 2) <= 1e-12
+            seen += 1
+    assert seen > 0
+
+
+@pytest.mark.parametrize("size", [1e150, 1e300])
+@pytest.mark.parametrize("mult", [2, 3, 4])
+def test_eigenspace_power_of_a_huge_shift_stays_finite(size, mult):
+    """A shift with entries near 1e150 or 1e300 gives a finite orthonormal
+    basis of its generalized eigenspace, also where its unscaled mult-th power
+    overflows: a nilpotent mult-block beside n - mult of the eigenvalues 1,
+    -1.5, 1.25 and -0.75, turned by an orthogonal Q, whose first mult columns
+    span that eigenspace."""
+    n = 6
+    m = np.zeros((n, n))
+    m[np.arange(mult - 1), np.arange(1, mult)] = 1.0
+    m[np.arange(mult, n), np.arange(mult, n)] = [1.0, -1.5, 1.25, -0.75][: n - mult]
+    q_mat, _r = np.linalg.qr(np.random.default_rng(mult).normal(size=(n, n)))
+    shift = size * (q_mat @ m @ q_mat.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unscaled = np.linalg.matrix_power(shift, mult)
+    assert np.isfinite(unscaled).all() == (mult * np.log10(size) < 308)
+    got = generalized_eigenspace(*_shift_stack(shift, [0.0]), mult)[0]
+    assert got.shape == (n, mult) and np.isfinite(got).all()
+    assert np.abs(got.T @ got - np.eye(mult)).max() <= 1e-12
+    want = _projector(q_mat[:, :mult])
+    assert np.linalg.norm(_projector(got) - want, 2) <= 1e-10
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])

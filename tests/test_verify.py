@@ -173,6 +173,26 @@ def test_checks_refuse_bad_step(h):
             check("b", p, h=h)
 
 
+_THRESHOLD_CHECKS = {
+    "shape_fd": lambda t: shape_fd_check("b", sample_domain("b", 1, seed=79)[0], threshold=t),
+    "gauss": lambda t: gauss_residual("b", sample_domain("b", 1, seed=79)[0], threshold=t),
+    "codazzi": lambda t: codazzi_residual("b", sample_domain("b", 1, seed=79)[0], threshold=t),
+    "isoparametric": lambda t: isoparametric_function_check(
+        quadric_of("e"), [chart("e", p) for p in sample_domain("e", 4, seed=47)], threshold=t
+    ),
+}
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("check", sorted(_THRESHOLD_CHECKS))
+def test_checks_refuse_bad_threshold(check, threshold):
+    """An infinite threshold would pass any residual, and a NaN or
+    non-positive one fail every residual, so each check refuses them."""
+    with pytest.raises(DomainError, match="threshold must be positive and finite"):
+        _THRESHOLD_CHECKS[check](threshold)
+    assert _THRESHOLD_CHECKS[check](None).threshold > 0
+
+
 def test_table_reports_have_no_mismatches():
     for which in (1, 2, 3):
         out = table_report(which, samples=3, seed=59)
