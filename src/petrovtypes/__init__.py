@@ -50,7 +50,6 @@ from .verify import (
     ResidualReport,
     codazzi_residual,
     gauss_residual,
-    isoparametric_function_check,
     run_checks,
     shape_fd_check,
     table_report,

@@ -42,6 +42,7 @@ from .spaceform import (
     DomainError,
     QuadricFunction,
     SpaceForm,
+    admissibility_check,
     ambient_inner,
     check_invariant,
     inner_matrix,
@@ -238,12 +239,18 @@ def quadric_of(example_id: str) -> QuadricFunction:
     """The defining quadric for the level-set entries ("a"-"j").
 
     Each quadric is built and validated once, on first use, and the same
-    instance is returned afterwards; its P and p are read-only.
+    instance is returned afterwards; its P and p are read-only.  A quadric
+    that admissibility_check refuses raises DomainError, since admissibility
+    makes |grad f|^2 a function of f: 4(af + b - f^2) on the sphere with
+    P^2 = aP + bE, 4(rho f + <p, p>) for P = rho E, 4<p, p> for P^2 = O, Pp = 0.
     """
     entry = _REGISTRY.get(example_id)
     if entry is None or entry.quadric is None:
         raise DomainError(f"{example_id} has no defining quadric")
     f = QuadricFunction(*entry.quadric())
+    ok, reason = admissibility_check(f)
+    if not ok:
+        raise DomainError(f"the quadric of {example_id} is not admissible: {reason}")
     f.P.flags.writeable = False
     if f.p is not None:
         f.p.flags.writeable = False

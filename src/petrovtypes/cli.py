@@ -91,7 +91,9 @@ def _cmd_classify(args) -> int:
             obj = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, a file that is not UTF-8, or an integer past the
+        # interpreter's digit limit
         raise CliError(f"{args.input} is not valid JSON: {exc}") from exc
     try:
         a = matrix_from_json(obj["a"])

@@ -73,7 +73,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     rows and cols are positive integers and data is a row-major list of
     r * c numbers or "p/q" strings; a string is read as an exact fraction
     and rounded once to float.  A bad layout raises ShapeError, any other
-    entry ValueError or TypeError.
+    entry (true, false, beyond the float range) ValueError or TypeError.
     """
     # imported on use: only a "p/q" entry needs it
     from fractions import Fraction
@@ -86,10 +86,14 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ShapeError(f'"data" must be a list, got {type(data).__name__}')
     if len(data) != r * c:
         raise ShapeError(f"expected {r * c} entries, got {len(data)}")
+    if any(isinstance(x, bool) for x in data):
+        raise ValueError("entries must be numbers or \"p/q\" strings, not true or false")
     try:
         values = [float(Fraction(x)) if isinstance(x, str) else float(x) for x in data]
     except ZeroDivisionError as exc:
         raise ValueError(f"entry with a zero denominator: {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"entry beyond the float range: {exc}") from exc
     return np.array(values, dtype=float).reshape(r, c)
 
 
@@ -219,9 +223,13 @@ def jordan_rank_profile(nil: np.ndarray, lam, tol: float) -> list[int]:
 def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object, int]]:
     """Eigenvalues grouped by single-linkage at distance tol.
 
-    Real clusters are reported as (value, multiplicity); complex-conjugate
-    pairs as ((alpha, beta), pair_multiplicity) with beta > 0.  Multiplicities
-    sum to dim counting each conjugate pair twice.
+    Real clusters are reported as (value, multiplicity), ascending, then
+    each complex-conjugate pair once, from its member with beta > 0, as
+    ((alpha, beta), pair_multiplicity).  Multiplicities sum to dim counting
+    each pair twice.  a is real, so its spectrum is closed under conjugation
+    and a mate lies 2|beta| away: a pair with |beta| up to half the linkage
+    radius is one real cluster, and one with |beta| up to the radius raises
+    ClusterAmbiguityError, like any two clusters within twice the radius.
     """
     tol = resolve_tol(tol)
     a = _require_square(a)
@@ -261,45 +269,16 @@ def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object
     roots = list(groups)
     for i, ri in enumerate(roots):
         for rj in roots[i + 1 :]:
-            d = abs(centers[ri] - centers[rj])
-            if d <= 2.0 * thresh and abs(centers[ri] - centers[rj].conjugate()) > thresh:
+            if abs(centers[ri] - centers[rj]) <= 2.0 * thresh:
                 raise ClusterAmbiguityError(
                     f"eigenvalue clusters {centers[ri]:.6g} and {centers[rj]:.6g} "
                     f"are within twice the clustering threshold {thresh:.3e}"
                 )
-    out: list[tuple[object, int]] = []
-    used: set[int] = set()
-    for r in sorted(roots, key=lambda r: (centers[r].real, abs(centers[r].imag))):
-        if r in used:
-            continue
-        c = centers[r]
-        mult = len(groups[r])
-        if abs(c.imag) <= thresh:
-            out.append((float(c.real), mult))
-            used.add(r)
-            continue
-        # locate the conjugate cluster and symmetrize the pair
-        mate = min(
-            (s for s in roots if s not in used and s != r),
-            key=lambda s: abs(centers[s] - c.conjugate()),
-            default=None,
-        )
-        if mate is None or abs(centers[mate] - c.conjugate()) > 2.0 * thresh:
-            raise ClusterAmbiguityError(
-                f"no conjugate partner for complex cluster near {c:.6g}"
-            )
-        alpha = (c.real + centers[mate].real) / 2.0
-        beta = abs(c.imag - centers[mate].imag) / 2.0
-        out.append(((float(alpha), float(beta)), mult))
-        used.add(r)
-        used.add(mate)
-    out.sort(key=_cluster_key)
-    return out
-
-
-def _cluster_key(item):
-    val, _ = item
-    if isinstance(val, tuple):
-        return (1, val[0], val[1])
-    return (0, float(val), 0.0)
+    # the real clusters, and each complex pair from its member with beta > 0
+    out = [
+        ((c.real, c.imag) if c.imag > thresh else c.real, len(groups[r]))
+        for r, c in centers.items() if c.imag >= -thresh
+    ]
+    # real values ascending, then complex ones by (alpha, beta)
+    return sorted(out, key=lambda item: (isinstance(item[0], tuple), item[0]))
 

@@ -198,9 +198,12 @@ def _block_sizes(nr: np.ndarray, lam, tol: float) -> tuple[int, ...]:
 def assemble_normal_pair(
     structure: JordanStructure, signs: list[int]
 ) -> SelfAdjointPair:
-    """Emit (A_norm, G_norm) exactly in the canonical block layout."""
+    """Emit (A_norm, G_norm) exactly in the canonical block layout, with the
+    signature that the blocks fix (Sylvester's law), read as negative_index
+    reads it."""
     a, g = _normal_matrices(structure, signs)
-    return SelfAdjointPair(a, BilinearSpace.from_gram(g))
+    neg = _negative_count(structure, signs)
+    return SelfAdjointPair(a, BilinearSpace(structure.dim, g, (structure.dim - neg, neg)))
 
 
 def _normal_matrices(
@@ -480,8 +483,15 @@ def _realify_chain(cols: np.ndarray) -> np.ndarray:
 
 def negative_index(form: PetrovNormalForm) -> int:
     """Negative inertia of the Gram, from the block data alone."""
-    real = sum(_negative_dim(m, eps) for _lam, m, eps in _real_block_list(form))
-    return real + sum(sum(sizes) for _a, _b, sizes in form.structure.complex_blocks)
+    return _negative_count(form.structure, form.signs)
+
+
+def _negative_count(structure: JordanStructure, signs) -> int:
+    """Negative inertia of the normal Gram, one sign per real block in order;
+    a complex block of size m has m."""
+    sizes = [m for _lam, ms in structure.real_blocks for m in ms]
+    real = sum(map(_negative_dim, sizes, signs))
+    return real + sum(sum(ms) for _a, _b, ms in structure.complex_blocks)
 
 
 def _negative_dim(m: int, eps: int) -> int:

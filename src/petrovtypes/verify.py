@@ -3,8 +3,8 @@
 Finite-difference checks that the catalog entries really are what they claim:
 the shape matrix matches the derivative of the unit normal, the induced
 metric satisfies the Gauss and Codazzi equations, and the classification
-tables are reproduced cell by cell.  One exact check, no differences, reads
-the gradient norm of a quadric along its levels (isoparametric_function_check).
+tables are reproduced cell by cell.  Isoparametry needs no check of its own:
+catalog.quadric_of refuses any quadric that admissibility_check refuses.
 
 All derivatives are second-order central differences.  First derivatives of
 the charts are exact (catalog.chart_jacobian), so the finite differencing is
@@ -47,9 +47,7 @@ import numpy as np
 from . import catalog
 from .linalg import BilinearSpace
 from .petrov import SelfAdjointPair, classify_geometric
-from .spaceform import (
-    DomainError, QuadricFunction, SpaceForm, ambient_inner, inner_matrix, quadric_gradient,
-)
+from .spaceform import DomainError, SpaceForm, inner_matrix
 
 # per-check defaults, for a check called without h or threshold; the CLI
 # passes only --h, as the h of every check
@@ -58,7 +56,6 @@ CONFIG = {
     "shape_threshold": 1e-5,
     "curvature_h": 1e-3,
     "curvature_threshold": 1e-3,
-    "isoparametric_threshold": 1e-8,
     "convergence_ratio": 3.0,
 }
 
@@ -325,31 +322,6 @@ def codazzi_residual(
     except DomainError:
         st = _Stencil(example_id, p, a, CONFIG["curvature_h"] if h is None else h, reach=1)
     return ResidualReport(example_id, "codazzi", (tuple(p),), _codazzi(st), st.h, threshold)
-
-
-def isoparametric_function_check(
-    f: QuadricFunction, samples, threshold: float | None = None
-) -> ResidualReport:
-    """Largest spread of the squared gradient norm of f within a level of f
-    (its value to 9 digits) among the sample points, from one gradient of
-    their stack.  That norm is the one half of the isoparametric condition a
-    quadric can fail: its Laplacian is 2 tr P on the flat variant and
-    2 tr P - 2n f on the unit pseudo-sphere in R^n_s, a function of f on
-    every level.  No step is taken, so the report's h is 0.  Raises
-    DomainError when no level holds two points, where nothing is compared."""
-    threshold = _threshold(threshold, "isoparametric_threshold")
-    # an empty sample list is an empty stack of points
-    pts = np.asarray(samples, dtype=float) if len(samples) else np.empty((0, f.dim))
-    levels = np.round(f.value(pts), 9)
-    _, level, counts = np.unique(levels, return_inverse=True, return_counts=True)
-    if not (counts > 1).any():
-        raise DomainError("no level of f holds two sample points")
-    grad = quadric_gradient(f, pts)
-    norms = ambient_inner(grad, grad, f.s)
-    spread = max(np.ptp(norms[level == i]) for i in range(len(counts)))
-    return ResidualReport(
-        "-", "isoparametric", tuple(map(tuple, pts[:1])), float(spread), 0.0, threshold
-    )
 
 
 def run_checks(

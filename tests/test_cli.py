@@ -271,6 +271,35 @@ def test_classify_malformed_matrix_exit_one(tmp_path, capsys, matrix, message):
     assert err.startswith("error:") and message in err
 
 
+_GRAM_TEXT = '{"rows": 2, "cols": 2, "data": [-1, 0, 0, 1]}'
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('"1e400"', "malformed matrix in input: entry beyond the float range"),
+    ("1" + "0" * 400, "malformed matrix in input: entry beyond the float range"),
+    ("true", "malformed matrix in input: entries must be numbers"),
+    # past the interpreter's digit limit the JSON reader itself refuses
+    ("1" * 5000, "is not valid JSON: Exceeds the limit"),
+], ids=["string-1e400", "401-digit-integer", "true", "5000-digit-integer"])
+def test_classify_unreadable_entry_exits_one_without_a_traceback(tmp_path, entry, message):
+    path = tmp_path / "pair.json"
+    path.write_text(
+        f'{{"a": {{"rows": 2, "cols": 2, "data": [{entry}, 0, 0, 1]}}, "gram": {_GRAM_TEXT}}}'
+    )
+    proc = _python_dash_m("classify", "--input", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_classify_non_utf8_input_exits_one(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["classify", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec")
+
+
 @pytest.mark.parametrize("data", [
     ["1/3", "2", "-2", "-5/7"],
     ["1/3", 2, -2, "-5/7"],

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_petrov import _sample_pairs
 
 from petrovtypes.linalg import (
@@ -166,6 +168,21 @@ def test_matrix_from_json_rejects_bad_length():
         matrix_from_json({"rows": 2, "cols": 2, "data": [1.0]})
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("1e400", "beyond the float range"),
+    ("-1e400", "beyond the float range"),
+    (10**400, "beyond the float range"),
+    (-(10**400), "beyond the float range"),
+    (True, "not true or false"),
+    (False, "not true or false"),
+], ids=["string", "negative-string", "integer", "negative-integer", "true", "false"])
+def test_matrix_from_json_refuses_bools_and_overflow(entry, message):
+    """An entry past the float range, or a JSON true or false, is a
+    ValueError, as a bool rows or cols is."""
+    with pytest.raises(ValueError, match=message):
+        matrix_from_json({"rows": 2, "cols": 2, "data": [entry, 0, 0, 1]})
+
+
 def test_default_tol_env_override(monkeypatch):
     monkeypatch.setenv("PETROV_TOL", "1e-5")
     assert default_tol() == 1e-5
@@ -193,6 +210,89 @@ def test_eigen_clusters_ambiguous_gap_raises():
     a = np.diag([1.0, 1.0 + gap])
     with pytest.raises(ClusterAmbiguityError):
         eigen_clusters(a)
+
+
+def _rotation(y):
+    """[[1, -y], [y, 1]], eigenvalues 1 +- iy: at the default tol its
+    linkage radius is 3 (250 eps)^(1/2) = 7.07e-7."""
+    return np.array([[1.0, -y], [y, 1.0]])
+
+
+def test_eigen_clusters_near_real_pair_band():
+    """A conjugate pair 2|beta| apart is one real cluster for |beta| up to
+    half the linkage radius, ambiguous above that up to the radius, and one
+    complex cluster, reported once, beyond it."""
+    assert eigen_clusters(_rotation(3e-7)) == [(1.0, 2)]
+    for y in (5e-7, 6.5e-7):
+        with pytest.raises(ClusterAmbiguityError, match="within twice the clustering threshold"):
+            eigen_clusters(_rotation(y))
+    ((alpha, beta), mult), = eigen_clusters(_rotation(8e-7))
+    assert mult == 1 and alpha == 1.0 and beta == pytest.approx(8e-7, rel=1e-12)
+
+
+@pytest.mark.parametrize("y", [5e-7, 6.5e-7])
+def test_classify_pair_refuses_a_near_real_pair(y):
+    """Inside the band the pair is refused as ambiguous, not reported as two
+    equal real curvatures that no chain basis can separate."""
+    with pytest.raises(ClusterAmbiguityError):
+        classify_pair(_rotation(y), np.diag([-1.0, 1.0]))
+
+
+_BETA_FACTORS = (0.2, 0.5, 0.75, 1.0, 1.01, 2.0, 10.0)
+
+
+@st.composite
+def _real_matrices(draw):
+    """A real matrix of size 2..8: either normal entries, or real values and
+    companion cells [[alpha, -beta], [beta, alpha]] from a small grid, so
+    eigenvalues repeat, moved by a similarity with cond(T) <= 100.  Each
+    beta is a multiple of the linkage radius at the default tol, so that
+    pairs fall on both sides of and inside the near-real band."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.normal(size=(n, n))
+    grid = st.sampled_from((-2.0, -1.0, 0.0, 0.5, 1.0, 3.0))
+    cells = []
+    while sum(len(c) for c in cells) < n:
+        if sum(len(c) for c in cells) + 2 <= n and draw(st.booleans()):
+            cells.append((draw(grid), draw(st.sampled_from(_BETA_FACTORS))))
+        else:
+            cells.append((draw(grid),))
+    # the radius of eigen_clusters: 3 (250 eps)^(1/n) times max(|lambda|, 1),
+    # here up to the small beta's own share of |lambda|
+    radius = 3.0 * (250.0 * np.finfo(float).eps) ** (1.0 / n) * max(
+        max(abs(c[0]) for c in cells), 1.0
+    )
+    a = np.zeros((n, n))
+    at = 0
+    for cell in cells:
+        if len(cell) == 1:
+            a[at, at] = cell[0]
+        else:
+            alpha, beta = cell[0], cell[1] * radius
+            a[at : at + 2, at : at + 2] = [[alpha, -beta], [beta, alpha]]
+        at += len(cell)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = q1 @ np.diag(10.0 ** rng.uniform(-1.0, 1.0, n)) @ q2
+    return t @ a @ np.linalg.inv(t)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_real_matrices())
+def test_eigen_clusters_are_distinct_and_complete(a):
+    """Every cluster eigen_clusters returns has its own value, complex ones
+    with beta > 0, and the multiplicities sum to n with each complex cluster
+    counted twice; the alternative is a ClusterAmbiguityError."""
+    try:
+        clusters = eigen_clusters(a)
+    except ClusterAmbiguityError:
+        return
+    values = [val for val, _mult in clusters]
+    assert len(set(values)) == len(values)
+    assert all(val[1] > 0 for val in values if isinstance(val, tuple))
+    assert sum(mult * (2 if isinstance(val, tuple) else 1) for val, mult in clusters) == a.shape[0]
 
 
 def _oracle_generalized_eigenspace(a, lam, mult):

@@ -489,6 +489,25 @@ def test_transform_contract_repeated_eigenvalues(drawn):
     assert _transform_contract_residual(*drawn) <= CONTRACT_BOUND
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.one_of(_congruent_pairs(), _repeated_eigenvalue_pairs()))
+def test_assembled_signature_is_the_grams(drawn):
+    """assemble_normal_pair reads the signature off the blocks; it is the
+    Sylvester signature of the Gram it builds, for every structure and sign
+    list the property tests draw."""
+    _structure, _signs, base, _pair = drawn
+    pos, neg = base.space.signature
+    assert signature(base.space.gram) == (pos, neg, 0)
+    assert base.space.dim == pos + neg == base.a.shape[0]
+
+
+@pytest.mark.parametrize("case", TAXONOMY_CASES, ids=TAXONOMY_IDS)
+def test_assembled_signature_of_each_taxonomy_case(case):
+    _index, _label, _eps, reals, cplx = case
+    pair = _taxonomy_pair(reals, cplx)
+    assert signature(pair.space.gram) == (*pair.space.signature, 0)
+
+
 def test_long_chain_contract_tail():
     """A 1-block, a 3-block and a 4-block, all of sign -1, moved by a fixed
     congruence: powers of N = A - lam I on the whole space scaled the other

@@ -13,14 +13,15 @@ from petrovtypes.verify import (
     convergence_ratio,
     curvature_data,
     gauss_residual,
-    isoparametric_function_check,
     run_checks,
     shape_fd_check,
     table_report,
 )
 from petrovtypes.catalog import chart, quadric_of, sample_domain
-from petrovtypes.linalg import ShapeError
-from petrovtypes.spaceform import DomainError, QuadricFunction, admissibility_check, inner_matrix
+from petrovtypes.spaceform import (
+    DomainError, QuadricFunction, admissibility_check, ambient_inner, inner_matrix,
+    quadratic_minimal_data, quadric_gradient,
+)
 
 
 SPOT_IDS = ["0-1", "0-2", "b", "e", "g", "j", "k", "m"]
@@ -84,13 +85,29 @@ def test_gauss_negative_control_shape_override():
     assert not rep.passed
 
 
+def _squared_gradient_norm(f, pts):
+    grad = quadric_gradient(f, pts)
+    return ambient_inner(grad, grad, f.s)
+
+
 @pytest.mark.parametrize("ex_id", list("abcdefghij"))
 def test_isoparametric_level_invariants(ex_id):
+    """Admissibility makes the squared gradient norm a function of f, the
+    identity that quadric_of's admissibility refusal stands for:
+    4(af + b - f^2) for a sphere quadric with P^2 = aP + bE, 4(rho f + <p, p>)
+    for a flat one with P = rho E, and 4<p, p> for P^2 = O, Pp = 0."""
     f = quadric_of(ex_id)
-    pts = [chart(ex_id, p) for p in sample_domain(ex_id, 8, seed=47)]
-    rep = isoparametric_function_check(f, pts)
-    assert rep.passed, (ex_id, rep.residual)
-    assert rep.residual <= 1e-12, (ex_id, rep.residual)
+    pts = np.array([chart(ex_id, p) for p in sample_domain(ex_id, 8, seed=47)])
+    values = f.value(pts)
+    _ok, reason = admissibility_check(f)
+    if f.variant == "sphere":
+        a, b = quadratic_minimal_data(f)
+        want = 4.0 * (a * values + b - values**2)
+    elif reason == "P = rho*E":
+        want = 4.0 * (f.P[0, 0] * values + ambient_inner(f.p, f.p, f.s))
+    else:
+        want = np.full(len(pts), 4.0 * ambient_inner(f.p, f.p, f.s))
+    assert np.abs(_squared_gradient_norm(f, pts) - want).max() <= 1e-12, ex_id
 
 
 @pytest.mark.parametrize("ex_id", list("abcdefghij"))
@@ -105,33 +122,26 @@ def test_quadric_value_on_stacks_matches_points(ex_id):
 
 
 def test_isoparametric_negative_control():
-    # P fails every admissibility clause, so the level sets are not
-    # isoparametric and the gradient norm varies along them
+    # P fails every admissibility clause, and the gradient norm varies along
+    # the level f = -2 x1^2 - x2^2 = -1, so its level sets are not isoparametric
     p_mat = np.diag([2.0, 1.0, 0.0, 0.0, 0.0])
     f = QuadricFunction("flat", 2, p_mat, 1.0, np.zeros(5))
-    rng = np.random.default_rng(53)
-    pts = []
-    while len(pts) < 8:
-        x = rng.uniform(-1.0, 1.0, size=5)
-        # move x along the gradient to hit the level f = 1
-        val = f.value(x)
-        if abs(val) < 1e-3:
-            continue
-        pts.append(x / np.sqrt(abs(val)))
-    levels = {round(f.value(x), 9) for x in pts}
-    if len(levels) == len(pts):
-        # force at least one shared level by duplicating a reflected point
-        pts[1] = pts[0] * np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
-    rep = isoparametric_function_check(f, pts)
-    assert not rep.passed
+    ok, reason = admissibility_check(f)
+    assert not ok and reason.startswith("P^2 = O fails")
+    pts = np.random.default_rng(53).uniform(-1.0, 1.0, size=(8, 5))
+    pts /= np.sqrt(-f.value(pts))[:, None]
+    assert np.abs(f.value(pts) + 1.0).max() <= 1e-12
+    assert np.ptp(_squared_gradient_norm(f, pts)) > 1.0
 
 
 def test_isoparametric_sphere_negative_control():
-    # deg mu_P = 3, so the level c = 0.5 of the unit pseudo-sphere in R^6_3 is
-    # not isoparametric: 4 (<Px, Px> - f^2), the squared gradient norm, varies
+    # deg mu_P = 3, so admissibility refuses P, and the level c = 0.5 of the
+    # unit pseudo-sphere in R^6_3 is not isoparametric:
+    # 4 (<Px, Px> - f^2), the squared gradient norm, varies
     p_mat = np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
     f = QuadricFunction("sphere", 3, p_mat, 0.5)
-    assert not admissibility_check(f)[0]
+    ok, reason = admissibility_check(f)
+    assert not ok and reason.startswith("deg mu_P above 2")
     rng = np.random.default_rng(71)
     pts = []
     while len(pts) < 8:
@@ -144,25 +154,24 @@ def test_isoparametric_sphere_negative_control():
             continue
         x[0], x[4] = np.sqrt(x1sq), np.sqrt(x5sq)
         pts.append(x)
-    rep = isoparametric_function_check(f, pts)
-    assert not rep.passed, rep.residual
+    pts = np.array(pts)
+    assert np.abs(f.value(pts) - 0.5).max() <= 1e-12
+    assert np.ptp(_squared_gradient_norm(f, pts)) > 1e-3
 
 
-def test_isoparametric_refuses_vacuous_samples():
-    # a check that compares no two points on one level shows nothing
-    f = QuadricFunction("flat", 2, np.diag([2.0, 1.0, 0.0, 0.0, 0.0]), 1.0, np.zeros(5))
-    distinct = list(np.random.default_rng(73).uniform(-1.0, 1.0, size=(8, 5)))
-    assert len({round(f.value(x), 9) for x in distinct}) == 8
-    for samples in ([], distinct[:1], distinct):
-        with pytest.raises(DomainError, match="no level of f holds two sample points"):
-            isoparametric_function_check(f, samples)
-
-
-def test_isoparametric_refuses_wrong_dimension():
-    f = quadric_of("a")
-    pts = [chart("a", p)[:-1] for p in sample_domain("a", 4, seed=47)]
-    with pytest.raises(ShapeError, match="point dimension mismatch"):
-        isoparametric_function_check(f, pts)
+def test_quadric_of_refuses_a_non_admissible_quadric(monkeypatch):
+    """A registry record whose quadric admissibility_check refuses never
+    becomes a level set: quadric_of raises, and so does the chart built on
+    it."""
+    p_mat = np.diag([2.0, 1.0, 0.0, 0.0, 0.0])
+    record = catalog._REGISTRY["b"]._replace(
+        quadric=lambda: ("flat", 2, p_mat, 1.0, np.zeros(5))
+    )
+    monkeypatch.setitem(catalog._REGISTRY, "bad", record)
+    with pytest.raises(DomainError, match="the quadric of bad is not admissible: P\\^2 = O fails"):
+        quadric_of("bad")
+    with pytest.raises(DomainError, match="the quadric of bad is not admissible"):
+        catalog._level_set("bad")
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
@@ -177,9 +186,6 @@ _THRESHOLD_CHECKS = {
     "shape_fd": lambda t: shape_fd_check("b", sample_domain("b", 1, seed=79)[0], threshold=t),
     "gauss": lambda t: gauss_residual("b", sample_domain("b", 1, seed=79)[0], threshold=t),
     "codazzi": lambda t: codazzi_residual("b", sample_domain("b", 1, seed=79)[0], threshold=t),
-    "isoparametric": lambda t: isoparametric_function_check(
-        quadric_of("e"), [chart("e", p) for p in sample_domain("e", 4, seed=47)], threshold=t
-    ),
 }
 
 
