@@ -15,10 +15,13 @@ every chart condition by a margin, in draw order.
 Everything known about an entry is one _Entry record in _REGISTRY, and the
 public functions only look the id up there.  To add an entry, add one record
 (its place there is its place in EXAMPLE_IDS), built by _level_entry for a
-quadric level set (the quadric, an anchor point, the pivot coordinates the
-chart solves for, and optionally a displayed moving frame) or by
-_closed_entry for closed formulas (chart, Jacobian, frame data and a
-sampler).  The curves in the formulas of k, l and m are coefficient tables,
+quadric level set (the quadric's arguments, an anchor point, the pivot
+coordinates the chart solves for, and optionally a displayed moving frame)
+or by _closed_entry for closed formulas (chart, Jacobian, frame data and a
+sampler).  A level set is one _LevelSet record, kept in its entry: its
+chart, Jacobian, frame data and sampler are its methods, and it builds its
+quadric, gated by admissibility_check, and its chart constants on first use
+and caches them on itself, so no cache outlives the record.  The curves in the formulas of k, l and m are coefficient tables,
 each written once, with their derivatives and integrals derived; one
 evaluate, chart or chart_jacobian call evaluates all tables of the entry
 once, side by side.
@@ -153,15 +156,8 @@ class _Entry(NamedTuple):
     sample(rng, n, a) returns the first n chart points the entry accepts
     from rng.  expected is the GeometricType or a function of the chart
     point, summary its text in the listing, epsilon(p) the stated algebraic
-    sign where there is one.
-
-    Level sets also keep their chart data: quadric() gives the arguments
-    of the defining QuadricFunction, the chart fixes the free coordinates
-    of anchor, solves for the pivots and checks clauses, (name, tolerance,
-    linear form in the ambient point).  frame(x, anchor_variant) is a
-    displayed moving frame in the coordinates x of the ambient point(s),
-    else the frame is the coordinate frame; shape is the constant shape
-    matrix in the frame, or None to compute it from a sphere quadric."""
+    sign where there is one.  level is the record of a quadric level set,
+    whose bound methods are chart, jacobian, evaluate and sample."""
 
     id: str
     ambient: SpaceForm
@@ -174,88 +170,11 @@ class _Entry(NamedTuple):
     summary: str
     anchor_variant: bool = False
     epsilon: Callable[[np.ndarray], int | None] | None = None
-    quadric: Callable[[], tuple] | None = None
-    anchor: np.ndarray | None = None
-    pivots: tuple[int, ...] = ()
-    clauses: tuple = ()
-    frame: Callable | None = None
-    shape: np.ndarray | None = None
+    level: _LevelSet | None = None
 
 
 # ---------------------------------------------------------------------------
-# quadric data shared between the chart solvers and the admissibility tests
-
-def _p_flat_b() -> np.ndarray:
-    p = np.zeros((5, 5))
-    p[0, 0] = -1.0
-    p[0, 4] = 1.0
-    p[4, 0] = -1.0
-    p[4, 4] = 1.0
-    return p
-
-
-def _p_flat_c() -> np.ndarray:
-    return np.array(
-        [
-            [0, 1, 0, 0, 1],
-            [1, 0, -1, 0, 0],
-            [0, 1, 0, 0, 1],
-            [0, 0, 0, 0, 0],
-            [-1, 0, 1, 0, 0],
-        ],
-        dtype=float,
-    )
-
-
-def _p_flat_d() -> np.ndarray:
-    return np.array(
-        [
-            [1, 0, 0, 0, 1],
-            [0, 1, -1, 0, 0],
-            [0, 1, -1, 0, 0],
-            [0, 0, 0, 0, 0],
-            [-1, 0, 0, 0, -1],
-        ],
-        dtype=float,
-    )
-
-
-def _p_sphere_g() -> np.ndarray:
-    return np.array(
-        [
-            [0, 0, 1, 0, 0, -1],
-            [0, 0, 0, 0, 0, 0],
-            [1, 0, 0, 1, 0, 0],
-            [0, 0, -1, 0, 0, 1],
-            [0, 0, 0, 0, 0, 0],
-            [1, 0, 0, 1, 0, 0],
-        ],
-        dtype=float,
-    )
-
-
-@functools.cache
-def quadric_of(example_id: str) -> QuadricFunction:
-    """The defining quadric for the level-set entries ("a"-"j").
-
-    Each quadric is built and validated once, on first use, and the same
-    instance is returned afterwards; its P and p are read-only.  A quadric
-    that admissibility_check refuses raises DomainError, since admissibility
-    makes |grad f|^2 a function of f: 4(af + b - f^2) on the sphere with
-    P^2 = aP + bE, 4(rho f + <p, p>) for P = rho E, 4<p, p> for P^2 = O, Pp = 0.
-    """
-    entry = _REGISTRY.get(example_id)
-    if entry is None or entry.quadric is None:
-        raise DomainError(f"{example_id} has no defining quadric")
-    f = QuadricFunction(*entry.quadric())
-    ok, reason = admissibility_check(f)
-    if not ok:
-        raise DomainError(f"the quadric of {example_id} is not admissible: {reason}")
-    f.P.flags.writeable = False
-    if f.p is not None:
-        f.p.flags.writeable = False
-    return f
-
+# quadric level sets
 
 # a row of the sphere-variant chart solve stops once its residual is below this
 _NEWTON_STOP = 1e-14
@@ -268,129 +187,240 @@ _NEWTON_STOP = 1e-14
 _SINGULAR_TOL = 10.0 * np.sqrt(_NEWTON_STOP)
 
 
-def _clause_failures(example_id: str, x: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    """Which points of the stack x, (k, n), fail which chart condition of the
-    entry, one row per clause, (clauses, k): a point fails a clause unless it
-    holds by more than the clause's tolerance or the margin, whichever is
-    larger."""
-    clauses = _REGISTRY[example_id].clauses
-    return np.array(
-        [np.abs(x @ coef) <= max(tol, margin) for _name, tol, coef in clauses], dtype=bool
-    ).reshape(len(clauses), len(x))
+@dataclass(frozen=True, eq=False)
+class _LevelSet:
+    """A level set of the quadric QuadricFunction(*quadric): all of its data,
+    and its chart, frame data and sampler as methods.
 
+    The chart fixes the free coordinates of anchor, solves for the pivot
+    coordinates and checks clauses, (name, tolerance, linear form in the
+    ambient point).  frame(x, anchor_variant) is a displayed moving frame in
+    the coordinates x of the ambient point(s), else the frame is the
+    coordinate frame; shape is the constant shape matrix in the frame, or
+    None to compute it from a sphere quadric.  The quadric and the chart
+    constants are built on first use and cached on the record itself."""
 
-def _check_domain(example_id: str, x: np.ndarray) -> None:
-    """Every point of the stack x, (k, n), satisfies the chart conditions,
-    each clause by more than its tolerance."""
-    failures = _clause_failures(example_id, x)
-    for (name, _tol, _coef), failed in zip(_REGISTRY[example_id].clauses, failures):
-        if failed.any():
-            raise DomainError(f"point violates the chart condition {name}")
-
-
-class _LevelSet(NamedTuple):
-    """Per-entry constants of a level-set chart, built once."""
-
-    f: QuadricFunction
+    id: str
+    quadric: tuple
     anchor: np.ndarray
-    pivots: list[int]
-    free: list[int]
-    sign: np.ndarray  # diagonal of the ambient Gram G
-    gpt: np.ndarray  # (G P)^T, so that x @ gpt stacks G P x
-    gpv: np.ndarray | None  # G p (flat variant)
-    newton: np.ndarray  # [G | (G P)^T], so that x @ newton stacks G x and G P x
+    pivots: tuple[int, ...]
+    frame: Callable | None = None
+    shape: np.ndarray | None = None
+    clauses: tuple = ()
 
+    @functools.cached_property
+    def f(self) -> QuadricFunction:
+        """The defining quadric; its P and p are read-only.  A quadric that
+        admissibility_check refuses raises DomainError, since admissibility
+        makes |grad f|^2 a function of f: 4(af + b - f^2) on the sphere with
+        P^2 = aP + bE, 4(rho f + <p, p>) for P = rho E, 4<p, p> for P^2 = O,
+        Pp = 0."""
+        f = QuadricFunction(*self.quadric)
+        ok, reason = admissibility_check(f)
+        if not ok:
+            raise DomainError(f"the quadric of {self.id} is not admissible: {reason}")
+        f.P.flags.writeable = False
+        if f.p is not None:
+            f.p.flags.writeable = False
+        return f
 
-@functools.cache
-def _level_set(example_id: str) -> _LevelSet:
-    entry = _REGISTRY[example_id]
-    f = quadric_of(example_id)
-    n = entry.anchor.shape[0]
-    g = inner_matrix(n, f.s)
-    gpt = (g @ f.P).T.copy()
-    return _LevelSet(
-        f=f,
-        anchor=entry.anchor,
-        pivots=list(entry.pivots),
-        free=[i for i in range(n) if i not in entry.pivots],
-        sign=np.diag(g).copy(),
-        gpt=gpt,
-        gpv=None if f.p is None else g @ f.p,
-        newton=np.hstack([g, gpt]),
-    )
+    @functools.cached_property
+    def free(self) -> list[int]:
+        return [i for i in range(self.anchor.shape[0]) if i not in self.pivots]
 
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """The ambient Gram G."""
+        return inner_matrix(self.anchor.shape[0], self.f.s)
 
-def _level_chart(example_id: str, q: np.ndarray) -> np.ndarray:
-    """Chart for the level-set entries at a point, (m,) -> (n,), or a stack,
-    (k, m) -> (k, n): q fills the free coordinates, the pivot coordinates are
-    solved from the defining constraints."""
-    ls = _level_set(example_id)
-    f = ls.f
-    k, n = np.atleast_2d(q).shape[0], ls.anchor.shape[0]
-    x = np.tile(ls.anchor, (k, 1))
-    x[:, ls.free] = q
-    if f.variant == "flat":
-        i = ls.pivots[0]
-        if ls.gpv[i] == 0:
-            # no linear term in the pivot: the level set is the unit sphere
-            # <x, x>_2 = 1 of entry a, solved for the pivot (positive branch)
-            rest = (ls.sign * x * x).sum(axis=1) - x[:, i] * x[:, i]
-            if not (1.0 - rest > 0).all():
-                raise DomainError("point leaves the chart of the unit sphere")
-            x[:, i] = np.sqrt(1.0 - rest)
+    @functools.cached_property
+    def sign(self) -> np.ndarray:
+        """The diagonal of G."""
+        return np.diag(self.gram).copy()
+
+    @functools.cached_property
+    def gpt(self) -> np.ndarray:
+        """(G P)^T, so that x @ gpt stacks G P x."""
+        return (self.gram @ self.f.P).T.copy()
+
+    @functools.cached_property
+    def gpv(self) -> np.ndarray | None:
+        """G p (flat variant)."""
+        return None if self.f.p is None else self.gram @ self.f.p
+
+    @functools.cached_property
+    def newton(self) -> np.ndarray:
+        """[G | (G P)^T], so that x @ newton stacks G x and G P x."""
+        return np.hstack([self.gram, self.gpt])
+
+    def failures(self, x: np.ndarray, margin: float = 0.0) -> np.ndarray:
+        """Which points of the stack x, (k, n), fail which chart condition, one
+        row per clause, (clauses, k): a point fails a clause unless it holds by
+        more than the clause's tolerance or the margin, whichever is larger."""
+        return np.array(
+            [np.abs(x @ coef) <= max(tol, margin) for _name, tol, coef in self.clauses], dtype=bool
+        ).reshape(len(self.clauses), len(x))
+
+    def chart(self, q: np.ndarray, a: float = 1.0) -> np.ndarray:
+        """The ambient point at a chart point, (m,) -> (n,), or at each row of
+        a stack, (k, m) -> (k, n): q fills the free coordinates, the pivot
+        coordinates are solved from the defining constraints, and every point
+        must hold each chart condition by more than its tolerance."""
+        f = self.f
+        k, n = np.atleast_2d(q).shape[0], self.anchor.shape[0]
+        x = np.tile(self.anchor, (k, 1))
+        x[:, self.free] = q
+        if f.variant == "flat":
+            i = self.pivots[0]
+            if self.gpv[i] == 0:
+                # no linear term in the pivot: the level set is the unit sphere
+                # <x, x>_2 = 1 of entry a, solved for the pivot (positive branch)
+                rest = (self.sign * x * x).sum(axis=1) - x[:, i] * x[:, i]
+                if not (1.0 - rest > 0).all():
+                    raise DomainError("point leaves the chart of the unit sphere")
+                x[:, i] = np.sqrt(1.0 - rest)
+            else:
+                # the pivot coordinate enters only through the linear term
+                x[:, i] = 0.0
+                value = ((x @ self.gpt) * x).sum(axis=1) + 2.0 * (x @ self.gpv)
+                x[:, i] = (f.c - value) / 2.0
+            return x if q.ndim == 2 else x[0]
+        # sphere variant: one Newton solve in the two pivot coordinates for
+        # <x, x> = 1 and <Px, x> = c over the whole stack; a row stops moving
+        # once its residual is below _NEWTON_STOP
+        level = np.array([1.0, f.c])
+        pivots = self.pivots
+        for _ in range(60):
+            d = (x @ self.newton).reshape(k, 2, n)  # d[:, 0] = G x, d[:, 1] = G P x
+            r = np.einsum("kcn,kn->kc", d, x) - level
+            rows = np.flatnonzero(~(np.abs(r).max(axis=1) < _NEWTON_STOP))
+            if rows.size == 0:
+                break
+            # the Jacobian of the constraints in the pivots is 2 d[:, :, pivots]
+            try:
+                step = np.linalg.solve(d[rows][:, :, pivots], r[rows, :, None] / 2.0)
+            except np.linalg.LinAlgError as exc:
+                raise DomainError("chart solver met a singular Jacobian at this point") from exc
+            x[rows[:, None], pivots] -= step[:, :, 0]
         else:
-            # the pivot coordinate enters only through the linear term
-            x[:, i] = 0.0
-            value = ((x @ ls.gpt) * x).sum(axis=1) + 2.0 * (x @ ls.gpv)
-            x[:, i] = (f.c - value) / 2.0
+            raise DomainError("chart solver did not converge; point too far out")
+        # on h and i the solve is singular where the chart condition fails, and
+        # a row there stops short of it with a finite but meaningless point
+        for (name, _tol, _coef), failed in zip(self.clauses, self.failures(x)):
+            if failed.any():
+                raise DomainError(f"point violates the chart condition {name}")
         return x if q.ndim == 2 else x[0]
-    # sphere variant: one Newton solve in the two pivot coordinates for
-    # <x, x> = 1 and <Px, x> = c over the whole stack; a row stops moving
-    # once its residual is below _NEWTON_STOP
-    level = np.array([1.0, f.c])
-    pivots = ls.pivots
-    for _ in range(60):
-        d = (x @ ls.newton).reshape(k, 2, n)  # d[:, 0] = G x, d[:, 1] = G P x
-        r = np.einsum("kcn,kn->kc", d, x) - level
-        rows = np.flatnonzero(~(np.abs(r).max(axis=1) < _NEWTON_STOP))
-        if rows.size == 0:
-            break
-        # the Jacobian of the constraints in the pivots is 2 d[:, :, pivots]
+
+    def coordinate_frame(self, x: np.ndarray) -> np.ndarray:
+        """The smooth tangent frame at a level-set point, (n,) -> (n, m), or at
+        each row of a stack, (k, n) -> (k, n, m): one column per free
+        coordinate, corrected in the pivot coordinates so every constraint
+        differential vanishes.  It is the chart Jacobian.  One solve with m
+        right-hand sides per point."""
+        xs = np.atleast_2d(x)
+        gpx = xs @ self.gpt
+        if self.f.variant == "flat":
+            d = (gpx + self.gpv)[:, None, :]  # G(Px + p)
+        else:
+            gx = self.sign * xs
+            d = np.stack([gx, gpx - (gpx * xs).sum(axis=1)[:, None] * gx], axis=1)
+        # one differential per constraint: d[k, c, :]
         try:
-            step = np.linalg.solve(d[rows][:, :, pivots], r[rows, :, None] / 2.0)
+            corr = np.linalg.solve(d[:, :, self.pivots], -d[:, :, self.free])
         except np.linalg.LinAlgError as exc:
-            raise DomainError("chart solver met a singular Jacobian at this point") from exc
-        x[rows[:, None], pivots] -= step[:, :, 0]
-    else:
-        raise DomainError("chart solver did not converge; point too far out")
-    # on h and i the solve is singular where the chart condition fails, and
-    # a row there stops short of it with a finite but meaningless point
-    _check_domain(example_id, x)
-    return x if q.ndim == 2 else x[0]
+            raise DomainError("constraint differentials are singular at this point") from exc
+        m = len(self.free)
+        frame = np.zeros((xs.shape[0], xs.shape[1], m))
+        frame[:, self.free, np.arange(m)] = 1.0
+        frame[:, self.pivots, :] = corr
+        return frame if x.ndim == 2 else frame[0]
+
+    def jacobian(self, p: np.ndarray, a: float = 1.0) -> np.ndarray:
+        """The chart Jacobian at a chart point (m,) or a stack (k, m)."""
+        return self.coordinate_frame(self.chart(p))
+
+    def sphere_shapes(self, x: np.ndarray, phi, jac: np.ndarray) -> np.ndarray:
+        """Shape matrices of a sphere-variant level set in the coordinate
+        frames jac, at a point or a stack, with each check of
+        spaceform.sphere_shape_operator once per point; phi is <grad, grad>.
+        The free rows of a coordinate frame are the identity, so a tangent
+        vector's coordinates in it are its free rows, where
+        sphere_shape_operator takes an lstsq."""
+        tol = default_tol()
+        op, _delta = sphere_level_operator(self.f, x, phi, tol)
+        image = op @ jac
+        shape = image[..., self.free, :]
+        check_invariant(jac, shape, image, tol)
+        return shape
+
+    def evaluate(self, p: np.ndarray, a: float, anchor_variant: bool) -> FrameData:
+        """Frame data at a chart point (m,) or a stack of them (k, m): one chart
+        solve, one gradient per point, each check once per point.  The
+        formulas take the ambient point (n,) or the stack (k, n)."""
+        f = self.f
+        x = self.chart(p)
+        grad = quadric_gradient(f, x)
+        phi = ambient_inner(grad, grad, f.s)
+        if (np.abs(phi) < 1e-12).any():
+            raise DomainError("level value is not regular at this point")
+        norm = np.sqrt(np.abs(phi))
+        xi = grad / (norm if x.ndim == 1 else norm[:, None])
+        nu = (phi > 0) * 2 - 1  # the sign of <xi, xi> = phi / |phi|
+        jac = functools.partial(self.coordinate_frame, x)
+        if self.frame is None:
+            jac = frame = jac()
+        else:
+            frame = self.frame(_coords(x), anchor_variant)
+        if self.shape is None:  # e, f, j: diagonalizable, no displayed frame
+            shape = self.sphere_shapes(x, phi, frame)
+        else:
+            shape = _batch(self.shape, x)
+        return FrameData(
+            point=x,
+            frame=frame,
+            normal=xi,
+            shape=shape,
+            gram=_frame_gram(frame, f.s),
+            nu=nu if x.ndim == 2 else int(nu),
+            _jacobian=jac,
+        )
+
+    def sample(self, rng, n: int, a: float = 1.0) -> list[np.ndarray]:
+        """The first n accepted candidates, in draw order: free coordinates
+        within 0.2 of the anchor's, accepted where the chart solves them with
+        every chart condition held by more than 5e-2.  The missing candidates
+        are drawn as one block, which takes the same doubles as one draw each,
+        and solved in one chart call."""
+        out: list[np.ndarray] = []
+        while len(out) < n:
+            q = self.anchor[self.free] + rng.uniform(-0.2, 0.2, size=(n - len(out), len(self.free)))
+            out += list(q[self.accepted(q)])
+        return out
+
+    def accepted(self, q: np.ndarray) -> np.ndarray:
+        """Which candidates of the stack q, (k, m), are samples.  Where the
+        chart solve of the stack raises, each row is solved alone, so a row's
+        fate does not depend on its neighbours."""
+        try:
+            x = self.chart(q)
+        except DomainError:
+            if len(q) == 1:
+                return np.zeros(1, dtype=bool)
+            return np.concatenate([self.accepted(row) for row in q[:, None]])
+        return ~self.failures(x, margin=5e-2).any(axis=0)
 
 
-def _coordinate_tangent_frame(example_id: str, x: np.ndarray) -> np.ndarray:
-    """Smooth tangent frames at a stack of level-set points, (k, n) ->
-    (k, n, m): one column per free coordinate, corrected in the pivot
-    coordinates so every constraint differential vanishes.  One solve with
-    m right-hand sides per point."""
-    ls = _level_set(example_id)
-    gpx = x @ ls.gpt
-    if ls.f.variant == "flat":
-        d = (gpx + ls.gpv)[:, None, :]  # G(Px + p)
-    else:
-        gx = ls.sign * x
-        d = np.stack([gx, gpx - (gpx * x).sum(axis=1)[:, None] * gx], axis=1)
-    # one differential per constraint: d[k, c, :]
-    try:
-        corr = np.linalg.solve(d[:, :, ls.pivots], -d[:, :, ls.free])
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("constraint differentials are singular at this point") from exc
-    m = len(ls.free)
-    frame = np.zeros((x.shape[0], x.shape[1], m))
-    frame[:, ls.free, np.arange(m)] = 1.0
-    frame[:, ls.pivots, :] = corr
-    return frame
+def _level_entry(
+    example_id: str, ambient: SpaceForm, label: str, quadric: tuple, anchor: np.ndarray,
+    pivots: tuple, frame=None, shape=None, clauses=(), anchor_variant=False,
+) -> _Entry:
+    """A level set of fixed index-2 type label; see _LevelSet."""
+    level = _LevelSet(example_id, quadric, anchor, pivots, frame, shape, clauses)
+    return _Entry(
+        example_id, ambient, anchor.shape[0] - len(pivots), level.chart, level.jacobian,
+        level.evaluate, level.sample, GeometricType(2, label), f"{label} (index 2)",
+        anchor_variant, level=level,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,104 +512,6 @@ def _frame_i(x: list, anchor_variant: bool) -> np.ndarray:
     if anchor_variant:
         return _columns(-a1 + a3, (a1 + a3) / 2.0, -a2 + a4, (a2 + a4) / 2.0)
     return _columns(-a1 + a3, a1, -a2 + a4, a2)
-
-
-def _sphere_shapes(ls: _LevelSet, x: np.ndarray, phi, jac: np.ndarray) -> np.ndarray:
-    """Shape matrices of a sphere-variant level set in the coordinate frames
-    jac, at a point or a stack, with each check of
-    spaceform.sphere_shape_operator once per point; phi is <grad, grad>.  The
-    free rows of a coordinate frame are the identity, so a tangent vector's
-    coordinates in it are its free rows, where sphere_shape_operator takes
-    an lstsq."""
-    tol = default_tol()
-    op, _delta = sphere_level_operator(ls.f, x, phi, tol)
-    image = op @ jac
-    shape = image[..., ls.free, :]
-    check_invariant(jac, shape, image, tol)
-    return shape
-
-
-def _level_jacobian(example_id: str, x: np.ndarray) -> np.ndarray:
-    jac = _coordinate_tangent_frame(example_id, np.atleast_2d(x))
-    return jac if x.ndim == 2 else jac[0]
-
-
-def _evaluate_level(example_id: str, p: np.ndarray, a: float, anchor_variant: bool) -> FrameData:
-    """Frame data of a level-set entry at a chart point (m,) or a stack of
-    them (k, m): one chart solve, one gradient per point, each check once per
-    point.  The formulas take the ambient point (n,) or the stack (k, n)."""
-    entry = _REGISTRY[example_id]
-    ls = _level_set(example_id)
-    f = ls.f
-    x = _level_chart(example_id, p)
-    grad = quadric_gradient(f, x)
-    phi = ambient_inner(grad, grad, f.s)
-    if (np.abs(phi) < 1e-12).any():
-        raise DomainError("level value is not regular at this point")
-    norm = np.sqrt(np.abs(phi))
-    xi = grad / (norm if x.ndim == 1 else norm[:, None])
-    nu = (phi > 0) * 2 - 1  # the sign of <xi, xi> = phi / |phi|
-    jac = functools.partial(_level_jacobian, example_id, x)
-    if entry.frame is None:
-        jac = frame = jac()
-    else:
-        frame = entry.frame(_coords(x), anchor_variant)
-    if entry.shape is None:  # e, f, j: diagonalizable, no displayed frame
-        shape = _sphere_shapes(ls, x, phi, frame)
-    else:
-        shape = _batch(entry.shape, x)
-    return FrameData(
-        point=x,
-        frame=frame,
-        normal=xi,
-        shape=shape,
-        gram=_frame_gram(frame, f.s),
-        nu=nu if x.ndim == 2 else int(nu),
-        _jacobian=jac,
-    )
-
-
-def _sample_level(example_id: str, rng, n: int, a: float) -> list[np.ndarray]:
-    """The first n accepted candidates, in draw order: free coordinates within
-    0.2 of the anchor's, accepted where the chart solves them with every
-    chart condition held by more than 5e-2.  The missing candidates are drawn
-    as one block, which takes the same doubles as one draw each, and solved
-    in one chart call."""
-    ls = _level_set(example_id)
-    out: list[np.ndarray] = []
-    while len(out) < n:
-        q = ls.anchor[ls.free] + rng.uniform(-0.2, 0.2, size=(n - len(out), len(ls.free)))
-        out += list(q[_accepted(example_id, q)])
-    return out
-
-
-def _accepted(example_id: str, q: np.ndarray) -> np.ndarray:
-    """Which candidates of the stack q, (k, m), are samples.  Where the chart
-    solve of the stack raises, each row is solved alone, so a row's fate does
-    not depend on its neighbours."""
-    try:
-        x = _level_chart(example_id, q)
-    except DomainError:
-        if len(q) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_accepted(example_id, row) for row in q[:, None]])
-    return ~_clause_failures(example_id, x, margin=5e-2).any(axis=0)
-
-
-def _level_entry(
-    example_id: str, ambient: SpaceForm, label: str, quadric: Callable, anchor: np.ndarray,
-    pivots: tuple, frame=None, shape=None, clauses=(), anchor_variant=False,
-) -> _Entry:
-    """A level set of quadric() of fixed index-2 type label; see _Entry."""
-    return _Entry(
-        example_id, ambient, anchor.shape[0] - len(pivots),
-        lambda p, a: _level_chart(example_id, p),
-        lambda p, a: _level_jacobian(example_id, _level_chart(example_id, p)),
-        functools.partial(_evaluate_level, example_id),
-        functools.partial(_sample_level, example_id), GeometricType(2, label),
-        f"{label} (index 2)", anchor_variant, quadric=quadric, anchor=anchor, pivots=pivots,
-        clauses=clauses, frame=frame, shape=shape,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -897,28 +829,35 @@ _REGISTRY = {entry.id: entry for entry in (
         functools.partial(_region, 3, tuple(GeometricType(2, t) for t in ("X", "IX-i", "IX-ii"))),
         "X, IX-i, or IX-ii by region (index 2)",
     ),
-    _level_entry("a", _R5_2, "XI", lambda: ("flat", 2, -np.eye(5), -1.0, np.zeros(5)),
+    _level_entry("a", _R5_2, "XI", ("flat", 2, -np.eye(5), -1.0, np.zeros(5)),
                  _e(3), (2,), shape=np.eye(4)),
-    _level_entry("b", _R5_2, "X", lambda: ("flat", 2, _p_flat_b(), 1.0, _e(3)),
+    _level_entry("b", _R5_2, "X",
+                 ("flat", 2, np.array([[-1, 0, 0, 0, 1], [0] * 5, [0] * 5, [0] * 5, [-1, 0, 0, 0, 1]],
+                                      float), 1.0, _e(3)),
                  _e(1), (2,), _frame_b, _dsum(_j(0.0, 2), np.zeros((2, 2)))),
-    _level_entry("c", _R5_2, "IX-ii", lambda: ("flat", 2, _p_flat_c(), 1.0, _e(4)),
+    _level_entry("c", _R5_2, "IX-ii",
+                 ("flat", 2, np.array([[0, 1, 0, 0, 1], [1, 0, -1, 0, 0], [0, 1, 0, 0, 1], [0] * 5,
+                                       [-1, 0, 1, 0, 0]], float), 1.0, _e(4)),
                  _e(4) / 2.0, (3,), _frame_c, _dsum(_j(0.0, 2), _j(0.0, 2))),
-    _level_entry("d", _R5_2, "IX-i", lambda: ("flat", 2, _p_flat_d(), 1.0, _e(4)),
+    _level_entry("d", _R5_2, "IX-i",
+                 ("flat", 2, np.array([[1, 0, 0, 0, 1], [0, 1, -1, 0, 0], [0, 1, -1, 0, 0], [0] * 5,
+                                       [-1, 0, 0, 0, -1]], float), 1.0, _e(4)),
                  _e(4) / 2.0, (3,), _frame_d, _dsum(_j(0.0, 2), _j(0.0, 2))),
-    _level_entry("e", _S5_2, "XI", lambda: ("sphere", 2, _dsum(_anti(2), _anti(4)), 0.0),
+    _level_entry("e", _S5_2, "XI", ("sphere", 2, _dsum(_anti(2), _anti(4)), 0.0),
                  _e(6, 6), (2, 5)),
-    _level_entry("f", _S5_3, "XI", lambda: ("sphere", 3, _dsum(_E3, _E3), 3.0),
+    _level_entry("f", _S5_3, "XI", ("sphere", 3, _dsum(_E3, _E3), 3.0),
                  np.array([-1 / SQ2, 0, 1 / SQ2, 0, SQ2, 0]), (0, 4)),
-    _level_entry("g", _S5_3, "X", lambda: ("sphere", 3, _p_sphere_g(), 1.0),
+    _level_entry("g", _S5_3, "X",
+                 ("sphere", 3, np.array([[0, 0, 1, 0, 0, -1], [0] * 6, [1, 0, 0, 1, 0, 0],
+                                         [0, 0, -1, 0, 0, 1], [0] * 6, [1, 0, 0, 1, 0, 0]], float),
+                  1.0),
                  np.array([0, 0, 0, 1 / SQ2, 0, 1 / SQ2]), (0, 3),
                  _frame_g, _dsum(_j(1.0, 2), np.eye(2)), _CLAUSES_G),
-    _level_entry("h", _S5_3, "IX-ii",
-                 lambda: ("sphere", 3, np.block([[_E3, _I3], [-_I3, -_E3]]), -1.0),
+    _level_entry("h", _S5_3, "IX-ii", ("sphere", 3, np.block([[_E3, _I3], [-_I3, -_E3]]), -1.0),
                  _e(5, 6), (1, 4), _frame_h, _dsum(_j(-1.0, 2), _j(-1.0, 2)), _CLAUSES_HI, True),
-    _level_entry("i", _S5_3, "IX-i",
-                 lambda: ("sphere", 3, np.block([[_I3, _I3], [-_I3, -_I3]]), -1.0),
+    _level_entry("i", _S5_3, "IX-i", ("sphere", 3, np.block([[_I3, _I3], [-_I3, -_I3]]), -1.0),
                  _e(5, 6), (1, 4), _frame_i, _dsum(_j(-1.0, 2), _j(-1.0, 2)), _CLAUSES_HI, True),
-    _level_entry("j", _S5_3, "II", lambda: ("sphere", 3, np.block([[_I3, -_E3], [_E3, _I3]]), 1.0),
+    _level_entry("j", _S5_3, "II", ("sphere", 3, np.block([[_I3, -_E3], [_E3, _I3]]), 1.0),
                  _e(4, 6), (2, 3)),
     _closed_entry("k", _R5_2, 4, *_kl_family(_CURVES_K, 1.0), "VII-ii"),
     _closed_entry("l", _R5_2, 4, *_kl_family(_CURVES_L, -1.0), "VII-i"),
@@ -948,6 +887,16 @@ def ambient_of(example_id: str) -> SpaceForm:
 
 def param_dim(example_id: str) -> int:
     return _entry(example_id).param_dim
+
+
+def quadric_of(example_id: str) -> QuadricFunction:
+    """The defining quadric of a level-set entry ("a"-"j"), built and gated by
+    admissibility_check on first use and cached on the entry's record; the
+    same instance is returned afterwards, and its P and p are read-only."""
+    entry = _REGISTRY.get(example_id)
+    if entry is None or entry.level is None:
+        raise DomainError(f"{example_id} has no defining quadric")
+    return entry.level.f
 
 
 def _chart_point(entry: _Entry, p, stack: bool = False) -> np.ndarray:

@@ -246,9 +246,7 @@ def sphere_level_operator(f: QuadricFunction, x, phi, tol: float | None = None):
     tol = resolve_tol(tol)
     if f.variant != "sphere":
         raise DomainError("shape-operator formula applies to the sphere variant")
-    x = np.asarray(x, dtype=float)
-    level = ambient_inner(_matvec(f.P, x), x, f.s)  # f(x) = <Px, x>
-    if (np.abs(level - f.c) > max(tol, 1e-7) * max(1.0, abs(f.c))).any():
+    if (np.abs(f.value(x) - f.c) > max(tol, 1e-7) * max(1.0, abs(f.c))).any():
         raise DomainError("point is not on the requested level set")
     if (np.abs(phi) <= max(tol, 1e-9)).any():
         raise DomainError("level value outside the regular range: <grad, grad> = 0")

@@ -4,7 +4,11 @@ Finite-difference checks that the catalog entries really are what they claim:
 the shape matrix matches the derivative of the unit normal, the induced
 metric satisfies the Gauss and Codazzi equations, and the classification
 tables are reproduced cell by cell.  Isoparametry needs no check of its own:
-catalog.quadric_of refuses any quadric that admissibility_check refuses.
+a catalog level set refuses any quadric that admissibility_check refuses.
+
+Every check takes one chart point of shape (m,), and refuses a step h that
+is not positive and finite or that vanishes against the point, p +- h = p in
+some coordinate, where every difference would be 0.
 
 All derivatives are second-order central differences.  First derivatives of
 the charts are exact (catalog.chart_jacobian), so the finite differencing is
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import catalog
-from .linalg import BilinearSpace
+from .linalg import BilinearSpace, ShapeError
 from .petrov import SelfAdjointPair, classify_geometric
 from .spaceform import DomainError, SpaceForm, inner_matrix
 
@@ -126,11 +130,16 @@ class _Stencil:
     ):
         if not (math.isfinite(h) and h > 0):
             raise DomainError(f"step h must be positive and finite, got {h}")
+        self.h = h
+        self.shape_h = h if shape_h is None else shape_h
+        # where p +- step rounds to p, every difference would be 0 and every
+        # check would pass; the smaller step is the first to vanish
+        step = min(h, self.shape_h)
+        if ((p + step == p) | (p - step == p)).any():
+            raise DomainError(f"step {step:g} vanishes at this point: p +- step equals p")
         m = p.shape[0]
         offsets, self.up, self.down = _stencil_layout(m, reach)
         points = p + h * offsets
-        self.h = h
-        self.shape_h = h if shape_h is None else shape_h
         self.shape_up, self.shape_down = self.up[0], self.down[0]
         if self.shape_h != h:
             k = len(offsets)
@@ -187,10 +196,19 @@ def _curvature(st: _Stencil) -> CurvatureData:
     return CurvatureData(metric=g0, christoffel=gamma, curvature=riem)
 
 
+def _point(example_id: str, p) -> np.ndarray:
+    """p as a float array of shape (m,), the one chart point a check takes."""
+    p = np.asarray(p, dtype=float)
+    m = catalog.param_dim(example_id)
+    if p.shape != (m,):
+        raise ShapeError(f"{example_id} takes one chart point of {m} coordinates, got shape {p.shape}")
+    return p
+
+
 def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -> CurvatureData:
     """Metric, Christoffel symbols, and curvature components at p, from the
     chart Jacobians alone."""
-    p = np.asarray(p, dtype=float)
+    p = _point(example_id, p)
     h = CONFIG["curvature_h"] if h is None else h
     return _curvature(_Stencil(example_id, p, a, h, reach=2, frames=False))
 
@@ -238,7 +256,7 @@ def shape_fd_check(
     direction against minus the shape operator applied to that direction,
     on the point's stack, or on its own reach-1 points if the stack leaves
     the chart domain."""
-    p = np.asarray(p, dtype=float)
+    p = _point(example_id, p)
     threshold = _threshold(threshold, "shape_threshold")
     try:
         st = _point_stack(example_id, p, a, h)
@@ -284,7 +302,7 @@ def gauss_residual(
     """Gauss equation in chart coordinates: curvature of the induced metric
     against the constant-curvature term plus the shape-operator term, on the
     point's stack."""
-    p = np.asarray(p, dtype=float)
+    p = _point(example_id, p)
     threshold = _threshold(threshold, "curvature_threshold")
     st = _point_stack(example_id, p, a, h)
     resid = _gauss(st, shape_override)
@@ -315,7 +333,7 @@ def codazzi_residual(
     expression is symmetric in its first two slots, on the first 1 + 2m
     rows of the point's stack, or on those points alone if the stack leaves
     the chart domain."""
-    p = np.asarray(p, dtype=float)
+    p = _point(example_id, p)
     threshold = _threshold(threshold, "curvature_threshold")
     try:
         st = _point_stack(example_id, p, a, h)

@@ -28,6 +28,7 @@ from petrovtypes.spaceform import (
     admissibility_check,
     ambient_inner,
     quadratic_minimal_data,
+    quadric_gradient,
 )
 
 
@@ -60,6 +61,41 @@ def test_quadrics_are_admissible(ex_id):
     f = quadric_of(ex_id)
     ok, _diag = admissibility_check(f)
     assert ok
+
+
+@pytest.mark.parametrize("ex_id", ["k", "zz"])
+def test_quadric_of_refuses_an_entry_without_a_quadric(ex_id):
+    with pytest.raises(DomainError, match=f"{ex_id} has no defining quadric"):
+        quadric_of(ex_id)
+
+
+def test_a_replaced_level_set_record_brings_its_own_data(monkeypatch):
+    """A level-set record put in the registry under an id already used, here
+    b at the level c = 2 in place of c = 1, is served from its own data:
+    nothing built from the old record outlives it."""
+    p = sample_domain("b", 1, seed=3)[0]
+    old_x, old_fd = chart("b", p), evaluate("b", p)
+    assert quadric_of("b").c == 1.0
+    level = catalog._REGISTRY["b"].level
+    variant, s, p_mat, _c, p_vec = level.quadric
+    record = catalog._level_entry(
+        "b", ambient_of("b"), "X", (variant, s, p_mat, 2.0, p_vec), level.anchor, level.pivots,
+        level.frame, level.shape,
+    )
+    monkeypatch.setitem(catalog._REGISTRY, "b", record)
+    f = quadric_of("b")
+    assert f.c == 2.0
+    x = chart("b", p)
+    assert abs(f.value(x) - 2.0) < 1e-12
+    # the pivot x3 enters f only through 2<p, x> = 2 x3: it moves by 1/2
+    assert np.array_equal(np.delete(x, 2), np.delete(old_x, 2))
+    assert abs(x[2] - old_x[2] - 0.5) < 1e-12
+    fd = evaluate("b", p)
+    grad = quadric_gradient(f, x)
+    assert np.array_equal(fd.point, x)
+    assert np.allclose(fd.normal, grad / np.sqrt(abs(ambient_inner(grad, grad, 2))), atol=1e-12)
+    assert np.array_equal(fd.jacobian, chart_jacobian("b", p))
+    assert np.array_equal(fd.shape, old_fd.shape) and np.array_equal(fd.gram, old_fd.gram)
 
 
 @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
@@ -262,13 +298,13 @@ def _draw_alone(ex_id, rng, i, a):
         if ex_id == "l":
             p[3] = rng.uniform(-0.8, 0.8) / max(abs(a), 1.0)
         return p
-    ls = catalog._level_set(ex_id)
-    q = ls.anchor[ls.free] + rng.uniform(-0.2, 0.2, size=len(ls.free))
+    level = catalog._REGISTRY[ex_id].level
+    q = level.anchor[level.free] + rng.uniform(-0.2, 0.2, size=len(level.free))
     try:
-        x = catalog._level_chart(ex_id, q)
+        x = level.chart(q)
     except DomainError:
         return None
-    for _name, tol, coef in catalog._REGISTRY[ex_id].clauses:
+    for _name, tol, coef in level.clauses:
         if abs(x @ coef) <= max(tol, 5e-2):
             return None
     return q
@@ -320,17 +356,18 @@ _H_GOOD = [[0.1, -0.05, 0.02, 0.1], [-0.15, 0.1, 0.0, 0.05], [0.02, 0.03, -0.1, 
 def test_sample_domain_rejections_keep_draw_order(monkeypatch):
     rows = [_H_GOOD[0], _H_OUTSIDE, _H_IN_MARGIN, _H_GOOD[1], _H_IN_MARGIN, _H_GOOD[2]]
     solved = []
-    level_chart = catalog._level_chart
+    level = catalog._REGISTRY["h"].level
+    level_chart = catalog._LevelSet.chart
 
-    def counted(ex_id, q):
+    def counted(self, q, a=1.0):
         solved.append(len(q))
-        return level_chart(ex_id, q)
+        return level_chart(self, q, a)
 
     with pytest.raises(DomainError):
-        level_chart("h", np.array([_H_OUTSIDE]))
-    assert abs(np.sum(level_chart("h", np.array(_H_IN_MARGIN))[[1, 4]])) < 5e-2
+        level.chart(np.array([_H_OUTSIDE]))
+    assert abs(np.sum(level.chart(np.array(_H_IN_MARGIN))[[1, 4]])) < 5e-2
     want = _one_at_a_time("h", 3, _CandidateStub(rows))
-    monkeypatch.setattr(catalog, "_level_chart", counted)
+    monkeypatch.setattr(catalog._LevelSet, "chart", counted)
     got = catalog._REGISTRY["h"].sample(_CandidateStub(rows), 3, 1.0)
     assert [p.tolist() for p in got] == [p.tolist() for p in want] == _H_GOOD
     # the first block of three raises and is solved row by row; the second,
@@ -340,13 +377,13 @@ def test_sample_domain_rejections_keep_draw_order(monkeypatch):
 
 def test_sample_domain_solves_one_block_per_draw(monkeypatch):
     solved = []
-    level_chart = catalog._level_chart
+    level_chart = catalog._LevelSet.chart
 
-    def counted(ex_id, q):
+    def counted(self, q, a=1.0):
         solved.append(q.shape)
-        return level_chart(ex_id, q)
+        return level_chart(self, q, a)
 
-    monkeypatch.setattr(catalog, "_level_chart", counted)
+    monkeypatch.setattr(catalog._LevelSet, "chart", counted)
     sample_domain("e", 60, seed=0)
     assert solved == [(60, 4)]
 

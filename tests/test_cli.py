@@ -344,12 +344,18 @@ def test_catalog_eval_non_finite_input_exit_one(capsys, args, message):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("h", ["0", "-1e-3", "nan", "inf"])
+@pytest.mark.parametrize("h", ["0", "-1e-3", "nan", "inf", "1e-300"])
 def test_verify_run_rejects_bad_step(capsys, h):
-    # the "--h=" form; the value as a separate word is tested below
+    # the "--h=" form; the value as a separate word is tested below.  1e-300 is
+    # positive and finite, but vanishes against the coordinates of the point
     assert run(["verify", "run", "--id", "b", "--samples", "1", f"--h={h}", "--json"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "--h must be a positive finite step" in captured.err
+    if h == "1e-300":
+        message = "step 1e-300 vanishes at this point: p +- step equals p (entry b at --h 1e-300)"
+    else:
+        message = "--h must be a positive finite step"
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 

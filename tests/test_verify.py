@@ -18,6 +18,7 @@ from petrovtypes.verify import (
     table_report,
 )
 from petrovtypes.catalog import chart, quadric_of, sample_domain
+from petrovtypes.linalg import ShapeError
 from petrovtypes.spaceform import (
     DomainError, QuadricFunction, admissibility_check, ambient_inner, inner_matrix,
     quadratic_minimal_data, quadric_gradient,
@@ -164,22 +165,37 @@ def test_quadric_of_refuses_a_non_admissible_quadric(monkeypatch):
     becomes a level set: quadric_of raises, and so does the chart built on
     it."""
     p_mat = np.diag([2.0, 1.0, 0.0, 0.0, 0.0])
-    record = catalog._REGISTRY["b"]._replace(
-        quadric=lambda: ("flat", 2, p_mat, 1.0, np.zeros(5))
+    b = catalog._REGISTRY["b"].level
+    record = catalog._level_entry(
+        "bad", catalog.ambient_of("b"), "X", ("flat", 2, p_mat, 1.0, np.zeros(5)), b.anchor,
+        b.pivots, b.frame, b.shape,
     )
     monkeypatch.setitem(catalog._REGISTRY, "bad", record)
     with pytest.raises(DomainError, match="the quadric of bad is not admissible: P\\^2 = O fails"):
         quadric_of("bad")
     with pytest.raises(DomainError, match="the quadric of bad is not admissible"):
-        catalog._level_set("bad")
+        chart("bad", np.zeros(4))
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf, 1e-20])
 def test_checks_refuse_bad_step(h):
     p = sample_domain("b", 1, seed=79)[0]
+    # 1e-20 is positive and finite, but p +- h rounds to p, so every
+    # difference would be 0 and every check would pass
+    message = "step 1e-20 vanishes at this point" if h == 1e-20 else "step h must be positive and finite"
     for check in (shape_fd_check, gauss_residual, codazzi_residual, curvature_data):
-        with pytest.raises(DomainError, match="step h must be positive and finite"):
+        with pytest.raises(DomainError, match=message):
             check("b", p, h=h)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (5,), (4, 1)])
+@pytest.mark.parametrize("check", ["shape_fd_check", "gauss_residual", "codazzi_residual", "curvature_data"])
+def test_checks_refuse_a_point_of_another_shape(check, shape):
+    """A check takes one chart point (m,); a (1, m) row would make a stencil
+    in one coordinate that steps along the diagonal."""
+    p = np.resize(sample_domain("e", 1, seed=79)[0], shape)
+    with pytest.raises(ShapeError, match="e takes one chart point of 4 coordinates"):
+        getattr(verify, check)("e", p)
 
 
 _THRESHOLD_CHECKS = {
