@@ -10,23 +10,22 @@ orthonormal eigenspace basis q and N_r = q^H (a - lam I) q in one way:
 clusters of one kind and multiplicity share one shift stack a - lam I and
 one ``generalized_eigenspace`` call, scaled by max |a - lam I| (|a - lam I|
 below), which the real chains' degeneracy checks read too; the rank profile
-of N_r sizes the blocks.  A real cluster then takes one of three paths to
-its chains, all with the decisions of the chain peel:
+of N_r sizes the blocks.  Blocks are then built in two ways:
 
-- simple (one 1-block): the eigenvectors of all simple clusters are scaled
-  at once to B(v, v) = +-1, and their signs, the whole sign characteristic
-  of a simple eigenvalue, are read off in one array expression;
-- semisimple (several 1-blocks): one symmetric eigensolve of the Gram
-  restricted to the eigenspace gives B-orthogonal eigenvectors, and its
-  inertia is the sign characteristic.  A restricted form with an eigenvalue
-  at most tol * max(|form|, |a - lam I|, 1), the scale of the peel's first
-  step, raises ConditioningError;
-- with a block of size 2 or more: the chain peel takes longest chains first
-  in the coordinates of q, on N_r.
+- chains of length 2 or more, and every complex chain: the chain peel takes
+  longest chains first in the coordinates of q, on N_r, and deflates each
+  chain's B-orthocomplement.  Complex clusters run it over the
+  complexification and are realified into companion blocks;
+- real 1-blocks: what is left of a real cluster after its peel, the whole
+  eigenspace of a simple or semisimple one, is a span where a - lam I
+  vanishes.  One symmetric eigensolve of the Gram restricted to it, stacked
+  over spans of equal width, gives B-orthogonal eigenvectors, and its
+  inertia is the sign characteristic of those 1-blocks (a 1x1 form is its
+  own eigenvalue, so simple eigenvalues need no eigensolve).  A restricted
+  form with an eigenvalue at most tol * max(|form|, |a - lam I|, 1), the
+  scale of the peel's checks, raises ConditioningError.
 
-Complex clusters always take the peel, over the complexification, and are
-realified into companion blocks.  A cluster spanning the whole space gets
-the identity basis.
+A cluster spanning the whole space gets the identity basis.
 
 The type labels are orientation-free: (-A, G), the other unit normal, gets
 the index and label of (A, G).  By the sign characteristic rule (Gohberg,
@@ -258,13 +257,14 @@ def petrov_normal_form(
 ) -> PetrovNormalForm:
     """Simultaneous canonical form of a self-adjoint pair.
 
-    Chains are built eigenvalue by eigenvalue inside each generalized
-    eigenspace: longest chains first, each chain generator straightened so the
-    Gram of the chain is exactly a signed anti-diagonal, then the chain's
-    orthocomplement is deflated.  Complex pairs run the same procedure over the
-    complexification and are realified into companion blocks.  Real
-    eigenvalues whose blocks all have size 1 skip the peel: the simple ones
-    all at once, each semisimple one with one eigensolve (module docstring).
+    Chains of length 2 or more are built eigenvalue by eigenvalue inside each
+    generalized eigenspace: longest chains first, each chain generator
+    straightened so the Gram of the chain is exactly a signed anti-diagonal,
+    then the chain's orthocomplement is deflated.  Complex pairs run the same
+    procedure, for chains of every length, over the complexification and are
+    realified into companion blocks.  Every real 1-block, of a simple,
+    semisimple or mixed cluster, comes from one stacked eigensolve of the Gram
+    on what the peel leaves (module docstring).
     """
     tol = resolve_tol(tol)
     a = np.asarray(pair.a, dtype=float)
@@ -282,29 +282,18 @@ def petrov_normal_form(
     # order: real eigenvalues ascending, sizes ascending, sign +1 first among
     # equal sizes; then complex by (alpha, beta, size)
     blocks: list[tuple[tuple, int, np.ndarray]] = []
-    simple = [i for i, (_lam, sizes) in enumerate(structure.real_blocks) if sizes == (1,)]
-    if simple:
-        lams = [clusters[i][0] for i in simple]
-        cols, signs = _simple_chains(
-            g, np.hstack([bases[i] for i in simple]), [shift_scales[i] for i in simple], tol
-        )
-        blocks += [
-            ((False, lam, 0.0, 1, -eps), eps, cols[:, j : j + 1])
-            for j, (lam, eps) in enumerate(zip(lams, signs))
-        ]
-    for i, ((lam, sizes), basis, nr, shift_scale) in enumerate(
-        zip(clusters, bases, restricted, shift_scales)
-    ):
-        if i in simple:
-            continue
+    spans = []  # (lam, max |a - lam I|, basis) of each real span where a - lam I vanishes
+    for (lam, sizes), basis, nr, scale in zip(clusters, bases, restricted, shift_scales):
         cplx = isinstance(lam, complex)
-        if not cplx and max(sizes) == 1:
-            chains = _semisimple_chains(shift_scale, g, basis, tol)
-        else:
-            chains = _extract_chains(shift_scale, g, basis, list(sizes), tol, nr)
+        peel = [m for m in sizes if cplx or m > 1]
+        chains, rest = _extract_chains(scale, g, basis, peel, tol, nr) if peel else ([], basis)
         for m, eps, cols in chains:
             key = (cplx, lam.real, lam.imag, m, -eps)
             blocks.append((key, eps, _realify_chain(cols) if cplx else cols))
+        if rest.shape[1]:
+            spans.append((lam, scale, rest))
+    for lam, eps, col in _one_blocks(g, spans, tol):
+        blocks.append(((False, lam, 0.0, 1, -eps), eps, col))
     blocks.sort(key=lambda t: t[0])
     columns = [cols for _key, _eps, cols in blocks]
     t_mat = np.hstack(columns) if columns else np.zeros((n, 0))
@@ -318,50 +307,41 @@ def petrov_normal_form(
     return PetrovNormalForm(structure, signs, t_mat)
 
 
-def _simple_chains(
-    g: np.ndarray, vecs: np.ndarray, shift_scales: list[float], tol: float
-) -> tuple[np.ndarray, list[int]]:
-    """Chains of simple real eigenvalues, all at once.
+def _one_blocks(
+    g: np.ndarray, spans: list[tuple[float, float, np.ndarray]], tol: float
+) -> list[tuple[float, int, np.ndarray]]:
+    """Every real 1-block: (lam, sign, column) for each span (lam,
+    shift_scale, basis) on which N = a - lam I vanishes.
 
-    vecs holds one eigenvector per eigenvalue lam, and shift_scales the
-    max |a - lam I| of each; each eigenvector is scaled to B(v, v) = +-1, and
-    that sign is the whole sign characteristic of a simple eigenvalue.  The
-    degeneracy check is the chain generator's, at its scale.
-    """
-    theta = np.einsum("ik,ij,jk->k", vecs, g, vecs)
-    scale = np.maximum(np.maximum(np.abs(theta), shift_scales), 1.0)
-    if (np.abs(theta) <= tol * scale).any():
-        raise ConditioningError(
-            "degenerate chain pairing for block size 1; "
-            "input sits near a Jordan-structure boundary"
-        )
-    return vecs / np.sqrt(np.abs(theta)), np.where(theta > 0, 1, -1).tolist()
-
-
-def _semisimple_chains(
-    shift_scale: float, g: np.ndarray, basis: np.ndarray, tol: float
-) -> list[tuple[int, int, np.ndarray]]:
-    """1-chains of a real eigenvalue whose blocks all have size 1.
-
-    Its eigenspace is the span of basis, so one symmetric eigensolve of the
+    Such a span holds only 1-blocks of lam, so one symmetric eigensolve of the
     restricted form basis^T G basis gives B-orthogonal eigenvectors, scaled to
-    B(v, v) = +-1, and their signs are the inertia of that form, which is the
-    sign characteristic of a semisimple eigenvalue.  A restricted form with an
+    B(v, v) = +-1, and their signs are the inertia of that form, the sign
+    characteristic of those 1-blocks.  Spans of equal width share one stacked
+    eigensolve; a 1x1 form is its own eigenvalue.  A restricted form with an
     eigenvalue at most tol * max(|form|, shift_scale, 1) raises
-    ConditioningError, shift_scale being max |N| = max |a - lam I|: the scale
-    of the first chain generator pick in ``_extract_chains``.
+    ConditioningError, shift_scale being max |N| on the whole space, as
+    ``jordan_structure`` returns it: the scale of the chain peel's checks.
     """
-    form = basis.T @ g @ basis
-    form = (form + form.T) / 2.0
-    w, vecs = np.linalg.eigh(form)
-    scale = max(np.abs(form).max(), shift_scale, 1.0)
-    if np.abs(w).min() <= tol * scale:
-        raise ConditioningError(
-            f"degenerate form on a {len(w)}-dimensional eigenspace; "
-            "input sits near a Jordan-structure boundary"
-        )
-    cols = basis @ (vecs / np.sqrt(np.abs(w)))
-    return [(1, 1 if w[j] > 0 else -1, cols[:, j : j + 1]) for j in range(len(w))]
+    groups: dict[int, list] = {}
+    for span in spans:
+        groups.setdefault(span[2].shape[1], []).append(span)
+    out = []
+    for k, group in groups.items():
+        lams, shift_scales, bases = zip(*group)
+        q = np.stack(bases)
+        form = q.transpose(0, 2, 1) @ g @ q
+        form = (form + form.transpose(0, 2, 1)) / 2.0
+        w, vecs = (form[:, 0], np.ones_like(form)) if k == 1 else np.linalg.eigh(form)
+        scales = np.maximum(np.maximum(np.abs(form).max(axis=(1, 2)), shift_scales), 1.0)
+        if (np.abs(w).min(axis=1) <= tol * scales).any():
+            raise ConditioningError(
+                f"degenerate form on a {k}-dimensional eigenspace; "
+                "input sits near a Jordan-structure boundary"
+            )
+        cols = q @ (vecs / np.sqrt(np.abs(w))[:, None, :])
+        out += [(lam, 1 if w[c, j] > 0 else -1, cols[c, :, j : j + 1])
+                for c, lam in enumerate(lams) for j in range(k)]
+    return out
 
 
 def _extract_chains(
@@ -371,19 +351,23 @@ def _extract_chains(
     sizes: list[int],
     tol: float,
     nr: np.ndarray,
-) -> list[tuple[int, int, np.ndarray]]:
-    """Peel Jordan chains off the span of basis, longest first.
+) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
+    """Peel Jordan chains of the given sizes off the span of basis, longest
+    first, and return them with a basis of what is left.
 
-    Returns (size, sign, columns) with columns ordered so the operator acts
-    as an upper Jordan/companion block and the chain Gram is exactly the
+    The chains are (size, sign, columns) with columns ordered so the operator
+    acts as an upper Jordan/companion block and the chain Gram is exactly the
     target anti-diagonal block; a complex cluster (complex basis and nr) has
-    sign 1.  The span of basis (orthonormal columns) is N-invariant, so the
-    peel runs in its coordinates, on N_r = nr = basis^H N basis, as
-    ``jordan_structure`` returns it, and G_r = basis^T G basis: the powers of
-    N never reach the other eigenspaces, whose roundoff they would scale by
-    (lam_j - lam)^k.  The chains are mapped back with basis @ cols.
-    shift_scale is max |N| = max |a - lam I| on the whole space, as
-    ``jordan_structure`` returns it, part of the degeneracy scale.
+    sign 1.  A real cluster peels only its chains of length 2 or more, and
+    what is left, the B-orthocomplement of its chains, is where N vanishes:
+    its 1-blocks, for ``_one_blocks``.  The span of basis (orthonormal
+    columns) is N-invariant, so the peel runs in its coordinates, on
+    N_r = nr = basis^H N basis, as ``jordan_structure`` returns it, and
+    G_r = basis^T G basis: the powers of N never reach the other eigenspaces,
+    whose roundoff they would scale by (lam_j - lam)^k.  The chains and the
+    rest are mapped back with basis @ cols.  shift_scale is max |N| =
+    max |a - lam I| on the whole space, as ``jordan_structure`` returns it,
+    part of the degeneracy scale.
     """
     gr = basis.T @ g @ basis
     k = nr.shape[0]
@@ -393,13 +377,13 @@ def _extract_chains(
     active = powers[0]
     out = []
     for m in sorted(sizes, reverse=True):
-        if out:  # B-orthocomplement of the previous chain
-            active = _deflate(gr, active, out[-1][2], tol)
         v, eps = _pick_chain_generator(powers, gr, active, m, tol, shift_scale)
         v = _straighten(powers, gr, v, m, eps)
         chain_cols = np.column_stack([powers[m - j] @ v for j in range(1, m + 1)])
         out.append((m, eps, chain_cols))
-    return [(m, eps, basis @ cols) for m, eps, cols in out]
+        # B-orthocomplement of the chain; a chain that fills the span leaves none
+        active = _deflate(gr, active, chain_cols, tol) if active.shape[1] > m else active[:, m:]
+    return [(m, eps, basis @ cols) for m, eps, cols in out], basis @ active
 
 
 def _pick_chain_generator(powers, g, active, m, tol, shift_scale):
@@ -415,8 +399,7 @@ def _pick_chain_generator(powers, g, active, m, tol, shift_scale):
         # active has real span; form is symmetric up to roundoff
         form = active.conj().T @ g @ powers[m - 1] @ active
         form_s = (form + form.T).real / 2.0
-        # a 1x1 form is its own eigenvalue
-        w, vecs = (form_s[0], np.ones((1, 1))) if k == 1 else np.linalg.eigh(form_s)
+        w, vecs = np.linalg.eigh(form_s)
         idx = int(np.argmax(np.abs(w)))
         theta = w[idx]
         scale = max(np.abs(form_s).max(), shift_scale, 1.0)

@@ -86,20 +86,6 @@ class SpaceForm:
             return self.index + 1
         return self.index
 
-    def inner(self, u, v) -> float:
-        return ambient_inner(u, v, self.embedding_index)
-
-    def contains(self, x, tol: float | None = None) -> bool:
-        tol = resolve_tol(tol)
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.embedding_dim,):
-            return False
-        if self.curvature == 0:
-            return True
-        return abs(self.inner(x, x) - self.curvature) <= tol * max(
-            1.0, float(np.abs(x).max()) ** 2
-        )
-
 
 @dataclass(frozen=True)
 class QuadricFunction:

@@ -22,10 +22,10 @@ points p + h*o, o an integer offset: the 41 (13 in two coordinates) of two
 nested differences for Gauss, and the first 1 + 2m of them, one difference,
 for Codazzi.  The shape check differences the normal with its own smaller
 step over 2m more points, unless a step h is given, which sets both steps.
-The three checks at one entry, p, a and h read one memoized stack of these
-points, _point_stack: one catalog.evaluate call, which solves the chart once
-and returns the Jacobians, frames, normals and shapes together, so every
-point of it has to pass the domain and consistency checks of
+The three checks at one entry record, p, a and h read one memoized stack of
+these points, _point_stack: one catalog.evaluate call, which solves the
+chart once and returns the Jacobians, frames, normals and shapes together,
+so every point of it has to pass the domain and consistency checks of
 catalog.evaluate.  The shape matrices in chart coordinates at its first
 1 + 2m rows are one solve of the stack, kept with it: the shape and Gauss
 checks read row 0, Codazzi all of them.  Where the stack leaves the chart
@@ -224,10 +224,12 @@ def _shape_in_coordinates(fd: catalog.FrameData, g: np.ndarray, rows=slice(None)
 
 
 @functools.lru_cache(maxsize=1)
-def _stack(example_id: str, p: bytes, a: float, step: float, shape_step: float, tol) -> _Stencil:
-    # tol is the PETROV_TOL setting, which the chart checks of catalog.evaluate
-    # read; a call that raised is not kept
-    return _Stencil(example_id, np.frombuffer(p), a, step, reach=2, shape_h=shape_step)
+def _stack(entry, p: bytes, a: float, step: float, shape_step: float, tol) -> _Stencil:
+    # keyed by the registry record itself, which the memo keeps alive, so a
+    # record replaced under the same id gets its own stack; tol is the
+    # PETROV_TOL setting, which the chart checks of catalog.evaluate read; a
+    # call that raised is not kept
+    return _Stencil(entry.id, np.frombuffer(p), a, step, reach=2, shape_h=shape_step)
 
 
 def _point_stack(example_id: str, p: np.ndarray, a: float, h: float | None) -> _Stencil:
@@ -235,7 +237,8 @@ def _point_stack(example_id: str, p: np.ndarray, a: float, h: float | None) -> _
     reach-2 stencil at step h, or at CONFIG["curvature_h"] with the shape
     check's 2m points at CONFIG["shape_h"] appended if h is None."""
     step, shape_step = (CONFIG["curvature_h"], CONFIG["shape_h"]) if h is None else (h, h)
-    return _stack(example_id, p.tobytes(), a, step, shape_step, os.environ.get("PETROV_TOL"))
+    entry = catalog._entry(example_id)
+    return _stack(entry, p.tobytes(), a, step, shape_step, os.environ.get("PETROV_TOL"))
 
 
 def _threshold(threshold: float | None, key: str) -> float:

@@ -25,7 +25,7 @@ from petrovtypes.linalg import (
     signature,
 )
 from petrovtypes.petrov import classify_pair
-from petrovtypes.spaceform import SpaceForm
+from petrovtypes.spaceform import QuadricFunction, admissibility_check
 
 
 def test_signature_counts_positive_negative_null():
@@ -497,7 +497,7 @@ def test_library_tolerance_is_checked(value):
     with pytest.raises(BadToleranceError, match=message):
         eigen_clusters(np.diag([1.0, 2.0]), value)
     with pytest.raises(BadToleranceError, match=message):
-        SpaceForm(3, 1, 0).contains(np.zeros(3), value)
+        admissibility_check(QuadricFunction("sphere", 1, np.diag([1.0, -1.0, 1.0]), 0.0), value)
 
 
 def test_resolve_tol_default_and_passthrough(monkeypatch):

@@ -20,7 +20,7 @@ from petrovtypes.petrov import (
     _block_sizes,
     _extract_chains,
     _normal_matrices,
-    _semisimple_chains,
+    _one_blocks,
     assemble_normal_pair,
     classify_algebraic,
     classify_geometric,
@@ -265,38 +265,48 @@ def test_jordan_structure_restricts_every_cluster():
     assert min(seen.values()) > 0, seen
 
 
-def test_semisimple_path_matches_peel():
-    """On every semisimple real cluster of the sample pairs (more than one
-    block, all of size 1) the eigh path gives the signs of the chain peel,
-    and its columns have the Gram diag(signs)."""
+def test_one_blocks_signs_are_the_inertia():
+    """On every real span where a - lam I vanishes in the sample pairs (a
+    simple or semisimple eigenspace, or what the peel leaves of a mixed
+    cluster), the 1-block signs are the inertia of basis^T G basis, read by
+    ``signature``, and the columns have the Gram diag(signs)."""
     tol = default_tol()
-    seen = 0
+    seen = {"simple": 0, "semisimple": 0, "mixed": 0}
     for a, g in _sample_pairs():
         structure, bases, restricted, shift_scales = jordan_structure(a, tol)
+        spans = []
         for (lam, sizes), basis, nr, scale in zip(
             structure.real_blocks, bases, restricted, shift_scales
         ):
-            if len(sizes) < 2 or max(sizes) > 1:
+            long = [m for m in sizes if m > 1]
+            if len(long) == len(sizes):
                 continue
-            seen += 1
-            chains = _semisimple_chains(scale, g, basis, tol)
-            peel = _extract_chains(scale, g, basis, list(sizes), tol, nr)
-            signs = [eps for _m, eps, _c in chains]
-            assert sorted(signs) == sorted(int(np.sign(eps)) for _m, eps, _c in peel)
-            assert [m for m, _e, _c in chains] == list(sizes)
-            cols = np.hstack([c for _m, _e, c in chains])
+            rest = _extract_chains(scale, g, basis, long, tol, nr)[1] if long else basis
+            assert rest.shape[1] == len(sizes) - len(long)
+            seen["mixed" if long else "simple" if sizes == (1,) else "semisimple"] += 1
+            spans.append((lam, scale, rest))
+        blocks = _one_blocks(g, spans, tol)
+        for lam, _scale, rest in spans:
+            signs = [eps for mu, eps, _c in blocks if mu == lam]
+            pos, neg, null = signature(rest.T @ g @ rest)
+            assert (signs.count(1), signs.count(-1), 0) == (pos, neg, null)
+            cols = np.hstack([c for mu, _e, c in blocks if mu == lam])
             assert np.abs(cols.T @ g @ cols - np.diag(signs)).max() <= 1e-10
-    assert seen > 0
+    assert min(seen.values()) > 0, seen
 
 
 def test_semisimple_degenerate_form_raises():
     """A Gram that is nondegenerate at tol 1e-12 but degenerate at the normal
-    form's tolerance on a semisimple eigenspace gets no chain basis."""
-    a = np.diag([1.0, 1.0, 2.0])
-    g = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-10, 0.0], [0.0, 0.0, 1.0]])
-    pair = SelfAdjointPair(a, BilinearSpace.from_gram(g, 1e-12))
-    with pytest.raises(ConditioningError, match="degenerate form on a 2-dimensional eigenspace"):
-        petrov_normal_form(pair)
+    form's tolerance on a semisimple or a simple eigenspace gets no chain
+    basis."""
+    inputs = [
+        (np.diag([1.0, 1.0, 2.0]), [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-10, 0.0], [0.0, 0.0, 1.0]], 2),
+        (np.diag([1.0, 2.0]), np.diag([1e-10, 1.0]), 1),
+    ]
+    for a, g, dim in inputs:
+        pair = SelfAdjointPair(a, BilinearSpace.from_gram(np.array(g), 1e-12))
+        with pytest.raises(ConditioningError, match=f"degenerate form on a {dim}-dimensional eigenspace"):
+            petrov_normal_form(pair)
 
 
 @pytest.mark.parametrize("case", TAXONOMY_CASES, ids=TAXONOMY_IDS)

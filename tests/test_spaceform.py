@@ -56,14 +56,6 @@ def test_space_form_embedding_data():
     assert h.embedding_dim == 6 and h.embedding_index == 3
 
 
-def test_space_form_contains():
-    s = SpaceForm(5, 2, 1)
-    x = np.zeros(6)
-    x[5] = 1.0
-    assert s.contains(x)
-    assert not s.contains(2.0 * x)
-
-
 def test_quadric_rejects_non_self_adjoint():
     p = np.zeros((4, 4))
     p[0, 1] = 1.0

@@ -472,6 +472,27 @@ def test_gauss_hands_its_stencil_to_codazzi(ex_id, evaluate_rows):
     assert evaluate_rows == [41 if p.shape[0] == 4 else 13]
 
 
+@pytest.mark.parametrize("check", [shape_fd_check, gauss_residual, codazzi_residual])
+def test_a_replaced_record_gets_its_own_stack(check, evaluate_rows, monkeypatch):
+    """A catalog record put in the registry under an id already used, here b
+    at the level c = 2 in place of c = 1, is checked on a stack of its own
+    points, not on the memo's stack of the old record."""
+    monkeypatch.delenv("PETROV_TOL", raising=False)
+    p = sample_domain("b", 1, seed=3)[0]
+    check("b", p)
+    level = catalog._REGISTRY["b"].level
+    variant, s, p_mat, _c, p_vec = level.quadric
+    record = catalog._level_entry(
+        "b", catalog.ambient_of("b"), "X", (variant, s, p_mat, 2.0, p_vec), level.anchor,
+        level.pivots, level.frame, level.shape,
+    )
+    monkeypatch.setitem(catalog._REGISTRY, "b", record)
+    assert check("b", p).passed
+    assert evaluate_rows == [41 + 8, 41 + 8]
+    st = verify._point_stack("b", p, 1.0, None)
+    assert np.array_equal(st.frames.point[0], chart("b", p))
+
+
 _MISSES = {
     "alone": lambda p: None,
     "other p": lambda p: gauss_residual("k", p + 0.01),
