@@ -131,11 +131,12 @@ def signature(gram: np.ndarray, tol: float | None = None) -> tuple[int, int, int
     tol = resolve_tol(tol)
     g = _require_square(gram, "gram")
     n = g.shape[0]
-    scale = max(np.abs(g).max(), 1.0)
-    if np.abs(g - g.T).max() > tol * scale:
+    cut = tol * max(np.abs(g).max(), 1.0)
+    # halves first: g + g.T and g - g.T can overflow where g does not
+    half = g / 2.0
+    if np.abs(half - half.T).max() > cut / 2.0:
         raise ShapeError("gram matrix is not symmetric within tolerance")
-    ev = np.linalg.eigvalsh((g + g.T) / 2.0)
-    cut = max(tol, tol * scale)
+    ev = np.linalg.eigvalsh(half + half.T)
     pos = int((ev > cut).sum())
     neg = int((ev < -cut).sum())
     return pos, neg, n - pos - neg
@@ -144,14 +145,18 @@ def signature(gram: np.ndarray, tol: float | None = None) -> tuple[int, int, int
 def is_self_adjoint(
     a: np.ndarray, space: BilinearSpace, tol: float | None = None
 ) -> bool:
-    """True iff gram @ a == a.T @ gram in the max norm, within tol."""
+    """True iff gram @ a == a.T @ gram in the max norm, within tol, with
+    gram scaled by 1 / max |gram| and a by 1 / max(max |a|, 1), so that no
+    product can overflow."""
     tol = resolve_tol(tol)
     af = _require_square(a, "operator")
     if af.shape[0] != space.dim:
         raise ShapeError(f"operator dim {af.shape[0]} != space dim {space.dim}")
     g = np.asarray(space.gram, dtype=float)
-    scale = max(np.abs(g).max() * max(np.abs(af).max(), 1.0), 1.0)
-    return float(np.abs(g @ af - af.T @ g).max()) <= tol * scale
+    g = g / np.abs(g).max()
+    af = af / max(np.abs(af).max(), 1.0)
+    # a residual that is not finite fails the comparison
+    return bool(np.abs(g @ af - af.T @ g).max() <= tol)
 
 
 def generalized_eigenspace(shifts: np.ndarray, scales: np.ndarray, mult: int) -> np.ndarray:

@@ -483,110 +483,70 @@ def _negative_dim(m: int, eps: int) -> int:
     return (m - (m % 2) * eps) // 2
 
 
-def _real_block_list(form: PetrovNormalForm) -> list[tuple[float, int, int]]:
-    """(lambda, size, eps) per real block in sign order."""
-    out = []
-    i = 0
-    for lam, sizes in form.structure.real_blocks:
-        for m in sizes:
-            out.append((lam, m, form.signs[i]))
-            i += 1
-    return out
+# Petrov's list: (negative index, complex block sizes, (size, sign) of each
+# real block that carries negative directions) -> label, sizes ascending.  An
+# even-size block has sign 0 here: its sign only sets epsilon, and IX splits
+# into IX-i and IX-ii by whether its two signs agree.  Every other real block
+# is a positive 1-block, the only kind with no negative direction.
+_PETROV_LIST = {
+    (1, (1,), ()): "IV",
+    (1, (), ((1, -1),)): "I",
+    (1, (), ((2, 0),)): "II",
+    (1, (), ((3, 1),)): "III",
+    (2, (2,), ()): "I",
+    (2, (1, 1), ()): "II",
+    (2, (1,), ((1, -1),)): "III",
+    (2, (1,), ((2, 0),)): "IV",
+    (2, (1,), ((3, 1),)): "V",
+    (2, (), ((4, 0),)): "VI",
+    (2, (), ((3, -1),)): "VII-i",
+    (2, (), ((1, -1), (3, 1))): "VII-ii",
+    (2, (), ((2, 0), (3, 1))): "VIII",
+    (2, (), ((2, 0), (2, 0))): "IX",
+    (2, (), ((1, -1), (2, 0))): "X",
+    (2, (), ((1, -1), (1, -1))): "XI",
+}
 
 
 def classify_algebraic(form: PetrovNormalForm) -> AlgebraicType:
-    """Match the block multiset onto the index-1 or index-2 labeled forms."""
+    """Look the block pattern up in Petrov's list, ``_PETROV_LIST``."""
     neg = negative_index(form)
     if neg not in (1, 2):
         raise TaxonomyError(f"negative index {neg} outside the classified range")
-    reals = _real_block_list(form)
-    cplx = [
-        (a, b, m) for a, b, sizes in form.structure.complex_blocks for m in sizes
-    ]
-    # blocks that carry negative Gram directions
-    neg_reals = [(lam, m, eps) for lam, m, eps in reals if _negative_dim(m, eps)]
-    background = [(lam, m, eps) for lam, m, eps in reals if not _negative_dim(m, eps)]
-    if any(m != 1 or eps != 1 for _l, m, eps in background):
-        raise TaxonomyError("non-index blocks must be positive 1-blocks")
-    if neg == 1:
-        return _classify_index1(neg_reals, cplx)
-    return _classify_index2(neg_reals, cplx)
-
-
-def _classify_index1(neg_reals, cplx) -> AlgebraicType:
-    if len(cplx) == 1 and cplx[0][2] == 1 and not neg_reals:
-        a, b, _ = cplx[0]
-        return AlgebraicType(1, "IV", None, {"alpha": a, "beta": b})
-    if cplx:
-        raise TaxonomyError("complex blocks incompatible with index 1")
-    if len(neg_reals) != 1:
-        raise TaxonomyError("index-1 pattern needs one negative-carrying block")
-    lam, m, eps = neg_reals[0]
-    if m == 1:
-        return AlgebraicType(1, "I", None, {"a0": lam})
-    if m == 2:
-        return AlgebraicType(1, "II", eps, {"b": lam})
-    if m == 3 and eps == 1:
-        return AlgebraicType(1, "III", None, {"b": lam})
-    raise TaxonomyError(f"real block (size {m}, sign {eps}) not in the index-1 list")
-
-
-def _classify_index2(neg_reals, cplx) -> AlgebraicType:
-    csizes = sorted(m for *_ab, m in cplx)
-    if csizes == [2] and not neg_reals:
-        a, b, _ = cplx[0]
-        return AlgebraicType(2, "I", None, {"alpha": a, "beta": b})
-    if csizes == [1, 1] and not neg_reals:
-        params = {
-            "pairs": [(a, b) for a, b, _m in sorted(cplx, key=lambda t: (t[0], t[1]))]
-        }
-        return AlgebraicType(2, "II", None, params)
-    if csizes == [1] and len(neg_reals) == 1:
-        a, b, _ = cplx[0]
-        lam, m, eps = neg_reals[0]
-        if m == 1:  # eps == -1 by negativity
-            return AlgebraicType(2, "III", None, {"alpha": a, "beta": b, "a0": lam})
-        if m == 2:
-            return AlgebraicType(2, "IV", eps, {"alpha": a, "beta": b, "b": lam})
-        if m == 3 and eps == 1:
-            return AlgebraicType(2, "V", None, {"alpha": a, "beta": b, "b": lam})
-        raise TaxonomyError("complex pair plus incompatible real block")
-    if csizes:
-        raise TaxonomyError("complex block pattern not in the index-2 list")
-    # neg_reals stays in canonical block order; match on the size multiset
-    pattern = tuple(sorted(m for _l, m, _e in neg_reals))
-    if pattern == (4,):
-        lam, _m, eps = neg_reals[0]
-        return AlgebraicType(2, "VI", eps, {"b": lam})
-    if pattern == (3,):
-        lam, _m, eps = neg_reals[0]
-        if eps == -1:
-            return AlgebraicType(2, "VII-i", None, {"b": lam})
-        raise TaxonomyError("lone positive 3-block carries wrong inertia")
-    if pattern == (1, 3):
-        one = next(b for b in neg_reals if b[1] == 1)
-        three = next(b for b in neg_reals if b[1] == 3)
-        if three[2] == 1:  # one[2] == -1 by negativity
-            return AlgebraicType(2, "VII-ii", None, {"b": three[0], "a0": one[0]})
-        raise TaxonomyError("3-block sign incompatible with VII-ii")
-    if pattern == (2, 3):
-        two = next(b for b in neg_reals if b[1] == 2)
-        three = next(b for b in neg_reals if b[1] == 3)
-        if three[2] == 1:
-            return AlgebraicType(2, "VIII", two[2], {"b1": three[0], "b2": two[0]})
-        raise TaxonomyError("3-block sign incompatible with VIII")
-    if pattern == (2, 2):
-        (l1, _m1, e1), (l2, _m2, e2) = neg_reals
-        label = "IX-i" if e1 == e2 else "IX-ii"
-        # representative sign: the canonical first block's
-        return AlgebraicType(2, label, e1, {"b1": l1, "b2": l2})
-    if pattern == (1, 2):
-        one = next(b for b in neg_reals if b[1] == 1)
-        two = next(b for b in neg_reals if b[1] == 2)
-        return AlgebraicType(2, "X", two[2], {"b": two[0], "a0": one[0]})
-    if pattern == (1, 1):
-        return AlgebraicType(2, "XI", None, {"a": sorted(b[0] for b in neg_reals)})
-    raise TaxonomyError(f"negative block pattern {pattern} not in the index-2 list")
+    reals = [(lam, m) for lam, sizes in form.structure.real_blocks for m in sizes]
+    # (lambda, size, sign) of the real blocks that carry negative directions
+    carriers = [(lam, m, eps) for (lam, m), eps in zip(reals, form.signs)
+                if _negative_dim(m, eps)]
+    cplx = sorted((a, b, m) for a, b, sizes in form.structure.complex_blocks for m in sizes)
+    csizes = tuple(sorted(m for _a, _b, m in cplx))
+    pattern = tuple(sorted((m, eps if m % 2 else 0) for _lam, m, eps in carriers))
+    label = _PETROV_LIST.get((neg, csizes, pattern))
+    if label is None:
+        sizes = tuple(m for m, _eps in pattern)
+        raise TaxonomyError(f"negative block pattern {sizes} not in the index-2 list")
+    # epsilon: the sign of the first even-size carrier in canonical order
+    even = [eps for _lam, m, eps in carriers if m % 2 == 0]
+    if label == "IX":
+        label += "-i" if even[0] == even[1] else "-ii"
+    # the eigenvalues, named by how many there are of each kind; longer
+    # blocks by size descending, in canonical order among equal sizes
+    pairs = [(a, b) for a, b, _m in cplx]
+    longer = [lam for lam, m, _eps in sorted(carriers, key=lambda c: -c[1]) if m > 1]
+    ones = sorted(lam for lam, m, _eps in carriers if m == 1)
+    params: dict = {}
+    if len(pairs) == 1:
+        params.update(alpha=pairs[0][0], beta=pairs[0][1])
+    elif pairs:
+        params["pairs"] = pairs
+    if len(longer) == 1:
+        params["b"] = longer[0]
+    elif longer:
+        params.update(b1=longer[0], b2=longer[1])
+    if len(ones) == 1:
+        params["a0"] = ones[0]
+    elif ones:
+        params["a"] = ones
+    return AlgebraicType(neg, label, even[0] if even else None, params)
 
 
 def classify_geometric(
@@ -612,6 +572,6 @@ def classify_pair(
         "geometric": GeometricType(alg.index, alg.label).to_json(),
         "structure": form.structure.to_json(),
         "signs": list(form.signs),
-        "negative_index": negative_index(form),
+        "negative_index": alg.index,
         "transform": form.transform.tolist(),
     }

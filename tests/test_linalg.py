@@ -24,7 +24,7 @@ from petrovtypes.linalg import (
     resolve_tol,
     signature,
 )
-from petrovtypes.petrov import classify_pair
+from petrovtypes.petrov import ContractError, classify_pair
 from petrovtypes.spaceform import QuadricFunction, admissibility_check
 
 
@@ -46,6 +46,41 @@ def test_signature_congruence_invariant():
 def test_signature_rejects_nonsymmetric():
     with pytest.raises(ShapeError):
         signature(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [np.diag([1e308, -1e308]), np.array([[0.0, 1.7e308], [1.7e308, 0.0]])],
+    ids=["diagonal", "anti-diagonal"],
+)
+def test_signature_of_a_gram_near_the_float_limit(gram):
+    # g + g.T overflows here; the suite turns its RuntimeWarning into an error
+    assert signature(gram) == (1, 1, 0)
+
+
+def test_self_adjoint_verdicts_where_the_scale_overflows():
+    # max |gram| * max |a| is beyond the float range for both operators
+    gram = np.diag([1e200, -1e200])
+    space = BilinearSpace.from_gram(gram)
+    # gram @ skew - skew.T @ gram = [[0, 1e350], [-1e350, 0]]
+    skew = np.array([[0.0, 1e150], [0.0, 0.0]])
+    assert not is_self_adjoint(skew, space)
+    assert is_self_adjoint(np.diag([1e200, 2.0]), space)
+    with pytest.raises(ContractError, match="not self-adjoint"):
+        classify_pair(skew, gram)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_self_adjoint_verdicts_do_not_depend_on_the_gram_scale(scale):
+    # the nilpotent [[0, 1], [0, 0]] is not self-adjoint for diag(1, -1);
+    # 1e-7 is the tol that petrov_normal_form passes at the default tol
+    gram = scale * np.diag([1.0, -1.0])
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    space = BilinearSpace.from_gram(gram)
+    assert not is_self_adjoint(nilpotent, space, 1e-7)
+    assert is_self_adjoint(np.diag([3.0, 2.0]), space, 1e-7)
+    with pytest.raises(ContractError, match="not self-adjoint"):
+        classify_pair(nilpotent, gram)
 
 
 _BAD_MATRICES = {

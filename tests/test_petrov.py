@@ -1,5 +1,6 @@
 """Normal forms and type classification for self-adjoint pairs."""
 
+import itertools
 import json
 
 import numpy as np
@@ -158,6 +159,117 @@ def test_classify_pair_bundle():
     assert out["geometric"]["label"] == "VI"
     assert out["algebraic"]["label"] == "VI"
     assert out["negative_index"] == 2
+
+
+def _partitions(n, most=None):
+    """Partitions of n, parts descending."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _block_lists(most):
+    """Ascending block size lists of total 0 to most."""
+    return [tuple(sorted(p)) for total in range(most + 1) for p in _partitions(total)]
+
+
+def _enumerated_forms():
+    """Every normal form (structure, signs) of dimension 1 to 8 on the real
+    eigenvalues -1.5 and 0.5 and the complex pairs 0.25 + i and -0.75 + 2i,
+    with every +-1 sign vector; the second eigenvalue of a kind only with
+    the first: 14,098 forms."""
+    no_transform = np.zeros((0, 0))
+    for r1 in _block_lists(8):
+        for r2 in _block_lists(8 - sum(r1)) if r1 else [()]:
+            left = (8 - sum(r1) - sum(r2)) // 2
+            for c1 in _block_lists(left):
+                for c2 in _block_lists(left - sum(c1)) if c1 else [()]:
+                    if not (r1 or c1):
+                        continue
+                    real = tuple((lam, s) for lam, s in ((-1.5, r1), (0.5, r2)) if s)
+                    cplx = tuple((a, b, s) for a, b, s in ((-0.75, 2.0, c2), (0.25, 1.0, c1)) if s)
+                    structure = JordanStructure(real, cplx)
+                    for signs in itertools.product((1, -1), repeat=len(r1) + len(r2)):
+                        yield PetrovNormalForm(structure, signs, no_transform)
+
+
+# (index, label, epsilon) or TaxonomyError text -> count over _enumerated_forms
+ENUMERATED_TYPES = {
+    (1, "I", None): 204,
+    (1, "II", 1): 49,
+    (1, "II", -1): 49,
+    (1, "III", None): 36,
+    (1, "IV", None): 22,
+    (2, "I", None): 11,
+    (2, "II", None): 22,
+    (2, "III", None): 91,
+    (2, "IV", 1): 25,
+    (2, "IV", -1): 25,
+    (2, "V", None): 16,
+    (2, "VI", 1): 25,
+    (2, "VI", -1): 25,
+    (2, "VII-i", None): 36,
+    (2, "VII-ii", None): 125,
+    (2, "VIII", 1): 36,
+    (2, "VIII", -1): 36,
+    (2, "IX-i", 1): 40,
+    (2, "IX-i", -1): 40,
+    (2, "IX-ii", 1): 40,
+    (2, "IX-ii", -1): 40,
+    (2, "X", 1): 203,
+    (2, "X", -1): 203,
+    (2, "XI", None): 546,
+    "negative index 0 outside the classified range": 36,
+    "negative index 3 outside the classified range": 3912,
+    "negative index 4 outside the classified range": 4747,
+    "negative index 5 outside the classified range": 2576,
+    "negative index 6 outside the classified range": 729,
+    "negative index 7 outside the classified range": 114,
+    "negative index 8 outside the classified range": 8,
+    "negative block pattern (5,) not in the index-2 list": 16,
+    "negative block pattern (3, 3) not in the index-2 list": 15,
+}
+
+
+def test_taxonomy_of_every_enumerated_form():
+    """All 17 labels, each epsilon, and the only three refusals that a
+    normal form of dimension up to 8 can meet."""
+    counts = {}
+    for form in _enumerated_forms():
+        try:
+            alg = classify_algebraic(form)
+            key = (alg.index, alg.label, alg.epsilon)
+        except TaxonomyError as exc:
+            key = str(exc)
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == ENUMERATED_TYPES
+    assert sum(counts.values()) == 14098
+
+
+# (real blocks, complex blocks, signs) -> (label, epsilon, parameters)
+PARAMETER_CASES = [
+    # VIII: b1 is the 3-block, wherever it sits in canonical order
+    (((-1.5, (2,)), (0.5, (3,))), (), (1, 1), ("VIII", 1, {"b1": 0.5, "b2": -1.5})),
+    (((-1.5, (3,)), (0.5, (2,))), (), (1, -1), ("VIII", -1, {"b1": -1.5, "b2": 0.5})),
+    # IX: b1, b2 and epsilon from the blocks in canonical order
+    (((-1.5, (2,)), (0.5, (2,))), (), (-1, 1), ("IX-ii", -1, {"b1": -1.5, "b2": 0.5})),
+    (((-1.5, (2,)), (0.5, (2,))), (), (1, -1), ("IX-ii", 1, {"b1": -1.5, "b2": 0.5})),
+    (((-1.5, (1, 2, 2)),), (), (1, -1, -1), ("IX-i", -1, {"b1": -1.5, "b2": -1.5})),
+    # XI and index-2 II: sorted, even if the blocks are not
+    (((0.5, (1,)), (-1.5, (1,))), (), (-1, -1), ("XI", None, {"a": [-1.5, 0.5]})),
+    ((), ((0.25, 1.0, (1,)), (-0.75, 2.0, (1,))), (),
+     ("II", None, {"pairs": [(-0.75, 2.0), (0.25, 1.0)]})),
+]
+
+
+@pytest.mark.parametrize("real,cplx,signs,want", PARAMETER_CASES)
+def test_taxonomy_parameters(real, cplx, signs, want):
+    form = PetrovNormalForm(JordanStructure(real, cplx), signs, np.zeros((0, 0)))
+    alg = classify_algebraic(form)
+    assert (alg.label, alg.epsilon, alg.parameters) == want
+    assert alg.index == 2
 
 
 def test_signs_canonical_order_positive_first():
