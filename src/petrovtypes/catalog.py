@@ -155,9 +155,9 @@ class _Entry(NamedTuple):
     anchor_variant) take chart points checked by _chart_point;
     sample(rng, n, a) returns the first n chart points the entry accepts
     from rng.  expected is the GeometricType or a function of the chart
-    point, summary its text in the listing, epsilon(p) the stated algebraic
-    sign where there is one.  level is the record of a quadric level set,
-    whose bound methods are chart, jacobian, evaluate and sample."""
+    point, summary its text in the listing.  level is the record of a
+    quadric level set, whose bound methods are chart, jacobian, evaluate and
+    sample."""
 
     id: str
     ambient: SpaceForm
@@ -169,7 +169,6 @@ class _Entry(NamedTuple):
     expected: GeometricType | Callable[[np.ndarray], GeometricType]
     summary: str
     anchor_variant: bool = False
-    epsilon: Callable[[np.ndarray], int | None] | None = None
     level: _LevelSet | None = None
 
 
@@ -574,7 +573,7 @@ def _jacobian_01(p: np.ndarray, a: float) -> np.ndarray:
 
 
 def _frame_01(p: np.ndarray, a: float) -> tuple:
-    u, v = _coords(p)
+    _u, v = _coords(p)
     frame = _jacobian_01(p, a)
     xi = _vec(v, np.cos(v) / SQ2, np.cos(v) / SQ2, -1.0)
     shape = np.zeros(p.shape[:-1] + (2, 2))
@@ -602,7 +601,7 @@ def _jacobian_02(p: np.ndarray, a: float) -> np.ndarray:
 
 
 def _frame_02(p: np.ndarray, a: float) -> tuple:
-    x, y, z, w = _coords(p)
+    _x, y, _z, w = _coords(p)
     frame = _jacobian_02(p, a)
     xi = _vec(y, -y / SQ2, np.cos(w) / SQ2, -y / SQ2, np.cos(w) / SQ2, -1.0)
     shape = np.zeros(p.shape[:-1] + (4, 4))
@@ -682,7 +681,7 @@ def _jacobian_kl(eps: float, c: _CurvesKL, p: np.ndarray, a: float) -> np.ndarra
 
 
 def _frame_kl(eps: float, c: _CurvesKL, p: np.ndarray, a: float) -> tuple:
-    _s, u, z, v = _coords(p)
+    _s, _u, z, v = _coords(p)
     w = z + eps * SQ2
     if (abs(w) <= 1e-9).any():
         sign = "+" if eps > 0 else "-"
@@ -788,7 +787,7 @@ def _closed_frame_data(frame_fn, s: int, p: np.ndarray, a: float, anchor_variant
 
 def _closed_entry(
     example_id: str, ambient: SpaceForm, param_dim: int, chart, jacobian, frame, draw,
-    expected, summary: str | None = None, epsilon=None,
+    expected, summary: str | None = None,
 ) -> _Entry:
     """An entry given by closed formulas, sampled by draw(rng, i, a).
     expected is the label of a fixed index-2 type, or a function of the chart
@@ -798,7 +797,7 @@ def _closed_entry(
     evaluate = functools.partial(_closed_frame_data, frame, ambient.embedding_index)
     return _Entry(
         example_id, ambient, param_dim, chart, jacobian, evaluate,
-        functools.partial(_draw_each, draw), expected, summary, epsilon=epsilon,
+        functools.partial(_draw_each, draw), expected, summary,
     )
 
 
@@ -822,7 +821,7 @@ _REGISTRY = {entry.id: entry for entry in (
     _closed_entry(
         "0-1", _R3_1, 2, _chart_01, _jacobian_01, _frame_01, functools.partial(_sample_region, 1),
         functools.partial(_region, 1, tuple(GeometricType(1, t) for t in ("I", "II", "II"))),
-        "I or II by region (index 1)", functools.partial(_region, 1, (None, -1, 1)),
+        "I or II by region (index 1)",
     ),
     _closed_entry(
         "0-2", _R5_2, 4, _chart_02, _jacobian_02, _frame_02, functools.partial(_sample_region, 3),
@@ -971,14 +970,6 @@ def expected_type(example_id: str, p=None) -> GeometricType:
     if p is None:
         raise DomainError(f"entry {example_id} has a point-dependent type")
     return entry.expected(p)
-
-
-def expected_algebraic_epsilon(example_id: str, p) -> int | None:
-    """The stated sign for the region-dependent entries, where defined."""
-    entry = _REGISTRY.get(example_id)
-    if entry is None or entry.epsilon is None:
-        raise DomainError(f"{example_id} has no stated region-dependent sign")
-    return entry.epsilon(_chart_point(entry, p))
 
 
 def sample_domain(example_id: str, n: int, seed: int = 0, a: float = 1.0) -> list[np.ndarray]:

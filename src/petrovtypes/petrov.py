@@ -9,13 +9,20 @@ Every eigenvalue cluster, real or complex, simple or whole-space, gets its
 orthonormal eigenspace basis q and N_r = q^H (a - lam I) q in one way:
 clusters of one kind and multiplicity share one shift stack a - lam I and
 one ``generalized_eigenspace`` call, scaled by max |a - lam I| (|a - lam I|
-below), which the real chains' degeneracy checks read too; the rank profile
+below), which every chain's degeneracy check reads too; the rank profile
 of N_r sizes the blocks.  Blocks are then built in two ways:
 
 - chains of length 2 or more, and every complex chain: the chain peel takes
   longest chains first in the coordinates of q, on N_r, and deflates each
   chain's B-orthocomplement.  Complex clusters run it over the
-  complexification and are realified into companion blocks;
+  complexification and are realified into companion blocks, whose columns,
+  like a real block's, are fixed only up to sign.  Every chain generator is
+  the dominant eigenvector of one real symmetric form: the pairing
+  B(v, N^(m-1) v) on a real span; on a complex span, where B is bilinear,
+  the real 2k x 2k embedding of the complex symmetric pairing Q, whose top
+  eigenvalue is the maximum of |x^T Q x| over unit x, the largest Takagi
+  value of Q (Horn & Johnson, *Matrix Analysis*, 2nd ed., 4.4).  A pairing
+  at most tol * max(|form|, |a - lam I|, 1) raises one ConditioningError;
 - real 1-blocks: what is left of a real cluster after its peel, the whole
   eigenspace of a simple or semisimple one, is a span where a - lam I
   vanishes.  One symmetric eigensolve of the Gram restricted to it, stacked
@@ -358,11 +365,12 @@ def _extract_chains(
     The chains are (size, sign, columns) with columns ordered so the operator
     acts as an upper Jordan/companion block and the chain Gram is exactly the
     target anti-diagonal block; a complex cluster (complex basis and nr) has
-    sign 1.  A real cluster peels only its chains of length 2 or more, and
-    what is left, the B-orthocomplement of its chains, is where N vanishes:
-    its 1-blocks, for ``_one_blocks``.  The span of basis (orthonormal
-    columns) is N-invariant, so the peel runs in its coordinates, on
-    N_r = nr = basis^H N basis, as ``jordan_structure`` returns it, and
+    sign -1, which makes its realified Gram cells diag(-1, 1).  A real
+    cluster peels only its chains of length 2 or more, and what is left, the
+    B-orthocomplement of its chains, is where N vanishes: its 1-blocks, for
+    ``_one_blocks``.  The span of basis (orthonormal columns) is
+    N-invariant, so the peel runs in its coordinates, on N_r = nr =
+    basis^H N basis, as ``jordan_structure`` returns it, and
     G_r = basis^T G basis: the powers of N never reach the other eigenspaces,
     whose roundoff they would scale by (lam_j - lam)^k.  The chains and the
     rest are mapped back with basis @ cols.  shift_scale is max |N| =
@@ -387,60 +395,45 @@ def _extract_chains(
 
 
 def _pick_chain_generator(powers, g, active, m, tol, shift_scale):
-    """Vector v in the active span with B(v, N^(m-1) v) != 0, normalized to +-1.
+    """Vector v in the active span with B(v, N^(m-1) v) = eps = +-1, and eps.
 
-    A real active span picks the dominant eigenvector of the projected
-    symmetric form; a complex one (a complex cluster) searches deterministic
-    candidate combinations of the bilinear form.  shift_scale is max |N| on
-    the whole space, part of the degeneracy scale.
+    v is the dominant eigenvector of one real symmetric form (module
+    docstring): the symmetrized Q = active^T G N^(m-1) active on a real span,
+    and [[Re Q, -Im Q], [-Im Q, -Re Q]] in (y, z), x = y + iz, on a complex
+    one, where i x has the pairing of x negated, so eps is -1.  A pairing at
+    most tol * max(|Q|, shift_scale, 1) raises ConditioningError.
     """
-    k = active.shape[1]
-    if not np.iscomplexobj(active):
-        # active has real span; form is symmetric up to roundoff
-        form = active.conj().T @ g @ powers[m - 1] @ active
-        form_s = (form + form.T).real / 2.0
-        w, vecs = np.linalg.eigh(form_s)
-        idx = int(np.argmax(np.abs(w)))
-        theta = w[idx]
-        scale = max(np.abs(form_s).max(), shift_scale, 1.0)
-        if abs(theta) <= tol * scale:
-            raise ConditioningError(
-                f"degenerate chain pairing for block size {m}; "
-                "input sits near a Jordan-structure boundary"
-            )
-        v = active @ vecs[:, idx]
-        v = v / np.sqrt(abs(theta))
-        return v.real, (1 if theta > 0 else -1)
-    # complex bilinear form x^T Q x (no conjugation): search candidates
-    q = active.T @ g @ powers[m - 1] @ active
-    cands = [np.eye(k, dtype=complex)[:, i] for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            e = np.eye(k, dtype=complex)
-            cands.append(e[:, i] + e[:, j])
-            cands.append(e[:, i] + 1j * e[:, j])
-    vals = [c @ q @ c for c in cands]
-    idx = int(np.argmax(np.abs(vals)))
-    qv = vals[idx]
-    scale = max(np.abs(q).max(), 1.0)
-    if abs(qv) <= tol * scale:
+    form = active.T @ g @ powers[m - 1] @ active
+    form = (form + form.T) / 2.0
+    if np.iscomplexobj(form):
+        k = form.shape[0]
+        real_form = np.empty((2 * k, 2 * k))
+        real_form[:k, :k] = form.real
+        real_form[k:, k:] = -form.real
+        real_form[:k, k:] = real_form[k:, :k] = -form.imag
+        w, yz = np.linalg.eigh(real_form)
+        vecs = (yz[:k] + 1j * yz[k:]) * np.where(w > 0, 1j, 1.0)
+        w = -np.abs(w)
+    else:
+        w, vecs = np.linalg.eigh(form)
+    idx = int(np.argmax(np.abs(w)))
+    theta = w[idx]
+    if abs(theta) <= tol * max(np.abs(form).max(), shift_scale, 1.0):
         raise ConditioningError(
-            f"degenerate complex chain pairing for block size {m}"
+            f"degenerate chain pairing for block size {m}; "
+            "input sits near a Jordan-structure boundary"
         )
-    v = active @ cands[idx]
-    # normalize B(v, N^(m-1) v) = -1 so the realified Gram cells are diag(-1, 1)
-    mu = np.sqrt(-1.0 / qv + 0j)
-    return v * mu, 1
+    v = active @ vecs[:, idx] / np.sqrt(abs(theta))
+    return v, (1 if theta > 0 else -1)
 
 
 def _straighten(powers, g, v, m, eps):
     """Zero the lower Hankel moments B(v, N^k v), k < m-1, of the chain."""
-    target = -1.0 if np.iscomplexobj(v) else float(eps)
     for k in range(m - 2, -1, -1):
         h_k = v @ g @ powers[k] @ v
         if abs(h_k) == 0.0:
             continue
-        a_coef = -h_k / (2.0 * target)
+        a_coef = -h_k / (2.0 * eps)
         v = v + a_coef * (powers[m - 1 - k] @ v)
     return v
 
@@ -456,12 +449,7 @@ def _deflate(g, active, chain_cols, tol):
 
 def _realify_chain(cols: np.ndarray) -> np.ndarray:
     """Complex chain columns -> interleaved real pairs (sqrt2 Re, -sqrt2 Im)."""
-    out = []
-    for j in range(cols.shape[1]):
-        e = cols[:, j]
-        out.append(np.sqrt(2.0) * e.real)
-        out.append(-np.sqrt(2.0) * e.imag)
-    return np.column_stack(out)
+    return np.sqrt(2.0) * np.stack([cols.real, -cols.imag], axis=2).reshape(cols.shape[0], -1)
 
 
 def negative_index(form: PetrovNormalForm) -> int:

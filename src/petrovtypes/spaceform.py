@@ -274,7 +274,7 @@ def sphere_shape_operator(
     grad = quadric_gradient(f, x, tol)
     op, delta = sphere_level_operator(f, x, ambient_inner(grad, grad, f.s), tol)
     image = op @ basis
-    rep, residual, *_ = np.linalg.lstsq(basis, image, rcond=None)
+    rep, *_ = np.linalg.lstsq(basis, image, rcond=None)
     check_invariant(basis, rep, image, tol)
     return rep, delta
 

@@ -10,7 +10,6 @@ import numpy as np
 from petrovtypes.catalog import (
     EXAMPLE_IDS,
     evaluate,
-    expected_algebraic_epsilon,
     expected_type,
     sample_domain,
 )
@@ -369,13 +368,19 @@ def test_criterion_10_boundary_band_pinned():
 
 
 def test_criterion_11_algebraic_epsilon_on_0_1():
+    # Table 3's signs on 0-1 by region of the angle v: -1 where sin v > 0,
+    # +1 where sin v < 0, and none where sin v = 0 (type I has no 2-block);
+    # the samples cycle through the three regions
     points = sample_domain("0-1", 60, seed=3)
-    misses = []
+    misses, regions = [], set()
     for p in points:
         fd = evaluate("0-1", p)
         eps = classify_pair(fd.shape, fd.gram)["algebraic"]["epsilon"]
-        if eps != expected_algebraic_epsilon("0-1", p):
+        s = np.sin(p[1])
+        want = None if abs(s) < 1e-12 else -1 if s > 0 else 1
+        regions.add(want)
+        if eps != want:
             misses.append((tuple(p), eps))
-    ok = not misses
+    ok = not misses and regions == {None, -1, 1}
     _report(11, "algebraic epsilon of entry 0-1", ok)
-    assert ok, misses
+    assert ok, (misses, regions)

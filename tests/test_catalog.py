@@ -14,7 +14,6 @@ from petrovtypes.catalog import (
     chart,
     chart_jacobian,
     evaluate,
-    expected_algebraic_epsilon,
     expected_type,
     param_dim,
     quadric_of,
@@ -217,9 +216,6 @@ def test_region_types_first_parametrized_family():
     assert expected_type("0-1", [0.3, 0.0]).label == "I"
     assert expected_type("0-1", [0.3, np.pi / 2]).label == "II"
     assert expected_type("0-1", [0.3, 3 * np.pi / 2]).label == "II"
-    assert expected_algebraic_epsilon("0-1", [0.3, np.pi / 2]) == -1
-    assert expected_algebraic_epsilon("0-1", [0.3, 3 * np.pi / 2]) == 1
-    assert expected_algebraic_epsilon("0-1", [0.3, 0.0]) is None
 
 
 def test_region_types_second_parametrized_family():
@@ -560,7 +556,7 @@ def test_sample_domain_refuses_bad_a(ex_id, aval):
 @pytest.mark.parametrize("fun, ex_id, p, error", [
     (expected_type, "0-1", [0.3, np.nan], DomainError),
     (expected_type, "0-2", [0, 0, 0, np.inf], DomainError),
-    (expected_algebraic_epsilon, "0-1", [0.3, np.nan], DomainError),
+    (expected_type, "0-1", [[0.3, 0.1]], ShapeError),
     (expected_type, "0-1", [0.3], ShapeError),
     (expected_type, "a", [0.3], ShapeError),
     (evaluate, "0-1", [0.3, np.nan], DomainError),

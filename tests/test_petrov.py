@@ -22,6 +22,7 @@ from petrovtypes.petrov import (
     _extract_chains,
     _normal_matrices,
     _one_blocks,
+    _pick_chain_generator,
     assemble_normal_pair,
     classify_algebraic,
     classify_geometric,
@@ -421,6 +422,62 @@ def test_semisimple_degenerate_form_raises():
             petrov_normal_form(pair)
 
 
+def _orthonormal_span(rng, n, k, complex_span):
+    """n x k orthonormal columns (in the Hermitian inner product), complex or
+    real."""
+    x = rng.standard_normal((n, k))
+    if complex_span:
+        x = x + 1j * rng.standard_normal((n, k))
+    return np.linalg.qr(x)[0]
+
+
+def test_chain_generator_attains_the_largest_pairing():
+    """On orthonormal spans of width 1..4 and a random symmetric G, the
+    generator v has B(v, v) = eps, and its pairing 1/|v|^2 is the largest
+    |x^T Q x| over unit x in the span, Q = span^T G span: the largest Takagi
+    value (singular value) of Q on a complex span, where eps is -1, and the
+    largest |eigenvalue| on a real one, whose sign is eps."""
+    rng = np.random.default_rng(27)
+    for complex_span in (True, False):
+        for k in range(1, 5):
+            for _ in range(10):
+                g = rng.standard_normal((8, 8))
+                g = g + g.T
+                active = _orthonormal_span(rng, 8, k, complex_span)
+                v, eps = _pick_chain_generator([np.eye(8)], g, active, 1, 1e-9, 1.0)
+                q = active.T @ g @ active
+                if complex_span:
+                    best, want_eps = np.linalg.svd(q, compute_uv=False)[0], -1
+                else:
+                    w = np.linalg.eigvalsh(q)
+                    best, want_eps = np.abs(w).max(), np.sign(w[np.abs(w).argmax()])
+                assert eps == want_eps
+                assert abs(v @ g @ v - eps) <= 1e-12
+                assert abs(1.0 / np.vdot(v, v).real - best) <= 1e-12 * best
+
+
+def test_degenerate_pairing_raises_one_error_on_every_span():
+    """A pairing at most tol * max(|Q|, shift_scale, 1) raises the same
+    ConditioningError text on a real and on a complex span.  The shift is
+    part of that scale on both: a complex Q with max |Q| = 1e-3 passes at
+    tol 1e-9 beside shift_scale 1 and is refused beside shift_scale 1e7."""
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((6, 6))
+    g = g + g.T
+    text = "degenerate chain pairing for block size 1; input sits near a Jordan-structure boundary"
+    for complex_span in (False, True):
+        active = _orthonormal_span(rng, 6, 2, complex_span)
+        with pytest.raises(ConditioningError) as raised:
+            _pick_chain_generator([np.eye(6)], 1e-12 * g, active, 1, 1e-9, 1.0)
+        assert str(raised.value) == text
+    complex_span = _orthonormal_span(rng, 6, 2, True)
+    small = g * (1e-3 / np.abs(complex_span.T @ g @ complex_span).max())
+    _pick_chain_generator([np.eye(6)], small, complex_span, 1, 1e-9, 1.0)
+    with pytest.raises(ConditioningError) as raised:
+        _pick_chain_generator([np.eye(6)], small, complex_span, 1, 1e-9, 1e7)
+    assert str(raised.value) == text
+
+
 @pytest.mark.parametrize("case", TAXONOMY_CASES, ids=TAXONOMY_IDS)
 def test_normal_form_transform_reaches_normal_pair(case):
     _index, _label, _sign, reals, cplx = case
@@ -585,19 +642,25 @@ def _repeated_eigenvalue_pairs(draw):
     """A structure of dimension 2..8 in which one eigenvalue carries 2..5
     one-blocks with random signs, sometimes next to a 2-block of random sign;
     further one-blocks sit on three other eigenvalues of a unit grid, so they
-    may repeat too.  Moved by a congruence with cond(T) <= 100."""
+    may repeat too.  Sometimes one complex pair carries two blocks, of sizes
+    (1, 1) or (1, 2), so that the chain generator of a complex cluster is a
+    choice in a span of width 2 or 3.  Moved by a congruence with
+    cond(T) <= 100."""
     sign = st.sampled_from((-1, 1))
     grid = draw(st.permutations([float(x) for x in range(-4, 5)]))
-    blocks = [(grid[0], 1, draw(sign)) for _ in range(draw(st.integers(2, 5)))]
-    if draw(st.booleans()):
+    cplx = draw(st.sampled_from(((), (), (1, 1), (1, 2))))
+    room = 8 - 2 * sum(cplx)
+    blocks = [(grid[0], 1, draw(sign)) for _ in range(draw(st.integers(2, min(5, room))))]
+    if len(blocks) + 2 <= room and draw(st.booleans()):
         blocks.append((grid[0], 2, draw(sign)))
-    for _ in range(draw(st.integers(0, 8 - sum(m for _l, m, _e in blocks)))):
+    for _ in range(draw(st.integers(0, room - sum(m for _l, m, _e in blocks)))):
         blocks.append((draw(st.sampled_from(grid[1:4])), 1, draw(sign)))
     # canonical block order: eigenvalues ascending, sizes ascending, +1 first
     blocks.sort(key=lambda b: (b[0], b[1], -b[2]))
     lams = sorted({lam for lam, _m, _eps in blocks})
     structure = JordanStructure(
-        tuple((lam, tuple(m for mu, m, _e in blocks if mu == lam)) for lam in lams), ()
+        tuple((lam, tuple(m for mu, m, _e in blocks if mu == lam)) for lam in lams),
+        ((grid[4], draw(st.sampled_from((0.75, 1.0, 1.25))), cplx),) if cplx else (),
     )
     signs = tuple(eps for _lam, _m, eps in blocks)
     base = assemble_normal_pair(structure, list(signs))
