@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .linalg import ShapeError, default_tol
 from .petrov import GeometricType
@@ -656,7 +655,18 @@ def _on_curves(curves: _Curves, formula, p: np.ndarray, a: float):
 # l as well.  Curves of s: X, Y, Z, C, V (one row), Y', Z', C', xint =
 # int_0^s X.
 _CurvesKL = collections.namedtuple("_CurvesKL", "X Y Z C V Yp Zp Cp xint")
-_der, _int = (functools.partial(fn, axis=0) for fn in (P.polyder, P.polyint))
+
+
+def _der(c: np.ndarray) -> np.ndarray:
+    """The derivative of the curve whose row k is its coefficient of s^k, in
+    the same layout: row k + 1 times k + 1."""
+    return np.arange(1, len(c))[:, None] * c[1:]
+
+
+def _int(c: np.ndarray) -> np.ndarray:
+    """The integral from 0 of the curve whose row k is its coefficient of
+    s^k, in the same layout: a zero row, then row k over k + 1."""
+    return np.concatenate([np.zeros_like(c[:1]), c / np.arange(1, len(c) + 1)[:, None]])
 
 
 def _root_kl(eps: float, v, a: float):

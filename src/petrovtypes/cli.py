@@ -7,8 +7,9 @@ Subcommands:
   report    regenerate one of the three classification tables
 
 All JSON output carries a top-level "schema": "1" key and echoes the resolved
-tolerance.  Exit status: 0 on success, 1 when a requested check fails or a
-module reports a contract error, 2 on usage errors.
+tolerance; classify and report also echo the cut of their Jordan rank
+decisions as "rank_tolerance".  Exit status: 0 on success, 1 when a requested
+check fails or a module reports a contract error, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .linalg import (
     default_tol,
     matrix_from_json,
     matrix_to_json,
+    rank_cut,
 )
 from .petrov import ContractError, TaxonomyError, classify_pair
 from .spaceform import DomainError
@@ -109,7 +111,7 @@ def _cmd_classify(args) -> int:
         if not np.isfinite(mat).all():
             raise CliError(f'"{name}" has a non-finite entry (NaN or infinity)')
     result = classify_pair(a, gram, tol)
-    payload = _base_payload(tol) | result
+    payload = _base_payload(tol) | {"rank_tolerance": rank_cut(tol)} | result
     md = [
         f"tolerance: {tol}",
         f"algebraic type: {result['algebraic']['label']} (index {result['algebraic']['index']})",
@@ -212,7 +214,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     tol = default_tol()
     doc = verify.table_report(args.table, samples=args.samples, seed=args.seed)
-    payload = _base_payload(tol) | doc
+    payload = _base_payload(tol) | {"rank_tolerance": rank_cut(tol)} | doc
     md = [f"tolerance: {tol}", ""]
     if args.table == 1:
         cols = doc["columns"]

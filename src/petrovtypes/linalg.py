@@ -175,9 +175,15 @@ def generalized_eigenspace(shifts: np.ndarray, scales: np.ndarray, mult: int) ->
     k, n, _n = shifts.shape
     if mult == n:
         return np.tile(np.eye(n, dtype=shifts.dtype), (k, 1, 1))
-    power = np.linalg.matrix_power(shifts / scales[:, None, None], mult) if mult > 1 else shifts
+    power = np.linalg.matrix_power(shifts / scales[:, None, None], mult)
     _u, _s, vh = np.linalg.svd(power)
     return vh.conj().transpose(0, 2, 1)[:, :, n - mult :]
+
+
+def rank_cut(tol: float) -> float:
+    """The cut of every rank decision at tolerance tol: a singular value at
+    most max(tol, RANK_TOL) is read as zero."""
+    return max(tol, RANK_TOL)
 
 
 def jordan_rank_profile(nil: np.ndarray, lam, tol: float) -> list[int]:
@@ -192,7 +198,7 @@ def jordan_rank_profile(nil: np.ndarray, lam, tol: float) -> list[int]:
     raises ToleranceError.
     """
     mult = nil.shape[0]
-    cut = max(tol, RANK_TOL)
+    cut = rank_cut(tol)
     # the first staircase step is the SVD of N itself, which also gives |N|_2;
     # a 1x1 N is its own singular value, and its first step is its last
     _u, sv, vh = np.linalg.svd(nil) if mult > 1 else (None, np.abs(nil[0]), None)
@@ -236,11 +242,19 @@ def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object
     radius is one real cluster, and one with |beta| up to the radius raises
     ClusterAmbiguityError, like any two clusters within twice the radius.
     """
-    tol = resolve_tol(tol)
+    clusters, _vecs = _eig_clusters(a, resolve_tol(tol))
+    return [(value, len(members)) for value, members in clusters]
+
+
+def _eig_clusters(a, tol: float) -> tuple[list[tuple[object, list[int]]], np.ndarray]:
+    """The clusters of ``eigen_clusters``, each as (value, member indices),
+    and the eigenvectors of the one np.linalg.eig call whose eigenvalues
+    they link: member i is eigenvalue i, and column i its eigenvector."""
     a = _require_square(a)
     n = a.shape[0]
+    ev, vecs = np.linalg.eig(a)
     # + 0.0: a zero eigenvalue reads 0.0, never -0.0, as it does for -A
-    ev = np.linalg.eigvals(a) + 0.0
+    ev = ev + 0.0
     # the linkage loops run on Python scalars, which are far cheaper to
     # subtract and compare than numpy ones
     values = [complex(x) for x in ev.tolist()]
@@ -264,10 +278,10 @@ def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    # a group of one is its own centre; larger groups keep np.mean, whose
-    # pairwise summation a plain sum/len does not reproduce to the last bit
+    # a group of one is its own centre; a larger one is its mean, as the
+    # sum and the division np.mean makes, bit for bit, without its overhead
     centers = {
-        r: values[m[0]] if len(m) == 1 else complex(np.mean(ev[m]))
+        r: values[m[0]] if len(m) == 1 else complex(np.add.reduce(ev[m]) / len(m))
         for r, m in groups.items()
     }
     # ambiguity guard: distinct clusters closer than 2*thresh
@@ -281,9 +295,8 @@ def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object
                 )
     # the real clusters, and each complex pair from its member with beta > 0
     out = [
-        ((c.real, c.imag) if c.imag > thresh else c.real, len(groups[r]))
+        ((c.real, c.imag) if c.imag > thresh else c.real, groups[r])
         for r, c in centers.items() if c.imag >= -thresh
     ]
     # real values ascending, then complex ones by (alpha, beta)
-    return sorted(out, key=lambda item: (isinstance(item[0], tuple), item[0]))
-
+    return sorted(out, key=lambda item: (isinstance(item[0], tuple), item[0])), vecs

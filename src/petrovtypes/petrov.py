@@ -5,12 +5,15 @@ real 2x2-companion chains for conjugate pairs) with a Gram matrix made of
 signed anti-diagonal blocks.  The sign attached to each real block is part of
 the invariant data and drives the type labels.
 
-Every eigenvalue cluster, real or complex, simple or whole-space, gets its
-orthonormal eigenspace basis q and N_r = q^H (a - lam I) q in one way:
-clusters of one kind and multiplicity share one shift stack a - lam I and
-one ``generalized_eigenspace`` call, scaled by max |a - lam I| (|a - lam I|
-below), which every chain's degeneracy check reads too; the rank profile
-of N_r sizes the blocks.  Blocks are then built in two ways:
+Every eigenvalue cluster, real or complex, gets its orthonormal eigenspace
+basis q, N_r = q^H (a - lam I) q and its scale max |a - lam I| (|a - lam I|
+below), which every chain's degeneracy check reads.  One np.linalg.eig call
+gives the eigenvalues the clusters link and the eigenvectors: a simple
+cluster's q is its eig column, and its 1x1 N_r within the rank cut makes it
+a 1-block.  Clusters of one kind and of one multiplicity 2 or more share one
+shift stack a - lam I and one ``generalized_eigenspace`` call, scaled by
+|a - lam I|, and the rank profile of N_r sizes their blocks.  Blocks are
+then built in two ways:
 
 - chains of length 2 or more, and every complex chain: the chain peel takes
   longest chains first in the coordinates of q, on N_r, and deflates each
@@ -57,10 +60,11 @@ from .linalg import (
     BilinearSpace,
     ShapeError,
     ToleranceError,
-    eigen_clusters,
+    _eig_clusters,
     generalized_eigenspace,
     is_self_adjoint,
     jordan_rank_profile,
+    rank_cut,
     resolve_tol,
 )
 
@@ -152,37 +156,50 @@ def jordan_structure(
     """Block sizes per eigenvalue from the rank profile of N_r, and per
     cluster (real, then complex, in canonical order) an orthonormal basis q
     of its generalized eigenspace, N_r = q^H (a - lam I) q and max |a - lam I|,
-    each computed once for every use.  Clusters of one kind and multiplicity
-    share one shift stack and one ``generalized_eigenspace`` call; that max
-    scales its power and is the shift's part of the chain degeneracy scale."""
+    each computed once for every use.
+
+    One np.linalg.eig call gives the eigenvalues the clusters link and the
+    eigenvectors: a simple cluster's q is its eig column (real for a real
+    cluster), and its 1x1 N_r within the rank cut gives the 1-block with no
+    rank profile.  Clusters of one kind and multiplicity 2 or more share one
+    shift stack and one ``generalized_eigenspace`` call, scaled by that max,
+    which is also the shift's part of the chain degeneracy scale."""
     tol = resolve_tol(tol)
     af = np.asarray(a, dtype=float)
     n = af.shape[0]
     if n > 8:
         raise ContractError("jordan_structure supports dim <= 8")
-    # eigen_clusters lists real clusters ascending, then complex by (alpha, beta)
+    # real clusters ascending, then complex by (alpha, beta), as eigen_clusters
+    # lists them, with their eigenvalue indices into the columns of vecs
+    linked, vecs = _eig_clusters(a, tol)
     clusters = [
-        (complex(*val) if isinstance(val, tuple) else float(val), mult)
-        for val, mult in eigen_clusters(a, tol)
+        (complex(*val) if isinstance(val, tuple) else float(val), members)
+        for val, members in linked
     ]
     groups: dict[tuple[type, int], list[int]] = {}
-    for i, (lam, mult) in enumerate(clusters):
-        groups.setdefault((type(lam), mult), []).append(i)
+    for i, (lam, members) in enumerate(clusters):
+        groups.setdefault((type(lam), len(members)), []).append(i)
     bases, restricted, shift_scales = ([None] * len(clusters) for _ in range(3))
-    for (kind, mult), members in groups.items():
+    for (kind, mult), group in groups.items():
         # a complex cluster's eigenspace lies in the complexification
         mat = af.astype(kind)
-        lams = np.array([clusters[i][0] for i in members])
+        lams = np.array([clusters[i][0] for i in group])
         shifts = mat - lams[:, None, None] * np.eye(n)
         scales = np.abs(shifts).max(axis=(1, 2))
-        q = generalized_eigenspace(shifts, scales, mult)
+        if mult == 1:
+            cols = vecs[:, [clusters[i][1][0] for i in group]].T[:, :, None]
+            q = cols if kind is complex else cols.real
+        else:
+            q = generalized_eigenspace(shifts, scales, mult)
         nr = q.conj().transpose(0, 2, 1) @ shifts @ q
-        for i, qi, nri, scale in zip(members, q, nr, scales):
+        for i, qi, nri, scale in zip(group, q, nr, scales):
             bases[i], restricted[i], shift_scales[i] = qi, nri, scale
+    cut = rank_cut(tol)
     real: list[tuple[float, tuple[int, ...]]] = []
     cplx: list[tuple[float, float, tuple[int, ...]]] = []
-    for (lam, _mult), nr in zip(clusters, restricted):
-        sizes = _block_sizes(nr, lam, tol)
+    for (lam, _members), nr in zip(clusters, restricted):
+        simple = nr.shape == (1, 1) and abs(nr[0, 0]) <= cut
+        sizes = (1,) if simple else _block_sizes(nr, lam, tol)
         if isinstance(lam, complex):
             cplx.append((lam.real, lam.imag, sizes))
         else:

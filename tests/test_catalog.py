@@ -777,3 +777,38 @@ def test_curves_in_one_pass_equal_each_table(ex_id):
             assert value.shape == p.shape[:-1] + (table.shape[1],)
             want = np.broadcast_to(catalog._at(table, s), value.shape)
             assert value.tobytes() == want.tobytes(), name
+
+
+def _same_bits(got, want):
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and np.array_equal(got, want)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+def test_derived_curve_tables_match_numpy_polynomial():
+    """The derivative and integral tables of entries k, l and m, and those of
+    random tables of 2 to 5 rows holding zeros of both signs, equal
+    numpy.polynomial's polyder and polyint along axis 0 bit for bit, signed
+    zeros included."""
+    from numpy.polynomial import polynomial as P
+
+    pairs = []
+    for curves in (catalog._CURVES_K, catalog._CURVES_L):
+        t = curves.tables
+        pairs += [(t.Yp, t.Y, P.polyder), (t.Zp, t.Z, P.polyder), (t.Cp, t.C, P.polyder),
+                  (t.xint, t.X, P.polyint)]
+    t = catalog._CURVES_M.tables
+    pairs += [(t.Wp, t.W, P.polyder), (t.Cp, t.C, P.polyder), (t.yint, t.Y, P.polyint)]
+    for got, table, fn in pairs:
+        assert _same_bits(got, fn(table, axis=0))
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        table = rng.normal(size=rng.integers(2, 6, size=2)) * 10.0 ** rng.integers(-3, 4)
+        mask = rng.random(table.shape)
+        table[mask < 0.2] = 0.0
+        table[mask > 0.8] = -0.0
+        assert _same_bits(catalog._der(table), P.polyder(table, axis=0))
+        assert _same_bits(catalog._int(table), P.polyint(table, axis=0))

@@ -68,6 +68,20 @@ def test_classify_env_tolerance(pair_file, capsys, monkeypatch):
     assert _json_out(capsys)["tolerance"] == 1e-8
 
 
+@pytest.mark.parametrize(
+    "argv, env, want",
+    [([], None, 1e-6), (["--tol", "1e-3"], None, 1e-3), ([], "1e-8", 1e-6)],
+    ids=["default", "tol-1e-3", "env-1e-8"],
+)
+def test_classify_echoes_rank_tolerance(pair_file, capsys, monkeypatch, argv, env, want):
+    """The cut of the Jordan rank decisions, max(tol, RANK_TOL), is echoed
+    next to the tolerance it was made from."""
+    if env is not None:
+        monkeypatch.setenv("PETROV_TOL", env)
+    assert run(["classify", "--input", pair_file, "--json", *argv]) == 0
+    assert _json_out(capsys)["rank_tolerance"] == want
+
+
 def test_classify_missing_file_exit_one(tmp_path, capsys):
     code = run(["classify", "--input", str(tmp_path / "nope.json")])
     assert code == 1
@@ -119,6 +133,7 @@ def test_report_table_two(capsys):
     payload = _json_out(capsys)
     assert code == 0
     assert payload["mismatches"] == []
+    assert (payload["tolerance"], payload["rank_tolerance"]) == (1e-9, 1e-6)
 
 
 def test_report_table_one_markdown(capsys):

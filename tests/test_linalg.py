@@ -24,7 +24,7 @@ from petrovtypes.linalg import (
     resolve_tol,
     signature,
 )
-from petrovtypes.petrov import ContractError, classify_pair
+from petrovtypes.petrov import ContractError, classify_pair, jordan_structure
 from petrovtypes.spaceform import QuadricFunction, admissibility_check
 
 
@@ -328,6 +328,44 @@ def test_eigen_clusters_are_distinct_and_complete(a):
     assert len(set(values)) == len(values)
     assert all(val[1] > 0 for val in values if isinstance(val, tuple))
     assert sum(mult * (2 if isinstance(val, tuple) else 1) for val, mult in clusters) == a.shape[0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_real_matrices())
+def test_eigen_clusters_are_the_clusters_jordan_structure_reports(a):
+    """eigen_clusters and jordan_structure link the eigenvalues of one eig
+    call: the cluster values and multiplicities that jordan_structure
+    reports are those of eigen_clusters, bit for bit, or both refuse the
+    clusters as ambiguous.  A rank profile that refuses a cluster (a
+    near-real pair merged at dimension 8, say) leaves nothing to compare."""
+    try:
+        clusters = eigen_clusters(a)
+    except ClusterAmbiguityError:
+        with pytest.raises(ClusterAmbiguityError):
+            jordan_structure(a)
+        return
+    try:
+        structure = jordan_structure(a)[0]
+    except ToleranceError:
+        return
+    got = [(lam, sum(s)) for lam, s in structure.real_blocks]
+    got += [((alpha, beta), sum(s)) for alpha, beta, s in structure.complex_blocks]
+    assert len(got) == len(clusters)
+    for (val, mult), (want, want_mult) in zip(got, clusters):
+        assert mult == want_mult
+        assert np.array(val).tobytes() == np.array(want).tobytes()
+
+
+def test_cluster_centre_is_the_mean_bit_for_bit():
+    """The centre of a cluster of 2 to 8 eigenvalues, the sum by
+    np.add.reduce over the count, is np.mean of the members bit for bit."""
+    rng = np.random.default_rng(28)
+    for _ in range(20_000):
+        ev = (rng.normal(size=8) + 1j * rng.normal(size=8)) * 10.0 ** rng.integers(-3, 4)
+        members = sorted(rng.choice(8, size=rng.integers(2, 9), replace=False))
+        centre = complex(np.add.reduce(ev[members]) / len(members))
+        mean = complex(np.mean(ev[members]))
+        assert (centre.real.hex(), centre.imag.hex()) == (mean.real.hex(), mean.imag.hex())
 
 
 def _oracle_generalized_eigenspace(a, lam, mult):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from petrovtypes import petrov
 from petrovtypes.catalog import EXAMPLE_IDS, evaluate, sample_domain
-from petrovtypes.linalg import BilinearSpace, default_tol, signature
+from petrovtypes.linalg import (
+    BilinearSpace,
+    ToleranceError,
+    default_tol,
+    generalized_eigenspace,
+    signature,
+)
 from petrovtypes.petrov import (
     ConditioningError,
     GeometricType,
@@ -376,6 +382,74 @@ def test_jordan_structure_restricts_every_cluster():
             assert scale == np.abs(a - lam * np.eye(n)).max()
             assert _block_sizes(nr, lam, tol) == sizes
     assert min(seen.values()) > 0, seen
+
+
+def _simple_cluster_pairs():
+    """The sample pairs, an 8x8 pair with 8 simple eigenvalues (four real
+    1-blocks and two complex pairs) and a simple eigenvalue beside a
+    3-block, each of the last two under five congruences."""
+    eight = _taxonomy_pair(
+        [(-3.0, 1, -1), (-1.0, 1, 1), (0.5, 1, -1), (2.0, 1, 1)], [(1.0, 0.75, 1), (-2.0, 1.25, 1)]
+    )
+    three = _taxonomy_pair([(0.5, 3, 1), (-1.0, 1, -1)], [])
+    return _sample_pairs() + _congruences(eight, seed=81) + _congruences(three, seed=82)
+
+
+def test_simple_cluster_basis_is_the_eigenspace():
+    """A simple cluster's basis, an eig column, spans the line that
+    generalized_eigenspace finds from its shift by one SVD: |q^H q'| >= 1 -
+    1e-12, for real and complex clusters."""
+    tol = default_tol()
+    seen = {"real": 0, "complex": 0, "dim 8, all simple": 0, "beside a 3-block": 0}
+    for a, _g in _simple_cluster_pairs():
+        n = a.shape[0]
+        structure, bases, _restricted, shift_scales = jordan_structure(a, tol)
+        clusters = list(structure.real_blocks) + [
+            (complex(alpha, beta), sizes) for alpha, beta, sizes in structure.complex_blocks
+        ]
+        simple = [(lam, q, scale) for (lam, sizes), q, scale in zip(clusters, bases, shift_scales)
+                  if sizes == (1,)]
+        seen["dim 8, all simple"] += n == 8 and len(simple) == len(clusters)
+        seen["beside a 3-block"] += any(3 in sizes for _lam, sizes in clusters) and bool(simple)
+        for lam, q, scale in simple:
+            cplx = isinstance(lam, complex)
+            seen["complex" if cplx else "real"] += 1
+            assert q.shape == (n, 1) and np.iscomplexobj(q) == cplx
+            shift = a.astype(type(lam)) - lam * np.eye(n)
+            want = generalized_eigenspace(shift[None], np.array([scale]), 1)[0]
+            assert abs(np.vdot(q[:, 0], want[:, 0])) >= 1.0 - 1e-12
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("offset", [0.9e-6, -0.9e-6, 1e-3])
+def test_simple_cluster_rank_cut(monkeypatch, offset):
+    """A simple cluster whose value is moved off its eigenvalue by less than
+    the rank cut max(tol, RANK_TOL) keeps its 1-block with no rank profile;
+    one moved farther gets the rank profile's ToleranceError and text."""
+    a = np.diag([1.0, 2.0, 4.0])
+    eig_clusters = petrov._eig_clusters
+
+    def moved(mat, tol):
+        clusters, vecs = eig_clusters(mat, tol)
+        (value, members), *rest = clusters
+        return [(value + offset, members), *rest], vecs
+
+    monkeypatch.setattr(petrov, "_eig_clusters", moved)
+    profile, profiled = petrov.jordan_rank_profile, []
+
+    def counted(nil, lam, tol):
+        profiled.append(lam)
+        return profile(nil, lam, tol)
+
+    monkeypatch.setattr(petrov, "jordan_rank_profile", counted)
+    if abs(offset) < 1e-6:
+        structure = jordan_structure(a)[0]
+        assert structure.real_blocks == ((1.0 + offset, (1,)), (2.0, (1,)), (4.0, (1,)))
+        assert profiled == []
+    else:
+        with pytest.raises(ToleranceError, match="of 1.001 is not numerically nilpotent"):
+            jordan_structure(a)
+        assert profiled == [1.0 + offset]
 
 
 def test_one_blocks_signs_are_the_inertia():
