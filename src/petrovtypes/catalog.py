@@ -21,10 +21,10 @@ or by _closed_entry for closed formulas (chart, Jacobian, frame data and a
 sampler).  A level set is one _LevelSet record, kept in its entry: its
 chart, Jacobian, frame data and sampler are its methods, and it builds its
 quadric, gated by admissibility_check, and its chart constants on first use
-and caches them on itself, so no cache outlives the record.  The curves in the formulas of k, l and m are coefficient tables,
-each written once, with their derivatives and integrals derived; one
-evaluate, chart or chart_jacobian call evaluates all tables of the entry
-once, side by side.
+and caches them on itself, so no cache outlives the record.  The curves in
+the formulas of k, l and m are coefficient tables, each written once, with
+their derivatives and integrals derived; one evaluate, chart or
+chart_jacobian call evaluates all tables of the entry once, side by side.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .linalg import ShapeError, default_tol
 from .petrov import GeometricType
 from .spaceform import (
@@ -174,16 +175,6 @@ class _Entry(NamedTuple):
 # ---------------------------------------------------------------------------
 # quadric level sets
 
-# a row of the sphere-variant chart solve stops once its residual is below this
-_NEWTON_STOP = 1e-14
-
-# The chart of h and i solves for x2 and x5, and its Newton Jacobian is
-# singular where x2 + x5 = 0.  Near there the constraint residual is
-# quadratic in x2 + x5, so a solve stopped at _NEWTON_STOP leaves x2 + x5 up
-# to about sqrt(_NEWTON_STOP) = 1e-7 from 0: within ten times that, the
-# clause cannot be told from 0.
-_SINGULAR_TOL = 10.0 * np.sqrt(_NEWTON_STOP)
-
 
 @dataclass(frozen=True, eq=False)
 class _LevelSet:
@@ -285,13 +276,13 @@ class _LevelSet:
             return x if q.ndim == 2 else x[0]
         # sphere variant: one Newton solve in the two pivot coordinates for
         # <x, x> = 1 and <Px, x> = c over the whole stack; a row stops moving
-        # once its residual is below _NEWTON_STOP
+        # once its residual is below linalg.NEWTON_STOP
         level = np.array([1.0, f.c])
         pivots = self.pivots
         for _ in range(60):
             d = (x @ self.newton).reshape(k, 2, n)  # d[:, 0] = G x, d[:, 1] = G P x
             r = np.einsum("kcn,kn->kc", d, x) - level
-            rows = np.flatnonzero(~(np.abs(r).max(axis=1) < _NEWTON_STOP))
+            rows = np.flatnonzero(~(np.abs(r).max(axis=1) < linalg.NEWTON_STOP))
             if rows.size == 0:
                 break
             # the Jacobian of the constraints in the pivots is 2 d[:, :, pivots]
@@ -359,7 +350,7 @@ class _LevelSet:
         x = self.chart(p)
         grad = quadric_gradient(f, x)
         phi = ambient_inner(grad, grad, f.s)
-        if (np.abs(phi) < 1e-12).any():
+        if (np.abs(phi) < linalg.GRAD_NORM_TOL).any():
             raise DomainError("level value is not regular at this point")
         norm = np.sqrt(np.abs(phi))
         xi = grad / (norm if x.ndim == 1 else norm[:, None])
@@ -521,9 +512,9 @@ def _frame_i(x: list, anchor_variant: bool) -> np.ndarray:
 # _closed_frame_data adds the rest.  Entries k, l and m write each curve once,
 # as a coefficient table: row i holds the coefficients of s**i, one column per
 # ambient coordinate.  The derivatives and integrals in their formulas are
-# derived from the tables with polyder and polyint.  Their formulas read the
-# curves at the point, c, which _Curves evaluates once per call for all of
-# them.
+# derived from the tables by _der and _int, two numpy expressions.  Their
+# formulas read the curves at the point, c, which _Curves evaluates once per
+# call for all of them.
 
 
 def _check_a(a: float) -> None:
@@ -533,10 +524,10 @@ def _check_a(a: float) -> None:
 
 def _region(i: int, values: tuple, p: np.ndarray):
     """values[r] for the region r of the angle p[i] on entries 0-1 and 0-2:
-    r = 0 where sin p[i] = 0 (within 1e-12), 1 where it is positive, 2 where
-    it is negative."""
+    r = 0 where |sin p[i]| < REGION_TOL, 1 where it is positive, 2 where it
+    is negative."""
     s = np.sin(float(p[i]))
-    if abs(s) < 1e-12:
+    if abs(s) < linalg.REGION_TOL:
         return values[0]
     return values[1] if s > 0 else values[2]
 
@@ -693,7 +684,7 @@ def _jacobian_kl(eps: float, c: _CurvesKL, p: np.ndarray, a: float) -> np.ndarra
 def _frame_kl(eps: float, c: _CurvesKL, p: np.ndarray, a: float) -> tuple:
     _s, _u, z, v = _coords(p)
     w = z + eps * SQ2
-    if (abs(w) <= 1e-9).any():
+    if (abs(w) <= linalg.CHART_CLAUSE_TOL).any():
         sign = "+" if eps > 0 else "-"
         raise DomainError(f"point violates the chart condition z {sign} sqrt(2) != 0")
     jac = _jacobian_kl(eps, c, p, a)
@@ -822,10 +813,10 @@ _E3, _I3 = _anti(3), np.eye(3)
 # every chart solve checks them; the level set of g, 2 (x1 + x4)(x6 - x3) = 1,
 # has no point where either fails.
 _CLAUSES_G = (
-    ("x1 + x4 != 0", 1e-9, _e(1, 6) + _e(4, 6)),
-    ("-x3 + x6 != 0", 1e-9, -_e(3, 6) + _e(6, 6)),
+    ("x1 + x4 != 0", linalg.CHART_CLAUSE_TOL, _e(1, 6) + _e(4, 6)),
+    ("-x3 + x6 != 0", linalg.CHART_CLAUSE_TOL, -_e(3, 6) + _e(6, 6)),
 )
-_CLAUSES_HI = (("x2 + x5 != 0", _SINGULAR_TOL, _e(2, 6) + _e(5, 6)),)
+_CLAUSES_HI = (("x2 + x5 != 0", linalg.CHART_SINGULAR_TOL, _e(2, 6) + _e(5, 6)),)
 
 _REGISTRY = {entry.id: entry for entry in (
     _closed_entry(

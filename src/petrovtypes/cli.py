@@ -97,6 +97,10 @@ def _cmd_classify(args) -> int:
         # a JSONDecodeError, a file that is not UTF-8, or an integer past the
         # interpreter's digit limit
         raise CliError(f"{args.input} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CliError(
+            f'input must be a JSON object with "a" and "gram" matrices, got {type(obj).__name__}'
+        )
     try:
         a = matrix_from_json(obj["a"])
         gram = matrix_from_json(obj["gram"])

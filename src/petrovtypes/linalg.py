@@ -13,8 +13,76 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The tolerance table: every cut that decides a label, a refusal or a chart
+# condition, named once.  Call sites read it by name when called (catalog's
+# clause records of g, h and i at import), a cut of the form max(tol, floor)
+# through its one-line function below; README.md's "Tolerances" section
+# lists the readers of each.
+EPS = np.finfo(float).eps
+# the tolerance when neither a tol argument nor PETROV_TOL gives one
 DEFAULT_TOL = 1e-9
+# floor of rank_cut: a singular value of a restriction N_r read as zero
 RANK_TOL = 1e-6
+# floor of residual_cut: self-adjointness of a pair, and a point on the unit
+# sphere, on its level set, and a tangent basis invariant under its operator
+RESIDUAL_FLOOR = 1e-7
+# floor of grad_norm_cut: a sphere level set is regular where |<grad, grad>|
+# is above max(tol, GRAD_NORM_FLOOR)
+GRAD_NORM_FLOOR = 1e-9
+# a catalog level set is regular where |<grad, grad>| is at least this, at
+# any tol: the same decision as GRAD_NORM_FLOOR's, by a second rule
+GRAD_NORM_TOL = 1e-12
+# a quadric's P is self-adjoint where |G P - P^T G| <= this * max(|P|, 1)
+QUADRIC_SYMMETRY_TOL = 1e-9
+# a chain's deflation keeps the singular values above this * max(s_0, 1)
+DEFLATE_TOL = 1e-10
+# floor of cond_limit: the largest cond(T) accepted is 1 / max(tol, this)
+COND_FLOOR = EPS * 10
+# cartan_residual: two real curvatures closer than this are one, refused
+CURVATURE_GAP_TOL = 1e-12
+# entries 0-1 and 0-2: an angle whose |sin| is below this is region 0
+REGION_TOL = 1e-12
+# the sphere-variant chart solve stops a row once its residual is below this
+NEWTON_STOP = 1e-14
+# the chart conditions of g, k and l fail at or below this
+CHART_CLAUSE_TOL = 1e-9
+# The chart of h and i solves for x2 and x5, and its Newton Jacobian is
+# singular where x2 + x5 = 0.  Near there the constraint residual is
+# quadratic in x2 + x5, so a solve stopped at NEWTON_STOP leaves x2 + x5 up
+# to about sqrt(NEWTON_STOP) = 1e-7 from 0: within ten times that, the
+# clause cannot be told from 0.
+CHART_SINGULAR_TOL = 10.0 * np.sqrt(NEWTON_STOP)
+
+
+def rank_cut(tol: float) -> float:
+    """The cut of every rank decision at tolerance tol: a singular value at
+    most max(tol, RANK_TOL) is read as zero."""
+    return max(tol, RANK_TOL)
+
+
+def residual_cut(tol: float) -> float:
+    """The cut of every residual check at tolerance tol: max(tol,
+    RESIDUAL_FLOOR), relative to the scale each check states."""
+    return max(tol, RESIDUAL_FLOOR)
+
+
+def grad_norm_cut(tol: float) -> float:
+    """|<grad, grad>| at most max(tol, GRAD_NORM_FLOOR) is a singular level
+    for the sphere-variant shape operator."""
+    return max(tol, GRAD_NORM_FLOOR)
+
+
+def cond_limit(tol: float) -> float:
+    """The largest condition number of a normal-form basis T accepted at
+    tolerance tol: 1 / max(tol, COND_FLOOR)."""
+    return 1.0 / max(tol, COND_FLOOR)
+
+
+def cluster_radius(tol: float, n: int) -> float:
+    """The linkage radius of n eigenvalues, relative to max(max |ev|, 1):
+    tol, widened to 3 (250 eps)^(1/n), since defective eigenvalues scatter
+    like eps^(1/m)."""
+    return max(tol, 3.0 * (250.0 * EPS) ** (1.0 / n))
 
 
 class ShapeError(ValueError):
@@ -72,12 +140,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
     rows and cols are positive integers and data is a row-major list of
     r * c numbers or "p/q" strings; a string is read as an exact fraction
-    and rounded once to float.  A bad layout raises ShapeError, any other
-    entry (true, false, beyond the float range) ValueError or TypeError.
+    and rounded once to float.  An obj that is not a dict raises TypeError,
+    a bad layout ShapeError, any other entry (true, false, beyond the float
+    range) ValueError or TypeError.
     """
     # imported on use: only a "p/q" entry needs it
     from fractions import Fraction
 
+    if not isinstance(obj, dict):
+        raise TypeError(
+            'a matrix must be an object with "rows", "cols" and "data", '
+            f"got {type(obj).__name__}"
+        )
     r, c, data = obj["rows"], obj["cols"], obj["data"]
     for name, size in (("rows", r), ("cols", c)):
         if isinstance(size, bool) or not isinstance(size, int) or size < 1:
@@ -180,12 +254,6 @@ def generalized_eigenspace(shifts: np.ndarray, scales: np.ndarray, mult: int) ->
     return vh.conj().transpose(0, 2, 1)[:, :, n - mult :]
 
 
-def rank_cut(tol: float) -> float:
-    """The cut of every rank decision at tolerance tol: a singular value at
-    most max(tol, RANK_TOL) is read as zero."""
-    return max(tol, RANK_TOL)
-
-
 def jordan_rank_profile(nil: np.ndarray, lam, tol: float) -> list[int]:
     """[rank(N^k) for k = 0..mult] of N = nil, the mult x mult restriction
     q^H (a - lam I) q of a to the generalized eigenspace q of its eigenvalue
@@ -259,9 +327,7 @@ def _eig_clusters(a, tol: float) -> tuple[list[tuple[object, list[int]]], np.nda
     # subtract and compare than numpy ones
     values = [complex(x) for x in ev.tolist()]
     scale = max(max(abs(x) for x in values), 1.0)
-    # defective eigenvalues scatter like eps^(1/m); widen the linkage radius
-    defect = 3.0 * (250.0 * np.finfo(float).eps) ** (1.0 / n)
-    thresh = max(tol, defect) * scale
+    thresh = cluster_radius(tol, n) * scale
     # single-linkage components on the complex plane
     parent = list(range(n))
 

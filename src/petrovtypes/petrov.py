@@ -56,15 +56,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
     BilinearSpace,
     ShapeError,
     ToleranceError,
     _eig_clusters,
+    cond_limit,
     generalized_eigenspace,
     is_self_adjoint,
     jordan_rank_profile,
     rank_cut,
+    residual_cut,
     resolve_tol,
 )
 
@@ -296,7 +299,7 @@ def petrov_normal_form(
     n = a.shape[0]
     if n > 8:
         raise ContractError("petrov_normal_form supports dim <= 8")
-    if not is_self_adjoint(pair.a, pair.space, max(tol, 1e-7)):
+    if not is_self_adjoint(pair.a, pair.space, residual_cut(tol)):
         raise ContractError("operator is not self-adjoint for the given gram")
     structure, bases, restricted, shift_scales = jordan_structure(a, tol)
     clusters = list(structure.real_blocks) + [
@@ -325,10 +328,18 @@ def petrov_normal_form(
         raise ConditioningError("chain construction did not produce a full basis")
     sv = np.linalg.svd(t_mat, compute_uv=False)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-    if cond > 1.0 / max(tol, np.finfo(float).eps * 10):
+    if cond > cond_limit(tol):
         raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
     signs = tuple(eps for key, eps, _cols in blocks if not key[0])
     return PetrovNormalForm(structure, signs, t_mat)
+
+
+def _degeneracy_cut(form: np.ndarray, shift_scale, tol: float):
+    """tol * max(|form|, shift_scale, 1), shift_scale = max |a - lam I|: an
+    eigenvalue of a chain pairing or of a 1-block form at most this raises
+    ConditioningError.  For one form (k, k) or a stack (c, k, k) with one
+    shift scale each."""
+    return tol * np.maximum(np.maximum(np.abs(form).max(axis=(-2, -1)), shift_scale), 1.0)
 
 
 def _one_blocks(
@@ -356,8 +367,7 @@ def _one_blocks(
         form = q.transpose(0, 2, 1) @ g @ q
         form = (form + form.transpose(0, 2, 1)) / 2.0
         w, vecs = (form[:, 0], np.ones_like(form)) if k == 1 else np.linalg.eigh(form)
-        scales = np.maximum(np.maximum(np.abs(form).max(axis=(1, 2)), shift_scales), 1.0)
-        if (np.abs(w).min(axis=1) <= tol * scales).any():
+        if (np.abs(w).min(axis=1) <= _degeneracy_cut(form, shift_scales, tol)).any():
             raise ConditioningError(
                 f"degenerate form on a {k}-dimensional eigenspace; "
                 "input sits near a Jordan-structure boundary"
@@ -435,7 +445,7 @@ def _pick_chain_generator(powers, g, active, m, tol, shift_scale):
         w, vecs = np.linalg.eigh(form)
     idx = int(np.argmax(np.abs(w)))
     theta = w[idx]
-    if abs(theta) <= tol * max(np.abs(form).max(), shift_scale, 1.0):
+    if abs(theta) <= _degeneracy_cut(form, shift_scale, tol):
         raise ConditioningError(
             f"degenerate chain pairing for block size {m}; "
             "input sits near a Jordan-structure boundary"
@@ -459,7 +469,7 @@ def _deflate(g, active, chain_cols, tol):
     """Basis of the B-orthocomplement of the chain inside the active span."""
     constraints = chain_cols.T @ g @ active  # rows: B(e_j, active columns)
     _u, s, vh = np.linalg.svd(constraints)
-    rank = int((s > max(s[0], 1.0) * 1e-10).sum()) if s.size else 0
+    rank = int((s > max(s[0], 1.0) * linalg.DEFLATE_TOL).sum()) if s.size else 0
     keep = vh.conj().T[:, rank:]
     return active @ keep
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, ToleranceError, resolve_tol
+from . import linalg
+from .linalg import ShapeError, ToleranceError, grad_norm_cut, residual_cut, resolve_tol
 
 
 class DomainError(ValueError):
@@ -116,7 +117,8 @@ class QuadricFunction:
         if not all(np.isfinite(v).all() for v in (pmat, pv, self.c)):
             raise ShapeError("P, p and c must be finite (no NaN or infinity)")
         g = inner_matrix(n, self.s)
-        if np.abs(g @ pmat - pmat.T @ g).max() > 1e-9 * max(np.abs(pmat).max(), 1.0):
+        scale = max(np.abs(pmat).max(), 1.0)
+        if np.abs(g @ pmat - pmat.T @ g).max() > linalg.QUADRIC_SYMMETRY_TOL * scale:
             raise ShapeError("P is not self-adjoint for the ambient form")
         object.__setattr__(self, "P", pmat)
         if self.variant == "flat":
@@ -150,7 +152,7 @@ def quadric_gradient(f: QuadricFunction, x, tol: float | None = None) -> np.ndar
     tol = resolve_tol(tol)
     norm2 = ambient_inner(x, x, f.s)
     radius = np.maximum(1.0, np.abs(x).max(axis=-1) ** 2)
-    if (np.abs(norm2 - 1.0) > max(tol, 1e-7) * radius).any():
+    if (np.abs(norm2 - 1.0) > residual_cut(tol) * radius).any():
         raise DomainError("sphere-variant gradient needs a point on the unit sphere")
     pxx = ambient_inner(px, x, f.s)
     return 2.0 * px - 2.0 * (pxx if x.ndim == 1 else pxx[:, None]) * x
@@ -232,9 +234,9 @@ def sphere_level_operator(f: QuadricFunction, x, phi, tol: float | None = None):
     tol = resolve_tol(tol)
     if f.variant != "sphere":
         raise DomainError("shape-operator formula applies to the sphere variant")
-    if (np.abs(f.value(x) - f.c) > max(tol, 1e-7) * max(1.0, abs(f.c))).any():
+    if (np.abs(f.value(x) - f.c) > residual_cut(tol) * max(1.0, abs(f.c))).any():
         raise DomainError("point is not on the requested level set")
-    if (np.abs(phi) <= max(tol, 1e-9)).any():
+    if (np.abs(phi) <= grad_norm_cut(tol)).any():
         raise DomainError("level value outside the regular range: <grad, grad> = 0")
     delta = (np.asarray(phi) > 0) * 2 - 1
     a, b = quadratic_minimal_data(f, tol)
@@ -251,7 +253,7 @@ def check_invariant(basis: np.ndarray, rep: np.ndarray, image: np.ndarray, tol: 
     stack axis, and every matrix of the stack is checked."""
     misfit = np.abs(basis @ rep - image).max(axis=(-2, -1))
     scale = np.maximum(np.abs(image).max(axis=(-2, -1)), 1.0)
-    if (misfit > max(tol, 1e-7) * scale).any():
+    if (misfit > residual_cut(tol) * scale).any():
         raise ToleranceError("tangent basis is not invariant under the operator")
 
 
@@ -303,7 +305,7 @@ def cartan_residual(spec: CurvatureSpectrum, delta: int, i: int) -> float:
     for j, (k_j, m_j) in enumerate(spec.real):
         if j == i:
             continue
-        if abs(k_j - k_i) < 1e-12:
+        if abs(k_j - k_i) < linalg.CURVATURE_GAP_TOL:
             raise DomainError("repeated real curvature in a denominator")
         total += m_j * (delta + k_i * k_j) / (k_j - k_i)
     for alpha, beta, m_j in spec.complex:

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from petrovtypes import catalog
+from petrovtypes import catalog, linalg
 from petrovtypes.catalog import (
     EXAMPLE_IDS,
     ambient_of,
@@ -812,3 +812,23 @@ def test_derived_curve_tables_match_numpy_polynomial():
         table[mask > 0.8] = -0.0
         assert _same_bits(catalog._der(table), P.polyder(table, axis=0))
         assert _same_bits(catalog._int(table), P.polyint(table, axis=0))
+
+
+def test_catalog_cuts_come_from_the_tolerance_table(monkeypatch):
+    """The chart conditions of g and of h and i hold the table's
+    CHART_CLAUSE_TOL and CHART_SINGULAR_TOL; the region of 0-1 and 0-2 and
+    the chart condition of k read REGION_TOL and CHART_CLAUSE_TOL at call
+    time."""
+    tols = {ex_id: [tol for _name, tol, _coef in catalog._REGISTRY[ex_id].level.clauses]
+            for ex_id in ("g", "h", "i")}
+    assert tols == {"g": [linalg.CHART_CLAUSE_TOL] * 2, "h": [linalg.CHART_SINGULAR_TOL],
+                    "i": [linalg.CHART_SINGULAR_TOL]}
+    angle = np.array([0.0, 1e-13])
+    assert expected_type("0-1", angle).label == "I"
+    edge = np.array([0.0, 0.0, 1e-8 - np.sqrt(2.0), 0.0])  # z + sqrt(2) = 1e-8
+    evaluate("k", edge)
+    monkeypatch.setattr(linalg, "REGION_TOL", 1e-14)
+    assert expected_type("0-1", angle).label == "II"
+    monkeypatch.setattr(linalg, "CHART_CLAUSE_TOL", 1e-7)
+    with pytest.raises(DomainError, match="chart condition z [+] sqrt[(]2[)] != 0"):
+        evaluate("k", edge)

@@ -286,6 +286,27 @@ def test_classify_malformed_matrix_exit_one(tmp_path, capsys, matrix, message):
     assert err.startswith("error:") and message in err
 
 
+def test_classify_refuses_a_top_level_non_object(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text("[1, 2]")
+    assert run(["classify", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == 'error: input must be a JSON object with "a" and "gram" matrices, got list\n'
+
+
+@pytest.mark.parametrize("key", ["a", "gram"])
+def test_classify_refuses_a_matrix_that_is_not_an_object(tmp_path, capsys, key):
+    path = tmp_path / "pair.json"
+    pair = {"a": {"rows": 2, "cols": 2, "data": [1, 0, 0, 2]},
+            "gram": {"rows": 2, "cols": 2, "data": [-1, 0, 0, 1]}}
+    pair[key] = [1, 0, 0, 2]
+    path.write_text(json.dumps(pair))
+    assert run(["classify", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ('error: malformed matrix in input: a matrix must be an object with '
+                   '"rows", "cols" and "data", got list\n')
+
+
 _GRAM_TEXT = '{"rows": 2, "cols": 2, "data": [-1, 0, 0, 1]}'
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_petrov import _sample_pairs
 
+from petrovtypes import linalg
 from petrovtypes.linalg import (
     RANK_TOL,
     BadToleranceError,
@@ -216,6 +217,15 @@ def test_matrix_from_json_refuses_bools_and_overflow(entry, message):
     ValueError, as a bool rows or cols is."""
     with pytest.raises(ValueError, match=message):
         matrix_from_json({"rows": 2, "cols": 2, "data": [entry, 0, 0, 1]})
+
+
+@pytest.mark.parametrize("obj", [[1, 2], "2x2", 4, None], ids=["list", "str", "int", "null"])
+def test_matrix_from_json_refuses_a_non_object(obj):
+    """A matrix that is not a dict is a TypeError naming its type."""
+    want = f'a matrix must be an object with "rows", "cols" and "data", got {type(obj).__name__}'
+    with pytest.raises(TypeError) as raised:
+        matrix_from_json(obj)
+    assert str(raised.value) == want
 
 
 def test_default_tol_env_override(monkeypatch):
@@ -578,3 +588,43 @@ def test_resolve_tol_default_and_passthrough(monkeypatch):
     assert resolve_tol(1e-7) == 1e-7
     monkeypatch.setenv("PETROV_TOL", "1e-5")
     assert resolve_tol(None) == 1e-5
+
+
+def test_tolerance_table_values():
+    """The tolerance table holds each cut once, at the values that decide
+    every label, refusal and chart condition; a change of one is a change of
+    behaviour."""
+    eps = np.finfo(float).eps
+    assert (linalg.DEFAULT_TOL, linalg.RANK_TOL, linalg.RESIDUAL_FLOOR) == (1e-9, 1e-6, 1e-7)
+    assert (linalg.GRAD_NORM_FLOOR, linalg.GRAD_NORM_TOL) == (1e-9, 1e-12)
+    assert (linalg.QUADRIC_SYMMETRY_TOL, linalg.DEFLATE_TOL, linalg.COND_FLOOR) == (
+        1e-9, 1e-10, eps * 10)
+    assert (linalg.CURVATURE_GAP_TOL, linalg.REGION_TOL) == (1e-12, 1e-12)
+    assert (linalg.NEWTON_STOP, linalg.CHART_CLAUSE_TOL) == (1e-14, 1e-9)
+    assert linalg.CHART_SINGULAR_TOL == 10.0 * np.sqrt(1e-14)
+    for n in range(1, 9):
+        assert linalg.cluster_radius(1e-9, n) == max(1e-9, 3.0 * (250.0 * eps) ** (1.0 / n))
+
+
+@pytest.mark.parametrize("cut, floor", [
+    (linalg.rank_cut, "RANK_TOL"),
+    (linalg.residual_cut, "RESIDUAL_FLOOR"),
+    (linalg.grad_norm_cut, "GRAD_NORM_FLOOR"),
+    (lambda tol: 1.0 / linalg.cond_limit(tol), "COND_FLOOR"),
+])
+def test_cuts_read_their_floor_at_call_time(monkeypatch, cut, floor):
+    """Each max(tol, floor) cut is tol above its floor and the floor below,
+    read from the table when called, so a changed floor moves every reader."""
+    assert cut(0.5) == 0.5
+    assert cut(1e-300) == getattr(linalg, floor)
+    monkeypatch.setattr(linalg, floor, 0.25)
+    assert cut(1e-300) == 0.25
+
+
+def test_cluster_radius_decides_the_linkage(monkeypatch):
+    """eigen_clusters links eigenvalues within cluster_radius(tol, n) times
+    max(max |ev|, 1), read at call time."""
+    a = np.diag([1.0, 1.3])
+    assert eigen_clusters(a) == [(1.0, 1), (1.3, 1)]
+    monkeypatch.setattr(linalg, "cluster_radius", lambda tol, n: 0.25)
+    assert eigen_clusters(a) == [(1.15, 2)]

@@ -2,13 +2,14 @@
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petrovtypes import petrov
+from petrovtypes import linalg, petrov
 from petrovtypes.catalog import EXAMPLE_IDS, evaluate, sample_domain
 from petrovtypes.linalg import (
     BilinearSpace,
@@ -19,6 +20,7 @@ from petrovtypes.linalg import (
 )
 from petrovtypes.petrov import (
     ConditioningError,
+    ContractError,
     GeometricType,
     JordanStructure,
     PetrovNormalForm,
@@ -902,3 +904,61 @@ def test_one_normal_form_per_classification(monkeypatch):
     assert calls == {"petrov_normal_form": 1, "classify_algebraic": 1}
     assert classify_geometric(pair).label == "VIII"
     assert calls == {"petrov_normal_form": 2, "classify_algebraic": 2}
+
+
+def test_residual_floor_decides_self_adjointness(monkeypatch):
+    """petrov_normal_form refuses a pair whose scaled self-adjointness
+    residual, as is_self_adjoint computes it, is above residual_cut(tol),
+    which reads linalg.RESIDUAL_FLOOR at call time: a residual of 5e-8 is
+    accepted at the floor 1e-7 and refused once the floor is 1e-8."""
+    base = _pair([(1.0, (1,)), (2.0, (1,)), (3.0, (1,))], [-1, 1, 1])
+    a = base.a.copy()
+    # G A - A^T G is -+1.5e-7 at (0, 1) and (1, 0), and A is scaled by 1/3
+    a[0, 1] = 1.5e-7
+    assert linalg.is_self_adjoint(a, base.space, 1e-7)
+    assert not linalg.is_self_adjoint(a, base.space, 1e-8)
+    pair = SelfAdjointPair(a, base.space)
+    assert classify_algebraic(petrov_normal_form(pair)).label == "I"
+    monkeypatch.setattr(linalg, "RESIDUAL_FLOOR", 1e-8)
+    with pytest.raises(ContractError, match="operator is not self-adjoint for the given gram"):
+        petrov_normal_form(pair)
+
+
+def test_one_degeneracy_cut_for_chains_and_one_blocks(monkeypatch):
+    """The chain pairing of _pick_chain_generator and the 1-block forms of
+    _one_blocks are both refused against _degeneracy_cut, tol * max(|form|,
+    |a - lam I|, 1), of one form or of a stack: a pair with a 2-block and a
+    1-block calls it from each, and a cut moved above every eigenvalue
+    refuses each with its own text."""
+    form = np.array([[0.5, -3.0], [-3.0, 2.0]])
+    assert petrov._degeneracy_cut(form, 2.0, 1e-9) == 1e-9 * 3.0
+    stack = np.stack([form, form / 10.0, form / 100.0])
+    cuts = petrov._degeneracy_cut(stack, (2.0, 0.1, 4.0), 1e-9)
+    assert list(cuts) == [1e-9 * 3.0, 1e-9, 1e-9 * 4.0]
+    cut, callers = petrov._degeneracy_cut, []
+
+    def spy(form, shift_scale, tol):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return cut(form, shift_scale, tol)
+
+    monkeypatch.setattr(petrov, "_degeneracy_cut", spy)
+    mixed = _pair([(0.0, (2,)), (1.0, (1,))], [1, -1])
+    assert classify_algebraic(petrov_normal_form(mixed)).label == "X"
+    assert sorted(callers) == ["_one_blocks", "_pick_chain_generator"]
+    monkeypatch.setattr(petrov, "_degeneracy_cut", lambda form, shift_scale, tol: np.inf)
+    with pytest.raises(ConditioningError, match="degenerate chain pairing for block size 2"):
+        petrov_normal_form(mixed)
+    simple = _pair([(1.0, (1,)), (2.0, (1,))], [-1, 1])
+    with pytest.raises(ConditioningError, match="degenerate form on a 1-dimensional eigenspace"):
+        petrov_normal_form(simple)
+
+
+def test_cond_floor_decides_the_basis(monkeypatch):
+    """petrov_normal_form refuses a basis T with cond(T) above cond_limit(tol),
+    1 / max(tol, linalg.COND_FLOOR) read at call time."""
+    ((a, g),) = _congruences(_pair([(0.0, (2,)), (1.0, (1,))], [1, -1]), seed=3, count=1)
+    pair = SelfAdjointPair(a, BilinearSpace.from_gram(g))
+    cond = np.linalg.cond(petrov_normal_form(pair).transform)
+    monkeypatch.setattr(linalg, "COND_FLOOR", 2.0 / cond)
+    with pytest.raises(ConditioningError, match="chain basis condition number"):
+        petrov_normal_form(pair)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from petrovtypes import linalg
 from petrovtypes.spaceform import (
     CurvatureSpectrum,
     DomainError,
@@ -13,14 +14,16 @@ from petrovtypes.spaceform import (
     admissibility_check,
     ambient_inner,
     cartan_residual,
+    check_invariant,
     inner_matrix,
     modulus_relation,
     quadratic_minimal_data,
     quadric_gradient,
+    sphere_level_operator,
     sphere_shape_operator,
     type3_forced_curvature,
 )
-from petrovtypes.linalg import ShapeError
+from petrovtypes.linalg import ShapeError, ToleranceError
 
 
 def _anti(n):
@@ -244,3 +247,63 @@ def test_type3_forced_curvature():
     assert type3_forced_curvature(1.0, 1.0) == pytest.approx(2.0)
     with pytest.raises(DomainError):
         type3_forced_curvature(0.0, 1.0)
+
+
+def _sphere_level():
+    """The anti-diagonal block quadric of S^5_2 at level 0 and a point on it."""
+    p_mat = np.zeros((6, 6))
+    p_mat[:2, :2] = _anti(2)
+    p_mat[2:, 2:] = _anti(4)
+    x = np.zeros(6)
+    x[5] = 1.0
+    return QuadricFunction("sphere", 2, p_mat, 0.0), x
+
+
+def test_residual_floor_decides_spaceform_checks(monkeypatch):
+    """check_invariant, quadric_gradient and sphere_level_operator compare
+    their residuals with residual_cut(tol), which reads
+    linalg.RESIDUAL_FLOOR at call time: a misfit of 5e-8 passes each at the
+    floor 1e-7, and each refuses it once the floor is 1e-8."""
+    basis = np.eye(3)[:, :2]
+    image = basis.copy()
+    image[2, 0] = 5e-8
+    f, x = _sphere_level()
+    off = x * np.sqrt(1.0 + 5e-8)  # <x, x> = 1 + 5e-8
+    level = QuadricFunction("sphere", 2, f.P, 5e-8)  # f(x) = 0, 5e-8 from c
+    check_invariant(basis, np.eye(2), image, 1e-9)
+    quadric_gradient(f, off)
+    sphere_level_operator(level, x, 1.0)
+    monkeypatch.setattr(linalg, "RESIDUAL_FLOOR", 1e-8)
+    with pytest.raises(ToleranceError, match="tangent basis is not invariant"):
+        check_invariant(basis, np.eye(2), image, 1e-9)
+    with pytest.raises(DomainError, match="needs a point on the unit sphere"):
+        quadric_gradient(f, off)
+    with pytest.raises(DomainError, match="not on the requested level set"):
+        sphere_level_operator(level, x, 1.0)
+
+
+def test_grad_norm_floor_decides_a_regular_sphere_level(monkeypatch):
+    """sphere_level_operator refuses |<grad, grad>| at most grad_norm_cut(tol),
+    max(tol, linalg.GRAD_NORM_FLOOR) read at call time."""
+    f, x = _sphere_level()
+    sphere_level_operator(f, x, 5e-9)
+    monkeypatch.setattr(linalg, "GRAD_NORM_FLOOR", 1e-8)
+    with pytest.raises(DomainError, match="outside the regular range"):
+        sphere_level_operator(f, x, 5e-9)
+
+
+def test_fixed_spaceform_cuts_are_read_at_call_time(monkeypatch):
+    """QuadricFunction's self-adjointness cut and cartan_residual's
+    curvature gap are linalg.QUADRIC_SYMMETRY_TOL and
+    linalg.CURVATURE_GAP_TOL, read at call time."""
+    p_mat = np.diag([1.0, 2.0, 3.0])
+    p_mat[0, 1] = 5e-10
+    QuadricFunction("sphere", 0, p_mat, 1.0)
+    spec = CurvatureSpectrum(real=((1.0, 1), (1.0 + 1e-11, 1)), complex=())
+    cartan_residual(spec, 1, 0)
+    monkeypatch.setattr(linalg, "QUADRIC_SYMMETRY_TOL", 1e-10)
+    with pytest.raises(ShapeError, match="P is not self-adjoint"):
+        QuadricFunction("sphere", 0, p_mat, 1.0)
+    monkeypatch.setattr(linalg, "CURVATURE_GAP_TOL", 1e-10)
+    with pytest.raises(DomainError, match="repeated real curvature"):
+        cartan_residual(spec, 1, 0)
