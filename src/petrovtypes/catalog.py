@@ -6,8 +6,11 @@ explicitly parametrized index-2 hypersurfaces ("k", "l", "m").  Each entry
 has a smooth chart p -> ambient point, its exact Jacobian, and frame data:
 tangent frame, unit normal, shape matrix in the frame and frame Gram.
 evaluate and chart_jacobian take one chart point (m,) or a stack (k, m),
-solved at once by the same code, so a result does not depend on being
-stacked; they refuse results that are not finite.  sample_domain asks an
+solved at once by the same code, and a row of a stack equals its point's
+result bit for bit: every operation on a row rounds as it would alone
+(integer powers are written as products, since numpy rounds an array's
+x ** 3 and a number's differently).  They refuse results that are not
+finite.  sample_domain asks an
 entry's sampler for all n points at once: a level set draws its candidates
 as one block and solves them in one chart call, keeping those that hold
 every chart condition by a margin, in draw order.
@@ -21,7 +24,13 @@ or by _closed_entry for closed formulas (chart, Jacobian, frame data and a
 sampler).  A level set is one _LevelSet record, kept in its entry: its
 chart, Jacobian, frame data and sampler are its methods, and it builds its
 quadric, gated by admissibility_check, and its chart constants on first use
-and caches them on itself, so no cache outlives the record.  The curves in
+and caches them on itself, so no cache outlives the record.  A sphere level
+set (e-j) solves its chart by a Newton in its two pivot coordinates, on
+coefficients formed once per call from the blocks of G P that the record
+caches, each step elementwise with the closed-form inverse of the 2x2
+Jacobian; evaluate then forms the constraint differentials once at the
+solved points and reads the gradient, <grad, grad> and the coordinate frame
+from them.  The curves in
 the formulas of k, l and m are coefficient tables, each written once, with
 their derivatives and integrals derived; one evaluate, chart or
 chart_jacobian call evaluates all tables of the entry once, side by side.
@@ -49,11 +58,11 @@ from .spaceform import (
     ambient_inner,
     check_invariant,
     inner_matrix,
-    quadric_gradient,
     sphere_level_operator,
 )
 
 SQ2 = np.sqrt(2.0)
+_ADJ_SIGNS = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -182,12 +191,13 @@ class _LevelSet:
     and its chart, frame data and sampler as methods.
 
     The chart fixes the free coordinates of anchor, solves for the pivot
-    coordinates and checks clauses, (name, tolerance, linear form in the
-    ambient point).  frame(x, anchor_variant) is a displayed moving frame in
-    the coordinates x of the ambient point(s), else the frame is the
-    coordinate frame; shape is the constant shape matrix in the frame, or
-    None to compute it from a sphere quadric.  The quadric and the chart
-    constants are built on first use and cached on the record itself."""
+    coordinates and checks clauses, (name, the name of its tolerance in
+    linalg's table, linear form in the ambient point).  frame(x,
+    anchor_variant) is a displayed moving frame in the coordinates x of the
+    ambient point(s), else the frame is the coordinate frame; shape is the
+    constant shape matrix in the frame, or None to compute it from a sphere
+    quadric.  The quadric and the chart constants are built on first use and
+    cached on the record itself."""
 
     id: str
     quadric: tuple
@@ -238,16 +248,47 @@ class _LevelSet:
         return None if self.f.p is None else self.gram @ self.f.p
 
     @functools.cached_property
-    def newton(self) -> np.ndarray:
-        """[G | (G P)^T], so that x @ newton stacks G x and G P x."""
-        return np.hstack([self.gram, self.gpt])
+    def pivot_form(self) -> tuple:
+        """The two constraints of a sphere-variant chart in its pivot
+        coordinates y = (y0, y1), the free coordinates u held fixed.  With s
+        the diagonal of G and M = G P, which is symmetric,
+            <x, x> - 1  = s0 y0^2 + s1 y1^2 + (<u, u> - 1),
+            <Px, x> - c = y^T M_pp y + 2 l.y + (u^T M_ff u - c),  l = M_pf u.
+        Returns the terms of <u, u> as (column of u, sign), the nonzero terms
+        of u^T M_ff u over its upper triangle as (column, column,
+        coefficient), the nonzero terms of l0 and of l1 as (column,
+        coefficient), then (s0, s1) and (M_00, M_01, M_11)."""
+        m = self.gpt.T
+        free, (i, j) = self.free, self.pivots
+        cols = range(len(free))
+        quad = tuple(
+            (a, b, float(m[free[a], free[b]]) * (1 if a == b else 2))
+            for a in cols for b in cols[a:] if m[free[a], free[b]] != 0
+        )
+        lin = tuple(
+            tuple((a, float(m[row, free[a]])) for a in cols if m[row, free[a]] != 0)
+            for row in (i, j)
+        )
+        signs = tuple((a, float(self.sign[free[a]])) for a in cols)
+        pivots = (float(self.sign[i]), float(self.sign[j]))
+        return signs, quad, lin, pivots, (float(m[i, i]), float(m[i, j]), float(m[j, j]))
+
+    @functools.cached_property
+    def free_rows(self) -> np.ndarray:
+        """(n, m): the identity in the free rows, zero in the pivot rows."""
+        rows = np.zeros((self.anchor.shape[0], len(self.free)))
+        rows[self.free, range(len(self.free))] = 1.0
+        return rows
 
     def failures(self, x: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Which points of the stack x, (k, n), fail which chart condition, one
         row per clause, (clauses, k): a point fails a clause unless it holds by
-        more than the clause's tolerance or the margin, whichever is larger."""
+        more than the clause's tolerance, the linalg table entry it names read
+        when called, or the margin, whichever is larger."""
         return np.array(
-            [np.abs(x @ coef) <= max(tol, margin) for _name, tol, coef in self.clauses], dtype=bool
+            [np.abs(x @ coef) <= max(getattr(linalg, tol), margin)
+             for _name, tol, coef in self.clauses],
+            dtype=bool,
         ).reshape(len(self.clauses), len(x))
 
     def chart(self, q: np.ndarray, a: float = 1.0) -> np.ndarray:
@@ -256,8 +297,7 @@ class _LevelSet:
         coordinates are solved from the defining constraints, and every point
         must hold each chart condition by more than its tolerance."""
         f = self.f
-        k, n = np.atleast_2d(q).shape[0], self.anchor.shape[0]
-        x = np.tile(self.anchor, (k, 1))
+        x = np.tile(self.anchor, (np.atleast_2d(q).shape[0], 1))
         x[:, self.free] = q
         if f.variant == "flat":
             i = self.pivots[0]
@@ -274,25 +314,8 @@ class _LevelSet:
                 value = ((x @ self.gpt) * x).sum(axis=1) + 2.0 * (x @ self.gpv)
                 x[:, i] = (f.c - value) / 2.0
             return x if q.ndim == 2 else x[0]
-        # sphere variant: one Newton solve in the two pivot coordinates for
-        # <x, x> = 1 and <Px, x> = c over the whole stack; a row stops moving
-        # once its residual is below linalg.NEWTON_STOP
-        level = np.array([1.0, f.c])
-        pivots = self.pivots
-        for _ in range(60):
-            d = (x @ self.newton).reshape(k, 2, n)  # d[:, 0] = G x, d[:, 1] = G P x
-            r = np.einsum("kcn,kn->kc", d, x) - level
-            rows = np.flatnonzero(~(np.abs(r).max(axis=1) < linalg.NEWTON_STOP))
-            if rows.size == 0:
-                break
-            # the Jacobian of the constraints in the pivots is 2 d[:, :, pivots]
-            try:
-                step = np.linalg.solve(d[rows][:, :, pivots], r[rows, :, None] / 2.0)
-            except np.linalg.LinAlgError as exc:
-                raise DomainError("chart solver met a singular Jacobian at this point") from exc
-            x[rows[:, None], pivots] -= step[:, :, 0]
-        else:
-            raise DomainError("chart solver did not converge; point too far out")
+        # sphere variant: the two pivot coordinates from one Newton solve
+        x[:, self.pivots[0]], x[:, self.pivots[1]] = self.solve_pivots(np.atleast_2d(q))
         # on h and i the solve is singular where the chart condition fails, and
         # a row there stops short of it with a finite but meaningless point
         for (name, _tol, _coef), failed in zip(self.clauses, self.failures(x)):
@@ -300,33 +323,94 @@ class _LevelSet:
                 raise DomainError(f"point violates the chart condition {name}")
         return x if q.ndim == 2 else x[0]
 
-    def coordinate_frame(self, x: np.ndarray) -> np.ndarray:
-        """The smooth tangent frame at a level-set point, (n,) -> (n, m), or at
-        each row of a stack, (k, n) -> (k, n, m): one column per free
-        coordinate, corrected in the pivot coordinates so every constraint
-        differential vanishes.  It is the chart Jacobian.  One solve with m
-        right-hand sides per point."""
-        xs = np.atleast_2d(x)
-        gpx = xs @ self.gpt
+    def solve_pivots(self, u: np.ndarray) -> tuple:
+        """The pivot coordinates (y0, y1) of the sphere-variant points with
+        free coordinates u, (k, m): a Newton solve of <x, x> = 1 and
+        <Px, x> = c from the anchor's pivots, in the coefficients of
+        pivot_form, with the 2x2 Jacobian inverted in closed form.  A stack
+        is solved on (k,) vectors, elementwise, and one point on Python
+        floats, which round each operation alike, so a row's result does not
+        depend on the stack.  A row stops moving once both residuals are
+        below linalg.NEWTON_STOP."""
+        signs, quad, (lin0, lin1), (s0, s1), (m00, m01, m11) = self.pivot_form
+        one = len(u) == 1
+        col = u[0].tolist() if one else u.T
+        # each constant term last, where large terms that cancel lose least
+        a0 = sum(s * col[i] * col[i] for i, s in signs) - 1.0
+        a1 = sum(q * col[i] * col[j] for i, j, q in quad) - self.f.c
+        l0, l1 = (sum((q * col[i] for i, q in lin), 0.0) for lin in (lin0, lin1))
+        y0, y1 = (float(self.anchor[i]) if one else np.full(len(u), self.anchor[i])
+                  for i in self.pivots)
+        for _ in range(60):
+            # half the Jacobian, [[j0, j1], [g0, g1]]: g is G P x at the pivots
+            j0, j1 = s0 * y0, s1 * y1
+            g0 = l0 + m00 * y0 + m01 * y1
+            g1 = l1 + m01 * y0 + m11 * y1
+            r0 = a0 + y0 * j0 + y1 * j1
+            r1 = a1 + y0 * (l0 + g0) + y1 * (l1 + g1)
+            moving = ~(np.maximum(abs(r0), abs(r1)) < linalg.NEWTON_STOP)
+            if not moving.any():
+                return y0, y1
+            det = j0 * g1 - j1 * g0
+            if (moving & (det == 0)).any():
+                raise DomainError("chart solver met a singular Jacobian at this point")
+            # a row that has stopped takes a step of zero
+            half = 0.5 / det if one else np.divide(0.5, det, np.zeros_like(det), where=moving)
+            y0 -= (g1 * r0 - j1 * r1) * half
+            y1 -= (j0 * r1 - g0 * r0) * half
+        raise DomainError("chart solver did not converge; point too far out")
+
+    def differentials(self, x: np.ndarray) -> np.ndarray:
+        """The constraint differentials at the level-set points x, (k, n), one
+        row per constraint, (k, c, n): [G(Px + p)] on the flat variant and
+        [Gx, GPx - <Px, x> Gx] on the sphere variant.  The gradient of f is
+        2G times the last row.  Every product is taken row by row, so a row
+        does not depend on the stack.  On the sphere variant a point off the
+        unit sphere is refused, at the cut of spaceform.quadric_gradient."""
         if self.f.variant == "flat":
-            d = (gpx + self.gpv)[:, None, :]  # G(Px + p)
+            return x[:, None, :] @ self.gpt + self.gpv
+        d = np.empty((x.shape[0], 2, x.shape[1]))
+        np.multiply(self.sign, x, out=d[:, 0])
+        np.matmul(x[:, None, :], self.gpt, out=d[:, 1:])
+        norm2, pxx = (d @ x[:, :, None])[:, :, 0].T  # <x, x>, <Px, x>
+        # quadric_gradient's bound, cut * max(1, max |x|^2), is never below cut
+        off = np.abs(norm2 - 1.0)
+        cut = linalg.residual_cut(default_tol())
+        if off.max(initial=0.0) > cut and (
+            off > cut * np.maximum(1.0, np.abs(x).max(axis=1) ** 2)
+        ).any():
+            raise DomainError("sphere-variant gradient needs a point on the unit sphere")
+        d[:, 1] -= pxx[:, None] * d[:, 0]
+        return d
+
+    def coordinate_frame(self, d: np.ndarray, stacked: bool = True) -> np.ndarray:
+        """The smooth tangent frame, (k, n, m), from the constraint
+        differentials d, (k, c, n), or its one matrix (n, m) where stacked is
+        false: one column per free coordinate, corrected in the pivot
+        coordinates so that every differential vanishes on it, by the
+        closed-form inverse of the 1x1 or 2x2 pivot block.  It is the chart
+        Jacobian."""
+        piv, rest = d[:, :, self.pivots], d[:, :, self.free]
+        if len(self.pivots) == 1:
+            det = piv[:, 0]
+            # times the reciprocal, which rounds as LAPACK's 1x1 solve does
+            corr = -rest * (1.0 / det[:, :, None])
         else:
-            gx = self.sign * xs
-            d = np.stack([gx, gpx - (gpx * xs).sum(axis=1)[:, None] * gx], axis=1)
-        # one differential per constraint: d[k, c, :]
-        try:
-            corr = np.linalg.solve(d[:, :, self.pivots], -d[:, :, self.free])
-        except np.linalg.LinAlgError as exc:
-            raise DomainError("constraint differentials are singular at this point") from exc
-        m = len(self.free)
-        frame = np.zeros((xs.shape[0], xs.shape[1], m))
-        frame[:, self.free, np.arange(m)] = 1.0
-        frame[:, self.pivots, :] = corr
-        return frame if x.ndim == 2 else frame[0]
+            det = piv[:, 0, 0] * piv[:, 1, 1] - piv[:, 0, 1] * piv[:, 1, 0]
+            # minus the adjugate, [[-a11, a01], [a10, -a00]], times the rest
+            corr = (piv.transpose(0, 2, 1)[:, ::-1, ::-1] * _ADJ_SIGNS) @ rest / det[:, None, None]
+        if (det == 0).any():
+            raise DomainError("constraint differentials are singular at this point")
+        frame = np.empty((d.shape[0],) + self.free_rows.shape)
+        frame[:] = self.free_rows
+        frame[:, self.pivots] = corr
+        return frame if stacked else frame[0]
 
     def jacobian(self, p: np.ndarray, a: float = 1.0) -> np.ndarray:
-        """The chart Jacobian at a chart point (m,) or a stack (k, m)."""
-        return self.coordinate_frame(self.chart(p))
+        """The chart Jacobian at a chart point (m,) or a stack (k, m): the
+        coordinate frame at its level-set point(s)."""
+        x = self.chart(p)
+        return self.coordinate_frame(self.differentials(np.atleast_2d(x)), x.ndim == 2)
 
     def sphere_shapes(self, x: np.ndarray, phi, jac: np.ndarray) -> np.ndarray:
         """Shape matrices of a sphere-variant level set in the coordinate
@@ -344,18 +428,22 @@ class _LevelSet:
 
     def evaluate(self, p: np.ndarray, a: float, anchor_variant: bool) -> FrameData:
         """Frame data at a chart point (m,) or a stack of them (k, m): one chart
-        solve, one gradient per point, each check once per point.  The
-        formulas take the ambient point (n,) or the stack (k, n)."""
+        solve, then one pass of differentials, from which the gradient,
+        <grad, grad> and the coordinate frame are read; each check once per
+        point.  The formulas take the ambient point (n,) or the stack (k, n)."""
         f = self.f
         x = self.chart(p)
-        grad = quadric_gradient(f, x)
+        d = self.differentials(np.atleast_2d(x))
+        grad = 2.0 * self.sign * d[:, -1]
         phi = ambient_inner(grad, grad, f.s)
+        if x.ndim == 1:
+            grad, phi = grad[0], phi[0]
         if (np.abs(phi) < linalg.GRAD_NORM_TOL).any():
             raise DomainError("level value is not regular at this point")
         norm = np.sqrt(np.abs(phi))
         xi = grad / (norm if x.ndim == 1 else norm[:, None])
         nu = (phi > 0) * 2 - 1  # the sign of <xi, xi> = phi / |phi|
-        jac = functools.partial(self.coordinate_frame, x)
+        jac = functools.partial(self.coordinate_frame, d, x.ndim == 2)
         if self.frame is None:
             jac = frame = jac()
         else:
@@ -450,14 +538,15 @@ def _frame_c(x: list, anchor_variant: bool) -> np.ndarray:
 
 def _frame_d(x: list, anchor_variant: bool) -> np.ndarray:
     th1 = -_e(1) + _e(5)
-    th2 = _e(1) + (x[0] + x[4]) * _e(4)
+    d1, d2 = x[0] + x[4], x[1] - x[2]
+    th2 = _e(1) + d1 * _e(4)
     et1 = -_e(2) - _e(3)
-    et2 = _e(2) + (x[1] - x[2]) * _e(4)
-    th2p = th2 - (x[0] + x[4]) * (x[1] - x[2]) * et1
+    et2 = _e(2) + d2 * _e(4)
+    th2p = th2 - d1 * d2 * et1
     b1 = th1
-    b2 = th2p - 0.5 * ((x[0] + x[4]) ** 2 - 1.0) * th1
+    b2 = th2p - 0.5 * (d1 * d1 - 1.0) * th1
     b3 = et1
-    b4 = et2 - 0.5 * ((x[1] - x[2]) ** 2 - 1.0) * et1
+    b4 = et2 - 0.5 * (d2 * d2 - 1.0) * et1
     return _columns(b1, b2, b3, b4)
 
 
@@ -475,11 +564,12 @@ def _frame_g(x: list, anchor_variant: bool) -> np.ndarray:
 def _tangent_quads_hi(x: list, s1, s2, s3, s4) -> list[np.ndarray]:
     """The tangent vectors of h and i, which differ only in the sums s1-s4."""
     d = x[1] + x[4]
+    d2 = d * d
     e = lambda i: _e(i, 6)
-    a1 = e(1) + (-x[0] / d - x[4] * s1 / d**2) * e(2) + (x[0] / d - x[1] * s1 / d**2) * e(5)
-    a2 = (-x[2] / d - x[4] * s2 / d**2) * e(2) + e(3) + (x[2] / d - x[1] * s2 / d**2) * e(5)
-    a3 = (x[3] / d - x[4] * s3 / d**2) * e(2) + e(4) + (-x[3] / d - x[1] * s3 / d**2) * e(5)
-    a4 = (x[5] / d - x[4] * s4 / d**2) * e(2) + (-x[5] / d - x[1] * s4 / d**2) * e(5) + e(6)
+    a1 = e(1) + (-x[0] / d - x[4] * s1 / d2) * e(2) + (x[0] / d - x[1] * s1 / d2) * e(5)
+    a2 = (-x[2] / d - x[4] * s2 / d2) * e(2) + e(3) + (x[2] / d - x[1] * s2 / d2) * e(5)
+    a3 = (x[3] / d - x[4] * s3 / d2) * e(2) + e(4) + (-x[3] / d - x[1] * s3 / d2) * e(5)
+    a4 = (x[5] / d - x[4] * s4 / d2) * e(2) + (-x[5] / d - x[1] * s4 / d2) * e(5) + e(6)
     return [a1, a2, a3, a4]
 
 
@@ -691,8 +781,8 @@ def _frame_kl(eps: float, c: _CurvesKL, p: np.ndarray, a: float) -> tuple:
     df_s, df_u, df_z, df_v = jac.transpose(-1, *range(jac.ndim - 1))
     root = _root_kl(eps, v, a)
     b1 = df_u
-    b2 = w ** 2 / (2 * root) * df_z
-    b3 = -eps * w ** 3 / (2 * SQ2 * root * root) * df_s
+    b2 = w * w / (2 * root) * df_z
+    b3 = -eps * (w * w * w) / (2 * SQ2 * root * root) * df_s
     b4 = SQ2 * a * z * v / (w * root) * df_u + df_v
     xi = -eps * SQ2 * z / w * root * df_u - a * v * c.V + root * c.C
     shape = _batch(_dsum(_j(0.0, 3), np.array([[a]])), p)
@@ -767,8 +857,8 @@ def _frame_m(c: _CurvesM, p: np.ndarray, a: float) -> tuple:
     b1 = df_s
     b2 = df_w
     b3 = 1.5 * z * z * df_w + df_z
-    b4 = (2.25 * z**4 + z) * df_w + 1.5 * z * z * df_z + df_u
-    xi = (-w + z**3 / 2.0) * _M_X - z * df_w + c.C
+    b4 = (2.25 * (z * z * z * z) + z) * df_w + 1.5 * z * z * df_z + df_u
+    xi = (-w + z * z * z / 2.0) * _M_X - z * df_w + c.C
     return _chart_m(c, p, a), _columns(b1, b2, b3, b4), xi, _batch(_j(0.0, 4), p), jac
 
 
@@ -813,10 +903,10 @@ _E3, _I3 = _anti(3), np.eye(3)
 # every chart solve checks them; the level set of g, 2 (x1 + x4)(x6 - x3) = 1,
 # has no point where either fails.
 _CLAUSES_G = (
-    ("x1 + x4 != 0", linalg.CHART_CLAUSE_TOL, _e(1, 6) + _e(4, 6)),
-    ("-x3 + x6 != 0", linalg.CHART_CLAUSE_TOL, -_e(3, 6) + _e(6, 6)),
+    ("x1 + x4 != 0", "CHART_CLAUSE_TOL", _e(1, 6) + _e(4, 6)),
+    ("-x3 + x6 != 0", "CHART_CLAUSE_TOL", -_e(3, 6) + _e(6, 6)),
 )
-_CLAUSES_HI = (("x2 + x5 != 0", linalg.CHART_SINGULAR_TOL, _e(2, 6) + _e(5, 6)),)
+_CLAUSES_HI = (("x2 + x5 != 0", "CHART_SINGULAR_TOL", _e(2, 6) + _e(5, 6)),)
 
 _REGISTRY = {entry.id: entry for entry in (
     _closed_entry(

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # The tolerance table: every cut that decides a label, a refusal or a chart
-# condition, named once.  Call sites read it by name when called (catalog's
-# clause records of g, h and i at import), a cut of the form max(tol, floor)
-# through its one-line function below; README.md's "Tolerances" section
-# lists the readers of each.
+# condition, named once.  Call sites read it by name when called, a cut of
+# the form max(tol, floor) through its one-line function below; README.md's
+# "Tolerances" section lists the readers of each.
 EPS = np.finfo(float).eps
 # the tolerance when neither a tol argument nor PETROV_TOL gives one
 DEFAULT_TOL = 1e-9
@@ -42,7 +41,7 @@ COND_FLOOR = EPS * 10
 CURVATURE_GAP_TOL = 1e-12
 # entries 0-1 and 0-2: an angle whose |sin| is below this is region 0
 REGION_TOL = 1e-12
-# the sphere-variant chart solve stops a row once its residual is below this
+# the sphere-variant chart solve stops a row once both residuals are below this
 NEWTON_STOP = 1e-14
 # the chart conditions of g, k and l fail at or below this
 CHART_CLAUSE_TOL = 1e-9

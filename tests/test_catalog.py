@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from petrovtypes import catalog, linalg
+from petrovtypes import catalog, linalg, verify
 from petrovtypes.catalog import (
     EXAMPLE_IDS,
     ambient_of,
@@ -28,6 +28,7 @@ from petrovtypes.spaceform import (
     ambient_inner,
     quadratic_minimal_data,
     quadric_gradient,
+    sphere_shape_operator,
 )
 
 
@@ -114,6 +115,44 @@ def test_chart_stays_on_level_set(ex_id):
     for p in sample_domain(ex_id, 4, seed=5):
         x = chart(ex_id, p)
         assert abs(f.value(x) - f.c) < 1e-9
+
+
+@pytest.mark.parametrize("ex_id", "abcdefghij")
+def test_one_differential_pass_agrees_with_the_public_formulas(ex_id):
+    """evaluate reads the normal of a level set, and the shape on e, f and
+    j, from one pass of constraint differentials; quadric_gradient and
+    sphere_shape_operator compute them on their own, at one point and on a
+    stack."""
+    f = quadric_of(ex_id)
+    rows = np.array(sample_domain(ex_id, 7, seed=23))
+    for p in (rows[0], rows):
+        fd = evaluate(ex_id, p)
+        grad = quadric_gradient(f, fd.point)
+        norm = np.sqrt(np.abs(ambient_inner(grad, grad, f.s)))
+        want = grad / (norm if p.ndim == 1 else norm[:, None])
+        assert np.abs(fd.normal - want).max() <= 1e-14
+        if ex_id in ("e", "f", "j"):
+            frames, shapes = fd.frame.reshape(-1, 6, 4), fd.shape.reshape(-1, 4, 4)
+            for x, frame, shape in zip(np.atleast_2d(fd.point), frames, shapes):
+                assert np.abs(shape - sphere_shape_operator(f, x, frame)[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ex_id", ["e", "f", "g", "h", "i", "j"])
+def test_sphere_chart_holds_both_constraints(ex_id):
+    """Every row that the chart solve returns, on 50 sample points and the
+    49-row stencil that verify evaluates at each, holds <x, x> = 1 and
+    <Px, x> = c, each re-evaluated on its own, within
+    10 NEWTON_STOP max(1, |x|^2)."""
+    f = quadric_of(ex_id)
+    offsets, _up, _down = verify._stencil_layout(4, 2)
+    h, shape_h = verify.CONFIG["curvature_h"], verify.CONFIG["shape_h"]
+    for p in sample_domain(ex_id, 50, seed=29):
+        points = np.concatenate([p + h * offsets, p + shape_h * offsets[1:9]])
+        x = evaluate(ex_id, points).point
+        assert x.shape == (49, 6)
+        bound = 10 * linalg.NEWTON_STOP * np.maximum(1.0, (x * x).sum(axis=1))
+        assert (np.abs(ambient_inner(x, x, f.s) - 1.0) <= bound).all()
+        assert (np.abs(f.value(x) - f.c) <= bound).all()
 
 
 @pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
@@ -303,7 +342,7 @@ def _draw_alone(ex_id, rng, i, a):
     except DomainError:
         return None
     for _name, tol, coef in level.clauses:
-        if abs(x @ coef) <= max(tol, 5e-2):
+        if abs(x @ coef) <= max(getattr(linalg, tol), 5e-2):
             return None
     return q
 
@@ -463,12 +502,14 @@ def test_stacked_evaluate_matches_rows(ex_id, aval, anchor_variant):
     assert stacked.shape.shape == stacked.gram.shape == (7, m, m)
     assert stacked.point.shape == stacked.normal.shape == (7, n)
     assert stacked.nu.shape == (7,)
+    # a row is its point's result bit for bit: every operation of a row rounds
+    # as it would alone
     for i, p in enumerate(rows):
         fd = evaluate(ex_id, p, a=aval, anchor_variant=anchor_variant)
         assert isinstance(fd.nu, int) and stacked.nu[i] == fd.nu
         for name in ("point", "frame", "normal", "shape", "gram", "jacobian"):
-            assert np.abs(getattr(stacked, name)[i] - getattr(fd, name)).max() <= 1e-12, name
-        assert np.abs(fd.jacobian - chart_jacobian(ex_id, p, a=aval)).max() <= 1e-12
+            assert np.array_equal(getattr(stacked, name)[i], getattr(fd, name)), name
+        assert np.array_equal(fd.jacobian, chart_jacobian(ex_id, p, a=aval))
 
 
 @pytest.mark.parametrize("ex_id, bad", [
@@ -815,14 +856,22 @@ def test_derived_curve_tables_match_numpy_polynomial():
 
 
 def test_catalog_cuts_come_from_the_tolerance_table(monkeypatch):
-    """The chart conditions of g and of h and i hold the table's
-    CHART_CLAUSE_TOL and CHART_SINGULAR_TOL; the region of 0-1 and 0-2 and
-    the chart condition of k read REGION_TOL and CHART_CLAUSE_TOL at call
-    time."""
-    tols = {ex_id: [tol for _name, tol, _coef in catalog._REGISTRY[ex_id].level.clauses]
-            for ex_id in ("g", "h", "i")}
-    assert tols == {"g": [linalg.CHART_CLAUSE_TOL] * 2, "h": [linalg.CHART_SINGULAR_TOL],
-                    "i": [linalg.CHART_SINGULAR_TOL]}
+    """Every chart condition, the region of 0-1 and 0-2 and the chart
+    condition of k read REGION_TOL, CHART_CLAUSE_TOL and CHART_SINGULAR_TOL
+    when called: a value changed in the table moves each of them.  The
+    sample points of g have |x1 + x4| in 0.50-1.37, and those of h
+    |x2 + x5| in 0.91-1.06, so a tolerance of 2.0 refuses them."""
+    p_g, p_h = sample_domain("g", 1, seed=0)[0], sample_domain("h", 1, seed=0)[0]
+    evaluate("g", p_g)
+    evaluate("h", p_h)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "CHART_CLAUSE_TOL", 2.0)
+        with pytest.raises(DomainError, match="chart condition x1 [+] x4 != 0"):
+            evaluate("g", p_g)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "CHART_SINGULAR_TOL", 2.0)
+        with pytest.raises(DomainError, match="chart condition x2 [+] x5 != 0"):
+            evaluate("h", p_h)
     angle = np.array([0.0, 1e-13])
     assert expected_type("0-1", angle).label == "I"
     edge = np.array([0.0, 0.0, 1e-8 - np.sqrt(2.0), 0.0])  # z + sqrt(2) = 1e-8
