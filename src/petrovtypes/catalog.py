@@ -717,8 +717,10 @@ class _Curves:
         """Every curve at the chart point p, (n,), or at each row of a stack,
         (k, n): a namedtuple like tables."""
         values = _at(self.side_by_side, p[..., self.coord : self.coord + 1])
-        # one block of columns per table, moved to the front
-        blocks = values.reshape(*p.shape[:-1], len(self.tables), -1).swapaxes(0, -2)
+        # one block of columns per table, moved to the front; the width is
+        # spelled out, since an empty stack leaves nothing to infer it from
+        width = self.side_by_side.shape[1] // len(self.tables)
+        blocks = values.reshape(*p.shape[:-1], len(self.tables), width).swapaxes(0, -2)
         return self.tables._make(blocks)
 
     def bind(self, *formulas) -> tuple:

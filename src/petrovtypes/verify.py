@@ -6,9 +6,10 @@ metric satisfies the Gauss and Codazzi equations, and the classification
 tables are reproduced cell by cell.  Isoparametry needs no check of its own:
 a catalog level set refuses any quadric that admissibility_check refuses.
 
-Every check takes one chart point of shape (m,), and refuses a step h that
-is not positive and finite or that vanishes against the point, p +- h = p in
-some coordinate, where every difference would be 0.
+Every check takes one chart point of shape (m,), and refuses a step h or a
+threshold that is not a positive finite real number, and a step that
+vanishes against the point, p +- h = p in some coordinate, where every
+difference would be 0.
 
 All derivatives are second-order central differences.  First derivatives of
 the charts are exact (catalog.chart_jacobian), so the finite differencing is
@@ -33,15 +34,17 @@ domain, the shape and Codazzi checks evaluate their own reach-1 points
 alone; Codazzi solves the coordinate shapes of all of them, the shape check
 of its centre alone.  curvature_data reads no frame data and
 calls catalog.chart_jacobian instead.  The rest is one array program over
-the stack: one batched inverse gives the Christoffel symbols at every
-centre, every derivative is a difference of a whole stack over index
-arrays, and the contractions are einsum calls.
+the stack: one batched solve of the metrics gives the Christoffel symbols
+at every centre, every derivative is a difference of a whole stack over
+index arrays, and every contraction is a matrix product over reshaped axes
+or a broadcast product, with any leading batch axes kept.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -128,8 +131,6 @@ class _Stencil:
         self, example_id: str, p: np.ndarray, a: float, h: float, reach: int,
         frames: bool = True, shape_h: float | None = None,
     ):
-        if not (math.isfinite(h) and h > 0):
-            raise DomainError(f"step h must be positive and finite, got {h}")
         self.h = h
         self.shape_h = h if shape_h is None else shape_h
         # where p +- step rounds to p, every difference would be 0 and every
@@ -174,11 +175,15 @@ class _Stencil:
 
     @functools.cached_property
     def christoffel(self) -> np.ndarray:
-        """gamma[c, k, i, j] for nabla_i d_j = gamma^k_ij d_k at every centre c."""
+        """gamma[c, k, i, j] for nabla_i d_j = gamma^k_ij d_k at every centre c:
+        one batched solve of the centres' metrics g_kn gamma^n_ij = lowered_ijk
+        / 2, with lowered_ijk = d_i g_jk + d_j g_ik - d_k g_ij, all m*m pairs
+        ij as the columns of one right-hand side."""
         dg = self.diff(self.metric)  # dg[c, l, i, j] = d_l g_ij
-        ginv = np.linalg.inv(self.metric[: len(self.up)])
+        c, m = dg.shape[:2]
         lowered = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-        return 0.5 * np.einsum("ckn,cijn->ckij", ginv, lowered)
+        rhs = lowered.reshape(c, m * m, m).transpose(0, 2, 1)  # rhs[c, k, ij] = lowered_ijk
+        return 0.5 * np.linalg.solve(self.metric[:c], rhs).reshape(c, m, m, m)
 
 
 def _curvature(st: _Stencil) -> CurvatureData:
@@ -187,12 +192,16 @@ def _curvature(st: _Stencil) -> CurvatureData:
     g0 = st.metric[0]
     gamma = st.christoffel[0]
     dgamma = st.diff(st.christoffel, 0)  # dgamma[l, k, i, j] = d_l gamma^k_ij
+    m, lead = g0.shape[-1], g0.shape[:-2]
     # R(d_i, d_j) d_k = riem_up[m, i, j, k] d_m with
     # riem_up[m, i, j, k] = half[m, i, j, k] - half[m, j, i, k] and
     # half[m, i, j, k] = d_i gamma^m_jk + gamma^m_in gamma^n_jk
-    half = dgamma.transpose(1, 0, 2, 3) + np.einsum("min,njk->mijk", gamma, gamma)
-    riem_up = half - half.transpose(0, 2, 1, 3)
-    riem = np.einsum("mijk,ml->ijkl", riem_up, g0)
+    half = dgamma.swapaxes(-4, -3) + (
+        gamma.reshape(*lead, m * m, m) @ gamma.reshape(*lead, m, m * m)
+    ).reshape(dgamma.shape)
+    riem_up = half - half.swapaxes(-3, -2)
+    # riem[i, j, k, l] = riem_up[n, i, j, k] g_nl
+    riem = (riem_up.reshape(*lead, m, m**3).swapaxes(-1, -2) @ g0).reshape(dgamma.shape)
     return CurvatureData(metric=g0, christoffel=gamma, curvature=riem)
 
 
@@ -209,7 +218,7 @@ def curvature_data(example_id: str, p, a: float = 1.0, h: float | None = None) -
     """Metric, Christoffel symbols, and curvature components at p, from the
     chart Jacobians alone."""
     p = _point(example_id, p)
-    h = CONFIG["curvature_h"] if h is None else h
+    h = CONFIG["curvature_h"] if h is None else _step(h)
     return _curvature(_Stencil(example_id, p, a, h, reach=2, frames=False))
 
 
@@ -241,14 +250,28 @@ def _point_stack(example_id: str, p: np.ndarray, a: float, h: float | None) -> _
     return _stack(entry, p.tobytes(), a, step, shape_step, os.environ.get("PETROV_TOL"))
 
 
+def _positive(value, name: str):
+    """value, if it is a real number, positive and finite; otherwise
+    DomainError naming it.  A bool is refused, not read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _step(h: float | None) -> float | None:
+    """h, refused unless it is None (each check's default) or a positive
+    finite real number: a step that is 0, NaN or infinite makes every
+    difference meaningless."""
+    return None if h is None else _positive(h, "step h")
+
+
 def _threshold(threshold: float | None, key: str) -> float:
-    """threshold, or CONFIG[key] for None, if it is positive and finite;
-    otherwise DomainError, since an infinite threshold passes any residual
-    and a NaN or non-positive one fails every residual."""
-    threshold = CONFIG[key] if threshold is None else threshold
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise DomainError(f"threshold must be positive and finite, got {threshold}")
-    return threshold
+    """threshold, or CONFIG[key] for None, if it is a positive finite real
+    number; otherwise DomainError, since an infinite threshold passes any
+    residual and a NaN or non-positive one fails every residual."""
+    return _positive(CONFIG[key] if threshold is None else threshold, "threshold")
 
 
 def shape_fd_check(
@@ -258,8 +281,11 @@ def shape_fd_check(
     """Compare the central difference of the unit normal along each chart
     direction against minus the shape operator applied to that direction,
     on the point's stack, or on its own reach-1 points if the stack leaves
-    the chart domain."""
+    the chart domain.  Where the ambient curvature is not 0, the residual is
+    compared after the Euclidean orthogonal projector F (F^T F)^-1 F^T onto
+    the span of the frame F (_tangential)."""
     p = _point(example_id, p)
+    h = _step(h)
     threshold = _threshold(threshold, "shape_threshold")
     try:
         st = _point_stack(example_id, p, a, h)
@@ -269,17 +295,34 @@ def shape_fd_check(
         shape = _shape_in_coordinates(st.frames, st.g, 0)
     else:
         shape = st.shapes[0]
+    resid = _shape_fd(st, shape)
+    return ResidualReport(example_id, "shape_fd", (tuple(p),), resid, st.shape_h, threshold)
+
+
+def _tangential(frame: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Euclidean orthogonal projection of the columns of v onto the span
+    of the columns of F = frame, F (F^T F)^-1 F^T v, from one solve of the
+    Euclidean Gram matrix F^T F."""
+    frame_t = frame.swapaxes(-1, -2)
+    return frame @ np.linalg.solve(frame_t @ frame, frame_t @ v)
+
+
+def _shape_fd(st: _Stencil, shape: np.ndarray) -> float:
+    """Largest shape-check residual at the centre of a stencil, whose shape
+    matrix in chart coordinates is `shape`."""
     fd = st.frames
-    dxi = st.shape_diff(fd.normal).T  # dxi[:, l] = d_l xi
+    dxi = st.shape_diff(fd.normal).swapaxes(-1, -2)  # dxi[:, l] = d_l xi
     resid = dxi + fd.jacobian[0] @ shape
     if st.kappa != 0:
         # compare tangentially: the radial component of d(xi) is curvature of
         # the ambient sphere, not shape information
-        q, _ = np.linalg.qr(fd.frame[0])
-        resid = q @ (q.T @ resid)
-    return ResidualReport(
-        example_id, "shape_fd", (tuple(p),), float(np.abs(resid).max()), st.shape_h, threshold
-    )
+        resid = _tangential(fd.frame[0], resid)
+    return float(np.abs(resid).max())
+
+
+def _outer(x: np.ndarray) -> np.ndarray:
+    """out[i, j, k, l] = x[j, k] x[i, l], as one broadcast product."""
+    return x[..., :, None, None, :] * x[..., None, :, :, None]
 
 
 def _gauss(st: _Stencil, shape_override: np.ndarray | None = None) -> float:
@@ -292,9 +335,9 @@ def _gauss(st: _Stencil, shape_override: np.ndarray | None = None) -> float:
     g = data.metric
     ag = g @ a_coord  # ag[i, j] = <d_i, A d_j>, symmetric by self-adjointness
     # rhs[i, j, k, l] = kappa (g_jk g_il - g_ik g_jl) + nu (ag_jk ag_il - ag_ik ag_jl)
-    gg = np.einsum("jk,il->ijkl", g, g)
-    aa = np.einsum("jk,il->ijkl", ag, ag)
-    rhs = st.kappa * (gg - gg.swapaxes(0, 1)) + st.frames.nu[0] * (aa - aa.swapaxes(0, 1))
+    gg = _outer(g)
+    aa = _outer(ag)
+    rhs = st.kappa * (gg - gg.swapaxes(-4, -3)) + st.frames.nu[0] * (aa - aa.swapaxes(-4, -3))
     return float(np.abs(data.curvature - rhs).max())
 
 
@@ -306,6 +349,7 @@ def gauss_residual(
     against the constant-curvature term plus the shape-operator term, on the
     point's stack."""
     p = _point(example_id, p)
+    h = _step(h)
     threshold = _threshold(threshold, "curvature_threshold")
     st = _point_stack(example_id, p, a, h)
     resid = _gauss(st, shape_override)
@@ -319,13 +363,18 @@ def _codazzi(st: _Stencil) -> float:
     gamma = st.christoffel[0]
     a0 = st.shapes[0]
     da = st.diff(st.shapes, 0)  # da[l] = d_l of the coordinate shape matrix
+    m, lead = g0.shape[-1], g0.shape[:-2]
     # term[i, j, k] = <nabla_i (A d_j), d_k> - <nabla_i d_j, A d_k>
+    #   = da[i, n, j] g_nk + a[n, j] gl[i, n, k] - gamma^n_ij (g a)_nk
+    # with gl[i, n, k] = gamma^q_in g_qk, gamma lowered by g
+    pairs = gamma.reshape(*lead, m, m * m).swapaxes(-1, -2)  # pairs[ij, q] = gamma^q_ij
+    gl = (pairs @ g0).reshape(gamma.shape)
     term = (
-        np.einsum("inj,nk->ijk", da, g0)
-        + np.einsum("nj,qin,qk->ijk", a0, gamma, g0)
-        - np.einsum("nij,nk->ijk", gamma, g0 @ a0)
+        da.swapaxes(-1, -2) @ g0[..., None, :, :]
+        + a0.swapaxes(-1, -2)[..., None, :, :] @ gl
+        - (pairs @ (g0 @ a0)).reshape(gamma.shape)
     )
-    return float(np.abs(term - term.swapaxes(0, 1)).max())
+    return float(np.abs(term - term.swapaxes(-3, -2)).max())
 
 
 def codazzi_residual(
@@ -337,6 +386,7 @@ def codazzi_residual(
     rows of the point's stack, or on those points alone if the stack leaves
     the chart domain."""
     p = _point(example_id, p)
+    h = _step(h)
     threshold = _threshold(threshold, "curvature_threshold")
     try:
         st = _point_stack(example_id, p, a, h)

@@ -448,6 +448,19 @@ def test_stacked_chart_jacobian_rejects_wrong_width(ex_id):
         chart_jacobian(ex_id, np.zeros((2, 3, param_dim(ex_id))))
 
 
+@pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+def test_an_empty_stack_gives_empty_fields(ex_id):
+    # the curve tables of k, l and m once inferred their width from the values
+    n, m = ambient_of(ex_id).embedding_dim, param_dim(ex_id)
+    empty = np.zeros((0, m))
+    fd = evaluate(ex_id, empty)
+    assert fd.frame.shape == fd.jacobian.shape == (0, n, m)
+    assert fd.shape.shape == fd.gram.shape == (0, m, m)
+    assert fd.point.shape == fd.normal.shape == (0, n)
+    assert fd.nu.shape == (0,)
+    assert chart_jacobian(ex_id, empty).shape == (0, n, m)
+
+
 @pytest.mark.parametrize("ex_id", ["k", "l"])
 @pytest.mark.parametrize("aval", [0.0, np.nan, np.inf])
 def test_parameter_a_must_be_finite_and_nonzero(ex_id, aval):

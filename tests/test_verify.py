@@ -1,5 +1,7 @@
 """Finite-difference verification of frames, curvature identities, tables."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,32 @@ def test_checks_refuse_bad_threshold(check, threshold):
     assert _THRESHOLD_CHECKS[check](None).threshold > 0
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "1e-3", 1e-3 + 0j])
+@pytest.mark.parametrize("argument", ["h", "threshold"])
+@pytest.mark.parametrize("check", [shape_fd_check, gauss_residual, codazzi_residual])
+def test_checks_refuse_a_step_or_threshold_that_is_not_a_real_number(check, argument, value):
+    """True would run as a step or a threshold of 1 and be echoed as True, and
+    a string would raise a bare TypeError; each is refused by name."""
+    p = sample_domain("c", 1, seed=79)[0]
+    name = {"h": "step h", "threshold": "threshold"}[argument]
+    with pytest.raises(DomainError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        check("c", p, **{argument: value})
+
+
+@pytest.mark.parametrize("value", [True, "1e-3"])
+def test_curvature_data_refuses_a_step_that_is_not_a_real_number(value):
+    p = sample_domain("c", 1, seed=79)[0]
+    with pytest.raises(DomainError, match="^step h must be a real number"):
+        curvature_data("c", p, h=value)
+
+
+@pytest.mark.parametrize("h", [np.float64(1e-3), np.float32(1e-3)])
+def test_checks_take_numpy_real_steps(h):
+    p = sample_domain("b", 1, seed=79)[0]
+    assert gauss_residual("b", p, h=h).h == h
+    assert np.array_equal(curvature_data("b", p, h=h).curvature, curvature_data("b", p, h=float(h)).curvature)
+
+
 def test_table_reports_have_no_mismatches():
     for which in (1, 2, 3):
         out = table_report(which, samples=3, seed=59)
@@ -361,6 +389,66 @@ def test_deduplicated_stencil_matches_loop_oracle(ex_id, h):
     assert np.abs(data.curvature - riem).max() <= 1e-8
     assert abs(gauss_residual(ex_id, p, h=h).residual - _oracle_gauss(ex_id, p, 1.0, h)) <= 1e-8
     assert abs(codazzi_residual(ex_id, p, h=h).residual - _oracle_codazzi(ex_id, p, 1.0, h)) <= 1e-8
+
+
+# The contractions of the kernels as einsum calls, with an explicit inverse
+# metric: an independent reference for their matrix products and solves.
+
+
+def _einsum_christoffel(st):
+    dg = st.diff(st.metric)
+    ginv = np.linalg.inv(st.metric[: len(st.up)])
+    lowered = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return 0.5 * np.einsum("ckn,cijn->ckij", ginv, lowered)
+
+
+def _einsum_curvature(st, christoffel):
+    g0, gamma = st.metric[0], christoffel[0]
+    dgamma = st.diff(christoffel, 0)
+    half = dgamma.transpose(1, 0, 2, 3) + np.einsum("min,njk->mijk", gamma, gamma)
+    riem_up = half - half.transpose(0, 2, 1, 3)
+    return np.einsum("mijk,ml->ijkl", riem_up, g0)
+
+
+def _einsum_gauss(st, riem):
+    g = st.metric[0]
+    ag = g @ st.shapes[0]
+    gg = np.einsum("jk,il->ijkl", g, g)
+    aa = np.einsum("jk,il->ijkl", ag, ag)
+    rhs = st.kappa * (gg - gg.swapaxes(0, 1)) + st.frames.nu[0] * (aa - aa.swapaxes(0, 1))
+    return float(np.abs(riem - rhs).max())
+
+
+def _einsum_codazzi(st, christoffel):
+    g0, gamma, a0 = st.metric[0], christoffel[0], st.shapes[0]
+    da = st.diff(st.shapes, 0)
+    term = (
+        np.einsum("inj,nk->ijk", da, g0)
+        + np.einsum("nj,qin,qk->ijk", a0, gamma, g0)
+        - np.einsum("nij,nk->ijk", gamma, g0 @ a0)
+    )
+    return float(np.abs(term - term.swapaxes(0, 1)).max())
+
+
+@pytest.mark.parametrize("h", [CONFIG["curvature_h"], 5e-4])
+@pytest.mark.parametrize("ex_id", catalog.EXAMPLE_IDS)
+def test_kernels_match_the_einsum_reference(ex_id, h):
+    for p in sample_domain(ex_id, 4, seed=97):
+        st = _Stencil(ex_id, p, 1.0, h, reach=2)
+        gamma = _einsum_christoffel(st)
+        riem = _einsum_curvature(st, gamma)
+        assert np.abs(st.christoffel - gamma).max() <= 1e-10
+        assert np.abs(verify._curvature(st).curvature - riem).max() <= 1e-10
+        assert abs(verify._gauss(st) - _einsum_gauss(st, riem)) <= 1e-10
+        assert abs(_codazzi(st) - _einsum_codazzi(st, gamma)) <= 1e-10
+        # the shape residual projected onto the frame's span, against the
+        # projector of a QR factorization of the frame
+        fd = st.frames
+        resid = st.shape_diff(fd.normal).T + fd.jacobian[0] @ st.shapes[0]
+        q, _ = np.linalg.qr(fd.frame[0])
+        want = q @ (q.T @ resid)
+        got = verify._tangential(fd.frame[0], resid)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_quadric_of_is_shared_and_read_only():
