@@ -48,10 +48,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import ShapeError, default_tol
+from .linalg import DomainError, ShapeError, default_tol
 from .petrov import GeometricType
 from .spaceform import (
-    DomainError,
     QuadricFunction,
     SpaceForm,
     admissibility_check,

@@ -25,6 +25,7 @@ from . import catalog, verify
 from .linalg import (
     BadToleranceError,
     DegenerateGramError,
+    DomainError,
     ShapeError,
     ToleranceError,
     checked_tol,
@@ -34,7 +35,6 @@ from .linalg import (
     rank_cut,
 )
 from .petrov import ContractError, TaxonomyError, classify_pair
-from .spaceform import DomainError
 
 SCHEMA = "1"
 
@@ -246,6 +246,18 @@ def _cmd_report(args) -> int:
     return 0 if not doc["mismatches"] else 1
 
 
+class _ExampleIds:
+    """The catalog's entry ids, read at the first use: argparse reads them
+    only to check a verify --id or to print verify's usage, so no other
+    command loads the catalog."""
+
+    def __iter__(self):
+        return iter(catalog.EXAMPLE_IDS)
+
+    def __contains__(self, value) -> bool:
+        return value in catalog.EXAMPLE_IDS
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="petrovtypes",
@@ -274,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run finite-difference checks")
     p_ver.add_argument("action", choices=["run"])
-    p_ver.add_argument("--id", default=None, choices=list(catalog.EXAMPLE_IDS))
+    # set after add_argument, which would read the choices to check a metavar
+    p_ver.add_argument("--id", default=None).choices = _ExampleIds()
     p_ver.add_argument(
         "--h", type=float, default=None,
         help="one step for every check: it sets both the shape check's step "

@@ -104,6 +104,10 @@ class BadToleranceError(ValueError):
     """A tolerance that is not a positive finite number."""
 
 
+class DomainError(ValueError):
+    """A point lies outside the region where the formulas are valid."""
+
+
 def checked_tol(value, source: str) -> float:
     """value as a float if it is a positive finite number; otherwise
     BadToleranceError naming its source."""
@@ -143,9 +147,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     a bad layout ShapeError, any other entry (true, false, beyond the float
     range) ValueError or TypeError.
     """
-    # imported on use: only a "p/q" entry needs it
-    from fractions import Fraction
-
     if not isinstance(obj, dict):
         raise TypeError(
             'a matrix must be an object with "rows", "cols" and "data", '
@@ -161,6 +162,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ShapeError(f"expected {r * c} entries, got {len(data)}")
     if any(isinstance(x, bool) for x in data):
         raise ValueError("entries must be numbers or \"p/q\" strings, not true or false")
+    if any(isinstance(x, str) for x in data):
+        # imported on use: only a "p/q" entry needs fractions, which loads decimal
+        from fractions import Fraction
     try:
         values = [float(Fraction(x)) if isinstance(x, str) else float(x) for x in data]
     except ZeroDivisionError as exc:

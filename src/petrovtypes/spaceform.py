@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import ShapeError, ToleranceError, grad_norm_cut, residual_cut, resolve_tol
-
-
-class DomainError(ValueError):
-    """A point lies outside the region where the formulas are valid."""
+from .linalg import (
+    DomainError,
+    ShapeError,
+    ToleranceError,
+    grad_norm_cut,
+    residual_cut,
+    resolve_tol,
+)
 
 
 def inner_matrix(n: int, s: int) -> np.ndarray:

@@ -52,9 +52,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import catalog
-from .linalg import BilinearSpace, ShapeError
+from .linalg import BilinearSpace, DomainError, ShapeError
 from .petrov import SelfAdjointPair, classify_geometric
-from .spaceform import DomainError, SpaceForm, inner_matrix
+from .spaceform import SpaceForm, inner_matrix
 
 # per-check defaults, for a check called without h or threshold; the CLI
 # passes only --h, as the h of every check
