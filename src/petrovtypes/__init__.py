@@ -10,10 +10,14 @@ attributes.  A command therefore runs only the modules it reads: the
 adds the ``spaceform`` and ``catalog`` modules, and only ``verify`` and
 ``report`` run ``verify``.  The re-exported names are served by
 ``__getattr__`` from the module that defines them, which loads on that read.
+A module whose code raises stays registered, and every later read of one of
+its attributes raises that error again (a ``ModuleNotFoundError`` where
+numpy is missing), never an ``AttributeError`` from the half-run module.
 """
 
 import importlib.util
 import sys
+import types
 
 # the re-exported names, by the module that defines them
 _EXPORTS = {
@@ -35,9 +39,31 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names.sp
 __all__ = sorted([*_EXPORTS, *_HOME])
 
 
+class _FailedModule(types.ModuleType):
+    """A package module whose code raised: every attribute read raises that
+    error again, with the traceback of the failed run."""
+
+    def __getattribute__(self, attr):
+        error, traceback = object.__getattribute__(self, "__dict__")["_load_error"]
+        raise error.with_traceback(traceback)
+
+
 def _load_on_use(name: str):
-    """The module petrovtypes.<name>, registered but not yet run."""
+    """The module petrovtypes.<name>, registered but not yet run.  LazyLoader
+    runs the module's own loader at the first read; if the module's code
+    raises, the module becomes a _FailedModule."""
     spec = importlib.util.find_spec(f"{__name__}.{name}")
+    run = spec.loader.exec_module
+
+    def exec_module(module):
+        try:
+            run(module)
+        except BaseException as error:
+            module._load_error = (error, error.__traceback__)
+            module.__class__ = _FailedModule
+            raise
+
+    spec.loader.exec_module = exec_module
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +18,7 @@ import numpy as np
 # condition, named once.  Call sites read it by name when called, a cut of
 # the form max(tol, floor) through its one-line function below; README.md's
 # "Tolerances" section lists the readers of each.
-EPS = np.finfo(float).eps
+EPS = float(np.finfo(float).eps)
 # the tolerance when neither a tol argument nor PETROV_TOL gives one
 DEFAULT_TOL = 1e-9
 # floor of rank_cut: a singular value of a restriction N_r read as zero
@@ -174,17 +175,19 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return np.array(values, dtype=float).reshape(r, c)
 
 
-def _require_square(a, what: str = "matrix") -> np.ndarray:
-    """a as a float64 array, if it is a nonempty square matrix of finite
-    entries; otherwise ShapeError."""
+def _require_square(a, what: str = "matrix") -> tuple[np.ndarray, float]:
+    """a as a float64 array and max |a|, if a is a nonempty square matrix of
+    finite entries; otherwise ShapeError.  The max is not finite exactly
+    when an entry is not, so one scan checks and scales."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ShapeError(f"{what} is empty, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    scale = float(np.abs(a).max())
+    if not math.isfinite(scale):
         raise ShapeError(f"{what} has a non-finite entry (NaN or infinity)")
-    return a
+    return a, scale
 
 
 @dataclass(frozen=True)
@@ -197,26 +200,39 @@ class BilinearSpace:
 
     @classmethod
     def from_gram(cls, gram: np.ndarray, tol: float | None = None) -> "BilinearSpace":
-        pos, neg, null = signature(gram, tol)
+        tol = resolve_tol(tol)
+        g, scale = _require_square(gram, "gram")
+        pos, neg, null = _inertia(g, scale, tol)
         if null:
             raise DegenerateGramError("gram matrix is degenerate")
-        return cls(dim=pos + neg, gram=gram, signature=(pos, neg))
+        space = cls(dim=pos + neg, gram=gram, signature=(pos, neg))
+        # the scan that checked the gram also gives its cached scale
+        vars(space)["gram_scale"] = scale
+        return space
+
+    @cached_property
+    def gram_scale(self) -> float:
+        """max |gram|, the scale ``is_self_adjoint`` divides the gram by."""
+        return float(np.abs(np.asarray(self.gram, dtype=float)).max())
 
 
 def signature(gram: np.ndarray, tol: float | None = None) -> tuple[int, int, int]:
     """Sylvester signature (pos, neg, null) of a symmetric matrix."""
     tol = resolve_tol(tol)
-    g = _require_square(gram, "gram")
-    n = g.shape[0]
-    cut = tol * max(np.abs(g).max(), 1.0)
+    return _inertia(*_require_square(gram, "gram"), tol)
+
+
+def _inertia(g: np.ndarray, scale: float, tol: float) -> tuple[int, int, int]:
+    """``signature`` of a checked gram g with max |g| = scale."""
+    cut = tol * max(scale, 1.0)
     # halves first: g + g.T and g - g.T can overflow where g does not
     half = g / 2.0
     if np.abs(half - half.T).max() > cut / 2.0:
         raise ShapeError("gram matrix is not symmetric within tolerance")
-    ev = np.linalg.eigvalsh(half + half.T)
-    pos = int((ev > cut).sum())
-    neg = int((ev < -cut).sum())
-    return pos, neg, n - pos - neg
+    ev = np.linalg.eigvalsh(half + half.T).tolist()
+    pos = len([x for x in ev if x > cut])
+    neg = len([x for x in ev if x < -cut])
+    return pos, neg, len(ev) - pos - neg
 
 
 def is_self_adjoint(
@@ -226,12 +242,11 @@ def is_self_adjoint(
     gram scaled by 1 / max |gram| and a by 1 / max(max |a|, 1), so that no
     product can overflow."""
     tol = resolve_tol(tol)
-    af = _require_square(a, "operator")
+    af, scale = _require_square(a, "operator")
     if af.shape[0] != space.dim:
         raise ShapeError(f"operator dim {af.shape[0]} != space dim {space.dim}")
-    g = np.asarray(space.gram, dtype=float)
-    g = g / np.abs(g).max()
-    af = af / max(np.abs(af).max(), 1.0)
+    g = np.asarray(space.gram, dtype=float) / space.gram_scale
+    af = af / max(scale, 1.0)
     # a residual that is not finite fails the comparison
     return bool(np.abs(g @ af - af.T @ g).max() <= tol)
 
@@ -271,33 +286,35 @@ def jordan_rank_profile(nil: np.ndarray, lam, tol: float) -> list[int]:
     mult = nil.shape[0]
     cut = rank_cut(tol)
     # the first staircase step is the SVD of N itself, which also gives |N|_2;
-    # a 1x1 N is its own singular value, and its first step is its last
+    # a 1x1 N is its own singular value, and its first step is its last.
+    # The singular values are compared as Python floats
     _u, sv, vh = np.linalg.svd(nil) if mult > 1 else (None, np.abs(nil[0]), None)
+    sv = sv.tolist()
     norm = sv[0]
     if norm <= cut:
         return [mult] + [0] * mult
     nil = nil / norm
-    sv = sv / norm
+    sv = [s / norm for s in sv]
     ranks = [mult]
-    kernel = np.zeros((mult, 0), dtype=nil.dtype)
+    kernel_dim = 0
     increment = mult
     for step in range(mult):
         if step:
             proj = nil - kernel @ (kernel.conj().T @ nil)
             _u, sv, vh = np.linalg.svd(proj)
-        null_dim = int((sv <= cut).sum()) + (mult - len(sv))
+            sv = sv.tolist()
+        null_dim = len([s for s in sv if s <= cut]) + (mult - len(sv))
         # Weyr increments are nonincreasing and the total is capped by mult
-        increment = min(increment, null_dim - kernel.shape[1])
-        increment = min(increment, mult - kernel.shape[1])
-        if increment <= 0 and kernel.shape[1] < mult:
+        increment = min(increment, null_dim - kernel_dim, mult - kernel_dim)
+        if increment <= 0 and kernel_dim < mult:
             raise ToleranceError(
                 f"restriction to the eigenspace of {lam} is not numerically nilpotent"
             )
-        new_dim = kernel.shape[1] + increment
-        ranks.append(mult - new_dim)
-        if new_dim == mult:
+        kernel_dim += increment
+        ranks.append(mult - kernel_dim)
+        if kernel_dim == mult:
             break
-        kernel = vh.conj().T[:, mult - new_dim :]
+        kernel = vh.conj().T[:, mult - kernel_dim :]
     ranks += [0] * (mult + 1 - len(ranks))
     return ranks
 
@@ -313,59 +330,56 @@ def eigen_clusters(a: np.ndarray, tol: float | None = None) -> list[tuple[object
     radius is one real cluster, and one with |beta| up to the radius raises
     ClusterAmbiguityError, like any two clusters within twice the radius.
     """
-    clusters, _vecs = _eig_clusters(a, resolve_tol(tol))
-    return [(value, len(members)) for value, members in clusters]
+    tol = resolve_tol(tol)
+    clusters, _vecs = _eig_clusters(_require_square(a)[0], tol)
+    return [
+        ((value.real, value.imag) if isinstance(value, complex) else value, len(members))
+        for value, members in clusters
+    ]
 
 
-def _eig_clusters(a, tol: float) -> tuple[list[tuple[object, list[int]]], np.ndarray]:
-    """The clusters of ``eigen_clusters``, each as (value, member indices),
+def _eig_clusters(a: np.ndarray, tol: float) -> tuple[list[tuple[object, list[int]]], np.ndarray]:
+    """The clusters of ``eigen_clusters`` of a checked float matrix a, each
+    as (value, member indices), a complex pair's value as a complex number,
     and the eigenvectors of the one np.linalg.eig call whose eigenvalues
     they link: member i is eigenvalue i, and column i its eigenvector."""
-    a = _require_square(a)
     n = a.shape[0]
     ev, vecs = np.linalg.eig(a)
     # + 0.0: a zero eigenvalue reads 0.0, never -0.0, as it does for -A
     ev = ev + 0.0
     # the linkage loops run on Python scalars, which are far cheaper to
-    # subtract and compare than numpy ones
-    values = [complex(x) for x in ev.tolist()]
-    scale = max(max(abs(x) for x in values), 1.0)
+    # subtract and compare than numpy ones: floats for a real spectrum, whose
+    # distances |x - y| are those of the complex numbers x + 0j, y + 0j
+    values = ev.tolist()
+    scale = max(max(map(abs, values)), 1.0)
     thresh = cluster_radius(tol, n) * scale
-    # single-linkage components on the complex plane
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= thresh:
-                parent[find(i)] = find(j)
+    # single-linkage components on the complex plane: each link merges the
+    # component labels of its ends
+    label = list(range(n))
+    for i, j in [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if abs(values[i] - values[j]) <= thresh]:
+        keep, drop = label[i], label[j]
+        label = [keep if x == drop else x for x in label]
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
     # a group of one is its own centre; a larger one is its mean, as the
     # sum and the division np.mean makes, bit for bit, without its overhead
-    centers = {
-        r: values[m[0]] if len(m) == 1 else complex(np.add.reduce(ev[m]) / len(m))
-        for r, m in groups.items()
-    }
+    centers = [
+        (values[m[0]] if len(m) == 1 else (np.add.reduce(ev[m]) / len(m)).item(), m)
+        for m in groups.values()
+    ]
     # ambiguity guard: distinct clusters closer than 2*thresh
-    roots = list(groups)
-    for i, ri in enumerate(roots):
-        for rj in roots[i + 1 :]:
-            if abs(centers[ri] - centers[rj]) <= 2.0 * thresh:
+    limit = 2.0 * thresh
+    for i, (ci, _m) in enumerate(centers):
+        for cj, _m in centers[i + 1 :]:
+            if abs(ci - cj) <= limit:
                 raise ClusterAmbiguityError(
-                    f"eigenvalue clusters {centers[ri]:.6g} and {centers[rj]:.6g} "
+                    f"eigenvalue clusters {complex(ci):.6g} and {complex(cj):.6g} "
                     f"are within twice the clustering threshold {thresh:.3e}"
                 )
     # the real clusters, and each complex pair from its member with beta > 0
-    out = [
-        ((c.real, c.imag) if c.imag > thresh else c.real, groups[r])
-        for r, c in centers.items() if c.imag >= -thresh
-    ]
+    out = [(c if c.imag > thresh else c.real, m) for c, m in centers if c.imag >= -thresh]
     # real values ascending, then complex ones by (alpha, beta)
-    return sorted(out, key=lambda item: (isinstance(item[0], tuple), item[0])), vecs
+    out.sort(key=lambda item: (type(item[0]) is complex, item[0].real, item[0].imag))
+    return out, vecs

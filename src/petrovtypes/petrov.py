@@ -7,35 +7,36 @@ the invariant data and drives the type labels.
 
 Every eigenvalue cluster, real or complex, gets its orthonormal eigenspace
 basis q, N_r = q^H (a - lam I) q and its scale max |a - lam I| (|a - lam I|
-below), which every chain's degeneracy check reads.  One np.linalg.eig call
-gives the eigenvalues the clusters link and the eigenvectors: a simple
-cluster's q is its eig column, and its 1x1 N_r within the rank cut makes it
-a 1-block.  Clusters of one kind and of one multiplicity 2 or more share one
-shift stack a - lam I and one ``generalized_eigenspace`` call, scaled by
-|a - lam I|, and the rank profile of N_r sizes their blocks.  Blocks are
-then built in two ways:
+below), which every degeneracy check reads.  One np.linalg.eig call gives
+the eigenvalues the clusters link and the eigenvectors: a simple cluster's q
+is its eig column, and its 1x1 N_r within the rank cut makes it a 1-block.
+The clusters of one kind share one shift stack a - lam I, those of one kind
+and one multiplicity 2 or more one ``generalized_eigenspace`` call, and the
+rank profile of N_r sizes their blocks.  Every chain generator is the
+dominant eigenvector of one real symmetric form: the pairing B(v, N^(m-1) v)
+on a real span; on a complex span, where B is bilinear, the real 2k x 2k
+embedding of the complex symmetric pairing Q, whose top eigenvalue is the
+maximum of |x^T Q x| over unit x, the largest Takagi value of Q (Horn &
+Johnson, *Matrix Analysis*, 2nd ed., 4.4).  Blocks are built in three ways:
 
-- chains of length 2 or more, and every complex chain: the chain peel takes
-  longest chains first in the coordinates of q, on N_r, and deflates each
-  chain's B-orthocomplement.  Complex clusters run it over the
-  complexification and are realified into companion blocks, whose columns,
-  like a real block's, are fixed only up to sign.  Every chain generator is
-  the dominant eigenvector of one real symmetric form: the pairing
-  B(v, N^(m-1) v) on a real span; on a complex span, where B is bilinear,
-  the real 2k x 2k embedding of the complex symmetric pairing Q, whose top
-  eigenvalue is the maximum of |x^T Q x| over unit x, the largest Takagi
-  value of Q (Horn & Johnson, *Matrix Analysis*, 2nd ed., 4.4).  A pairing
-  at most tol * max(|form|, |a - lam I|, 1) raises one ConditioningError;
+- the chains of a real cluster of length 2 or more, and those of a complex
+  cluster of multiplicity 2 or more: the chain peel takes longest chains
+  first in the coordinates of q, on N_r, and deflates each chain's
+  B-orthocomplement;
+- simple complex pairs: a width-1 span holds one chain, whose generator
+  needs no peel, so one stacked 2x2 eigensolve of the embeddings gives all
+  of them.  Complex chains are realified into companion blocks, whose
+  columns, like a real block's, are fixed only up to sign;
 - real 1-blocks: what is left of a real cluster after its peel, the whole
   eigenspace of a simple or semisimple one, is a span where a - lam I
   vanishes.  One symmetric eigensolve of the Gram restricted to it, stacked
   over spans of equal width, gives B-orthogonal eigenvectors, and its
   inertia is the sign characteristic of those 1-blocks (a 1x1 form is its
-  own eigenvalue, so simple eigenvalues need no eigensolve).  A restricted
-  form with an eigenvalue at most tol * max(|form|, |a - lam I|, 1), the
-  scale of the peel's checks, raises ConditioningError.
+  own eigenvalue, so simple eigenvalues need no eigensolve).
 
-A cluster spanning the whole space gets the identity basis.
+A chain pairing, or an eigenvalue of a restricted 1-block form, at most
+tol * max(|form|, |a - lam I|, 1) raises ConditioningError.  A cluster
+spanning the whole space gets the identity basis.
 
 The type labels are orientation-free: (-A, G), the other unit normal, gets
 the index and label of (A, G).  By the sign characteristic rule (Gohberg,
@@ -52,6 +53,7 @@ label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,55 +161,47 @@ def jordan_structure(
     """Block sizes per eigenvalue from the rank profile of N_r, and per
     cluster (real, then complex, in canonical order) an orthonormal basis q
     of its generalized eigenspace, N_r = q^H (a - lam I) q and max |a - lam I|,
-    each computed once for every use.
-
-    One np.linalg.eig call gives the eigenvalues the clusters link and the
-    eigenvectors: a simple cluster's q is its eig column (real for a real
-    cluster), and its 1x1 N_r within the rank cut gives the 1-block with no
-    rank profile.  Clusters of one kind and multiplicity 2 or more share one
-    shift stack and one ``generalized_eigenspace`` call, scaled by that max,
-    which is also the shift's part of the chain degeneracy scale."""
+    each computed once for every use (module docstring).  a is a float
+    matrix as ``petrov_normal_form`` checks it: square, finite, dim <= 8.
+    A simple cluster's q is its eig column (real for a real cluster), and
+    the eigenspace power of ``generalized_eigenspace`` is scaled by that
+    max, which is also the shift's part of the chain degeneracy scale."""
     tol = resolve_tol(tol)
-    af = np.asarray(a, dtype=float)
-    n = af.shape[0]
-    if n > 8:
-        raise ContractError("jordan_structure supports dim <= 8")
     # real clusters ascending, then complex by (alpha, beta), as eigen_clusters
     # lists them, with their eigenvalue indices into the columns of vecs
-    linked, vecs = _eig_clusters(a, tol)
-    clusters = [
-        (complex(*val) if isinstance(val, tuple) else float(val), members)
-        for val, members in linked
-    ]
-    groups: dict[tuple[type, int], list[int]] = {}
-    for i, (lam, members) in enumerate(clusters):
-        groups.setdefault((type(lam), len(members)), []).append(i)
+    clusters, vecs = _eig_clusters(a, tol)
     bases, restricted, shift_scales = ([None] * len(clusters) for _ in range(3))
-    for (kind, mult), group in groups.items():
-        # a complex cluster's eigenspace lies in the complexification
-        mat = af.astype(kind)
-        lams = np.array([clusters[i][0] for i in group])
-        shifts = mat - lams[:, None, None] * np.eye(n)
+    for kind in (float, complex):
+        groups: dict[int, list[int]] = {}
+        for i, (lam, members) in enumerate(clusters):
+            if type(lam) is kind:
+                groups.setdefault(len(members), []).append(i)
+        if not groups:
+            continue
+        # one shift stack per kind, each group's a slice of it; a complex
+        # cluster's shift and eigenspace lie in the complexification
+        lams = [clusters[i][0] for group in groups.values() for i in group]
+        shifts = a - np.multiply.outer(lams, np.eye(a.shape[0]))
         scales = np.abs(shifts).max(axis=(1, 2))
-        if mult == 1:
-            cols = vecs[:, [clusters[i][1][0] for i in group]].T[:, :, None]
-            q = cols if kind is complex else cols.real
-        else:
-            q = generalized_eigenspace(shifts, scales, mult)
-        nr = q.conj().transpose(0, 2, 1) @ shifts @ q
-        for i, qi, nri, scale in zip(group, q, nr, scales):
-            bases[i], restricted[i], shift_scales[i] = qi, nri, scale
-    cut = rank_cut(tol)
-    real: list[tuple[float, tuple[int, ...]]] = []
-    cplx: list[tuple[float, float, tuple[int, ...]]] = []
-    for (lam, _members), nr in zip(clusters, restricted):
-        simple = nr.shape == (1, 1) and abs(nr[0, 0]) <= cut
-        sizes = (1,) if simple else _block_sizes(nr, lam, tol)
-        if isinstance(lam, complex):
-            cplx.append((lam.real, lam.imag, sizes))
-        else:
-            real.append((lam, sizes))
-    return JordanStructure(tuple(real), tuple(cplx)), bases, restricted, shift_scales
+        at = 0
+        for mult, group in groups.items():
+            stack, stack_scales = shifts[at : at + len(group)], scales[at : at + len(group)]
+            at += len(group)
+            if mult == 1:
+                cols = vecs[:, [clusters[i][1][0] for i in group]].T[:, :, None]
+                q = cols if kind is complex else cols.real
+            else:
+                q = generalized_eigenspace(stack, stack_scales, mult)
+            nr = q.conj().transpose(0, 2, 1) @ stack @ q
+            for i, qi, nri, scale in zip(group, q, nr, stack_scales.tolist()):
+                bases[i], restricted[i], shift_scales[i] = qi, nri, scale
+    # a simple cluster's 1x1 N_r within the rank cut is a 1-block
+    sizes = [(1,) if nr.shape == (1, 1) and abs(nr[0, 0]) <= rank_cut(tol)
+             else _block_sizes(nr, lam, tol) for (lam, _m), nr in zip(clusters, restricted)]
+    blocks = [(lam, s) for (lam, _m), s in zip(clusters, sizes)]
+    real = tuple([(lam, s) for lam, s in blocks if type(lam) is float])
+    cplx = tuple([(lam.real, lam.imag, s) for lam, s in blocks if type(lam) is complex])
+    return JordanStructure(real, cplx), bases, restricted, shift_scales
 
 
 def _block_sizes(nr: np.ndarray, lam, tol: float) -> tuple[int, ...]:
@@ -279,19 +273,10 @@ def _normal_matrices(
     return a, g
 
 
-def petrov_normal_form(
-    pair: SelfAdjointPair, tol: float | None = None
-) -> PetrovNormalForm:
-    """Simultaneous canonical form of a self-adjoint pair.
-
-    Chains of length 2 or more are built eigenvalue by eigenvalue inside each
-    generalized eigenspace: longest chains first, each chain generator
-    straightened so the Gram of the chain is exactly a signed anti-diagonal,
-    then the chain's orthocomplement is deflated.  Complex pairs run the same
-    procedure, for chains of every length, over the complexification and are
-    realified into companion blocks.  Every real 1-block, of a simple,
-    semisimple or mixed cluster, comes from one stacked eigensolve of the Gram
-    on what the peel leaves (module docstring).
+def petrov_normal_form(pair: SelfAdjointPair, tol: float | None = None) -> PetrovNormalForm:
+    """Simultaneous canonical form of a self-adjoint pair: each cluster's
+    chains from the chain peel, its simple complex pair or its real 1-blocks
+    from a stacked eigensolve (module docstring), in canonical block order.
     """
     tol = resolve_tol(tol)
     a = np.asarray(pair.a, dtype=float)
@@ -299,7 +284,8 @@ def petrov_normal_form(
     n = a.shape[0]
     if n > 8:
         raise ContractError("petrov_normal_form supports dim <= 8")
-    if not is_self_adjoint(pair.a, pair.space, residual_cut(tol)):
+    # is_self_adjoint checks a, which jordan_structure reads as checked
+    if not is_self_adjoint(a, pair.space, residual_cut(tol)):
         raise ContractError("operator is not self-adjoint for the given gram")
     structure, bases, restricted, shift_scales = jordan_structure(a, tol)
     clusters = list(structure.real_blocks) + [
@@ -310,8 +296,12 @@ def petrov_normal_form(
     # equal sizes; then complex by (alpha, beta, size)
     blocks: list[tuple[tuple, int, np.ndarray]] = []
     spans = []  # (lam, max |a - lam I|, basis) of each real span where a - lam I vanishes
+    pairs = []  # (lam, max |a - lam I|, eig column) of each simple complex pair
     for (lam, sizes), basis, nr, scale in zip(clusters, bases, restricted, shift_scales):
         cplx = isinstance(lam, complex)
+        if cplx and sizes == (1,):
+            pairs.append((lam, scale, basis))
+            continue
         peel = [m for m in sizes if cplx or m > 1]
         chains, rest = _extract_chains(scale, g, basis, peel, tol, nr) if peel else ([], basis)
         for m, eps, cols in chains:
@@ -319,43 +309,41 @@ def petrov_normal_form(
             blocks.append((key, eps, _realify_chain(cols) if cplx else cols))
         if rest.shape[1]:
             spans.append((lam, scale, rest))
+    blocks += _simple_pairs(g, pairs, tol) if pairs else []
     for lam, eps, col in _one_blocks(g, spans, tol):
         blocks.append(((False, lam, 0.0, 1, -eps), eps, col))
     blocks.sort(key=lambda t: t[0])
-    columns = [cols for _key, _eps, cols in blocks]
-    t_mat = np.hstack(columns) if columns else np.zeros((n, 0))
+    t_mat = np.concatenate([cols for _key, _eps, cols in blocks], axis=1)
     if t_mat.shape != (n, n):
         raise ConditioningError("chain construction did not produce a full basis")
-    sv = np.linalg.svd(t_mat, compute_uv=False)
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    sv = np.linalg.svd(t_mat, compute_uv=False).tolist()
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
     if cond > cond_limit(tol):
         raise ConditioningError(f"chain basis condition number {cond:.3e} too large")
-    signs = tuple(eps for key, eps, _cols in blocks if not key[0])
+    signs = tuple([eps for key, eps, _cols in blocks if not key[0]])
     return PetrovNormalForm(structure, signs, t_mat)
 
 
 def _degeneracy_cut(form: np.ndarray, shift_scale, tol: float):
     """tol * max(|form|, shift_scale, 1), shift_scale = max |a - lam I|: an
     eigenvalue of a chain pairing or of a 1-block form at most this raises
-    ConditioningError.  For one form (k, k) or a stack (c, k, k) with one
-    shift scale each."""
-    return tol * np.maximum(np.maximum(np.abs(form).max(axis=(-2, -1)), shift_scale), 1.0)
+    ConditioningError.  For one form (k, k), a Python float, or a stack
+    (c, k, k) with one shift scale each, a list of them."""
+    if form.ndim == 2:
+        return tol * max(float(np.abs(form).max()), shift_scale, 1.0)
+    scales = np.abs(form).max(axis=(-2, -1)).tolist()
+    return [tol * max(scale, shift, 1.0) for scale, shift in zip(scales, shift_scale)]
 
 
-def _one_blocks(
-    g: np.ndarray, spans: list[tuple[float, float, np.ndarray]], tol: float
-) -> list[tuple[float, int, np.ndarray]]:
+def _one_blocks(g: np.ndarray, spans: list, tol: float) -> list:
     """Every real 1-block: (lam, sign, column) for each span (lam,
     shift_scale, basis) on which N = a - lam I vanishes.
 
-    Such a span holds only 1-blocks of lam, so one symmetric eigensolve of the
-    restricted form basis^T G basis gives B-orthogonal eigenvectors, scaled to
-    B(v, v) = +-1, and their signs are the inertia of that form, the sign
-    characteristic of those 1-blocks.  Spans of equal width share one stacked
-    eigensolve; a 1x1 form is its own eigenvalue.  A restricted form with an
-    eigenvalue at most tol * max(|form|, shift_scale, 1) raises
-    ConditioningError, shift_scale being max |N| on the whole space, as
-    ``jordan_structure`` returns it: the scale of the chain peel's checks.
+    One symmetric eigensolve of the restricted form basis^T G basis, stacked
+    over spans of equal width, gives B-orthogonal eigenvectors, scaled to
+    B(v, v) = +-1, and their signs, the inertia of that form, are the sign
+    characteristic of those 1-blocks; a 1x1 form is its own eigenvalue.
+    shift_scale is max |N| on the whole space, as for the chain peel.
     """
     groups: dict[int, list] = {}
     for span in spans:
@@ -363,46 +351,68 @@ def _one_blocks(
     out = []
     for k, group in groups.items():
         lams, shift_scales, bases = zip(*group)
-        q = np.stack(bases)
+        q = np.concatenate([basis[None] for basis in bases])
         form = q.transpose(0, 2, 1) @ g @ q
         form = (form + form.transpose(0, 2, 1)) / 2.0
         w, vecs = (form[:, 0], np.ones_like(form)) if k == 1 else np.linalg.eigh(form)
         if (np.abs(w).min(axis=1) <= _degeneracy_cut(form, shift_scales, tol)).any():
-            raise ConditioningError(
-                f"degenerate form on a {k}-dimensional eigenspace; "
-                "input sits near a Jordan-structure boundary"
-            )
+            raise _degenerate(f"form on a {k}-dimensional eigenspace")
         cols = q @ (vecs / np.sqrt(np.abs(w))[:, None, :])
-        out += [(lam, 1 if w[c, j] > 0 else -1, cols[c, :, j : j + 1])
-                for c, lam in enumerate(lams) for j in range(k)]
+        out += [(lam, 1 if x > 0 else -1, cols[c, :, j : j + 1])
+                for c, (lam, ws) in enumerate(zip(lams, w.tolist())) for j, x in enumerate(ws)]
     return out
 
 
-def _extract_chains(
-    shift_scale: float,
-    g: np.ndarray,
-    basis: np.ndarray,
-    sizes: list[int],
-    tol: float,
-    nr: np.ndarray,
-) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
+def _simple_pairs(g: np.ndarray, pairs: list, tol: float) -> list:
+    """The companion 1-block (key, -1, columns) of each simple complex pair
+    (lam, shift_scale, basis), basis its eig column: the chain peel of a
+    width-1 complex span, stacked over all of them, with one 2x2 eigensolve
+    each of the real embedding of the pairing Q = basis^T G basis."""
+    lams, shift_scales, bases = zip(*pairs)
+    form = np.array([basis.T @ g @ basis for basis in bases])
+    w, vecs = _embedded_eigh((form + form.transpose(0, 2, 1)) / 2.0)
+    rows = np.arange(len(pairs))
+    idx = np.abs(w).argmax(axis=1)
+    theta = np.abs(w[rows, idx])
+    if (theta <= _degeneracy_cut(form, shift_scales, tol)).any():
+        raise _degenerate("chain pairing for block size 1")
+    v = vecs[rows, :, idx] / np.sqrt(theta)[:, None]
+    return [((True, lam.real, lam.imag, 1, 1), -1, _realify_chain(basis @ v[c : c + 1]))
+            for c, (lam, basis) in enumerate(zip(lams, bases))]
+
+
+def _embedded_eigh(form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-|w| and the eigenvectors x = y + iz of the real embedding
+    [[Re Q, -Im Q], [-Im Q, -Re Q]] in (y, z) of a complex symmetric Q, one
+    form (k, k) or a stack: i x has the pairing x^T Q x negated, so the
+    eigenvectors of w > 0 are turned to i x, and each pairs to -|w|."""
+    k = form.shape[-1]
+    real_form = np.empty(form.shape[:-2] + (2 * k, 2 * k))
+    real_form[..., :k, :k] = form.real
+    real_form[..., k:, k:] = -form.real
+    real_form[..., :k, k:] = real_form[..., k:, :k] = -form.imag
+    w, yz = np.linalg.eigh(real_form)
+    vecs = (yz[..., :k, :] + 1j * yz[..., k:, :]) * np.where(w > 0, 1j, 1.0)[..., None, :]
+    return -np.abs(w), vecs
+
+
+def _degenerate(what: str) -> ConditioningError:
+    return ConditioningError(f"degenerate {what}; input sits near a Jordan-structure boundary")
+
+
+def _extract_chains(shift_scale, g, basis, sizes, tol, nr):
     """Peel Jordan chains of the given sizes off the span of basis, longest
     first, and return them with a basis of what is left.
 
     The chains are (size, sign, columns) with columns ordered so the operator
     acts as an upper Jordan/companion block and the chain Gram is exactly the
     target anti-diagonal block; a complex cluster (complex basis and nr) has
-    sign -1, which makes its realified Gram cells diag(-1, 1).  A real
-    cluster peels only its chains of length 2 or more, and what is left, the
-    B-orthocomplement of its chains, is where N vanishes: its 1-blocks, for
-    ``_one_blocks``.  The span of basis (orthonormal columns) is
-    N-invariant, so the peel runs in its coordinates, on N_r = nr =
-    basis^H N basis, as ``jordan_structure`` returns it, and
-    G_r = basis^T G basis: the powers of N never reach the other eigenspaces,
-    whose roundoff they would scale by (lam_j - lam)^k.  The chains and the
-    rest are mapped back with basis @ cols.  shift_scale is max |N| =
-    max |a - lam I| on the whole space, as ``jordan_structure`` returns it,
-    part of the degeneracy scale.
+    sign -1, which makes its realified Gram cells diag(-1, 1).  What a real
+    cluster's peel leaves is where N vanishes, its 1-blocks.  The span of
+    basis is N-invariant, so the peel runs in its coordinates, on nr = N_r
+    and G_r = basis^T G basis: the powers of N never reach the other
+    eigenspaces, whose roundoff they would scale by (lam_j - lam)^k.
+    shift_scale is max |N| on the whole space, part of the degeneracy scale.
     """
     gr = basis.T @ g @ basis
     k = nr.shape[0]
@@ -414,7 +424,8 @@ def _extract_chains(
     for m in sorted(sizes, reverse=True):
         v, eps = _pick_chain_generator(powers, gr, active, m, tol, shift_scale)
         v = _straighten(powers, gr, v, m, eps)
-        chain_cols = np.column_stack([powers[m - j] @ v for j in range(1, m + 1)])
+        # C-contiguous columns N^(m-1) v, ..., v: the products below round by layout
+        chain_cols = np.array([powers[m - j] @ v for j in range(1, m + 1)]).T.copy()
         out.append((m, eps, chain_cols))
         # B-orthocomplement of the chain; a chain that fills the span leaves none
         active = _deflate(gr, active, chain_cols, tol) if active.shape[1] > m else active[:, m:]
@@ -424,33 +435,19 @@ def _extract_chains(
 def _pick_chain_generator(powers, g, active, m, tol, shift_scale):
     """Vector v in the active span with B(v, N^(m-1) v) = eps = +-1, and eps.
 
-    v is the dominant eigenvector of one real symmetric form (module
-    docstring): the symmetrized Q = active^T G N^(m-1) active on a real span,
-    and [[Re Q, -Im Q], [-Im Q, -Re Q]] in (y, z), x = y + iz, on a complex
-    one, where i x has the pairing of x negated, so eps is -1.  A pairing at
-    most tol * max(|Q|, shift_scale, 1) raises ConditioningError.
+    v is the dominant eigenvector of the symmetrized Q = active^T G N^(m-1)
+    active on a real span, and of its real embedding on a complex one, where
+    eps is -1 (``_embedded_eigh``).  A pairing at most tol * max(|Q|,
+    shift_scale, 1) raises ConditioningError.
     """
     form = active.T @ g @ powers[m - 1] @ active
     form = (form + form.T) / 2.0
-    if np.iscomplexobj(form):
-        k = form.shape[0]
-        real_form = np.empty((2 * k, 2 * k))
-        real_form[:k, :k] = form.real
-        real_form[k:, k:] = -form.real
-        real_form[:k, k:] = real_form[k:, :k] = -form.imag
-        w, yz = np.linalg.eigh(real_form)
-        vecs = (yz[:k] + 1j * yz[k:]) * np.where(w > 0, 1j, 1.0)
-        w = -np.abs(w)
-    else:
-        w, vecs = np.linalg.eigh(form)
-    idx = int(np.argmax(np.abs(w)))
-    theta = w[idx]
+    w, vecs = (_embedded_eigh if np.iscomplexobj(form) else np.linalg.eigh)(form)
+    idx = int(np.abs(w).argmax())
+    theta = w.item(idx)
     if abs(theta) <= _degeneracy_cut(form, shift_scale, tol):
-        raise ConditioningError(
-            f"degenerate chain pairing for block size {m}; "
-            "input sits near a Jordan-structure boundary"
-        )
-    v = active @ vecs[:, idx] / np.sqrt(abs(theta))
+        raise _degenerate(f"chain pairing for block size {m}")
+    v = active @ vecs[:, idx] / math.sqrt(abs(theta))
     return v, (1 if theta > 0 else -1)
 
 
@@ -469,14 +466,19 @@ def _deflate(g, active, chain_cols, tol):
     """Basis of the B-orthocomplement of the chain inside the active span."""
     constraints = chain_cols.T @ g @ active  # rows: B(e_j, active columns)
     _u, s, vh = np.linalg.svd(constraints)
-    rank = int((s > max(s[0], 1.0) * linalg.DEFLATE_TOL).sum()) if s.size else 0
-    keep = vh.conj().T[:, rank:]
-    return active @ keep
+    s = s.tolist()
+    cut = max(s[0], 1.0) * linalg.DEFLATE_TOL
+    return active @ vh.conj().T[:, len([x for x in s if x > cut]) :]
 
 
 def _realify_chain(cols: np.ndarray) -> np.ndarray:
-    """Complex chain columns -> interleaved real pairs (sqrt2 Re, -sqrt2 Im)."""
-    return np.sqrt(2.0) * np.stack([cols.real, -cols.imag], axis=2).reshape(cols.shape[0], -1)
+    """Complex chain columns, C-contiguous -> interleaved real pairs
+    (sqrt2 Re, -sqrt2 Im), read through the float view of the columns."""
+    n, m = cols.shape
+    return (cols.view(float).reshape(n, m, 2) * _REALIFY).reshape(n, 2 * m)
+
+
+_REALIFY = np.array([math.sqrt(2.0), -math.sqrt(2.0)])
 
 
 def negative_index(form: PetrovNormalForm) -> int:
@@ -489,7 +491,7 @@ def _negative_count(structure: JordanStructure, signs) -> int:
     a complex block of size m has m."""
     sizes = [m for _lam, ms in structure.real_blocks for m in ms]
     real = sum(map(_negative_dim, sizes, signs))
-    return real + sum(sum(ms) for _a, _b, ms in structure.complex_blocks)
+    return real + sum([sum(ms) for _a, _b, ms in structure.complex_blocks])
 
 
 def _negative_dim(m: int, eps: int) -> int:
@@ -532,9 +534,9 @@ def classify_algebraic(form: PetrovNormalForm) -> AlgebraicType:
     # (lambda, size, sign) of the real blocks that carry negative directions
     carriers = [(lam, m, eps) for (lam, m), eps in zip(reals, form.signs)
                 if _negative_dim(m, eps)]
-    cplx = sorted((a, b, m) for a, b, sizes in form.structure.complex_blocks for m in sizes)
-    csizes = tuple(sorted(m for _a, _b, m in cplx))
-    pattern = tuple(sorted((m, eps if m % 2 else 0) for _lam, m, eps in carriers))
+    cplx = sorted([(a, b, m) for a, b, sizes in form.structure.complex_blocks for m in sizes])
+    csizes = tuple(sorted([m for _a, _b, m in cplx]))
+    pattern = tuple(sorted([(m, eps if m % 2 else 0) for _lam, m, eps in carriers]))
     label = _PETROV_LIST.get((neg, csizes, pattern))
     if label is None:
         sizes = tuple(m for m, _eps in pattern)
@@ -547,7 +549,7 @@ def classify_algebraic(form: PetrovNormalForm) -> AlgebraicType:
     # blocks by size descending, in canonical order among equal sizes
     pairs = [(a, b) for a, b, _m in cplx]
     longer = [lam for lam, m, _eps in sorted(carriers, key=lambda c: -c[1]) if m > 1]
-    ones = sorted(lam for lam, m, _eps in carriers if m == 1)
+    ones = sorted([lam for lam, m, _eps in carriers if m == 1])
     params: dict = {}
     if len(pairs) == 1:
         params.update(alpha=pairs[0][0], beta=pairs[0][1])
@@ -573,9 +575,7 @@ def classify_geometric(
     return GeometricType(alg.index, alg.label)
 
 
-def classify_pair(
-    a: np.ndarray, gram: np.ndarray, tol: float | None = None
-) -> dict:
+def classify_pair(a: np.ndarray, gram: np.ndarray, tol: float | None = None) -> dict:
     """One-shot classification bundle used by the CLI."""
     tol = resolve_tol(tol)
     space = BilinearSpace.from_gram(gram, tol)

@@ -90,6 +90,35 @@ def test_import_registers_all_six_modules():
     assert proc.stdout.strip() == str([f"petrovtypes.{m}" for m in MODULES])
 
 
+def test_a_module_that_fails_to_load_raises_its_error_on_every_read():
+    """Without numpy, import petrovtypes still registers all six modules, and
+    every read of a name whose module cannot run raises the
+    ModuleNotFoundError of the failed run, the first time and every time
+    after, through the package, the module or a from-import."""
+    proc = _python("-c", """
+import sys
+sys.modules["numpy"] = None
+import petrovtypes
+print(sorted(k for k in sys.modules if k.startswith("petrovtypes.")))
+reads = [lambda: petrovtypes.classify_pair, lambda: petrovtypes.classify_pair,
+         lambda: petrovtypes.petrov.classify_pair, lambda: petrovtypes.signature,
+         lambda: petrovtypes.linalg.signature]
+for read in reads:
+    try:
+        read()
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+try:
+    from petrovtypes.petrov import petrov_normal_form
+except Exception as exc:
+    print(type(exc).__name__, exc)
+""")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == str([f"petrovtypes.{m}" for m in MODULES])
+    assert lines[1:] == ["ModuleNotFoundError import of numpy halted; None in sys.modules"] * 6
+
+
 def test_matrix_from_json_imports_fractions_only_for_a_string_entry():
     """fractions, and the decimal module it loads, cost a command about 2 ms;
     a matrix of numbers reads without them, and "1/3" still reads exactly."""

@@ -962,3 +962,115 @@ def test_cond_floor_decides_the_basis(monkeypatch):
     monkeypatch.setattr(linalg, "COND_FLOOR", 2.0 / cond)
     with pytest.raises(ConditioningError, match="chain basis condition number"):
         petrov_normal_form(pair)
+
+
+_NON_FINITE = "has a non-finite entry (NaN or infinity)"
+_TOL_TEXT = "tol must be a positive finite number, got "
+# (a, gram, tol) -> the exact type and text of the refusal, the gram's
+# checks first, then the operator's shape against the space, dim <= 8, the
+# operator's own checks and self-adjointness
+_REFUSALS = {
+    "operator not square": (np.zeros((2, 3)), np.eye(2), None,
+                            linalg.ShapeError, "operator and space dimensions differ"),
+    "operator a vector": (np.ones(2), np.eye(2), None,
+                          linalg.ShapeError, "operator and space dimensions differ"),
+    "dimensions differ": (np.eye(3), np.eye(2), None,
+                          linalg.ShapeError, "operator and space dimensions differ"),
+    "gram not square": (np.eye(2), np.ones((2, 3)), None,
+                        linalg.ShapeError, "gram must be square, got shape (2, 3)"),
+    "gram empty": (np.zeros((0, 0)), np.zeros((0, 0)), None,
+                   linalg.ShapeError, "gram is empty, got shape (0, 0)"),
+    "NaN in the operator": (np.diag([np.nan, 1.0]), np.diag([1.0, -1.0]), None,
+                            linalg.ShapeError, f"operator {_NON_FINITE}"),
+    "inf in the operator": (np.diag([np.inf, 1.0]), np.diag([1.0, -1.0]), None,
+                            linalg.ShapeError, f"operator {_NON_FINITE}"),
+    "inf in the gram": (np.eye(2), np.diag([np.inf, 1.0]), None,
+                        linalg.ShapeError, f"gram {_NON_FINITE}"),
+    "NaN in the gram": (np.eye(2), np.diag([np.nan, 1.0]), None,
+                        linalg.ShapeError, f"gram {_NON_FINITE}"),
+    "NaN in an asymmetric gram": (np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]]), None,
+                                  linalg.ShapeError, f"gram {_NON_FINITE}"),
+    "asymmetric gram": (np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), None,
+                        linalg.ShapeError, "gram matrix is not symmetric within tolerance"),
+    "degenerate gram": (np.eye(2), np.diag([1.0, 0.0]), None,
+                        linalg.DegenerateGramError, "gram matrix is degenerate"),
+    "zero gram": (np.eye(2), np.zeros((2, 2)), None,
+                  linalg.DegenerateGramError, "gram matrix is degenerate"),
+    "not self-adjoint": (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), None,
+                         ContractError, "operator is not self-adjoint for the given gram"),
+    "dim 9": (np.eye(9), np.eye(9), None,
+              ContractError, "petrov_normal_form supports dim <= 8"),
+    "dim 9, NaN in the operator": (np.full((9, 9), np.nan), np.eye(9), None,
+                                   ContractError, "petrov_normal_form supports dim <= 8"),
+    "tol 0": (np.eye(2), np.eye(2), 0, linalg.BadToleranceError, f"{_TOL_TEXT}0"),
+    "tol -1": (np.eye(2), np.eye(2), -1.0, linalg.BadToleranceError, f"{_TOL_TEXT}-1.0"),
+    "tol NaN": (np.eye(2), np.eye(2), np.nan, linalg.BadToleranceError, f"{_TOL_TEXT}nan"),
+    "tol inf": (np.eye(2), np.eye(2), np.inf, linalg.BadToleranceError, f"{_TOL_TEXT}inf"),
+    "tol text": (np.eye(2), np.eye(2), "x", linalg.BadToleranceError, f"{_TOL_TEXT}'x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_classify_pair_refusals(case):
+    """Each refusal of classify_pair has exactly this type and text."""
+    a, gram, tol, error, text = _REFUSALS[case]
+    with pytest.raises(error) as raised:
+        classify_pair(a, gram, tol)
+    assert type(raised.value) is error and str(raised.value) == text
+
+
+def test_classify_pair_refuses_a_bad_petrov_tol(monkeypatch):
+    monkeypatch.setenv("PETROV_TOL", "abc")
+    with pytest.raises(linalg.BadToleranceError) as raised:
+        classify_pair(np.eye(2), np.eye(2))
+    assert str(raised.value) == "PETROV_TOL must be a positive finite number, got 'abc'"
+
+
+# numpy.linalg calls of one classify_pair per taxonomy case, the same on the
+# assembled pair and on a congruent one: (eig, eigh, eigvalsh, svd,
+# matrix_power).  The two simple complex pairs of 2-II share one stacked eigh.
+_FACTORIZATIONS = {
+    "1-I-None": (1, 1, 1, 3, 1), "1-II-1": (1, 1, 1, 4, 1), "1-II--1": (1, 1, 1, 4, 1),
+    "1-III-None": (1, 1, 1, 5, 1), "1-IV-None": (1, 1, 1, 1, 0), "2-I-None": (1, 1, 1, 4, 1),
+    "2-II-None": (1, 1, 1, 1, 0), "2-III-None": (1, 1, 1, 1, 0), "2-IV-1": (1, 2, 1, 4, 1),
+    "2-IV--1": (1, 2, 1, 4, 1), "2-V-None": (1, 2, 1, 5, 1), "2-VI-1": (1, 1, 1, 5, 0),
+    "2-VI--1": (1, 1, 1, 6, 1), "2-VII-i-None": (1, 1, 1, 5, 1),
+    "2-VII-ii-None": (1, 1, 1, 5, 1), "2-VIII-1": (1, 2, 1, 8, 2),
+    "2-VIII--1": (1, 2, 1, 8, 2), "2-IX-i-1": (1, 2, 1, 4, 0), "2-IX-i--1": (1, 2, 1, 6, 1),
+    "2-IX-ii--1": (1, 2, 1, 6, 1), "2-X-1": (1, 1, 1, 4, 0), "2-X--1": (1, 1, 1, 4, 1),
+    "2-XI-None": (1, 1, 1, 3, 1),
+}
+
+
+@pytest.mark.parametrize("case", TAXONOMY_CASES, ids=TAXONOMY_IDS)
+def test_factorizations_per_classification(monkeypatch, case):
+    """Every numpy.linalg factorization of a classification is pinned per
+    taxonomy case, and a simple complex pair never enters the chain peel:
+    its block comes from the stacked eigensolve of _simple_pairs."""
+    names = ("eig", "eigh", "eigvalsh", "svd", "matrix_power")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        compute = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _compute=compute, **kwargs):
+            calls[_name] += 1
+            return _compute(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    peeled, extract = [], petrov._extract_chains
+
+    def spy(shift_scale, g, basis, *args):
+        peeled.append(basis)
+        return extract(shift_scale, g, basis, *args)
+
+    monkeypatch.setattr(petrov, "_extract_chains", spy)
+    index, label, sign, reals, cplx = case
+    base = _taxonomy_pair(reals, cplx)
+    moved = _congruences(base, seed=TAXONOMY_CASES.index(case), count=1)
+    for a, g in [(base.a, base.space.gram), *moved]:
+        calls.update(dict.fromkeys(names, 0))
+        assert classify_pair(a, g)["algebraic"]["label"] == label
+        assert tuple(calls.values()) == _FACTORIZATIONS[f"{index}-{label}-{sign}"]
+    # the peel sees the complex spans of the longer complex chains only
+    longer = [m for _alpha, _beta, m in cplx if m > 1]
+    assert [q.shape[1] for q in peeled if np.iscomplexobj(q)] == longer * 2
