@@ -28,9 +28,11 @@ and caches them on itself, so no cache outlives the record.  A sphere level
 set (e-j) solves its chart by a Newton in its two pivot coordinates, on
 coefficients formed once per call from the blocks of G P that the record
 caches, each step elementwise with the closed-form inverse of the 2x2
-Jacobian; evaluate then forms the constraint differentials once at the
+Jacobian; one point is solved on Python floats, its stop and singularity
+tests included, and a NaN residual keeps a row moving, in a stack as at
+one point.  evaluate then forms the constraint differentials once at the
 solved points and reads the gradient, <grad, grad> and the coordinate frame
-from them.  The curves in
+from them, and checks its fields finite in one pass.  The curves in
 the formulas of k, l and m are coefficient tables, each written once, with
 their derivatives and integrals derived; one evaluate, chart or
 chart_jacobian call evaluates all tables of the entry once, side by side.
@@ -136,9 +138,16 @@ def _vec(s, *comps) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _ambient_gram(n: int, s: int) -> np.ndarray:
+    """inner_matrix(n, s), built once per (n, s) and read-only."""
+    g = inner_matrix(n, s)
+    g.flags.writeable = False
+    return g
+
+
 def _frame_gram(frame: np.ndarray, s: int) -> np.ndarray:
-    g = inner_matrix(frame.shape[-2], s)
-    return frame.swapaxes(-1, -2) @ g @ frame
+    return frame.swapaxes(-1, -2) @ _ambient_gram(frame.shape[-2], s) @ frame
 
 
 def _columns(*cols) -> np.ndarray:
@@ -330,7 +339,10 @@ class _LevelSet:
         is solved on (k,) vectors, elementwise, and one point on Python
         floats, which round each operation alike, so a row's result does not
         depend on the stack.  A row stops moving once both residuals are
-        below linalg.NEWTON_STOP."""
+        below linalg.NEWTON_STOP, and a NaN residual keeps it moving.  One
+        point takes its stop and singularity tests on Python floats too:
+        abs(r0) < stop and abs(r1) < stop is False for a NaN in either
+        place, as the stacked test on np.maximum is."""
         signs, quad, (lin0, lin1), (s0, s1), (m00, m01, m11) = self.pivot_form
         one = len(u) == 1
         col = u[0].tolist() if one else u.T
@@ -340,6 +352,7 @@ class _LevelSet:
         l0, l1 = (sum((q * col[i] for i, q in lin), 0.0) for lin in (lin0, lin1))
         y0, y1 = (float(self.anchor[i]) if one else np.full(len(u), self.anchor[i])
                   for i in self.pivots)
+        stop = linalg.NEWTON_STOP
         for _ in range(60):
             # half the Jacobian, [[j0, j1], [g0, g1]]: g is G P x at the pivots
             j0, j1 = s0 * y0, s1 * y1
@@ -347,11 +360,18 @@ class _LevelSet:
             g1 = l1 + m01 * y0 + m11 * y1
             r0 = a0 + y0 * j0 + y1 * j1
             r1 = a1 + y0 * (l0 + g0) + y1 * (l1 + g1)
-            moving = ~(np.maximum(abs(r0), abs(r1)) < linalg.NEWTON_STOP)
-            if not moving.any():
-                return y0, y1
             det = j0 * g1 - j1 * g0
-            if (moving & (det == 0)).any():
+            if one:
+                # not max(abs(r0), abs(r1)) < stop: max drops a NaN in second place
+                if abs(r0) < stop and abs(r1) < stop:
+                    return y0, y1
+                singular = det == 0
+            else:
+                moving = ~(np.maximum(abs(r0), abs(r1)) < stop)
+                if not moving.any():
+                    return y0, y1
+                singular = (moving & (det == 0)).any()
+            if singular:
                 raise DomainError("chart solver met a singular Jacobian at this point")
             # a row that has stopped takes a step of zero
             half = 0.5 / det if one else np.divide(0.5, det, np.zeros_like(det), where=moving)
@@ -1004,7 +1024,7 @@ def _chart_point(entry: _Entry, p, stack: bool = False) -> np.ndarray:
 
 def _finite(*arrays: np.ndarray) -> None:
     # far enough out, the formulas of an entry overflow
-    if not all(np.isfinite(x).all() for x in arrays):
+    if not np.isfinite(np.concatenate(arrays, axis=None)).all():
         raise DomainError("frame data is not finite at this point (overflow)")
 
 

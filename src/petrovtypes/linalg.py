@@ -262,14 +262,30 @@ def generalized_eigenspace(shifts: np.ndarray, scales: np.ndarray, mult: int) ->
     call for its shift alone bit for bit.  The power is of the shift divided
     by its entry of scales, max |a - lam I|, the scale the chain degeneracy
     checks read; it is within a factor n of the 2-norm, so the power cannot
-    overflow.  A cluster holding all n eigenvalues gets the identity.
+    overflow.  It is formed by ``_power`` as ``@`` products.  A cluster
+    holding all n eigenvalues gets the identity.
     """
     k, n, _n = shifts.shape
     if mult == n:
         return np.tile(np.eye(n, dtype=shifts.dtype), (k, 1, 1))
-    power = np.linalg.matrix_power(shifts / scales[:, None, None], mult)
-    _u, _s, vh = np.linalg.svd(power)
+    _u, _s, vh = np.linalg.svd(_power(shifts / scales[:, None, None], mult))
     return vh.conj().transpose(0, 2, 1)[:, :, n - mult :]
+
+
+def _power(x: np.ndarray, m: int) -> np.ndarray:
+    """x^m for m >= 2 by the ``@`` products of np.linalg.matrix_power, in its
+    order, so that it is that result bit for bit, without its wrapper:
+    (x @ x) @ x for m = 3, otherwise square-and-multiply over the bits of m
+    from the lowest (x @ x for m = 2)."""
+    if m == 3:
+        return (x @ x) @ x
+    z = result = None
+    while m:
+        z = x if z is None else z @ z
+        m, bit = divmod(m, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
 
 
 def jordan_rank_profile(nil: np.ndarray, lam, tol: float) -> list[int]:
@@ -280,8 +296,11 @@ def jordan_rank_profile(nil: np.ndarray, lam, tol: float) -> list[int]:
     Kernel dimensions are grown as a staircase, ker N^(k+1) = preimage of
     ker N^k, so every rank decision is one SVD of the unpowered N and never
     suffers the decay of explicit matrix powers; a simple cluster's 1x1 N
-    needs no SVD at all.  A restriction that is not numerically nilpotent
-    raises ToleranceError.
+    needs no SVD at all.  A step taken with one kernel direction left either
+    completes the staircase or raises, so it reads the singular values only
+    and takes a values-only SVD; every other step reads V^H for the kernel
+    of the next.  A restriction that is not numerically nilpotent raises
+    ToleranceError.
     """
     mult = nil.shape[0]
     cut = rank_cut(tol)
@@ -301,7 +320,10 @@ def jordan_rank_profile(nil: np.ndarray, lam, tol: float) -> list[int]:
     for step in range(mult):
         if step:
             proj = nil - kernel @ (kernel.conj().T @ nil)
-            _u, sv, vh = np.linalg.svd(proj)
+            if mult - kernel_dim > 1:
+                _u, sv, vh = np.linalg.svd(proj)
+            else:  # adds the last direction or raises: V^H is not read
+                sv = np.linalg.svd(proj, compute_uv=False)
             sv = sv.tolist()
         null_dim = len([s for s in sv if s <= cut]) + (mult - len(sv))
         # Weyr increments are nonincreasing and the total is capped by mult

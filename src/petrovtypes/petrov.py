@@ -36,7 +36,8 @@ Johnson, *Matrix Analysis*, 2nd ed., 4.4).  Blocks are built in three ways:
 
 A chain pairing, or an eigenvalue of a restricted 1-block form, at most
 tol * max(|form|, |a - lam I|, 1) raises ConditioningError.  A cluster
-spanning the whole space gets the identity basis.
+spanning the whole space gets the identity basis, and no product with it is
+taken (``_lift``, ``_restrict``): each would be its operand plus 0.0.
 
 The type labels are orientation-free: (-A, G), the other unit normal, gets
 the index and label of (A, G).  By the sign characteristic rule (Gohberg,
@@ -170,6 +171,7 @@ def jordan_structure(
     # real clusters ascending, then complex by (alpha, beta), as eigen_clusters
     # lists them, with their eigenvalue indices into the columns of vecs
     clusters, vecs = _eig_clusters(a, tol)
+    n = a.shape[0]
     bases, restricted, shift_scales = ([None] * len(clusters) for _ in range(3))
     for kind in (float, complex):
         groups: dict[int, list[int]] = {}
@@ -181,7 +183,7 @@ def jordan_structure(
         # one shift stack per kind, each group's a slice of it; a complex
         # cluster's shift and eigenspace lie in the complexification
         lams = [clusters[i][0] for group in groups.values() for i in group]
-        shifts = a - np.multiply.outer(lams, np.eye(a.shape[0]))
+        shifts = a - np.multiply.outer(lams, np.eye(n))
         scales = np.abs(shifts).max(axis=(1, 2))
         at = 0
         for mult, group in groups.items():
@@ -192,7 +194,8 @@ def jordan_structure(
                 q = cols if kind is complex else cols.real
             else:
                 q = generalized_eigenspace(stack, stack_scales, mult)
-            nr = q.conj().transpose(0, 2, 1) @ stack @ q
+            # a whole-space cluster's q is the identity: q^H N q is N + 0.0
+            nr = stack + 0.0 if mult == n else q.conj().transpose(0, 2, 1) @ stack @ q
             for i, qi, nri, scale in zip(group, q, nr, stack_scales.tolist()):
                 bases[i], restricted[i], shift_scales[i] = qi, nri, scale
     # a simple cluster's 1x1 N_r within the rank cut is a 1-block
@@ -352,12 +355,12 @@ def _one_blocks(g: np.ndarray, spans: list, tol: float) -> list:
     for k, group in groups.items():
         lams, shift_scales, bases = zip(*group)
         q = np.concatenate([basis[None] for basis in bases])
-        form = q.transpose(0, 2, 1) @ g @ q
+        form = _restrict(g, q)
         form = (form + form.transpose(0, 2, 1)) / 2.0
         w, vecs = (form[:, 0], np.ones_like(form)) if k == 1 else np.linalg.eigh(form)
         if (np.abs(w).min(axis=1) <= _degeneracy_cut(form, shift_scales, tol)).any():
             raise _degenerate(f"form on a {k}-dimensional eigenspace")
-        cols = q @ (vecs / np.sqrt(np.abs(w))[:, None, :])
+        cols = _lift(q, vecs / np.sqrt(np.abs(w))[:, None, :])
         out += [(lam, 1 if x > 0 else -1, cols[c, :, j : j + 1])
                 for c, (lam, ws) in enumerate(zip(lams, w.tolist())) for j, x in enumerate(ws)]
     return out
@@ -414,7 +417,7 @@ def _extract_chains(shift_scale, g, basis, sizes, tol, nr):
     eigenspaces, whose roundoff they would scale by (lam_j - lam)^k.
     shift_scale is max |N| on the whole space, part of the degeneracy scale.
     """
-    gr = basis.T @ g @ basis
+    gr = _restrict(g, basis)
     k = nr.shape[0]
     powers = [np.eye(k, dtype=nr.dtype), nr]  # N_r^0 .. N_r^(m-1)
     while len(powers) < max(sizes):
@@ -429,7 +432,23 @@ def _extract_chains(shift_scale, g, basis, sizes, tol, nr):
         out.append((m, eps, chain_cols))
         # B-orthocomplement of the chain; a chain that fills the span leaves none
         active = _deflate(gr, active, chain_cols, tol) if active.shape[1] > m else active[:, m:]
-    return [(m, eps, basis @ cols) for m, eps, cols in out], basis @ active
+    return [(m, eps, _lift(basis, cols)) for m, eps, cols in out], _lift(basis, active)
+
+
+def _lift(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """basis @ x, for one basis (n, k) or a stack (c, n, k): the columns x in
+    the coordinates of basis as vectors of the whole space.  A square basis
+    is the identity of a whole-space cluster, and its product is x + 0.0 bit
+    for bit (the identity only turns -0.0 into 0.0), so it is not taken."""
+    return x + 0.0 if basis.shape[-2] == basis.shape[-1] else basis @ x
+
+
+def _restrict(g: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """basis^T G basis, for one basis or a stack, like ``_lift``: on the
+    identity basis of a whole-space cluster, G + 0.0 in the shape of basis."""
+    if basis.shape[-2] == basis.shape[-1]:
+        return g + np.zeros(basis.shape)
+    return basis.swapaxes(-1, -2) @ g @ basis
 
 
 def _pick_chain_generator(powers, g, active, m, tol, shift_scale):
@@ -527,15 +546,22 @@ _PETROV_LIST = {
 
 def classify_algebraic(form: PetrovNormalForm) -> AlgebraicType:
     """Look the block pattern up in Petrov's list, ``_PETROV_LIST``."""
-    neg = negative_index(form)
-    if neg not in (1, 2):
-        raise TaxonomyError(f"negative index {neg} outside the classified range")
-    reals = [(lam, m) for lam, sizes in form.structure.real_blocks for m in sizes]
-    # (lambda, size, sign) of the real blocks that carry negative directions
-    carriers = [(lam, m, eps) for (lam, m), eps in zip(reals, form.signs)
-                if _negative_dim(m, eps)]
     cplx = sorted([(a, b, m) for a, b, sizes in form.structure.complex_blocks for m in sizes])
     csizes = tuple(sorted([m for _a, _b, m in cplx]))
+    # one pass over the real blocks reads the negative index, as
+    # negative_index does, and the (lambda, size, sign) of the blocks that
+    # carry negative directions
+    neg = sum(csizes)
+    carriers = []
+    signs = iter(form.signs)
+    for lam, sizes in form.structure.real_blocks:
+        for m, eps in zip(sizes, signs):
+            dim = _negative_dim(m, eps)
+            if dim:
+                neg += dim
+                carriers.append((lam, m, eps))
+    if neg not in (1, 2):
+        raise TaxonomyError(f"negative index {neg} outside the classified range")
     pattern = tuple(sorted([(m, eps if m % 2 else 0) for _lam, m, eps in carriers]))
     label = _PETROV_LIST.get((neg, csizes, pattern))
     if label is None:

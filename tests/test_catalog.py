@@ -1,6 +1,7 @@
 """Catalog of isoparametric hypersurface examples: frames, shapes, types."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -539,6 +540,52 @@ def test_stacked_evaluate_rejects_a_bad_row(ex_id, bad):
         evaluate(ex_id, rows)
     with pytest.raises(DomainError):
         evaluate(ex_id, bad)
+
+
+def _outcome(call):
+    """The fields of a call's FrameData, or the type and text of its error."""
+    try:
+        fd = call()
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return [getattr(fd, name) for name in ("point", "frame", "normal", "shape", "gram", "nu")]
+
+
+@pytest.mark.parametrize("ex_id", list("efghij"))
+@pytest.mark.parametrize("coord", [1e3, 1e8, 1e160, -1e3, -1e8, -1e160])
+def test_far_point_fails_as_its_stack_of_one(ex_id, coord):
+    """Far out, the one-point chart solve, which tests its residuals on
+    Python floats, refuses a point with the type and text of the stacked
+    solve, and where it succeeds gives its fields bit for bit: at 1e160 the
+    squares overflow, and a NaN residual keeps a row moving in both."""
+    p = np.full(param_dim(ex_id), coord)
+    one, stacked = _outcome(lambda: evaluate(ex_id, p)), _outcome(lambda: evaluate(ex_id, p[None]))
+    if isinstance(one, tuple):
+        assert one == stacked
+    else:
+        assert not isinstance(stacked, tuple), stacked
+        for field, row in zip(one, stacked):
+            assert np.array_equal(field, row[0])
+
+
+@pytest.mark.parametrize("ex_id", list("efghij"))
+@pytest.mark.parametrize("place", [0, 1], ids=["first residual", "second residual"])
+def test_nan_residual_keeps_one_point_moving(ex_id, place):
+    """A NaN in either residual keeps the one-point Newton moving, as it
+    keeps a stacked row moving, even where the other residual is zero: at
+    the anchor, with a NaN coefficient in one constraint, both solves run
+    out of steps and raise the same DomainError."""
+    level = catalog._REGISTRY[ex_id].level
+    signs, quad, *rest = level.pivot_form
+    nan_term = ((0, float("nan")),) if place == 0 else ((0, 0, float("nan")),)
+    poisoned = dataclasses.replace(level)
+    poisoned.__dict__["pivot_form"] = (
+        (nan_term + signs, quad) if place == 0 else (signs, nan_term + quad)
+    ) + tuple(rest)
+    u = level.anchor[level.free][None]
+    for rows in (u, np.repeat(u, 2, axis=0)):
+        with pytest.raises(DomainError, match="^chart solver did not converge; point too far out$"):
+            poisoned.solve_pivots(rows)
 
 
 @pytest.mark.parametrize("ex_id", [e for e in EXAMPLE_IDS if e not in ("h", "i")])

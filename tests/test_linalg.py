@@ -166,6 +166,17 @@ def _restriction(a, lam, mult):
     return q.conj().T @ (a - lam * np.eye(a.shape[0], dtype=a.dtype)) @ q
 
 
+@pytest.mark.parametrize("m", range(2, 8))
+def test_eigenspace_power_is_matrix_power_bit_for_bit(m):
+    """The eigenspace power, taken as @ products, is np.linalg.matrix_power's
+    result bit for bit, on real and complex stacks of every size up to 8."""
+    rng = np.random.default_rng(m)
+    for n in range(m + 1, 9):
+        x = rng.standard_normal((3, n, n))
+        for stack in (x, x + 1j * rng.standard_normal(x.shape)):
+            assert linalg._power(stack, m).tobytes() == np.linalg.matrix_power(stack, m).tobytes()
+
+
 def test_jordan_rank_profile_single_jordan_block():
     n = 6
     a = np.eye(n, k=1)

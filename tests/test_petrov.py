@@ -1029,16 +1029,17 @@ def test_classify_pair_refuses_a_bad_petrov_tol(monkeypatch):
 # numpy.linalg calls of one classify_pair per taxonomy case, the same on the
 # assembled pair and on a congruent one: (eig, eigh, eigvalsh, svd,
 # matrix_power).  The two simple complex pairs of 2-II share one stacked eigh.
+# An eigenspace power is formed as @ products, never by matrix_power.
 _FACTORIZATIONS = {
-    "1-I-None": (1, 1, 1, 3, 1), "1-II-1": (1, 1, 1, 4, 1), "1-II--1": (1, 1, 1, 4, 1),
-    "1-III-None": (1, 1, 1, 5, 1), "1-IV-None": (1, 1, 1, 1, 0), "2-I-None": (1, 1, 1, 4, 1),
-    "2-II-None": (1, 1, 1, 1, 0), "2-III-None": (1, 1, 1, 1, 0), "2-IV-1": (1, 2, 1, 4, 1),
-    "2-IV--1": (1, 2, 1, 4, 1), "2-V-None": (1, 2, 1, 5, 1), "2-VI-1": (1, 1, 1, 5, 0),
-    "2-VI--1": (1, 1, 1, 6, 1), "2-VII-i-None": (1, 1, 1, 5, 1),
-    "2-VII-ii-None": (1, 1, 1, 5, 1), "2-VIII-1": (1, 2, 1, 8, 2),
-    "2-VIII--1": (1, 2, 1, 8, 2), "2-IX-i-1": (1, 2, 1, 4, 0), "2-IX-i--1": (1, 2, 1, 6, 1),
-    "2-IX-ii--1": (1, 2, 1, 6, 1), "2-X-1": (1, 1, 1, 4, 0), "2-X--1": (1, 1, 1, 4, 1),
-    "2-XI-None": (1, 1, 1, 3, 1),
+    "1-I-None": (1, 1, 1, 3, 0), "1-II-1": (1, 1, 1, 4, 0), "1-II--1": (1, 1, 1, 4, 0),
+    "1-III-None": (1, 1, 1, 5, 0), "1-IV-None": (1, 1, 1, 1, 0), "2-I-None": (1, 1, 1, 4, 0),
+    "2-II-None": (1, 1, 1, 1, 0), "2-III-None": (1, 1, 1, 1, 0), "2-IV-1": (1, 2, 1, 4, 0),
+    "2-IV--1": (1, 2, 1, 4, 0), "2-V-None": (1, 2, 1, 5, 0), "2-VI-1": (1, 1, 1, 5, 0),
+    "2-VI--1": (1, 1, 1, 6, 0), "2-VII-i-None": (1, 1, 1, 5, 0),
+    "2-VII-ii-None": (1, 1, 1, 5, 0), "2-VIII-1": (1, 2, 1, 8, 0),
+    "2-VIII--1": (1, 2, 1, 8, 0), "2-IX-i-1": (1, 2, 1, 4, 0), "2-IX-i--1": (1, 2, 1, 6, 0),
+    "2-IX-ii--1": (1, 2, 1, 6, 0), "2-X-1": (1, 1, 1, 4, 0), "2-X--1": (1, 1, 1, 4, 0),
+    "2-XI-None": (1, 1, 1, 3, 0),
 }
 
 
@@ -1074,3 +1075,50 @@ def test_factorizations_per_classification(monkeypatch, case):
     # the peel sees the complex spans of the longer complex chains only
     longer = [m for _alpha, _beta, m in cplx if m > 1]
     assert [q.shape[1] for q in peeled if np.iscomplexobj(q)] == longer * 2
+
+
+# Several blocks at one eigenvalue, (size, sign) each, and the label of the
+# pattern, or None with the text of its TaxonomyError.  No taxonomy case or
+# catalog pair has two blocks at one eigenvalue, the longer of size 3 or
+# more: there the rank staircase can add fewer kernel directions in a step
+# than in the step before.
+_SAME_EIGENVALUE_BLOCKS = {
+    "3+1": ([(3, 1), (1, -1)], "VII-ii", None),
+    "3+2": ([(3, 1), (2, -1)], "VIII", None),
+    "2+1+1": ([(2, -1), (1, -1), (1, 1)], "X", None),
+    "2+2+1": ([(2, 1), (2, -1), (1, 1)], "IX-ii", None),
+    "3+3": ([(3, 1), (3, -1)], None, "negative index 3 outside the classified range"),
+    "5": ([(5, 1)], None, "negative block pattern (5,) not in the index-2 list"),
+}
+
+
+@pytest.mark.parametrize("beside", [False, True], ids=["whole space", "beside a 1-block"])
+@pytest.mark.parametrize("case", list(_SAME_EIGENVALUE_BLOCKS))
+def test_same_eigenvalue_blocks(case, beside):
+    """Blocks of mixed signs at one eigenvalue, alone (a whole-space cluster)
+    or beside a positive 1-block, moved by congruences with cond(T) <= 100:
+    the normal form and classify_pair give the assembled sizes and signs,
+    and classify_pair the label, or the pattern's TaxonomyError."""
+    blocks, label, error = _SAME_EIGENVALUE_BLOCKS[case]
+    reals = [(0.5, m, eps) for m, eps in blocks] + [(2.0, 1, 1)] * beside
+    base = _taxonomy_pair(reals, [])
+    lams = [0.5, 2.0][: 1 + beside]
+    sizes = [sorted(m for m, _eps in blocks)] + [[1]] * beside
+    # the signs in canonical order: sizes ascending, +1 first among equal sizes
+    signs = [eps for _lam, _m, eps in sorted(reals, key=lambda r: (r[0], r[1], -r[2]))]
+    seed = 300 + list(_SAME_EIGENVALUE_BLOCKS).index(case) + 10 * beside
+    for a, g in [(base.a, base.space.gram), *_congruences(base, seed=seed)]:
+        form = petrov_normal_form(SelfAdjointPair(a, BilinearSpace.from_gram(g)))
+        assert [list(s) for _lam, s in form.structure.real_blocks] == sizes
+        assert [lam for lam, _s in form.structure.real_blocks] == pytest.approx(lams, abs=1e-6)
+        assert form.structure.complex_blocks == ()
+        assert list(form.signs) == signs
+        if error is None:
+            result = classify_pair(a, g)
+            assert result["algebraic"]["label"] == label
+            assert result["signs"] == signs
+            assert [r["sizes"] for r in result["structure"]["real"]] == sizes
+        else:
+            with pytest.raises(TaxonomyError) as raised:
+                classify_pair(a, g)
+            assert str(raised.value) == error
