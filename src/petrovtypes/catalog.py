@@ -26,13 +26,15 @@ chart, Jacobian, frame data and sampler are its methods, and it builds its
 quadric, gated by admissibility_check, and its chart constants on first use
 and caches them on itself, so no cache outlives the record.  A sphere level
 set (e-j) solves its chart by a Newton in its two pivot coordinates, on
-coefficients formed once per call from the blocks of G P that the record
-caches, each step elementwise with the closed-form inverse of the 2x2
-Jacobian; one point is solved on Python floats, its stop and singularity
-tests included, and a NaN residual keeps a row moving, in a stack as at
-one point.  evaluate then forms the constraint differentials once at the
-solved points and reads the gradient, <grad, grad> and the coordinate frame
-from them, and checks its fields finite in one pass.  The curves in
+coefficients formed once per call from the blocks of the quadric's G P, each
+step elementwise with the closed-form inverse of the 2x2 Jacobian; one point
+is solved on Python floats, its stop and singularity tests included, and a
+NaN residual keeps a row moving, in a stack as at one point.  The quadric's
+geometry (G, f, the constraint differentials with their unit-sphere check,
+and the one regularity rule) lives in spaceform; a record keeps only what
+belongs to its chart.  evaluate forms the differentials once at the solved
+points, reads the gradient, <grad, grad> and the coordinate frame from them,
+and checks its fields finite in one pass.  The curves in
 the formulas of k, l and m are coefficient tables, each written once, with
 their derivatives and integrals derived; one evaluate, chart or
 chart_jacobian call evaluates all tables of the entry once, side by side.
@@ -57,9 +59,10 @@ from .spaceform import (
     SpaceForm,
     admissibility_check,
     ambient_inner,
+    causal_sign,
     check_invariant,
     inner_matrix,
-    sphere_level_operator,
+    level_operator,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -138,16 +141,8 @@ def _vec(s, *comps) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _ambient_gram(n: int, s: int) -> np.ndarray:
-    """inner_matrix(n, s), built once per (n, s) and read-only."""
-    g = inner_matrix(n, s)
-    g.flags.writeable = False
-    return g
-
-
 def _frame_gram(frame: np.ndarray, s: int) -> np.ndarray:
-    return frame.swapaxes(-1, -2) @ _ambient_gram(frame.shape[-2], s) @ frame
+    return frame.swapaxes(-1, -2) @ inner_matrix(frame.shape[-2], s) @ frame
 
 
 def _columns(*cols) -> np.ndarray:
@@ -226,34 +221,11 @@ class _LevelSet:
         ok, reason = admissibility_check(f)
         if not ok:
             raise DomainError(f"the quadric of {self.id} is not admissible: {reason}")
-        f.P.flags.writeable = False
-        if f.p is not None:
-            f.p.flags.writeable = False
         return f
 
     @functools.cached_property
     def free(self) -> list[int]:
         return [i for i in range(self.anchor.shape[0]) if i not in self.pivots]
-
-    @functools.cached_property
-    def gram(self) -> np.ndarray:
-        """The ambient Gram G."""
-        return inner_matrix(self.anchor.shape[0], self.f.s)
-
-    @functools.cached_property
-    def sign(self) -> np.ndarray:
-        """The diagonal of G."""
-        return np.diag(self.gram).copy()
-
-    @functools.cached_property
-    def gpt(self) -> np.ndarray:
-        """(G P)^T, so that x @ gpt stacks G P x."""
-        return (self.gram @ self.f.P).T.copy()
-
-    @functools.cached_property
-    def gpv(self) -> np.ndarray | None:
-        """G p (flat variant)."""
-        return None if self.f.p is None else self.gram @ self.f.p
 
     @functools.cached_property
     def pivot_form(self) -> tuple:
@@ -266,7 +238,8 @@ class _LevelSet:
         of u^T M_ff u over its upper triangle as (column, column,
         coefficient), the nonzero terms of l0 and of l1 as (column,
         coefficient), then (s0, s1) and (M_00, M_01, M_11)."""
-        m = self.gpt.T
+        f = self.f
+        m = f.gpt.T
         free, (i, j) = self.free, self.pivots
         cols = range(len(free))
         quad = tuple(
@@ -277,8 +250,8 @@ class _LevelSet:
             tuple((a, float(m[row, free[a]])) for a in cols if m[row, free[a]] != 0)
             for row in (i, j)
         )
-        signs = tuple((a, float(self.sign[free[a]])) for a in cols)
-        pivots = (float(self.sign[i]), float(self.sign[j]))
+        signs = tuple((a, float(f.sign[free[a]])) for a in cols)
+        pivots = (float(f.sign[i]), float(f.sign[j]))
         return signs, quad, lin, pivots, (float(m[i, i]), float(m[i, j]), float(m[j, j]))
 
     @functools.cached_property
@@ -309,18 +282,17 @@ class _LevelSet:
         x[:, self.free] = q
         if f.variant == "flat":
             i = self.pivots[0]
-            if self.gpv[i] == 0:
+            if f.gpv[i] == 0:
                 # no linear term in the pivot: the level set is the unit sphere
                 # <x, x>_2 = 1 of entry a, solved for the pivot (positive branch)
-                rest = (self.sign * x * x).sum(axis=1) - x[:, i] * x[:, i]
+                rest = (f.sign * x * x).sum(axis=1) - x[:, i] * x[:, i]
                 if not (1.0 - rest > 0).all():
                     raise DomainError("point leaves the chart of the unit sphere")
                 x[:, i] = np.sqrt(1.0 - rest)
             else:
                 # the pivot coordinate enters only through the linear term
                 x[:, i] = 0.0
-                value = ((x @ self.gpt) * x).sum(axis=1) + 2.0 * (x @ self.gpv)
-                x[:, i] = (f.c - value) / 2.0
+                x[:, i] = (f.c - f.value_rows(x)) / 2.0
             return x if q.ndim == 2 else x[0]
         # sphere variant: the two pivot coordinates from one Newton solve
         x[:, self.pivots[0]], x[:, self.pivots[1]] = self.solve_pivots(np.atleast_2d(q))
@@ -379,29 +351,6 @@ class _LevelSet:
             y1 -= (j0 * r1 - g0 * r0) * half
         raise DomainError("chart solver did not converge; point too far out")
 
-    def differentials(self, x: np.ndarray) -> np.ndarray:
-        """The constraint differentials at the level-set points x, (k, n), one
-        row per constraint, (k, c, n): [G(Px + p)] on the flat variant and
-        [Gx, GPx - <Px, x> Gx] on the sphere variant.  The gradient of f is
-        2G times the last row.  Every product is taken row by row, so a row
-        does not depend on the stack.  On the sphere variant a point off the
-        unit sphere is refused, at the cut of spaceform.quadric_gradient."""
-        if self.f.variant == "flat":
-            return x[:, None, :] @ self.gpt + self.gpv
-        d = np.empty((x.shape[0], 2, x.shape[1]))
-        np.multiply(self.sign, x, out=d[:, 0])
-        np.matmul(x[:, None, :], self.gpt, out=d[:, 1:])
-        norm2, pxx = (d @ x[:, :, None])[:, :, 0].T  # <x, x>, <Px, x>
-        # quadric_gradient's bound, cut * max(1, max |x|^2), is never below cut
-        off = np.abs(norm2 - 1.0)
-        cut = linalg.residual_cut(default_tol())
-        if off.max(initial=0.0) > cut and (
-            off > cut * np.maximum(1.0, np.abs(x).max(axis=1) ** 2)
-        ).any():
-            raise DomainError("sphere-variant gradient needs a point on the unit sphere")
-        d[:, 1] -= pxx[:, None] * d[:, 0]
-        return d
-
     def coordinate_frame(self, d: np.ndarray, stacked: bool = True) -> np.ndarray:
         """The smooth tangent frame, (k, n, m), from the constraint
         differentials d, (k, c, n), or its one matrix (n, m) where stacked is
@@ -429,57 +378,41 @@ class _LevelSet:
         """The chart Jacobian at a chart point (m,) or a stack (k, m): the
         coordinate frame at its level-set point(s)."""
         x = self.chart(p)
-        return self.coordinate_frame(self.differentials(np.atleast_2d(x)), x.ndim == 2)
-
-    def sphere_shapes(self, x: np.ndarray, phi, jac: np.ndarray) -> np.ndarray:
-        """Shape matrices of a sphere-variant level set in the coordinate
-        frames jac, at a point or a stack, with each check of
-        spaceform.sphere_shape_operator once per point; phi is <grad, grad>.
-        The free rows of a coordinate frame are the identity, so a tangent
-        vector's coordinates in it are its free rows, where
-        sphere_shape_operator takes an lstsq."""
-        tol = default_tol()
-        op, _delta = sphere_level_operator(self.f, x, phi, tol)
-        image = op @ jac
-        shape = image[..., self.free, :]
-        check_invariant(jac, shape, image, tol)
-        return shape
+        return self.coordinate_frame(self.f.differentials(np.atleast_2d(x)), x.ndim == 2)
 
     def evaluate(self, p: np.ndarray, a: float, anchor_variant: bool) -> FrameData:
         """Frame data at a chart point (m,) or a stack of them (k, m): one chart
-        solve, then one pass of differentials, from which the gradient,
-        <grad, grad> and the coordinate frame are read; each check once per
-        point.  The formulas take the ambient point (n,) or the stack (k, n)."""
-        f = self.f
+        solve, then one pass of the quadric's differentials, from which the
+        gradient, <grad, grad> and the coordinate frame are read; each check
+        once per point, the regularity of the level by causal_sign.  The
+        formulas take the ambient point (n,) or the stack (k, n).  On e, f and
+        j the shape is sphere_shape_operator's, with its checks, in the
+        coordinate frame, whose free rows are the identity: a tangent vector's
+        coordinates are its free rows, where sphere_shape_operator takes an
+        lstsq."""
+        f, tol = self.f, default_tol()
         x = self.chart(p)
-        d = self.differentials(np.atleast_2d(x))
-        grad = 2.0 * self.sign * d[:, -1]
+        d = f.differentials(np.atleast_2d(x), tol)
+        grad = 2.0 * f.sign * d[:, -1]
         phi = ambient_inner(grad, grad, f.s)
         if x.ndim == 1:
             grad, phi = grad[0], phi[0]
-        if (np.abs(phi) < linalg.GRAD_NORM_TOL).any():
-            raise DomainError("level value is not regular at this point")
+        nu = causal_sign(phi, tol)  # the sign of <xi, xi> = phi / |phi|
         norm = np.sqrt(np.abs(phi))
         xi = grad / (norm if x.ndim == 1 else norm[:, None])
-        nu = (phi > 0) * 2 - 1  # the sign of <xi, xi> = phi / |phi|
         jac = functools.partial(self.coordinate_frame, d, x.ndim == 2)
         if self.frame is None:
             jac = frame = jac()
         else:
             frame = self.frame(_coords(x), anchor_variant)
         if self.shape is None:  # e, f, j: diagonalizable, no displayed frame
-            shape = self.sphere_shapes(x, phi, frame)
+            image = level_operator(f, f.value_rows(np.atleast_2d(x)), nu, tol) @ frame
+            shape = image[..., self.free, :]
+            check_invariant(frame, shape, image, tol)
         else:
             shape = _batch(self.shape, x)
-        return FrameData(
-            point=x,
-            frame=frame,
-            normal=xi,
-            shape=shape,
-            gram=_frame_gram(frame, f.s),
-            nu=nu if x.ndim == 2 else int(nu),
-            _jacobian=jac,
-        )
+        return FrameData(point=x, frame=frame, normal=xi, shape=shape,
+                         gram=_frame_gram(frame, f.s), nu=nu, _jacobian=jac)
 
     def sample(self, rng, n: int, a: float = 1.0) -> list[np.ndarray]:
         """The first n accepted candidates, in draw order: free coordinates

@@ -26,12 +26,9 @@ RANK_TOL = 1e-6
 # floor of residual_cut: self-adjointness of a pair, and a point on the unit
 # sphere, on its level set, and a tangent basis invariant under its operator
 RESIDUAL_FLOOR = 1e-7
-# floor of grad_norm_cut: a sphere level set is regular where |<grad, grad>|
-# is above max(tol, GRAD_NORM_FLOOR)
+# floor of grad_norm_cut: a quadric level set is regular where
+# |<grad, grad>| is above max(tol, GRAD_NORM_FLOOR)
 GRAD_NORM_FLOOR = 1e-9
-# a catalog level set is regular where |<grad, grad>| is at least this, at
-# any tol: the same decision as GRAD_NORM_FLOOR's, by a second rule
-GRAD_NORM_TOL = 1e-12
 # a quadric's P is self-adjoint where |G P - P^T G| <= this * max(|P|, 1)
 QUADRIC_SYMMETRY_TOL = 1e-9
 # a chain's deflation keeps the singular values above this * max(s_0, 1)
@@ -67,8 +64,8 @@ def residual_cut(tol: float) -> float:
 
 
 def grad_norm_cut(tol: float) -> float:
-    """|<grad, grad>| at most max(tol, GRAD_NORM_FLOOR) is a singular level
-    for the sphere-variant shape operator."""
+    """|<grad, grad>| at most max(tol, GRAD_NORM_FLOOR), or NaN, is a level
+    that is not regular: spaceform.causal_sign's rule."""
     return max(tol, GRAD_NORM_FLOOR)
 
 

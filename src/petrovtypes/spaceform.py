@@ -5,6 +5,12 @@ space; the sphere variant with f(x) = <Px, x> restricted to the unit pseudo-
 sphere.  Both produce isoparametric level sets under the admissibility
 conditions checked here, and the sphere variant has a closed-form shape
 operator.
+
+This module is the one home of a quadric's geometry: one shared Gram per
+(n, s), one f, one set of constraint differentials (the gradient is 2G times
+their last row) and causal_sign, the one rule that a level is regular.  The
+public entry points refuse malformed and non-finite input; the catalog, whose
+points are checked already, calls the unchecked parts directly.
 """
 
 from __future__ import annotations
@@ -25,13 +31,20 @@ from .linalg import (
 )
 
 
+@functools.lru_cache(maxsize=16)
 def inner_matrix(n: int, s: int) -> np.ndarray:
-    """Gram matrix of the pseudo-inner product of index s on dimension n."""
+    """Gram matrix of the pseudo-inner product of index s on dimension n: one
+    read-only array per (n, s), shared by every caller."""
     if not 0 <= s <= n:
         raise ShapeError(f"index {s} out of range for dimension {n}")
     d = np.ones(n)
     d[:s] = -1.0
-    return np.diag(d)
+    return _read_only(np.diag(d))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def ambient_inner(u, v, s: int):
@@ -52,11 +65,6 @@ def ambient_inner(u, v, s: int):
     neg = u[:, None, :s] @ v[:, :s, None]
     pos = u[:, None, s:] @ v[:, s:, None]
     return (-neg + pos)[:, 0, 0]
-
-
-def _matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat @ x for a vector x (n,), and for each row of a stack (k, n)."""
-    return mat @ x if x.ndim == 1 else (mat @ x[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,9 @@ class QuadricFunction:
 
     flat:   f(x) = <Px, x>_s + 2<p, x>_s on the pseudo-Euclidean space.
     sphere: f(x) = <Px, x>_s on the unit pseudo-sphere.
+
+    P and p are read-only copies of the arguments, and so are sign (G's
+    diagonal), gpt ((G P)^T: x @ gpt stacks G P x) and gpv (G p, flat only).
     """
 
     variant: str
@@ -123,42 +134,70 @@ class QuadricFunction:
         scale = max(np.abs(pmat).max(), 1.0)
         if np.abs(g @ pmat - pmat.T @ g).max() > linalg.QUADRIC_SYMMETRY_TOL * scale:
             raise ShapeError("P is not self-adjoint for the ambient form")
-        object.__setattr__(self, "P", pmat)
-        if self.variant == "flat":
-            object.__setattr__(self, "p", pv)
+        flat = self.variant == "flat"
+        for name, value in (
+            ("P", pmat), ("p", pv if flat else None), ("sign", np.diag(g).copy()),
+            ("gpt", (g @ pmat).T.copy()), ("gpv", g @ pv if flat else None),
+        ):
+            object.__setattr__(self, name, value if value is None else _read_only(value))
 
     @property
     def dim(self) -> int:
         return self.P.shape[0]
 
     def value(self, x):
-        """f at a point x (n,), a float, or at each row of a stack (k, n), an
-        array whose rows equal the point values bit for bit."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
-            raise ShapeError("point dimension mismatch")
-        out = ambient_inner(_matvec(self.P, x), x, self.s)
+        """f at a point x (n,), a float, or at each row of a stack (k, n), as
+        value_rows computes it; a malformed or non-finite point is refused."""
+        x = _point(self, x)
+        out = self.value_rows(np.atleast_2d(x))
+        return float(out[0]) if x.ndim == 1 else out
+
+    def value_rows(self, x: np.ndarray) -> np.ndarray:
+        """f at each row of the stack x, (k, n), unchecked, in the lowered form
+        (x (G P)^T) . x + 2 x . G p."""
+        out = ((x @ self.gpt) * x).sum(axis=1)
         if self.variant == "flat":
-            out += 2.0 * ambient_inner(np.broadcast_to(self.p, x.shape), x, self.s)
+            out += 2.0 * (x @ self.gpv)
         return out
 
+    def differentials(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
+        """The constraint differentials at the points x, (k, n), unchecked, one
+        row per constraint, (k, c, n): [G(Px + p)] (flat) or [Gx, GPx - <Px, x>
+        Gx] (sphere), every product row by row.  A point off the unit sphere,
+        |<x, x> - 1| > residual_cut(tol) * max(1, max |x|^2), is refused."""
+        if self.variant == "flat":
+            return x[:, None, :] @ self.gpt + self.gpv
+        d = np.empty((x.shape[0], 2, x.shape[1]))
+        np.multiply(self.sign, x, out=d[:, 0])
+        np.matmul(x[:, None, :], self.gpt, out=d[:, 1:])
+        norm2, pxx = (d @ x[:, :, None])[:, :, 0].T  # <x, x>, <Px, x>
+        # the bound cut * max(1, max |x|^2) is never below cut
+        off = np.abs(norm2 - 1.0)
+        cut = residual_cut(resolve_tol(tol))
+        if off.max(initial=0.0) > cut and (
+            off > cut * np.maximum(1.0, np.abs(x).max(axis=1) ** 2)
+        ).any():
+            raise DomainError("sphere-variant gradient needs a point on the unit sphere")
+        d[:, 1] -= pxx[:, None] * d[:, 0]
+        return d
 
-def quadric_gradient(f: QuadricFunction, x, tol: float | None = None) -> np.ndarray:
-    """Ambient (flat) or tangential (sphere) gradient of the quadric at a
-    point x (n,), or at each row of a stack (k, n)."""
+
+def _point(f: QuadricFunction, x) -> np.ndarray:
+    """x as a float point (n,) or stack (k, n) of f, all finite."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != f.dim:
         raise ShapeError("point dimension mismatch")
-    px = _matvec(f.P, x)
-    if f.variant == "flat":
-        return 2.0 * px + 2.0 * f.p
-    tol = resolve_tol(tol)
-    norm2 = ambient_inner(x, x, f.s)
-    radius = np.maximum(1.0, np.abs(x).max(axis=-1) ** 2)
-    if (np.abs(norm2 - 1.0) > residual_cut(tol) * radius).any():
-        raise DomainError("sphere-variant gradient needs a point on the unit sphere")
-    pxx = ambient_inner(px, x, f.s)
-    return 2.0 * px - 2.0 * (pxx if x.ndim == 1 else pxx[:, None]) * x
+    if not np.isfinite(x).all():
+        raise DomainError("point has a non-finite coordinate (NaN or infinity)")
+    return x
+
+
+def quadric_gradient(f: QuadricFunction, x, tol: float | None = None) -> np.ndarray:
+    """Ambient (flat) or tangential (sphere) gradient at a point x (n,) or at
+    each row of a stack (k, n): 2G times the last row of f.differentials."""
+    x = _point(f, x)
+    grad = 2.0 * f.sign * f.differentials(np.atleast_2d(x), tol)[:, -1]
+    return grad if x.ndim == 2 else grad[0]
 
 
 def admissibility_check(
@@ -227,27 +266,37 @@ def _quadratic_minimal_data(p_bytes: bytes, n: int, tol: float) -> tuple[float, 
     return a, b
 
 
-def sphere_level_operator(f: QuadricFunction, x, phi, tol: float | None = None):
-    """The operator (cE - P)/sqrt(-delta*mu_P(c)) of a sphere-variant level
-    set and delta, the causal sign of the gradient, at a point x (n,) with
-    phi = <grad, grad>, or at a stack (k, n) with phi (k,), where the
-    operators are (k, n, n) and delta is an integer array.  Checks at every
-    point that it lies on the level set c and that phi and -delta*mu_P(c)
-    are nonzero."""
-    tol = resolve_tol(tol)
+def causal_sign(phi, tol: float):
+    """delta, the sign of phi = <grad, grad> (an int, or an array for an
+    array), where the level is regular: |phi| > grad_norm_cut(tol), which a
+    NaN fails too.  The one regularity rule."""
+    if not (np.abs(phi) > grad_norm_cut(tol)).all():
+        raise DomainError("level value is not regular at this point")
+    delta = (np.asarray(phi) > 0) * 2 - 1
+    return delta if delta.ndim else int(delta)
+
+
+def level_operator(f: QuadricFunction, values, delta, tol: float) -> np.ndarray:
+    """(cE - P)/sqrt(-delta*mu_P(c)) of a sphere-variant level set, (n, n) for
+    an int delta from causal_sign and (k, n, n) for a (k,) array, at points
+    where f takes the values: each must be at the level c."""
     if f.variant != "sphere":
         raise DomainError("shape-operator formula applies to the sphere variant")
-    if (np.abs(f.value(x) - f.c) > residual_cut(tol) * max(1.0, abs(f.c))).any():
+    if (np.abs(values - f.c) > residual_cut(tol) * max(1.0, abs(f.c))).any():
         raise DomainError("point is not on the requested level set")
-    if (np.abs(phi) <= grad_norm_cut(tol)).any():
-        raise DomainError("level value outside the regular range: <grad, grad> = 0")
-    delta = (np.asarray(phi) > 0) * 2 - 1
     a, b = quadratic_minimal_data(f, tol)
     mu_c = f.c * f.c - a * f.c - b
-    if (-delta * mu_c <= 0).any():
+    if np.any(-delta * mu_c <= 0):
         raise DomainError("degenerate level: -delta * mu_P(c) must be positive")
-    op = (f.c * np.eye(f.dim) - f.P) / np.sqrt(-delta * mu_c)[..., None, None]
-    return op, delta if delta.ndim else int(delta)
+    return (f.c * np.eye(f.dim) - f.P) / np.sqrt(-delta * mu_c)[..., None, None]
+
+
+def sphere_level_operator(f: QuadricFunction, x, phi, tol: float | None = None):
+    """level_operator and delta at a point x (n,) with phi = <grad, grad>, or
+    at a stack (k, n) with phi (k,), regularity decided first."""
+    tol = resolve_tol(tol)
+    delta = causal_sign(phi, tol)
+    return level_operator(f, f.value(x), delta, tol), delta
 
 
 def check_invariant(basis: np.ndarray, rep: np.ndarray, image: np.ndarray, tol: float) -> None:
@@ -260,22 +309,19 @@ def check_invariant(basis: np.ndarray, rep: np.ndarray, image: np.ndarray, tol: 
         raise ToleranceError("tangent basis is not invariant under the operator")
 
 
-def sphere_shape_operator(
-    f: QuadricFunction,
-    x,
-    tangent_basis: np.ndarray,
-    tol: float | None = None,
-) -> tuple[np.ndarray, int]:
+def sphere_shape_operator(f: QuadricFunction, x, tangent_basis, tol=None) -> tuple[np.ndarray, int]:
     """Shape operator of the level hypersurface of a sphere-variant quadric.
 
-    Returns the matrix of (cE - P)/sqrt(-delta*mu_P(c)) in the supplied
-    tangent basis, together with delta, the causal sign of the gradient.
+    Returns the matrix of (cE - P)/sqrt(-delta*mu_P(c)) in the tangent basis
+    (n, m) at one point x (n,), and delta, the causal sign of the gradient.
     """
     tol = resolve_tol(tol)
-    x = np.asarray(x, dtype=float)
+    x = _point(f, x)
     basis = np.asarray(tangent_basis, dtype=float)
-    if basis.shape[0] != f.dim:
-        raise ShapeError("tangent basis rows must match the ambient dimension")
+    if x.ndim != 1 or basis.ndim != 2 or basis.shape[0] != f.dim:
+        raise ShapeError("sphere_shape_operator takes one point (n,) and a tangent basis (n, m)")
+    if not np.isfinite(basis).all():
+        raise DomainError("tangent basis has a non-finite entry (NaN or infinity)")
     grad = quadric_gradient(f, x, tol)
     op, delta = sphere_level_operator(f, x, ambient_inner(grad, grad, f.s), tol)
     image = op @ basis
@@ -292,6 +338,11 @@ class CurvatureSpectrum:
     complex: tuple[tuple[float, float, int], ...] = field(default_factory=tuple)
 
 
+def _require_finite(*values) -> None:
+    if not np.isfinite(values).all():
+        raise DomainError("arguments must be finite (no NaN or infinity)")
+
+
 def cartan_residual(spec: CurvatureSpectrum, delta: int, i: int) -> float:
     """Sum over the other curvatures of m_j (delta + k_i k_j)/(k_j - k_i).
 
@@ -299,6 +350,7 @@ def cartan_residual(spec: CurvatureSpectrum, delta: int, i: int) -> float:
     has full geometric multiplicity.  Complex curvatures enter as conjugate
     pairs, so the total stays real.
     """
+    _require_finite(delta, *(v for curvature in (*spec.real, *spec.complex) for v in curvature))
     if not 0 <= i < len(spec.real):
         raise DomainError(f"no real curvature with position {i}")
     if len(spec.real) + len(spec.complex) < 2:
@@ -320,6 +372,7 @@ def cartan_residual(spec: CurvatureSpectrum, delta: int, i: int) -> float:
 def modulus_relation(kappa: float, nu: int, alpha: float, beta: float) -> float:
     """kappa + nu*(alpha^2 + beta^2): zero is necessary for a complex curvature
     alpha + i*beta to occur on an isoparametric hypersurface of normal sign nu."""
+    _require_finite(kappa, nu, alpha, beta)
     if beta <= 0:
         raise DomainError("beta must be positive")
     return kappa + nu * (alpha * alpha + beta * beta)
@@ -328,6 +381,7 @@ def modulus_relation(kappa: float, nu: int, alpha: float, beta: float) -> float:
 def type3_forced_curvature(alpha: float, beta: float) -> float:
     """The constant curvature (alpha^2 + beta^2)/alpha forced by a complex
     principal curvature in the type-III chain computation."""
+    _require_finite(alpha, beta)
     if alpha == 0:
         raise DomainError("alpha = 0 admits no solution")
     return (alpha * alpha + beta * beta) / alpha

@@ -94,7 +94,7 @@ def test_a_replaced_level_set_record_brings_its_own_data(monkeypatch):
     fd = evaluate("b", p)
     grad = quadric_gradient(f, x)
     assert np.array_equal(fd.point, x)
-    assert np.allclose(fd.normal, grad / np.sqrt(abs(ambient_inner(grad, grad, 2))), atol=1e-12)
+    assert np.array_equal(fd.normal, grad / np.sqrt(abs(ambient_inner(grad, grad, 2))))
     assert np.array_equal(fd.jacobian, chart_jacobian("b", p))
     assert np.array_equal(fd.shape, old_fd.shape) and np.array_equal(fd.gram, old_fd.gram)
 
@@ -121,9 +121,10 @@ def test_chart_stays_on_level_set(ex_id):
 @pytest.mark.parametrize("ex_id", "abcdefghij")
 def test_one_differential_pass_agrees_with_the_public_formulas(ex_id):
     """evaluate reads the normal of a level set, and the shape on e, f and
-    j, from one pass of constraint differentials; quadric_gradient and
-    sphere_shape_operator compute them on their own, at one point and on a
-    stack."""
+    j, from one pass of constraint differentials.  quadric_gradient runs the
+    same differentials, so the normal agrees bit for bit;
+    sphere_shape_operator solves for the shape on its own, at one point and
+    on a stack."""
     f = quadric_of(ex_id)
     rows = np.array(sample_domain(ex_id, 7, seed=23))
     for p in (rows[0], rows):
@@ -131,11 +132,27 @@ def test_one_differential_pass_agrees_with_the_public_formulas(ex_id):
         grad = quadric_gradient(f, fd.point)
         norm = np.sqrt(np.abs(ambient_inner(grad, grad, f.s)))
         want = grad / (norm if p.ndim == 1 else norm[:, None])
-        assert np.abs(fd.normal - want).max() <= 1e-14
+        assert np.array_equal(fd.normal, want)
         if ex_id in ("e", "f", "j"):
             frames, shapes = fd.frame.reshape(-1, 6, 4), fd.shape.reshape(-1, 4, 4)
             for x, frame, shape in zip(np.atleast_2d(fd.point), frames, shapes):
                 assert np.abs(shape - sphere_shape_operator(f, x, frame)[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ex_id", "abcdefghij")
+def test_one_regularity_rule_on_every_level_set(ex_id, monkeypatch):
+    """Every level set refuses a point unless |<grad, grad>| is above
+    grad_norm_cut(tol), with one text.  <grad, grad> is constant on each
+    catalog level set (4, -32 or -4), so a floor of 40 refuses every point,
+    one at a time and as a stack, and the default refuses none."""
+    rows = np.array(sample_domain(ex_id, 20, seed=13))
+    assert len(evaluate(ex_id, rows).nu) == 20
+    for p in rows:
+        evaluate(ex_id, p)
+    monkeypatch.setattr(linalg, "GRAD_NORM_FLOOR", 40.0)
+    for p in (*rows, rows):
+        with pytest.raises(DomainError, match="level value is not regular at this point"):
+            evaluate(ex_id, p)
 
 
 @pytest.mark.parametrize("ex_id", ["e", "f", "g", "h", "i", "j"])
@@ -495,10 +512,10 @@ def test_minimal_polynomial_memo_never_stale():
     # the quadric keeps its own copy of the array it was built from
     source *= 2.0
     assert quadratic_minimal_data(f) == pytest.approx((0.0, 1.0), abs=1e-10)
-    # its own P, edited in place, is never answered from the old entry:
-    # (2P)^2 = 4E
-    f.P[...] *= 2.0
-    assert quadratic_minimal_data(f) == pytest.approx((0.0, 4.0), abs=1e-10)
+    # its own P is read-only, so no edit in place can leave the memo stale
+    with pytest.raises(ValueError, match="read-only"):
+        f.P[...] *= 2.0
+    assert quadratic_minimal_data(f) == pytest.approx((0.0, 1.0), abs=1e-10)
 
 
 _STACK_CASES = [(ex_id, 1.0, False) for ex_id in EXAMPLE_IDS] + [

@@ -607,7 +607,7 @@ def test_tolerance_table_values():
     behaviour."""
     eps = np.finfo(float).eps
     assert (linalg.DEFAULT_TOL, linalg.RANK_TOL, linalg.RESIDUAL_FLOOR) == (1e-9, 1e-6, 1e-7)
-    assert (linalg.GRAD_NORM_FLOOR, linalg.GRAD_NORM_TOL) == (1e-9, 1e-12)
+    assert linalg.GRAD_NORM_FLOOR == 1e-9
     assert (linalg.QUADRIC_SYMMETRY_TOL, linalg.DEFLATE_TOL, linalg.COND_FLOOR) == (
         1e-9, 1e-10, eps * 10)
     assert (linalg.CURVATURE_GAP_TOL, linalg.REGION_TOL) == (1e-12, 1e-12)

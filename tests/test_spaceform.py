@@ -284,11 +284,12 @@ def test_residual_floor_decides_spaceform_checks(monkeypatch):
 
 def test_grad_norm_floor_decides_a_regular_sphere_level(monkeypatch):
     """sphere_level_operator refuses |<grad, grad>| at most grad_norm_cut(tol),
-    max(tol, linalg.GRAD_NORM_FLOOR) read at call time."""
+    max(tol, linalg.GRAD_NORM_FLOOR) read at call time, by causal_sign's one
+    rule and text."""
     f, x = _sphere_level()
     sphere_level_operator(f, x, 5e-9)
     monkeypatch.setattr(linalg, "GRAD_NORM_FLOOR", 1e-8)
-    with pytest.raises(DomainError, match="outside the regular range"):
+    with pytest.raises(DomainError, match="level value is not regular at this point"):
         sphere_level_operator(f, x, 5e-9)
 
 
@@ -307,3 +308,107 @@ def test_fixed_spaceform_cuts_are_read_at_call_time(monkeypatch):
     monkeypatch.setattr(linalg, "CURVATURE_GAP_TOL", 1e-10)
     with pytest.raises(DomainError, match="repeated real curvature"):
         cartan_residual(spec, 1, 0)
+
+
+def test_inner_matrix_is_one_shared_read_only_array():
+    """inner_matrix returns the same cached array for each (n, s), and no
+    caller can edit it in place."""
+    g = inner_matrix(6, 3)
+    assert inner_matrix(6, 3) is g
+    assert not g.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g[0, 0] = 1.0
+    f = QuadricFunction("sphere", 3, np.eye(6), 1.0)
+    assert np.array_equal(f.sign, np.diag(g))
+
+
+def test_quadric_keeps_its_arrays_read_only():
+    """P, p and the constants computed from them once, sign, (G P)^T and
+    G p, cannot be edited in place."""
+    p_vec = np.array([0.5, 0.0, 1.0])
+    flat = QuadricFunction("flat", 1, -np.eye(3), -1.0, p_vec)
+    g = inner_matrix(3, 1)
+    assert np.array_equal(flat.gpt, (g @ flat.P).T) and np.array_equal(flat.gpv, g @ p_vec)
+    for array in (flat.P, flat.p, flat.sign, flat.gpt, flat.gpv):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert QuadricFunction("sphere", 2, np.kron(np.eye(3), _anti(2)), 0.0).gpv is None
+
+
+def test_value_refuses_a_non_finite_point():
+    f, _x = _sphere_level()
+    for bad in (np.full(6, np.nan), np.array([[0, 0, 0, 0, 0, np.inf]])):
+        with pytest.raises(DomainError, match="non-finite coordinate"):
+            f.value(bad)
+
+
+def test_gradient_refuses_a_non_finite_point():
+    f, _x = _sphere_level()
+    flat = QuadricFunction("flat", 1, -np.eye(3), -1.0, np.zeros(3))
+    for quadric, bad in ((f, np.full(6, np.nan)), (flat, np.array([[1.0, np.inf, 0.0]]))):
+        with pytest.raises(DomainError, match="non-finite coordinate"):
+            quadric_gradient(quadric, bad)
+
+
+def test_shape_operator_refuses_a_vector_for_a_basis():
+    f, x = _sphere_level()
+    with pytest.raises(ShapeError, match="a tangent basis \\(n, m\\)"):
+        sphere_shape_operator(f, x, np.ones(6))
+
+
+def test_shape_operator_refuses_a_stack_of_points():
+    f, x = _sphere_level()
+    with pytest.raises(ShapeError, match="takes one point"):
+        sphere_shape_operator(f, np.vstack([x, x]), np.eye(6)[:, 1:5])
+    with pytest.raises(ShapeError, match="takes one point"):
+        sphere_shape_operator(f, x, np.eye(6)[None, :, 1:5])
+
+
+def test_shape_operator_refuses_a_nan_basis_before_lapack(capfd):
+    """A NaN basis is refused by name, and LAPACK never sees it (it would
+    print a parameter error to stderr)."""
+    f, x = _sphere_level()
+    basis = np.eye(6)[:, 1:5]
+    basis[0, 0] = np.nan
+    with pytest.raises(DomainError, match="non-finite entry"):
+        sphere_shape_operator(f, x, basis)
+    assert capfd.readouterr().err == ""
+
+
+def test_shape_operator_refuses_a_nan_point():
+    f, x = _sphere_level()
+    x[0] = np.nan
+    with pytest.raises(DomainError, match="non-finite coordinate"):
+        sphere_shape_operator(f, x, np.eye(6)[:, 1:5])
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.array([4.0, np.nan])])
+def test_nan_grad_norm_is_not_regular(phi):
+    """A NaN <grad, grad> is refused by the regularity rule, not read as a
+    sign and refused later as a degenerate level."""
+    f, x = _sphere_level()
+    points = x if np.ndim(phi) == 0 else np.vstack([x, x])
+    with pytest.raises(DomainError, match="level value is not regular at this point"):
+        sphere_level_operator(f, points, phi)
+
+
+def test_cartan_residual_refuses_non_finite_curvatures():
+    for spec, delta in (
+        (CurvatureSpectrum(real=((np.nan, 1), (1.0, 1))), 1),
+        (CurvatureSpectrum(real=((1.0, 1),), complex=((0.5, np.inf, 1),)), 1),
+        (CurvatureSpectrum(real=((-1.0, 2), (1.0, 2))), np.nan),
+    ):
+        with pytest.raises(DomainError, match="must be finite"):
+            cartan_residual(spec, delta, 0)
+
+
+def test_modulus_relation_refuses_non_finite_arguments():
+    for args in ((1, 1, 0.0, np.nan), (np.inf, 1, 0.0, 1.0), (1, 1, np.nan, 1.0)):
+        with pytest.raises(DomainError, match="must be finite"):
+            modulus_relation(*args)
+
+
+def test_type3_forced_curvature_refuses_non_finite_arguments():
+    for args in ((np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            type3_forced_curvature(*args)
